@@ -10,8 +10,9 @@ and the algebraic identities tying them together.
 """
 
 from .blocksystem import (BlockSystem, JumpReport, MomentVectors, Partition,
-                          assemble, classify_jumps, find_singular_points,
-                          make_partition, moment_vectors, nullspace)
+                          assemble, build_system, classify_jumps,
+                          find_singular_points, make_partition,
+                          moment_vectors, nullspace)
 from .coefficients import (Check, MeasureMatrix, Problem, ValidationReport,
                            validate)
 from .errors import (DimensionMismatch, EmptyWindow, InconsistentLift,
@@ -41,8 +42,8 @@ __all__ = [
     "MissingRHS", "MomentVectors", "NotInKernel", "NotRepresentable",
     "OrthogonalityCertificate", "OutOfInterval", "PairingReport",
     "ParseError", "ParsedProblem", "Partition", "PiecewiseSolution",
-    "Problem", "SingularAtom", "SingularJ", "SolutionSet",
-    "ValidationReport", "WindowMismatch", "assemble", "atom_transfer",
+    "Problem", "SingularAtom", "SingularJ", "SolutionSet", "ValidationReport",
+    "WindowMismatch", "assemble", "atom_transfer", "build_system",
     "classify_jumps", "compact_support_solutions", "find_singular_points",
     "functional_identity_defect", "fundamental_matrix", "inner_product",
     "kernel_K0", "lagrange_check", "lift_kernel_vector", "load_problem",

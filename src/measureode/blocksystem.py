@@ -10,15 +10,16 @@ block matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .coefficients import MeasureMatrix, Problem
-from .errors import EmptyWindow, OutOfInterval
+from .coefficients import Problem
+from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
-from .propagation import FundamentalMatrix, fundamental_matrix, inhomogeneous_integral
+from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, fundamental_matrix,
+                          inhomogeneous_integral)
 
-DEFAULT_TOL_SING = 1e-9
 DEFAULT_TOL_RANK = 1e-10
 BORDERLINE_SING = 1e-6
 
@@ -143,66 +144,93 @@ def nullspace(matrix: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndar
     return vh[rank:].conj().T
 
 
-def _blockdiag(blocks) -> np.ndarray:
-    blocks = list(blocks)
-    n = blocks[0].shape[0]
-    out = np.zeros((n * len(blocks), n * len(blocks)), dtype=complex)
-    for i, blk in enumerate(blocks):
-        out[i * n:(i + 1) * n, i * n:(i + 1) * n] = blk
-    return out
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return blocks.conj().swapaxes(-1, -2)
 
 
-def blockwise_solve(J: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Apply J^{-1} to each length-n block of a stacked vector."""
-    n = J.shape[0]
-    out = np.array(stacked, dtype=complex)
-    for i in range(out.size // n):
-        out[i * n:(i + 1) * n] = np.linalg.solve(J, out[i * n:(i + 1) * n])
-    return out
+class Factorisation:
+    """One factorisation of a coupling matrix (a full SVD).
+
+    Min-norm solves and kernels are cut at rank tol_rank * sigma_max per
+    call, so one factorisation serves every tolerance.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.u, self.s, self.vh = np.linalg.svd(matrix)
+
+    def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
+        """Singular values above tol_rank * sigma_max (none if all vanish)."""
+        return int(np.sum(self.s > tol_rank * self.s[0]))
+
+    def kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        """Orthonormal basis of the kernel, columns."""
+        return self.vh[self.rank(tol_rank):].conj().T
+
+    def adjoint_kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        """Orthonormal basis of the adjoint matrix's kernel, columns."""
+        return self.u[:, self.rank(tol_rank):]
+
+    def solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        """Minimum-norm least-squares solution."""
+        rhs = np.asarray(rhs, dtype=complex).reshape(-1)
+        if rhs.size != self.u.shape[0]:
+            raise DimensionMismatch("right-hand side length must match the row count")
+        r = self.rank(tol_rank)
+        return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ rhs) / self.s[:r])
 
 
 class BlockSystem:
-    """All matrices coupling the subinterval coefficients of a partition."""
+    """All matrices coupling the subinterval coefficients of a partition.
+
+    ``b_plus`` and ``b_minus`` stack J +- dq/2 at the N interior points,
+    ``u_ends`` the end values of the N + 1 fundamental matrices.  Every
+    min-norm solve and kernel of B and of the reduced B_m comes from
+    ``factors`` and ``reduced_factors``, each computed once.
+    """
 
     def __init__(self, problem: Problem, partition: Partition,
                  fundamentals: list[FundamentalMatrix]):
         self.problem = problem
         self.partition = partition
         self.fundamentals = fundamentals
-        pts = partition.points
+        interior = partition.interior
         n = problem.n
         N = partition.count
         self.n = n
         self.N = N
 
-        self.b_plus = [problem.b_plus(float(pts[j])) for j in range(1, N + 1)]
-        self.b_minus = [problem.b_minus(float(pts[j])) for j in range(1, N + 1)]
-        self.u_ends = [U.end_value for U in fundamentals]
-
-        self.calB = _blockdiag(self.b_plus)
-        self.calU = _blockdiag(self.u_ends[:N])
-        self.calJ = _blockdiag([problem.J] * N)
+        self.b_plus = np.array([problem.b_plus(float(x)) for x in interior])
+        self.b_minus = np.array([problem.b_minus(float(x)) for x in interior])
+        self.u_ends = np.array([U.end_value for U in fundamentals])
 
         B = np.zeros((n * N, n * (N + 1)), dtype=complex)
-        B[:, : n * N] += self.calB.conj().T @ self.calU
-        B[:, n:] += self.calB
         C = np.zeros((n * N, n * (N + 1)), dtype=complex)
-        C[:, : n * N] += 0.5 * self.calU
-        C[:, n:] += 0.5 * np.eye(n * N)
+        half = 0.5 * np.eye(n)
+        for j in range(N):
+            rows = slice(j * n, (j + 1) * n)
+            B[rows, j * n:(j + 1) * n] = _adjoint(self.b_plus[j]) @ self.u_ends[j]
+            B[rows, (j + 1) * n:(j + 2) * n] = self.b_plus[j]
+            C[rows, j * n:(j + 1) * n] = 0.5 * self.u_ends[j]
+            C[rows, (j + 1) * n:(j + 2) * n] = half
         self.B = B
         self.C = C
         self.B_m = B[:, n:-n]
         self.C_m = C[:, n:-n]
 
+    @cached_property
+    def factors(self) -> Factorisation:
+        """Factorisation of B, computed on first use."""
+        return Factorisation(self.B)
+
+    @cached_property
+    def reduced_factors(self) -> Factorisation:
+        """Factorisation of B_m, computed on first use."""
+        return Factorisation(self.B_m)
+
     @property
     def points(self) -> np.ndarray:
         return self.partition.points
-
-    def split_blocks(self, stacked: np.ndarray) -> list[np.ndarray]:
-        """Cut a stacked coefficient vector into length-n blocks."""
-        n = self.n
-        stacked = np.asarray(stacked, dtype=complex).reshape(-1)
-        return [stacked[i * n:(i + 1) * n] for i in range(stacked.size // n)]
 
 
 def assemble(problem: Problem, partition: Partition,
@@ -218,6 +246,16 @@ def assemble(problem: Problem, partition: Partition,
         for j in range(pts.size - 1)
     ]
     return BlockSystem(problem, partition, fundamentals)
+
+
+def build_system(problem: Problem, window, extra=(),
+                 tol_sing: float = DEFAULT_TOL_SING) -> BlockSystem:
+    """The block system of the partition at the window's singular points.
+
+    ``extra`` positions are added to the partition as in make_partition.
+    """
+    singular = find_singular_points(problem, window, tol_sing)
+    return assemble(problem, make_partition(window, singular, extra), tol_sing)
 
 
 @dataclass(frozen=True)
@@ -259,14 +297,14 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         if dw.any():
             jump_moments[(j - 1) * n: j * n] = dw @ f.value(x, "balanced")
 
-    integrals = [
+    integrals = np.array([
         inhomogeneous_integral(bs.fundamentals[j], w, f, float(pts[j + 1]))
         for j in range(N + 1)
-    ]
-    head = np.concatenate(integrals[:N])
-    last = integrals[N]
-
-    rhs = jump_moments - bs.calB.conj().T @ (bs.calU @ blockwise_solve(problem.J, head))
-    tail = np.concatenate([np.zeros(n * (N - 1), dtype=complex), last])
-    functional = rhs + bs.calB @ blockwise_solve(problem.J, tail)
-    return MomentVectors(f, jump_moments, head, last, rhs, functional)
+    ])
+    solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
+    coupled = _adjoint(bs.b_plus) @ (bs.u_ends[:N] @ solved[:N, :, None])
+    rhs = jump_moments - coupled.reshape(-1)
+    functional = rhs.copy()
+    functional[-n:] += bs.b_plus[-1] @ solved[N]
+    return MomentVectors(f, jump_moments, integrals[:N].reshape(-1), integrals[N],
+                         rhs, functional)

@@ -14,21 +14,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blocksystem import (DEFAULT_TOL_RANK, assemble, classify_jumps,
-                          find_singular_points, make_partition,
-                          moment_vectors, nullspace)
-from .coefficients import Check, validate
+from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, build_system,
+                          classify_jumps, make_partition, moment_vectors)
+from .coefficients import DEFAULT_VALIDATE_TOL, Check, validate
 from .errors import MeasureOdeError, MissingRHS, ParseError
 from .fileio import ParsedProblem, load_problem, render_report, vector_json
 from .fuzz import random_instance
-from .propagation import DEFAULT_TOL_SING
 from .relations import kernel_K0
-from .solutions import (DEFAULT_TOL_SOLVE, compact_support_solutions,
-                        lift_kernel_vector, solve_system)
+from .solutions import DEFAULT_TOL_SOLVE, _compact_lifts, solve_system
 from .verify import SUITE_NAMES, run_suites
 
 _MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
-_VALIDATE_TOL = 1e-10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,13 +79,6 @@ def _sampled(solution, grid) -> list[dict]:
             for x in grid]
 
 
-def _build_system(parsed: ParsedProblem, tols):
-    singular = find_singular_points(parsed.problem, parsed.window,
-                                    tols["tol_sing"])
-    partition = make_partition(parsed.window, singular, parsed.forced_points)
-    return partition, assemble(parsed.problem, partition, tols["tol_sing"])
-
-
 def _partition_json(partition) -> dict:
     return {
         "points": [float(x) for x in partition.points],
@@ -99,7 +88,7 @@ def _partition_json(partition) -> dict:
 
 
 def cmd_validate(parsed: ParsedProblem, args, tols):
-    report = validate(parsed.problem, _VALIDATE_TOL)
+    report = validate(parsed.problem, DEFAULT_VALIDATE_TOL)
     results = {"n": parsed.problem.n,
                "interval": [float(v) for v in parsed.problem.interval]}
     return results, list(report.checks), report.passed
@@ -107,14 +96,14 @@ def cmd_validate(parsed: ParsedProblem, args, tols):
 
 def cmd_analyze(parsed: ParsedProblem, args, tols):
     jumps = classify_jumps(parsed.problem, parsed.window, tols["tol_sing"])
-    partition, _ = _build_system(parsed, tols)
+    singular = [j.position for j in jumps if j.status == "singular"]
+    partition = make_partition(parsed.window, singular, parsed.forced_points)
     results = {
         "jumps": [{"position": float(j.position),
                    "sigma_min": float(j.sigma_min),
                    "sigma_max": float(j.sigma_max),
                    "status": j.status} for j in jumps],
-        "singular_points": [float(j.position) for j in jumps
-                            if j.status == "singular"],
+        "singular_points": [float(x) for x in singular],
         "partition": _partition_json(partition),
         "warnings": [f"jump at {j.position} is near-singular "
                      f"(sigma_min={j.sigma_min:.3e})"
@@ -126,13 +115,14 @@ def cmd_analyze(parsed: ParsedProblem, args, tols):
 def cmd_solve(parsed: ParsedProblem, args, tols):
     if parsed.f is None:
         raise MissingRHS("solve needs an f block in the problem file")
-    partition, bs = _build_system(parsed, tols)
+    bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
+                      tols["tol_sing"])
     f = parsed.f.refined_against(parsed.problem.w)
     mv = moment_vectors(bs, f)
     outcome = solve_system(bs, mv, tols["tol_solve"], tols["tol_rank"])
     grid = _grid(parsed.window, args.samples)
     results = {
-        "partition": _partition_json(partition),
+        "partition": _partition_json(bs.partition),
         "consistent": outcome.consistent,
         "residual": float(outcome.residual),
         "kernel_dimension": outcome.kernel_dimension,
@@ -162,23 +152,16 @@ def cmd_kernel(parsed: ParsedProblem, args, tols):
 
 
 def cmd_compact(parsed: ParsedProblem, args, tols):
-    partition, bs = _build_system(parsed, tols)
-    solutions = compact_support_solutions(bs, tols["tol_solve"],
-                                          tols["tol_rank"])
-    basis = nullspace(bs.B.conj().T, tols["tol_rank"])
-    defects = []
-    for k in range(basis.shape[1]):
-        lifted = lift_kernel_vector(bs, basis[:, k], tols["tol_solve"],
-                                    tols["tol_rank"])
-        defects.append(float(np.linalg.norm(lifted[:bs.n]))
-                       + float(np.linalg.norm(lifted[-bs.n:])))
+    bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
+                      tols["tol_sing"])
+    lifts = _compact_lifts(bs, tols["tol_solve"], tols["tol_rank"])
     grid = _grid(parsed.window, args.samples)
     results = {
-        "partition": _partition_json(partition),
-        "adjoint_kernel_dimension": int(basis.shape[1]),
-        "solutions": [{"endpoint_defect": defects[k],
+        "partition": _partition_json(bs.partition),
+        "adjoint_kernel_dimension": len(lifts),
+        "solutions": [{"endpoint_defect": defect,
                        "samples": _sampled(sol, grid)}
-                      for k, sol in enumerate(solutions)],
+                      for sol, defect in lifts],
     }
     return results, [], True
 
@@ -230,7 +213,7 @@ def main(argv=None) -> int:
         checks: list = []
         prevalidated = True
         if parsed is not None and args.mode != "validate":
-            report = validate(parsed.problem, _VALIDATE_TOL)
+            report = validate(parsed.problem, DEFAULT_VALIDATE_TOL)
             checks.extend(report.checks)
             prevalidated = report.passed
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import MeasureMatrix
+from .coefficients import _SIDES, MeasureMatrix
 from .errors import DimensionMismatch, NotRepresentable, OutOfInterval, WindowMismatch
 
-_SIDES = ("left", "right", "balanced")
 
 
 def _as_vector(v, n: int | None, what: str) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .coefficients import MeasureMatrix, Problem
 from .functions import L2Function
-from .propagation import PiecewiseSolution
 
 _EIGEN_FLOOR = 0.5        # keep random J comfortably invertible
 _EIGEN_CAP = 1.5          # ... and its norm bounded
@@ -228,24 +227,3 @@ def _random_density(rng, interval, n, zero: bool, project):
         breaks = [a, cut, b]
     return breaks, [_clip_norm(project(random_matrix(rng, n)), _DENSITY_CAP)
                     for _ in range(pieces)]
-
-
-def piecewise_constant_from_solution(solution: PiecewiseSolution,
-                                     w: MeasureMatrix, window=None) -> L2Function:
-    """Sample a (piecewise-constant) solution into a representable function.
-
-    Exact when the solution really is piecewise constant, i.e. when the
-    q-density vanishes; the balanced values at w-atoms are stored explicitly.
-    """
-    if window is None:
-        window = solution.window
-    lo, hi = float(window[0]), float(window[1])
-    pts = solution.structure_points()
-    pts = pts[(pts > lo) & (pts < hi)]
-    edges = np.unique(np.concatenate([[lo], pts, [hi]]))
-    values = [solution.evaluate(0.5 * (edges[i] + edges[i + 1]))
-              for i in range(edges.size - 1)]
-    positions, _ = w.atoms_between(lo, hi)
-    atom_values = {float(x): solution.evaluate(float(x), "balanced")
-                   for x in positions}
-    return L2Function((lo, hi), edges, values, atom_values)

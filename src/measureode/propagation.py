@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .coefficients import MeasureMatrix, Problem
+from .coefficients import _SIDES, MeasureMatrix, Problem
 from .errors import (
     DimensionMismatch,
     NotRepresentable,
@@ -24,8 +24,6 @@ from .errors import (
 from .functions import L2Function
 
 DEFAULT_TOL_SING = 1e-9
-
-_SIDES = ("left", "right", "balanced")
 
 
 def _solve_j(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -237,6 +235,19 @@ def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
     return total
 
 
+def _atom_shift(problem: Problem, U: FundamentalMatrix, f: L2Function | None,
+                x: float) -> np.ndarray | None:
+    """Right-limit shift J^{-1} U(x)^* dw(x) f(x); None without f or a w-atom at x."""
+    a, b = problem.interval
+    if f is None or not a < x < b:
+        return None
+    dw = problem.w.jump(x)
+    if not dw.any():
+        return None
+    atom = U.evaluate(x, "balanced").conj().T @ (dw @ f.value(x, "balanced"))
+    return _solve_j(problem.J, atom)
+
+
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
@@ -294,22 +305,16 @@ class PiecewiseSolution:
     def _one_sided(self, j: int, x: float, side: str) -> np.ndarray:
         """Left/right limit at x inside subinterval j (x may be an edge)."""
         U = self.fundamentals[j]
-        J = self.problem.J
-        w = self.problem.w
         base = self.coefficients[j]
-        integral = inhomogeneous_integral(U, w, self.rhs, x)
-        v = base + _solve_j(J, integral) if self.rhs is not None else base
+        integral = inhomogeneous_integral(U, self.problem.w, self.rhs, x)
+        v = base + _solve_j(self.problem.J, integral) if self.rhs is not None else base
         if side == "left":
             return U.evaluate(x, "left") @ v
-        a, b = self.problem.interval
-        if self.rhs is not None and a < x < b and x > U.lo:
-            # At the subinterval's left edge the coefficient already is the
-            # right limit (the jump there lives in the coupling equation).
-            dw = w.jump(x)
-            if dw.any():
-                fb = self.rhs.value(x, "balanced")
-                atom = U.evaluate(x, "balanced").conj().T @ (dw @ fb)
-                v = v + _solve_j(J, atom)
+        # At the subinterval's left edge the coefficient already is the right
+        # limit (the jump there lives in the coupling equation).
+        shift = _atom_shift(self.problem, U, self.rhs, x) if x > U.lo else None
+        if shift is not None:
+            v = v + shift
         return U.evaluate(x, "right") @ v
 
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
@@ -374,12 +379,9 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
                     else np.zeros(problem.n, dtype=complex))
         shift_left = _solve_j(J, integral)
         shift_right = shift_left
-        a, b = problem.interval
-        if f is not None and a < x0 < b:
-            dw = w.jump(x0)
-            if dw.any():
-                atom = U.evaluate(x0, "balanced").conj().T @ (dw @ f.value(x0, "balanced"))
-                shift_right = shift_left + _solve_j(J, atom)
+        atom = _atom_shift(problem, U, f, x0)
+        if atom is not None:
+            shift_right = shift_left + atom
         u_left = U.evaluate(x0, "left")
         u_right = U.evaluate(x0, "right")
         balanced = 0.5 * (u_left + u_right)

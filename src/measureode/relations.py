@@ -17,11 +17,9 @@ import numpy as np
 from .blocksystem import (
     DEFAULT_TOL_RANK,
     DEFAULT_TOL_SING,
-    assemble,
-    find_singular_points,
-    make_partition,
+    BlockSystem,
+    build_system,
     moment_vectors,
-    nullspace,
 )
 from .coefficients import MeasureMatrix, Problem
 from .errors import MissingRHS, WindowMismatch
@@ -30,7 +28,6 @@ from .propagation import PiecewiseSolution, w_pairing
 from .solutions import (
     DEFAULT_TOL_SOLVE,
     lift_kernel_vector,
-    minimum_norm_solve,
     reconstruct,
     solve_system,
 )
@@ -47,6 +44,7 @@ __all__ = [
     "kernel_K0",
     "lagrange_check",
     "t0_solve",
+    "t0_solve_system",
     "weighted_norm",
 ]
 
@@ -88,9 +86,7 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     Elements whose w-norm vanishes represent the zero class of the weighted
     space and are flagged degenerate.
     """
-    singular = find_singular_points(problem, window, tol_sing)
-    partition = make_partition(window, singular, extra_points)
-    bs = assemble(problem, partition, tol_sing)
+    bs = build_system(problem, window, extra_points, tol_sing)
     result = solve_system(bs, tol_rank=tol_rank)
     elements = []
     for sol in result.kernel_basis:
@@ -132,20 +128,25 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
     is consistent; otherwise returns an OrthogonalityCertificate whose
     solution pairs nontrivially with f.
     """
+    bs = build_system(problem, window, extra_points, tol_sing)
+    return t0_solve_system(bs, f, tol_rank, tol_solve)
+
+
+def t0_solve_system(bs: BlockSystem, f: L2Function,
+                    tol_rank: float = DEFAULT_TOL_RANK,
+                    tol_solve: float = DEFAULT_TOL_SOLVE):
+    """t0_solve on the window and partition of an already built block system."""
     if f is None:
         raise MissingRHS("the endpoint-vanishing solver needs a right-hand side")
-    lo, hi = float(window[0]), float(window[1])
-    singular = find_singular_points(problem, (lo, hi), tol_sing)
-    partition = make_partition((lo, hi), singular, extra_points)
-    bs = assemble(problem, partition, tol_sing)
+    problem = bs.problem
     f = f.refined_against(problem.w)
     moments = moment_vectors(bs, f)
 
     target = moments.functional
-    gamma = minimum_norm_solve(bs.B_m, target, tol_rank)
+    gamma = bs.reduced_factors.solve(target, tol_rank)
     residual = float(np.linalg.norm(bs.B_m @ gamma - target))
 
-    basis = nullspace(bs.B_m.conj().T, tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     projected = basis @ (basis.conj().T @ target)
     projection_norm = float(np.linalg.norm(projected))
 
@@ -159,7 +160,7 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
     kernel_vector = projected
     stacked = lift_kernel_vector(bs, kernel_vector, tol_solve, tol_rank)
     witness = reconstruct(bs, stacked)
-    pairing = w_pairing(problem.w, witness, f, (lo, hi))
+    pairing = w_pairing(problem.w, witness, f, bs.partition.window)
     moment_pairing = complex(np.vdot(kernel_vector, target))
     return OrthogonalityCertificate(kernel_vector, witness, pairing,
                                     moment_pairing, projection_norm, residual)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksystem import (
-    DEFAULT_TOL_RANK,
-    BlockSystem,
-    MomentVectors,
-    nullspace,
-)
+from .blocksystem import DEFAULT_TOL_RANK, BlockSystem, MomentVectors, _adjoint
 from .errors import (
     DimensionMismatch,
     InconsistentLift,
@@ -57,7 +52,7 @@ def reconstruct(bs: BlockSystem, coefficients: np.ndarray,
         raise DimensionMismatch(
             f"expected {bs.n * (bs.N + 1)} stacked coefficients, got {coefficients.size}")
     return PiecewiseSolution(bs.problem, bs.points, bs.fundamentals,
-                             bs.split_blocks(coefficients), f)
+                             coefficients.reshape(-1, bs.n), f)
 
 
 @dataclass
@@ -85,20 +80,18 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
     is the zero solution and the kernel basis spans all homogeneous balanced
     solutions on the window.
     """
-    n_cols = bs.n * (bs.N + 1)
     rhs = moments.rhs if moments is not None else np.zeros(bs.n * bs.N, dtype=complex)
-    coeffs = minimum_norm_solve(bs.B, rhs, tol_rank)
+    coeffs = bs.factors.solve(rhs, tol_rank)
     residual = float(np.linalg.norm(bs.B @ coeffs - rhs))
     consistent = residual <= tol_solve * (1.0 + float(np.linalg.norm(rhs)))
 
-    kernel_coeffs = nullspace(bs.B, tol_rank)
+    kernel_coeffs = bs.factors.kernel(tol_rank)
     kernel_basis = [reconstruct(bs, kernel_coeffs[:, i])
                     for i in range(kernel_coeffs.shape[1])]
     particular = None
     if consistent:
         f = moments.f if moments is not None else None
         particular = reconstruct(bs, coeffs, f)
-    assert kernel_coeffs.shape[0] == n_cols
     return SolutionSet(consistent, residual, coeffs, particular,
                        kernel_coeffs, kernel_basis)
 
@@ -110,7 +103,7 @@ def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
     if uhat.size != bs.n * bs.N:
         raise DimensionMismatch(
             f"expected a vector of length {bs.n * bs.N}, got {uhat.size}")
-    basis = nullspace(bs.B_m.conj().T, tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     projected = basis @ (basis.conj().T @ uhat)
     return projected, float(np.linalg.norm(uhat - projected))
 
@@ -137,28 +130,20 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
 
 def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray:
     J = bs.problem.J
-    n, N = bs.n, bs.N
-    blocks = [uhat[j * n:(j + 1) * n] for j in range(N)]
-
+    blocks = uhat.reshape(bs.N, bs.n, 1)
     # Strip-first formula: coefficients c_1 .. c_N.
-    top = [-np.linalg.solve(J, bs.b_plus[j].conj().T @ blocks[j]) for j in range(N)]
+    top = -np.linalg.solve(J, _adjoint(bs.b_plus) @ blocks)[..., 0]
     # Strip-last formula: coefficients c_0 .. c_{N-1}.
-    bottom = [np.linalg.solve(J, bs.u_ends[j].conj().T @ (bs.b_plus[j] @ blocks[j]))
-              for j in range(N)]
+    bottom = np.linalg.solve(
+        J, _adjoint(bs.u_ends[:-1]) @ (bs.b_plus @ blocks))[..., 0]
 
     scale = max(1.0, float(np.linalg.norm(uhat)))
-    overlap = 0.0
-    for j in range(1, N):
-        overlap = max(overlap, float(np.linalg.norm(top[j - 1] - bottom[j])))
+    overlap = float(np.max(np.linalg.norm(top[:-1] - bottom[1:], axis=1)))
     if overlap > 10.0 * tol * scale:
         raise InconsistentLift(
             f"reconstruction formulas disagree by {overlap:.3e} on the overlap")
-
-    coeffs = [bottom[0]]
-    for j in range(1, N):
-        coeffs.append(0.5 * (top[j - 1] + bottom[j]))
-    coeffs.append(top[N - 1])
-    stacked = np.concatenate(coeffs)
+    stacked = np.concatenate(
+        [bottom[:1], 0.5 * (top[:-1] + bottom[1:]), top[-1:]]).reshape(-1)
 
     residual = float(np.linalg.norm(bs.B @ stacked))
     matched = float(np.linalg.norm(bs.C @ stacked - uhat))
@@ -169,20 +154,15 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     return stacked
 
 
-def compact_support_solutions(bs: BlockSystem,
-                              tol: float = DEFAULT_TOL_SOLVE,
-                              tol_rank: float = DEFAULT_TOL_RANK
-                              ) -> list[PiecewiseSolution]:
-    """Homogeneous solutions vanishing identically outside the interior points.
+def _compact_lifts(bs: BlockSystem, tol: float, tol_rank: float
+                   ) -> list[tuple[PiecewiseSolution, float]]:
+    """Solution lifted from each ker B^* vector, with its endpoint defect.
 
-    One solution per kernel vector of the adjoint coupling matrix.  The first
-    and last coefficient blocks of each lift are checked to vanish and then
-    set to exactly zero, so evaluation outside the support returns exact
-    zeros.  Each kernel vector is scaled so its largest balanced value is
-    exactly 1, which pins the otherwise arbitrary basis scaling.
+    The defect is the larger norm of the lift's first and last coefficient
+    blocks, taken before they are set to zero.
     """
-    basis = nullspace(bs.B.conj().T, tol_rank)
-    n, N = bs.n, bs.N
+    basis = bs.factors.adjoint_kernel(tol_rank)
+    n = bs.n
     out = []
     for i in range(basis.shape[1]):
         uhat = basis[:, i]
@@ -197,8 +177,23 @@ def compact_support_solutions(bs: BlockSystem,
         stacked = stacked.copy()
         stacked[:n] = 0.0
         stacked[-n:] = 0.0
-        out.append(reconstruct(bs, stacked))
+        out.append((reconstruct(bs, stacked), edge))
     return out
+
+
+def compact_support_solutions(bs: BlockSystem,
+                              tol: float = DEFAULT_TOL_SOLVE,
+                              tol_rank: float = DEFAULT_TOL_RANK
+                              ) -> list[PiecewiseSolution]:
+    """Homogeneous solutions vanishing identically outside the interior points.
+
+    One solution per kernel vector of the adjoint coupling matrix.  The first
+    and last coefficient blocks of each lift are checked to vanish and then
+    set to exactly zero, so evaluation outside the support returns exact
+    zeros.  Each kernel vector is scaled so its largest balanced value is
+    exactly 1, which pins the otherwise arbitrary basis scaling.
+    """
+    return [solution for solution, _ in _compact_lifts(bs, tol, tol_rank)]
 
 
 def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, assemble,
-                          find_singular_points, make_partition,
+from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, build_system,
                           moment_vectors, nullspace)
 from .coefficients import Check, Problem
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .relations import (OrthogonalityCertificate, inner_product,
-                        lagrange_check, t0_solve, weighted_norm)
+                        lagrange_check, t0_solve_system, weighted_norm)
 from .solutions import (DEFAULT_TOL_SOLVE, compact_support_solutions,
                         functional_identity_defect, lift_kernel_vector,
                         reconstruct, solve_system)
@@ -51,8 +50,8 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     expected[-n:, -n:] = bs.problem.J
     full = bs.C.conj().T @ bs.B - bs.B.conj().T @ bs.C - expected
     reduced = bs.C_m.conj().T @ bs.B - bs.B_m.conj().T @ bs.C
-    dim_ker = nullspace(bs.B, tol_rank).shape[1]
-    dim_adj = nullspace(bs.B.conj().T, tol_rank).shape[1]
+    dim_ker = bs.factors.kernel(tol_rank).shape[1]
+    dim_adj = bs.factors.adjoint_kernel(tol_rank).shape[1]
     bookkeeping = abs(dim_ker - n - dim_adj) + max(0, n - dim_ker)
     return [
         Check(f"cbbc full [{tag}]", float(np.linalg.norm(full)),
@@ -86,7 +85,7 @@ def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
 
 
 def suite_lift(bs, tag: str, tol_solve: float, tol_rank: float) -> list[Check]:
-    basis = nullspace(bs.B_m.conj().T, tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     if basis.shape[1] == 0:
         return [Check(f"lift [{tag}]", 0.0, TOL_LIFT, True)]
     annihilated = 0.0
@@ -112,7 +111,7 @@ def suite_lift(bs, tag: str, tol_solve: float, tol_rank: float) -> list[Check]:
 
 def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
                      tol_solve: float, tol_rank: float) -> list[Check]:
-    basis = nullspace(bs.B_m.conj().T, tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     if basis.shape[1] == 0:
         return [Check(f"functional identity [{tag}]", 0.0, TOL_FUNCTIONAL, True)]
     uhat = basis @ _rand_complex(rng, basis.shape[1])
@@ -196,8 +195,7 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
 
 
 def _t0_result_rows(bs, f: L2Function, result, prefix: str, tag: str,
-                    tol_sing: float, tol_rank: float,
-                    tol_solve: float) -> list[Check]:
+                    tol_rank: float) -> list[Check]:
     problem = bs.problem
     window = bs.partition.window
     lo, hi = window
@@ -221,7 +219,7 @@ def _t0_result_rows(bs, f: L2Function, result, prefix: str, tag: str,
                       TOL_ENDPOINT, endpoint <= TOL_ENDPOINT))
 
     mv = moment_vectors(bs, f)
-    basis = nullspace(bs.B_m.conj().T, tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     proj = float(np.linalg.norm(basis.conj().T @ mv.functional)) \
         if basis.shape[1] else 0.0
     rows.append(Check(f"{prefix} solvable means orthogonal [{tag}]", proj,
@@ -241,22 +239,20 @@ def _t0_result_rows(bs, f: L2Function, result, prefix: str, tag: str,
 def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
              tag: str, tol_sing: float, tol_rank: float,
              tol_solve: float) -> list[Check]:
-    problem = bs.problem
-    window = bs.partition.window
-    result = t0_solve(problem, window, f, extra_points,
-                      tol_sing, tol_rank, tol_solve)
-    rows = _t0_result_rows(bs, f, result, "t0", tag,
-                           tol_sing, tol_rank, tol_solve)
+    """Endpoint-vanishing solves for f and a random orthogonal rhs, on ``bs``.
+
+    ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites does.
+    """
+    result = t0_solve_system(bs, f, tol_rank, tol_solve)
+    rows = _t0_result_rows(bs, f, result, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
-    result_perp = t0_solve(problem, window, f_perp, extra_points,
-                           tol_sing, tol_rank, tol_solve)
+    result_perp = t0_solve_system(bs, f_perp, tol_rank, tol_solve)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
                           result_perp.residual, tol_solve, False))
     else:
         rows.extend(_t0_result_rows(bs, f_perp, result_perp,
-                                    "t0 orthogonal rhs", tag,
-                                    tol_sing, tol_rank, tol_solve))
+                                    "t0 orthogonal rhs", tag, tol_rank))
     return rows
 
 
@@ -279,9 +275,7 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
         rng = np.random.default_rng(0)
     selected = [name for name in SUITE_NAMES if name in checks]
 
-    singular = find_singular_points(problem, window, tol_sing)
-    partition = make_partition(window, singular, extra_points)
-    bs = assemble(problem, partition, tol_sing)
+    bs = build_system(problem, window, extra_points, tol_sing)
 
     needs_rhs = bool({"functional", "lagrange", "t0"} & set(selected))
     if needs_rhs:

@@ -10,7 +10,7 @@ rotation J and a single identity weight atom at the origin.
 import numpy as np
 import pytest
 
-from measureode import MeasureMatrix, Problem, assemble, find_singular_points, make_partition
+from measureode import MeasureMatrix, Problem, build_system
 from measureode.functions import L2Function
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -25,9 +25,7 @@ def two_atom_problem(left, right, w_atoms=((0.0, np.eye(2)),)):
 
 
 def block_system(problem, window=INTERVAL, extra=()):
-    singular = find_singular_points(problem, window)
-    partition = make_partition(window, singular, extra)
-    return assemble(problem, partition)
+    return build_system(problem, window, extra)
 
 
 @pytest.fixture
