@@ -9,10 +9,12 @@ piecewise constant and the formulas are closed.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import expm
 
-from .coefficients import _SIDES, MeasureMatrix, Problem
+from .coefficients import _SIDES, MeasureMatrix, Problem, _freeze
 from .errors import (
     DimensionMismatch,
     NotRepresentable,
@@ -235,26 +237,40 @@ def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
     return total
 
 
-def _atom_shift(problem: Problem, U: FundamentalMatrix, f: L2Function | None,
-                x: float) -> np.ndarray | None:
-    """Right-limit shift J^{-1} U(x)^* dw(x) f(x); None without f or a w-atom at x."""
-    a, b = problem.interval
-    if f is None or not a < x < b:
-        return None
-    dw = problem.w.jump(x)
-    if not dw.any():
-        return None
-    atom = U.evaluate(x, "balanced").conj().T @ (dw @ f.value(x, "balanced"))
-    return _solve_j(problem.J, atom)
+class _NodeStates(NamedTuple):
+    """Augmented states y = (u, 1) of one solution, stacked over its window.
+
+    ``nodes`` holds the partition points and every point inside a subinterval
+    where q, w or f changes; ``generators[k]`` is the augmented generator on
+    (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
+    ``lefts[k]`` the left limit at nodes[k+1].
+    """
+
+    nodes: np.ndarray
+    generators: np.ndarray
+    rights: np.ndarray
+    lefts: np.ndarray
+
+    def flow(self, k: int, x: float) -> np.ndarray:
+        """State at x in the closure of gap k: one exponential from nodes[k]."""
+        if x == self.nodes[k]:
+            return self.rights[k]
+        return expm(self.generators[k] * (x - self.nodes[k])) @ self.rights[k]
 
 
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
-    Stores the partition points, one fundamental matrix and one coefficient
-    vector per subinterval, and the right-hand side (None for homogeneous).
-    The value at any point of the closed window can be evaluated with a side
-    convention; outside the window evaluation raises.
+    Stores the partition points, one fundamental matrix and one read-only
+    coefficient vector (the right limit at the subinterval's start) per
+    subinterval, and the right-hand side (None for homogeneous).  On first use
+    each subinterval is stepped once through its nodes, the points where q, w
+    or f change: one exponential of [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]] carries
+    the augmented state (u, 1) across each gap, and the jump rule
+    (J + dq/2) u+ = (J - dq/2) u- + dw f links the two limits at each interior
+    node.  A value at a node is a stored limit; anywhere else it is one
+    exponential from the node to its left.  Outside the window evaluation
+    raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
@@ -270,12 +286,13 @@ class PiecewiseSolution:
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
         self.fundamentals = list(fundamentals)
-        self.coefficients = [np.asarray(c, dtype=complex).reshape(-1)
+        self.coefficients = [_freeze(np.array(c, dtype=complex).reshape(-1))
                              for c in coefficients]
         n = problem.n
         if any(c.size != n for c in self.coefficients):
             raise DimensionMismatch(f"coefficient vectors must have length {n}")
         self.rhs = rhs
+        self._states: _NodeStates | None = None
 
     @property
     def window(self) -> tuple[float, float]:
@@ -292,57 +309,66 @@ class PiecewiseSolution:
         return np.concatenate(self.coefficients)
 
     def structure_points(self) -> np.ndarray:
+        """Partition points and the points where q, or with a rhs w or f, changes."""
         pieces = [self.points] + [U.nodes for U in self.fundamentals]
         if self.rhs is not None:
-            pieces.append(self.rhs.structure_points())
+            pieces += [self.rhs.structure_points(), self.problem.w.structure_points()]
         return np.unique(np.concatenate(pieces))
 
-    def _assert_inside(self, x: float) -> None:
-        lo, hi = self.window
-        if not (lo <= x <= hi):
-            raise OutOfInterval(f"{x} is outside the solution window [{lo}, {hi}]")
-
-    def _one_sided(self, j: int, x: float, side: str) -> np.ndarray:
-        """Left/right limit at x inside subinterval j (x may be an edge)."""
-        U = self.fundamentals[j]
-        base = self.coefficients[j]
-        integral = inhomogeneous_integral(U, self.problem.w, self.rhs, x)
-        v = base + _solve_j(self.problem.J, integral) if self.rhs is not None else base
-        if side == "left":
-            return U.evaluate(x, "left") @ v
-        # At the subinterval's left edge the coefficient already is the right
-        # limit (the jump there lives in the coupling equation).
-        shift = _atom_shift(self.problem, U, self.rhs, x) if x > U.lo else None
-        if shift is not None:
-            v = v + shift
-        return U.evaluate(x, "right") @ v
+    def _node_states(self) -> _NodeStates:
+        """States at every node, stepped once through each subinterval on first use."""
+        if self._states is not None:
+            return self._states
+        f, problem, n = self.rhs, self.problem, self.n
+        if f is not None:
+            _check_rhs(f, *self.window)
+        nodes = self.structure_points()
+        nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
+        gaps = nodes.size - 1
+        generators = np.zeros((gaps, n + 1, n + 1), dtype=complex)
+        rights = np.empty((gaps, n + 1), dtype=complex)
+        lefts = np.empty((gaps, n + 1), dtype=complex)
+        j = -1
+        for k in range(gaps):
+            x, mid = float(nodes[k]), 0.5 * (nodes[k] + nodes[k + 1])
+            if x == self.points[j + 1]:
+                # A partition point: the coupling equation holds the jump there.
+                j += 1
+                U, y = self.fundamentals[j], np.append(self.coefficients[j], 1.0)
+            else:
+                load = problem.w.jump(x) @ f.value(x, "balanced") if f is not None else 0.0
+                if problem.q.jump(x).any() or np.any(load):
+                    y[:n] = np.linalg.solve(problem.b_plus(x), problem.b_minus(x) @ y[:n] + load)
+            generators[k, :n, :n] = U.generator_at(mid)
+            if f is not None:
+                generators[k, :n, n] = _solve_j(
+                    problem.J, problem.w.density_at(mid) @ f.value(mid))
+            rights[k] = y
+            y = expm(generators[k] * (nodes[k + 1] - nodes[k])) @ y
+            lefts[k] = y
+        self._states = _NodeStates(nodes, generators, _freeze(rights), _freeze(lefts))
+        return self._states
 
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
-        self._assert_inside(x)
-        pts = self.points
-        idx = int(np.searchsorted(pts, x))
-        at_point = idx < pts.size and pts[idx] == x
-        if at_point and idx == 0:
-            if side == "left":
-                raise OutOfInterval("no left limit at the window start")
-            return self._one_sided(0, x, "right")
-        if at_point and idx == pts.size - 1:
-            if side == "right":
-                raise OutOfInterval("no right limit at the window end")
-            return self._one_sided(idx - 1, x, "left")
-        if at_point:
-            if side == "left":
-                return self._one_sided(idx - 1, x, "left")
-            if side == "right":
-                return self._one_sided(idx, x, "right")
-            return 0.5 * (self._one_sided(idx - 1, x, "left")
-                          + self._one_sided(idx, x, "right"))
-        j = idx - 1
-        if side == "balanced":
-            return 0.5 * (self._one_sided(j, x, "left") + self._one_sided(j, x, "right"))
-        return self._one_sided(j, x, side)
+        lo, hi = self.window
+        if not (lo <= x <= hi):
+            raise OutOfInterval(f"{x} is outside the solution window [{lo}, {hi}]")
+        if side == "left" and x == lo:
+            raise OutOfInterval("no left limit at the window start")
+        if side == "right" and x == hi:
+            raise OutOfInterval("no right limit at the window end")
+        states, n = self._node_states(), self.n
+        i = int(np.searchsorted(states.nodes, x))
+        if states.nodes[i] != x:
+            # Off a node the left, right and balanced values coincide.
+            return states.flow(i - 1, x)[:n]
+        if side == "right" or x == lo:
+            return states.rights[i][:n]
+        if side == "left" or x == hi:
+            return states.lefts[i - 1][:n]
+        return 0.5 * (states.lefts[i - 1] + states.rights[i])[:n]
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)
@@ -364,29 +390,10 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
     if u0.size != problem.n:
         raise DimensionMismatch(f"initial value must have length {problem.n}")
     U = fundamental_matrix(problem, (lo, hi), tol_sing)
-    J = problem.J
-    w = problem.w
-
-    if x0 == lo:
-        c = u0
-    elif x0 == hi:
-        full = inhomogeneous_integral(U, w, f, hi) if f is not None else None
-        c = np.linalg.solve(U.end_value, u0)
-        if full is not None:
-            c = c - _solve_j(J, full)
-    else:
-        integral = (inhomogeneous_integral(U, w, f, x0) if f is not None
-                    else np.zeros(problem.n, dtype=complex))
-        shift_left = _solve_j(J, integral)
-        shift_right = shift_left
-        atom = _atom_shift(problem, U, f, x0)
-        if atom is not None:
-            shift_right = shift_left + atom
-        u_left = U.evaluate(x0, "left")
-        u_right = U.evaluate(x0, "right")
-        balanced = 0.5 * (u_left + u_right)
-        offset = 0.5 * (u_left @ shift_left + u_right @ shift_right)
-        c = np.linalg.solve(balanced, u0 - offset)
+    side = "right" if x0 == lo else "left" if x0 == hi else "balanced"
+    particular = PiecewiseSolution(problem, [lo, hi], [U],
+                                   [np.zeros(problem.n, dtype=complex)], f)
+    c = np.linalg.solve(U.evaluate(x0, side), u0 - particular.evaluate(x0, side))
     return PiecewiseSolution(problem, [lo, hi], [U], [c], f)
 
 
@@ -410,23 +417,10 @@ def _segment_representation(factor, s0: float, mid: float):
     Returns (P, A, y0) with value(s0 + s) = P exp(A s) y0 on the gap.
     """
     if isinstance(factor, PiecewiseSolution):
-        j = int(np.searchsorted(factor.points, mid)) - 1
-        j = min(max(j, 0), len(factor.fundamentals) - 1)
-        U = factor.fundamentals[j]
-        M = U.generator_at(mid)
-        n = factor.n
-        start = factor.evaluate(s0, "right")
-        if factor.rhs is None:
-            return np.eye(n, dtype=complex), M, start
-        w0 = factor.problem.w.density_at(mid)
-        drift = _solve_j(factor.problem.J, w0 @ factor.rhs.value(mid))
-        A = np.zeros((n + 1, n + 1), dtype=complex)
-        A[:n, :n] = M
-        A[:n, n] = drift
-        P = np.zeros((n, n + 1), dtype=complex)
-        P[:, :n] = np.eye(n)
-        y0 = np.concatenate([start, [1.0]])
-        return P, A, y0
+        states = factor._node_states()
+        k = int(np.searchsorted(states.nodes, s0, "right")) - 1
+        P = np.eye(factor.n, factor.n + 1, dtype=complex)
+        return P, states.generators[k], states.flow(k, s0)
     value = factor.value(mid)
     return value.reshape(-1, 1), np.zeros((1, 1), dtype=complex), np.ones(1, dtype=complex)
 

@@ -50,8 +50,9 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     expected[-n:, -n:] = bs.problem.J
     full = bs.C.conj().T @ bs.B - bs.B.conj().T @ bs.C - expected
     reduced = bs.C_m.conj().T @ bs.B - bs.B_m.conj().T @ bs.C
+    # ker B* from its own SVD, so the ledger compares two independent ranks.
     dim_ker = bs.factors.kernel(tol_rank).shape[1]
-    dim_adj = bs.factors.adjoint_kernel(tol_rank).shape[1]
+    dim_adj = nullspace(bs.B.conj().T, tol_rank).shape[1]
     bookkeeping = abs(dim_ker - n - dim_adj) + max(0, n - dim_ker)
     return [
         Check(f"cbbc full [{tag}]", float(np.linalg.norm(full)),
@@ -194,8 +195,8 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     return L2Function(window, edges, values, zero_atoms)
 
 
-def _t0_result_rows(bs, f: L2Function, result, prefix: str, tag: str,
-                    tol_rank: float) -> list[Check]:
+def _t0_result_rows(bs, f: L2Function, result, homogeneous, prefix: str,
+                    tag: str, tol_rank: float) -> list[Check]:
     problem = bs.problem
     window = bs.partition.window
     lo, hi = window
@@ -227,7 +228,7 @@ def _t0_result_rows(bs, f: L2Function, result, prefix: str, tag: str,
 
     norm_f = weighted_norm(problem.w, f, window)
     worst = 0.0
-    for sol in solve_system(bs, tol_rank=tol_rank).kernel_basis:
+    for sol in homogeneous:
         pairing = abs(inner_product(problem.w, f, sol, window))
         norm_r = weighted_norm(problem.w, sol, window)
         worst = max(worst, pairing / (1.0 + norm_f * norm_r))
@@ -243,15 +244,16 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
 
     ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites does.
     """
+    homogeneous = solve_system(bs, tol_rank=tol_rank).kernel_basis
     result = t0_solve_system(bs, f, tol_rank, tol_solve)
-    rows = _t0_result_rows(bs, f, result, "t0", tag, tol_rank)
+    rows = _t0_result_rows(bs, f, result, homogeneous, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
     result_perp = t0_solve_system(bs, f_perp, tol_rank, tol_solve)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
                           result_perp.residual, tol_solve, False))
     else:
-        rows.extend(_t0_result_rows(bs, f_perp, result_perp,
+        rows.extend(_t0_result_rows(bs, f_perp, result_perp, homogeneous,
                                     "t0 orthogonal rhs", tag, tol_rank))
     return rows
 

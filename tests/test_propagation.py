@@ -22,8 +22,12 @@ from measureode import (
     product_integral,
     solve_ivp_regular,
 )
+from measureode import build_system, propagation
+from measureode.blocksystem import moment_vectors
 from measureode.functions import L2Function
+from measureode.fuzz import hermitize, psd_project, random_f, random_matrix
 from measureode.propagation import inhomogeneous_integral, w_pairing
+from measureode.solutions import reconstruct, solve_system
 
 TOL_SERIES = 1e-12    # relative, exponential vs series oracle
 TOL_QUAD = 1e-8       # absolute, integrals vs adaptive quadrature
@@ -304,3 +308,123 @@ def test_w_pairing_conjugate_linearity():
     vu = w_pairing(w, v, u, (-1.0, 1.0))
     assert uv == pytest.approx(np.conj(vu), abs=1e-12)
     assert uv == pytest.approx((1.0 - 1.0j) * 2.0 * 2.0, abs=1e-10)
+
+
+# -- balanced solutions against the closed-form oracle ----------------------------
+
+TOL_ORACLE = 1e-12  # relative to max(1, |u|)
+
+
+def _oracle_limit(sol, j, x, side):
+    """U(x)(c + J^{-1} int U^* w f) on subinterval j, plus the w-atom shift on the right."""
+    U, J, w, f = sol.fundamentals[j], sol.problem.J, sol.problem.w, sol.rhs
+    v = sol.coefficients[j] + np.linalg.solve(J, inhomogeneous_integral(U, w, f, x))
+    if side == "right" and f is not None and x > U.lo:
+        atom = U.evaluate(x, "balanced").conj().T @ (w.jump(x) @ f.value(x, "balanced"))
+        v = v + np.linalg.solve(J, atom)
+    return U.evaluate(x, side) @ v
+
+
+def _oracle(sol, x):
+    """Oracle values at x by side; a side the window lacks is left out."""
+    pts = sol.points
+    out = {}
+    if x > pts[0]:
+        out["left"] = _oracle_limit(sol, int(np.searchsorted(pts, x)) - 1, x, "left")
+    if x < pts[-1]:
+        out["right"] = _oracle_limit(sol, int(np.searchsorted(pts, x, "right")) - 1, x, "right")
+    sides = list(out.values())
+    out["balanced"] = 0.5 * (sides[0] + sides[-1])
+    return out
+
+
+def _nodes(sol):
+    """Partition points and every point where q, w or f changes, in the window."""
+    lo, hi = sol.window
+    nodes = np.unique(np.concatenate([sol.structure_points(),
+                                      sol.problem.w.structure_points()]))
+    return nodes[(nodes >= lo) & (nodes <= hi)]
+
+
+def _worst_oracle_defect(sol):
+    nodes = _nodes(sol)
+    worst = 0.0
+    for x in np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]):
+        for side, want in _oracle(sol, float(x)).items():
+            got = sol.evaluate(float(x), side)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return worst
+
+
+def _solutions_of(bs, f):
+    """The min-norm solution for f and every homogeneous basis element."""
+    result = solve_system(bs, moment_vectors(bs, f))
+    return [reconstruct(bs, result.coefficients, f)] + result.kernel_basis
+
+
+def _dense_problem(rng):
+    """n = 2 with 24 w-pieces, five interior w-atoms (one on a q-atom) and two q-atoms."""
+    window = lo, hi = (-1.0, 1.0)
+    wbp = np.linspace(lo, hi, 25)
+    w = MeasureMatrix(window, breakpoints=wbp,
+                      densities=[psd_project(random_matrix(rng, 2)) for _ in range(24)],
+                      atoms=[(x, psd_project(random_matrix(rng, 2)))
+                             for x in (-0.7, -0.3, 0.05, 0.1, 0.45)])
+    q = MeasureMatrix(window, breakpoints=[lo, -0.2, 0.4, hi],
+                      densities=[0.2 * hermitize(random_matrix(rng, 2)) for _ in range(3)],
+                      atoms=[(-0.3, 0.3 * hermitize(random_matrix(rng, 2))),
+                             (0.6, 0.3 * hermitize(random_matrix(rng, 2)))])
+    problem = Problem(J2, q, w)
+    fbp = np.sort(rng.uniform(lo, hi, 20))
+    edges = np.concatenate([[lo], fbp, [hi]])
+    f = L2Function.from_pieces(
+        window, [(edges[i], edges[i + 1], random_complex(rng, 2)) for i in range(21)],
+        w=w)
+    return problem, f
+
+
+def test_solution_values_match_the_closed_form_oracle():
+    from test_acceptance import _fuzz_systems  # imports this module, so not at the top
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for inst, bs in _fuzz_systems():
+        f = random_f(rng, inst.problem, inst.window)
+        for sol in _solutions_of(bs, f):
+            worst = max(worst, _worst_oracle_defect(sol))
+    problem, f = _dense_problem(rng)
+    for extra in ((), (0.1,)):
+        bs = build_system(problem, (-1.0, 1.0), extra)
+        for sol in _solutions_of(bs, f):
+            worst = max(worst, _worst_oracle_defect(sol))
+    assert worst <= TOL_ORACLE
+
+
+def test_sampling_takes_one_exponential_per_sample(monkeypatch):
+    problem, f = _dense_problem(np.random.default_rng(42))
+    sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
+    counts = {"expm": 0, "integral": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(propagation, "expm", counted("expm", propagation.expm))
+    monkeypatch.setattr(propagation, "inhomogeneous_integral",
+                        counted("integral", propagation.inhomogeneous_integral))
+    grid = -1.0 + (np.arange(200) + 0.5) / 100.0
+    assert not np.isin(grid, _nodes(sol)).any()
+    sol.evaluate(float(grid[0]))
+    first = counts["expm"]
+    for x in grid[1:]:
+        sol.evaluate(float(x))
+    assert counts["integral"] == 0
+    assert counts["expm"] - first <= grid.size - 1
+
+
+def test_solution_coefficients_are_read_only():
+    sol = solve_ivp_regular(_density_problem(), (-1.0, 1.0), -1.0, [1.0, 0.0])
+    with pytest.raises(ValueError):
+        sol.coefficients[0][0] = 2.0

@@ -55,3 +55,32 @@ def test_orthogonal_rhs_is_orthogonal_to_the_kernel():
         for el in kernel_K0(inst.problem, inst.window, inst.extra_points):
             pairing = abs(inner_product(inst.problem.w, el.solution, f, inst.window))
             assert pairing <= 1e-8 * (1.0 + fn * el.w_norm)
+
+
+def test_cbbc_bookkeeping_row_fails_when_the_ranks_disagree(monkeypatch, mirror_system):
+    import measureode.verify as verify
+
+    def row(rows):
+        return next(r for r in rows if "rank bookkeeping" in r.name)
+
+    assert row(verify.suite_cbbc(mirror_system, "mirror", 1e-10)).passed
+    dense = verify.nullspace
+    monkeypatch.setattr(verify, "nullspace", lambda m, tol: dense(m, tol)[:, 1:])
+    broken = row(verify.suite_cbbc(mirror_system, "mirror", 1e-10))
+    assert not broken.passed
+    assert broken.measured == 1.0
+
+
+def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
+    import measureode.verify as verify
+    calls = []
+    solve = verify.solve_system
+    monkeypatch.setattr(verify, "solve_system",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng)
+    rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
+                      checks=("t0",), rng=rng)
+    assert sum("range orthogonal" in r.name for r in rows) == 2
+    # one basis shared by both result checks, one inside orthogonal_rhs
+    assert len(calls) == 2
