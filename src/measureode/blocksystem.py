@@ -17,8 +17,8 @@ import numpy as np
 from .coefficients import Problem
 from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
-from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, fundamental_matrix,
-                          inhomogeneous_integral)
+from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint,
+                          _fundamental_matrices, _inhomogeneous_integrals)
 
 DEFAULT_TOL_RANK = 1e-10
 BORDERLINE_SING = 1e-6
@@ -144,11 +144,6 @@ def nullspace(matrix: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndar
     return vh[rank:].conj().T
 
 
-def _adjoint(blocks: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return blocks.conj().swapaxes(-1, -2)
-
-
 class Factorisation:
     """One factorisation of a coupling matrix (a full SVD).
 
@@ -237,14 +232,12 @@ def assemble(problem: Problem, partition: Partition,
              tol_sing: float = DEFAULT_TOL_SING) -> BlockSystem:
     """Fundamental matrices per subinterval plus the coupling matrices.
 
+    Every gap of every subinterval is exponentiated in one stacked call.
     Raises SingularAtom if a singular jump sits strictly inside a
     subinterval, i.e. the partition misses it.
     """
     pts = partition.points
-    fundamentals = [
-        fundamental_matrix(problem, (float(pts[j]), float(pts[j + 1])), tol_sing)
-        for j in range(pts.size - 1)
-    ]
+    fundamentals = _fundamental_matrices(problem, zip(pts[:-1], pts[1:]), tol_sing)
     return BlockSystem(problem, partition, fundamentals)
 
 
@@ -297,10 +290,7 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         if dw.any():
             jump_moments[(j - 1) * n: j * n] = dw @ f.value(x, "balanced")
 
-    integrals = np.array([
-        inhomogeneous_integral(bs.fundamentals[j], w, f, float(pts[j + 1]))
-        for j in range(N + 1)
-    ])
+    integrals = _inhomogeneous_integrals(bs.fundamentals, w, f, pts[1:])
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
     coupled = _adjoint(bs.b_plus) @ (bs.u_ends[:N] @ solved[:N, :, None])
     rhs = jump_moments - coupled.reshape(-1)

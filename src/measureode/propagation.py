@@ -5,6 +5,10 @@ matrix exponentials across the density pieces, transfer matrices through the
 regular jumps, and augmented block exponentials for every integral of an
 exponential factor.  No step-size control is involved anywhere; the data is
 piecewise constant and the formulas are closed.
+
+Every exponential goes through ``expm``, and each routine that needs many of
+them (fundamental matrices, node states, moment integrals, pairings) asks for
+all of them in one stacked call.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm as _scipy_expm
 
 from .coefficients import _SIDES, MeasureMatrix, Problem, _freeze
 from .errors import (
@@ -27,12 +31,95 @@ from .functions import L2Function
 
 DEFAULT_TOL_SING = 1e-9
 
+# (degree m, theta_m, coefficients b_0..b_m) of the diagonal [m/m] Padé
+# approximants: below 1-norm theta_m their backward error is at most the unit
+# roundoff (N. J. Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                              302702400.0, 30270240.0, 2162160.0, 110880.0,
+                              3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                               7771770303897600.0, 1187353796428800.0,
+                               129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0,
+                               40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def expm(A) -> np.ndarray:
+    """Exponential of one matrix (m, m) or of every matrix in a stack (..., m, m).
+
+    A single matrix goes to scipy's compiled expm.  A stack goes to batched
+    scaling and squaring (Higham 2005): one Padé degree for the stack, chosen
+    from its largest 1-norm; above theta_13 each matrix is scaled by its own
+    2^-s, and the squarings are applied to the matrices that still need them.
+    """
+    A = np.asarray(A)
+    if A.ndim <= 2:
+        return _scipy_expm(A)
+    shape, m = A.shape, A.shape[-1]
+    A = A.reshape(-1, m, m).astype(np.result_type(A.dtype, float), copy=False)
+    if A.shape[0] == 0:
+        return A.reshape(shape)
+    norms = np.abs(A).sum(axis=1).max(axis=1)
+    largest = norms.max()
+    for degree, theta, b in _PADE:
+        if largest <= theta:
+            break
+    squarings = None
+    if not largest <= theta:
+        squarings = np.zeros(norms.shape, dtype=int)
+        big = np.isfinite(norms) & (norms > theta)
+        squarings[big] = np.ceil(np.log2(norms[big] / theta))
+        A = A * np.exp2(-squarings)[:, None, None]
+    eye = np.eye(m)
+    A2 = A @ A
+    if degree == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) \
+            + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) \
+            + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    else:
+        powers = [A2]
+        while len(powers) < degree // 2:
+            powers.append(powers[-1] @ A2)
+        odd, V = b[1] * eye, b[0] * eye
+        for k, P in enumerate(powers, 1):
+            odd = odd + b[2 * k + 1] * P
+            V = V + b[2 * k] * P
+    U = A @ odd
+    R = np.linalg.solve(V - U, V + U)
+    for level in range(0 if squarings is None else int(squarings.max())):
+        todo = squarings > level
+        if todo.all():
+            R = R @ R
+        else:
+            R[todo] = R[todo] @ R[todo]
+    return R.reshape(shape)
+
 
 def _solve_j(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(J, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularJ("the leading coefficient matrix is singular") from exc
+
+
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return blocks.conj().swapaxes(-1, -2)
+
+
+def _pieces_at(breakpoints: np.ndarray, table: np.ndarray, xs) -> np.ndarray:
+    """Rows of a per-piece table at points off its breakpoints (one piece per gap)."""
+    k = np.searchsorted(breakpoints, xs, side="right") - 1
+    return table[np.minimum(np.maximum(k, 0), len(table) - 1)]
 
 
 def segment_exponential(J: np.ndarray, q0: np.ndarray, dx: float) -> np.ndarray:
@@ -43,36 +130,38 @@ def segment_exponential(J: np.ndarray, q0: np.ndarray, dx: float) -> np.ndarray:
     return expm(generator * float(dx))
 
 
-def segment_integral(A: np.ndarray, dx: float) -> np.ndarray:
+def segment_integral(A: np.ndarray, dx) -> np.ndarray:
     """Integral of exp(A s) for s from 0 to dx, via one augmented exponential.
 
     The block matrix [[A, I], [0, 0]] is exponentiated; its upper-right block
-    is the desired integral.  Exact up to the accuracy of expm itself.
+    is the desired integral.  Exact up to the accuracy of expm itself.  A
+    stack A (K, m, m) with widths dx (K,) gives K integrals in one call.
     """
     A = np.asarray(A, dtype=complex)
-    m = A.shape[0]
-    block = np.zeros((2 * m, 2 * m), dtype=complex)
-    block[:m, :m] = A
-    block[:m, m:] = np.eye(m)
-    return expm(block * float(dx))[:m, m:]
+    m = A.shape[-1]
+    block = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    block[..., :m, :m] = A
+    block[..., :m, m:] = np.eye(m)
+    return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
 
 
-def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx: float) -> np.ndarray:
+def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndarray:
     """Integral of exp(A s) X exp(B s) for s from 0 to dx.
 
     Uses the block-triangular exponential of [[-A, X], [0, B]], whose
     upper-right block is the time-reversed convolution, corrected by a left
-    factor exp(A dx).
+    factor exp(A dx).  Stacks (K, ...) with widths dx (K,) broadcast.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
     X = np.asarray(X, dtype=complex)
-    m, p = X.shape
-    block = np.zeros((m + p, m + p), dtype=complex)
-    block[:m, :m] = -A
-    block[:m, m:] = X
-    block[m:, m:] = B
-    return expm(A * float(dx)) @ expm(block * float(dx))[:m, m:]
+    m, p = X.shape[-2:]
+    block = np.zeros(X.shape[:-2] + (m + p, m + p), dtype=complex)
+    block[..., :m, :m] = -A
+    block[..., :m, m:] = X
+    block[..., m:, m:] = B
+    t = np.asarray(dx, dtype=float)[..., None, None]
+    return expm(A * t) @ expm(block * t)[..., :m, m:]
 
 
 def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_SING,
@@ -93,23 +182,103 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
     return np.linalg.solve(b_plus, b_minus)
 
 
+class _NodeStates(NamedTuple):
+    """Stacked read-only states of a piecewise exponential flow over a window.
+
+    ``nodes`` holds the window ends and every point inside where the
+    generator or the state jumps; ``generators[k]`` is the constant generator
+    on (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
+    ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
+    fundamental matrix) or a column (a solution's augmented (u, 1)).
+    """
+
+    nodes: np.ndarray
+    generators: np.ndarray
+    rights: np.ndarray
+    lefts: np.ndarray
+
+    @staticmethod
+    def join(parts: list["_NodeStates"]) -> "_NodeStates":
+        """States of consecutive windows as one, each shared end once."""
+        if len(parts) == 1:
+            return parts[0]
+        nodes = np.concatenate([parts[0].nodes[:1]] + [p.nodes[1:] for p in parts])
+        return _NodeStates(nodes, *(np.concatenate([p[i] for p in parts])
+                                    for i in (1, 2, 3)))
+
+    def generators_at(self, xs: np.ndarray) -> np.ndarray:
+        """Generators of the gaps containing the points xs, all off the nodes."""
+        return _pieces_at(self.nodes, self.generators, xs)
+
+    def flow(self, k, x) -> np.ndarray:
+        """State at x in the closure of gap k: one exponential from nodes[k].
+
+        A scalar k and x give one state; index and point arrays give a stack
+        from one stacked exponential.
+        """
+        dx = x - self.nodes[k]
+        if np.ndim(dx):
+            dx = dx[:, None, None]
+        return expm(self.generators[k] * dx) @ self.rights[k]
+
+    def value(self, x: float, side: str) -> np.ndarray:
+        """State at x; at the window ends the one limit there, whatever the side."""
+        nodes = self.nodes
+        i = int(np.searchsorted(nodes, x))
+        if nodes[i] != x:
+            # Off a node the left, right and balanced values coincide.
+            return self.flow(i - 1, x)
+        if i == 0:
+            return self.rights[0]
+        if i == nodes.size - 1:
+            return self.lefts[-1]
+        if side == "left":
+            return self.lefts[i - 1]
+        if side == "right":
+            return self.rights[i]
+        return 0.5 * (self.lefts[i - 1] + self.rights[i])
+
+    def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left and right limits at each point of xs, as ``value`` gives them.
+
+        Off the nodes both limits are the same state, from one stacked flow.
+        """
+        nodes, gaps = self.nodes, self.generators.shape[0]
+        i = np.searchsorted(nodes, xs)
+        on = nodes[np.minimum(i, gaps)] == xs
+        j = i[on]
+        lefts = self.lefts[np.maximum(j - 1, 0)]
+        rights = self.rights[np.minimum(j, gaps - 1)]
+        left = np.empty((xs.size,) + self.rights.shape[1:], dtype=complex)
+        right = np.empty_like(left)
+        left[on] = np.where((j == 0)[:, None, None], rights, lefts)
+        right[on] = np.where((j == gaps)[:, None, None], lefts, rights)
+        off = ~on
+        if off.any():
+            left[off] = right[off] = self.flow(i[off] - 1, xs[off])
+        return left, right
+
+
 class FundamentalMatrix:
     """Balanced fundamental matrix of J u' + q u = 0 on one subinterval.
 
     Normalized to the identity as the right limit at the left endpoint; the
     value attributed to the right endpoint is the left limit there.  All jumps
-    strictly inside must be regular.
+    strictly inside must be regular.  The node states and the transfers are
+    read-only stacks.
     """
 
-    def __init__(self, J, lo, hi, nodes, generators, transfers, rights, lefts):
+    def __init__(self, J, states: _NodeStates, transfers):
         self.J = J
-        self.lo = lo
-        self.hi = hi
-        self.nodes = nodes            # p_0 = lo < ... < p_K = hi
-        self.generators = generators  # one per gap (p_k, p_{k+1})
+        self.states = states
         self.transfers = transfers    # one per interior node, identity if no atom
-        self._rights = rights         # U(p_k+) for k = 0..K-1
-        self._lefts = lefts           # U(p_k-) for k = 1..K
+        self.lo = float(states.nodes[0])
+        self.hi = float(states.nodes[-1])
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """p_0 = lo < ... < p_K = hi: the ends and the q-structure inside."""
+        return self.states.nodes
 
     @property
     def n(self) -> int:
@@ -122,81 +291,123 @@ class FundamentalMatrix:
     @property
     def end_value(self) -> np.ndarray:
         """Left limit at the right endpoint."""
-        return self._lefts[-1]
-
-    def generator_at(self, x: float) -> np.ndarray:
-        """Constant generator -J^{-1} q0 of the gap containing x."""
-        k = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        k = min(max(k, 0), len(self.generators) - 1)
-        return self.generators[k]
+        return self.states.lefts[-1]
 
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
         if not (self.lo <= x <= self.hi):
             raise OutOfInterval(f"{x} is outside [{self.lo}, {self.hi}]")
-        idx = int(np.searchsorted(self.nodes, x))
-        if idx < self.nodes.size and self.nodes[idx] == x:
-            if idx == 0:
-                return self._rights[0]
-            if idx == self.nodes.size - 1:
-                return self._lefts[-1]
-            if side == "left":
-                return self._lefts[idx - 1]
-            if side == "right":
-                return self._rights[idx]
-            return 0.5 * (self._lefts[idx - 1] + self._rights[idx])
-        k = idx - 1
-        return expm(self.generators[k] * (x - self.nodes[k])) @ self._rights[k]
+        return self.states.value(x, side)
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)
 
 
+def _fundamental_matrices(problem: Problem, subs, tol_sing: float = DEFAULT_TOL_SING
+                          ) -> list[FundamentalMatrix]:
+    """Fundamental matrices on each subinterval, every gap in one stacked expm."""
+    a, b = problem.interval
+    J, q, n = problem.J, problem.q, problem.n
+    node_sets, atom_maps = [], []
+    for lo, hi in subs:
+        lo, hi = float(lo), float(hi)
+        if not (a <= lo < hi <= b):
+            raise OutOfInterval(f"({lo}, {hi}) is not a subinterval of [{a}, {b}]")
+        atom_pos, atom_mats = q.atoms_between(lo, hi)
+        bkpts = q.breakpoints
+        inner_bkpts = bkpts[(bkpts > lo) & (bkpts < hi)]
+        node_sets.append(np.unique(np.concatenate([[lo, hi], atom_pos, inner_bkpts])))
+        atom_maps.append(dict(zip(atom_pos.tolist(), atom_mats)))
+    mids = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]) for nodes in node_sets])
+    widths = np.concatenate([np.diff(nodes) for nodes in node_sets])
+    generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
+    steps = expm(generators * widths[:, None, None])
+
+    eye = np.eye(n, dtype=complex)
+    fundamentals = []
+    start = 0
+    for nodes, atom_at in zip(node_sets, atom_maps):
+        gaps = nodes.size - 1
+        rights = np.empty((gaps, n, n), dtype=complex)
+        lefts = np.empty((gaps, n, n), dtype=complex)
+        transfers = np.empty((gaps - 1, n, n), dtype=complex)
+        right = eye
+        for k in range(gaps):
+            rights[k] = right
+            left = lefts[k] = steps[start + k] @ right
+            if k + 1 < gaps:
+                pos = float(nodes[k + 1])
+                if pos in atom_at:
+                    transfers[k] = atom_transfer(J, atom_at[pos], tol_sing, position=pos)
+                    right = transfers[k] @ left
+                else:
+                    transfers[k] = eye
+                    right = left
+        states = _NodeStates(nodes, generators[start:start + gaps],
+                             _freeze(rights), _freeze(lefts))
+        fundamentals.append(FundamentalMatrix(J, states, _freeze(transfers)))
+        start += gaps
+    return fundamentals
+
+
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
                        ) -> FundamentalMatrix:
     """Build the fundamental matrix on (lo, hi); SingularAtom if a jump inside is."""
-    lo, hi = float(sub[0]), float(sub[1])
-    a, b = problem.interval
-    if not (a <= lo < hi <= b):
-        raise OutOfInterval(f"({lo}, {hi}) is not a subinterval of [{a}, {b}]")
-    J = problem.J
-    q = problem.q
-
-    atom_pos, atom_mats = q.atoms_between(lo, hi)
-    bkpts = q.breakpoints
-    inner_bkpts = bkpts[(bkpts > lo) & (bkpts < hi)]
-    nodes = np.unique(np.concatenate([[lo, hi], atom_pos, inner_bkpts]))
-    atom_at = {float(x): m for x, m in zip(atom_pos, atom_mats)}
-
-    generators = []
-    for k in range(nodes.size - 1):
-        mid = 0.5 * (nodes[k] + nodes[k + 1])
-        generators.append(-_solve_j(J, q.density_at(mid)))
-
-    eye = np.eye(problem.n, dtype=complex)
-    transfers = []
-    rights = [eye]
-    lefts = []
-    for k in range(nodes.size - 1):
-        step = expm(generators[k] * (nodes[k + 1] - nodes[k]))
-        left = step @ rights[k]
-        lefts.append(left)
-        if k + 1 < nodes.size - 1:
-            pos = float(nodes[k + 1])
-            if pos in atom_at:
-                T = atom_transfer(J, atom_at[pos], tol_sing, position=pos)
-            else:
-                T = eye
-            transfers.append(T)
-            rights.append(T @ left)
-    return FundamentalMatrix(J, lo, hi, nodes, generators, transfers, rights, lefts)
+    return _fundamental_matrices(problem, [sub], tol_sing)[0]
 
 
 def _check_rhs(f, lo: float, hi: float) -> None:
     if not f.covers(lo, hi):
         raise NotRepresentable(
             f"right-hand side lives on {f.window}, which does not cover [{lo}, {hi}]")
+
+
+def _inhomogeneous_integrals(fundamentals: list[FundamentalMatrix], w: MeasureMatrix,
+                             f: L2Function | None, uppers) -> np.ndarray:
+    """inhomogeneous_integral of consecutive fundamental matrices, stacked.
+
+    Row j integrates over (lo_j, uppers[j]).  One stacked flow gives every U
+    at the piece starts and the w-atoms, one stacked segment_integral covers
+    every piece.
+    """
+    lows = np.array([U.lo for U in fundamentals])
+    highs = np.array([U.hi for U in fundamentals])
+    uppers = np.asarray(uppers, dtype=float)
+    bad = (uppers < lows) | (uppers > highs)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise OutOfInterval(f"upper limit {uppers[j]} outside [{lows[j]}, {highs[j]}]")
+    out = np.zeros((len(fundamentals), fundamentals[0].n), dtype=complex)
+    active = uppers > lows
+    if f is None or not active.any():
+        return out
+    _check_rhs(f, lows[active].min(), uppers[active].max())
+
+    states = _NodeStates.join([U.states for U in fundamentals])
+    cuts = np.concatenate([states.nodes, w.structure_points(), f.structure_points(), uppers])
+    grid = np.unique(cuts[(cuts >= lows[0]) & (cuts <= highs[-1])])
+    s0, s1 = grid[:-1], grid[1:]
+    mids = 0.5 * (s0 + s1)
+    owner = np.searchsorted(highs, mids)
+    w0 = _pieces_at(w.breakpoints, w.densities, mids)
+    keep = (s1 <= uppers[owner]) & w0.any(axis=(1, 2))
+    s0, dx, mids, owner, w0 = s0[keep], (s1 - s0)[keep], mids[keep], owner[keep], w0[keep]
+
+    positions, matrices = w.atoms_between(lows[0], highs[-1])
+    atom_owner = np.searchsorted(highs, positions)
+    inside = (positions > lows[atom_owner]) & (positions < uppers[atom_owner])
+    positions, matrices, atom_owner = positions[inside], matrices[inside], atom_owner[inside]
+
+    left, right = states.limits(np.concatenate([s0, positions]))
+    K = s0.size
+    loads = w0 @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None]
+    S = segment_integral(_adjoint(states.generators_at(mids)), dx)
+    np.add.at(out, owner, (_adjoint(right[:K]) @ (S @ loads))[..., 0])
+    balanced = 0.5 * (left[K:] + right[K:])
+    values = np.array([f.value(float(x), "balanced") for x in positions]).reshape(-1, f.n, 1)
+    np.add.at(out, atom_owner, (_adjoint(balanced) @ (matrices @ values))[..., 0])
+    return out
 
 
 def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
@@ -207,55 +418,7 @@ def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
     stored value of f; an atom exactly at ``upto`` is excluded (it belongs to
     the point, not to the open interval).
     """
-    lo, hi = U.interval
-    n = U.n
-    if not (lo <= upto <= hi):
-        raise OutOfInterval(f"upper limit {upto} outside [{lo}, {hi}]")
-    if f is None or upto == lo:
-        return np.zeros(n, dtype=complex)
-    _check_rhs(f, lo, upto)
-
-    cuts = [U.nodes, w.breakpoints, f.structure_points()]
-    positions, _ = w.atoms_between(lo, upto)
-    grid = np.unique(np.concatenate(cuts + [positions, [lo, upto]]))
-    grid = grid[(grid >= lo) & (grid <= upto)]
-
-    total = np.zeros(n, dtype=complex)
-    for k in range(grid.size - 1):
-        s0, s1 = float(grid[k]), float(grid[k + 1])
-        mid = 0.5 * (s0 + s1)
-        M = U.generator_at(mid)
-        w0 = w.density_at(mid)
-        if not w0.any():
-            continue
-        f0 = f.value(mid)
-        u0 = U.evaluate(s0, "right")
-        total = total + u0.conj().T @ (segment_integral(M.conj().T, s1 - s0) @ (w0 @ f0))
-    for pos, mat in zip(*w.atoms_between(lo, upto)):
-        ub = U.evaluate(float(pos), "balanced")
-        total = total + ub.conj().T @ (mat @ f.value(float(pos), "balanced"))
-    return total
-
-
-class _NodeStates(NamedTuple):
-    """Augmented states y = (u, 1) of one solution, stacked over its window.
-
-    ``nodes`` holds the partition points and every point inside a subinterval
-    where q, w or f changes; ``generators[k]`` is the augmented generator on
-    (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
-    ``lefts[k]`` the left limit at nodes[k+1].
-    """
-
-    nodes: np.ndarray
-    generators: np.ndarray
-    rights: np.ndarray
-    lefts: np.ndarray
-
-    def flow(self, k: int, x: float) -> np.ndarray:
-        """State at x in the closure of gap k: one exponential from nodes[k]."""
-        if x == self.nodes[k]:
-            return self.rights[k]
-        return expm(self.generators[k] * (x - self.nodes[k])) @ self.rights[k]
+    return _inhomogeneous_integrals([U], w, f, [upto])[0]
 
 
 class PiecewiseSolution:
@@ -264,13 +427,13 @@ class PiecewiseSolution:
     Stores the partition points, one fundamental matrix and one read-only
     coefficient vector (the right limit at the subinterval's start) per
     subinterval, and the right-hand side (None for homogeneous).  On first use
-    each subinterval is stepped once through its nodes, the points where q, w
-    or f change: one exponential of [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]] carries
-    the augmented state (u, 1) across each gap, and the jump rule
-    (J + dq/2) u+ = (J - dq/2) u- + dw f links the two limits at each interior
-    node.  A value at a node is a stored limit; anywhere else it is one
-    exponential from the node to its left.  Outside the window evaluation
-    raises.
+    the solution is stepped once through its nodes, the points where q, w or
+    f change: exponentials of [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one per
+    gap and all from one stacked call, carry the augmented state (u, 1) across
+    the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u- + dw f links the
+    two limits at each interior node.  A value at a node is a stored limit;
+    anywhere else it is one exponential from the node to its left.  Outside
+    the window evaluation raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
@@ -316,37 +479,47 @@ class PiecewiseSolution:
         return np.unique(np.concatenate(pieces))
 
     def _node_states(self) -> _NodeStates:
-        """States at every node, stepped once through each subinterval on first use."""
+        """States at every node: one stacked expm for all gaps, then the jump rule."""
         if self._states is not None:
             return self._states
         f, problem, n = self.rhs, self.problem, self.n
+        q, w = problem.q, problem.w
         if f is not None:
             _check_rhs(f, *self.window)
         nodes = self.structure_points()
         nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
-        gaps = nodes.size - 1
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        gaps = mids.size
+        homogeneous = _NodeStates.join([U.states for U in self.fundamentals])
         generators = np.zeros((gaps, n + 1, n + 1), dtype=complex)
-        rights = np.empty((gaps, n + 1), dtype=complex)
-        lefts = np.empty((gaps, n + 1), dtype=complex)
+        generators[:, :n, :n] = homogeneous.generators_at(mids)
+        jumps = np.isin(nodes, q.atom_positions)
+        if f is not None:
+            loads = (_pieces_at(w.breakpoints, w.densities, mids)
+                     @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
+            generators[:, :n, n:] = _solve_j(problem.J, loads)
+            jumps |= np.isin(nodes, w.atom_positions)
+        steps = expm(generators * np.diff(nodes)[:, None, None])
+
+        rights = np.empty((gaps, n + 1, 1), dtype=complex)
+        lefts = np.empty((gaps, n + 1, 1), dtype=complex)
         j = -1
         for k in range(gaps):
-            x, mid = float(nodes[k]), 0.5 * (nodes[k] + nodes[k + 1])
+            x = float(nodes[k])
             if x == self.points[j + 1]:
                 # A partition point: the coupling equation holds the jump there.
                 j += 1
-                U, y = self.fundamentals[j], np.append(self.coefficients[j], 1.0)
-            else:
-                load = problem.w.jump(x) @ f.value(x, "balanced") if f is not None else 0.0
-                if problem.q.jump(x).any() or np.any(load):
-                    y[:n] = np.linalg.solve(problem.b_plus(x), problem.b_minus(x) @ y[:n] + load)
-            generators[k, :n, :n] = U.generator_at(mid)
-            if f is not None:
-                generators[k, :n, n] = _solve_j(
-                    problem.J, problem.w.density_at(mid) @ f.value(mid))
+                y = np.append(self.coefficients[j], 1.0)[:, None]
+            elif jumps[k]:
+                load = w.jump(x) @ f.value(x, "balanced") if f is not None else 0.0
+                if q.jump(x).any() or np.any(load):
+                    y[:n, 0] = np.linalg.solve(problem.b_plus(x),
+                                               problem.b_minus(x) @ y[:n, 0] + load)
             rights[k] = y
-            y = expm(generators[k] * (nodes[k + 1] - nodes[k])) @ y
+            y = steps[k] @ y
             lefts[k] = y
-        self._states = _NodeStates(nodes, generators, _freeze(rights), _freeze(lefts))
+        self._states = _NodeStates(nodes, _freeze(generators), _freeze(rights),
+                                   _freeze(lefts))
         return self._states
 
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
@@ -359,16 +532,7 @@ class PiecewiseSolution:
             raise OutOfInterval("no left limit at the window start")
         if side == "right" and x == hi:
             raise OutOfInterval("no right limit at the window end")
-        states, n = self._node_states(), self.n
-        i = int(np.searchsorted(states.nodes, x))
-        if states.nodes[i] != x:
-            # Off a node the left, right and balanced values coincide.
-            return states.flow(i - 1, x)[:n]
-        if side == "right" or x == lo:
-            return states.rights[i][:n]
-        if side == "left" or x == hi:
-            return states.lefts[i - 1][:n]
-        return 0.5 * (states.lefts[i - 1] + states.rights[i])[:n]
+        return self._node_states().value(x, side)[:self.n, 0]
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)
@@ -400,36 +564,39 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
 # -- pairings against a weight -------------------------------------------------
 
 
-def _factor_structure(factor, lo: float, hi: float) -> np.ndarray:
-    pts = factor.structure_points()
-    return pts[(pts > lo) & (pts < hi)]
-
-
-def _balanced_value(factor, x: float) -> np.ndarray:
+def _factor_structure(factor) -> np.ndarray:
+    """Points where a pairing factor changes form (unsorted, possibly repeated)."""
     if isinstance(factor, PiecewiseSolution):
-        return factor.evaluate(x, "balanced")
-    return factor.value(x, "balanced")
+        return factor._node_states().nodes
+    return np.concatenate([factor.breakpoints, factor.atom_positions])
 
 
-def _segment_representation(factor, s0: float, mid: float):
-    """Affine-exponential form of a factor on a structure-free gap.
+def _pairing_form(factor, starts: np.ndarray, mids: np.ndarray, atoms: np.ndarray):
+    """A factor on the pieces of a pairing grid and at the w-atoms.
 
-    Returns (P, A, y0) with value(s0 + s) = P exp(A s) y0 on the gap.
+    Returns (P, A, y, a): on the piece from starts[k] the factor's value is
+    P exp(A[k] s) y[k] (P one matrix, or one per piece), and a[i] is its
+    balanced value at atoms[i].
     """
     if isinstance(factor, PiecewiseSolution):
-        states = factor._node_states()
-        k = int(np.searchsorted(states.nodes, s0, "right")) - 1
-        P = np.eye(factor.n, factor.n + 1, dtype=complex)
-        return P, states.generators[k], states.flow(k, s0)
-    value = factor.value(mid)
-    return value.reshape(-1, 1), np.zeros((1, 1), dtype=complex), np.ones(1, dtype=complex)
+        states, n = factor._node_states(), factor.n
+        left, right = states.limits(np.concatenate([starts, atoms]))
+        K = starts.size
+        return (np.eye(n, n + 1, dtype=complex),
+                states.generators_at(mids),
+                right[:K, :, 0], 0.5 * (left[K:, :n, 0] + right[K:, :n, 0]))
+    values = _pieces_at(factor.breakpoints, factor.piece_values, mids)
+    balanced = np.array([factor.value(float(x), "balanced") for x in atoms])
+    return (values[..., None], np.zeros((mids.size, 1, 1), dtype=complex),
+            np.ones((mids.size, 1), dtype=complex), balanced.reshape(-1, factor.n))
 
 
 def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     """Integral of u^* w v over the open window, conjugate-linear in u.
 
     Both factors may be balanced solutions or representable functions; atoms
-    of w strictly inside the window contribute with balanced values.
+    of w strictly inside the window contribute with balanced values.  One
+    stacked product_integral covers every piece of the grid.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -439,26 +606,18 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
             raise WindowMismatch(
                 f"factor on {factor.window} does not cover the window ({lo}, {hi})")
 
-    cuts = [np.asarray([lo, hi])]
-    wpts = w.structure_points()
-    cuts.append(wpts[(wpts > lo) & (wpts < hi)])
-    cuts.append(_factor_structure(u, lo, hi))
-    cuts.append(_factor_structure(v, lo, hi))
-    grid = np.unique(np.concatenate(cuts))
+    cuts = np.concatenate([[lo, hi], w.breakpoints, w.atom_positions,
+                           _factor_structure(u), _factor_structure(v)])
+    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    w0 = _pieces_at(w.breakpoints, w.densities, mids)
+    keep = w0.any(axis=(1, 2))
+    starts, dx, mids, w0 = grid[:-1][keep], np.diff(grid)[keep], mids[keep], w0[keep]
+    positions, matrices = w.atoms_between(lo, hi)
 
-    total = 0.0 + 0.0j
-    for k in range(grid.size - 1):
-        s0, s1 = float(grid[k]), float(grid[k + 1])
-        mid = 0.5 * (s0 + s1)
-        w0 = w.density_at(mid)
-        if not w0.any():
-            continue
-        Pu, Au, yu = _segment_representation(u, s0, mid)
-        Pv, Av, yv = _segment_representation(v, s0, mid)
-        X = Pu.conj().T @ w0 @ Pv
-        kernel = product_integral(Au.conj().T, X, Av, s1 - s0)
-        total += yu.conj() @ kernel @ yv
-    for pos, mat in zip(*w.atoms_between(lo, hi)):
-        x = float(pos)
-        total += _balanced_value(u, x).conj() @ (mat @ _balanced_value(v, x))
+    Pu, Au, yu, au = _pairing_form(u, starts, mids, positions)
+    Pv, Av, yv, av = (Pu, Au, yu, au) if v is u else _pairing_form(v, starts, mids, positions)
+    kernel = product_integral(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, dx)
+    total = np.einsum("ki,kij,kj->", yu.conj(), kernel, yv) \
+        + np.einsum("ai,aij,aj->", au.conj(), matrices, av)
     return complex(total)

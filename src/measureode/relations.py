@@ -18,6 +18,7 @@ from .blocksystem import (
     DEFAULT_TOL_RANK,
     DEFAULT_TOL_SING,
     BlockSystem,
+    MomentVectors,
     build_system,
     moment_vectors,
 )
@@ -128,20 +129,23 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
     is consistent; otherwise returns an OrthogonalityCertificate whose
     solution pairs nontrivially with f.
     """
-    bs = build_system(problem, window, extra_points, tol_sing)
-    return t0_solve_system(bs, f, tol_rank, tol_solve)
-
-
-def t0_solve_system(bs: BlockSystem, f: L2Function,
-                    tol_rank: float = DEFAULT_TOL_RANK,
-                    tol_solve: float = DEFAULT_TOL_SOLVE):
-    """t0_solve on the window and partition of an already built block system."""
     if f is None:
         raise MissingRHS("the endpoint-vanishing solver needs a right-hand side")
-    problem = bs.problem
-    f = f.refined_against(problem.w)
-    moments = moment_vectors(bs, f)
+    bs = build_system(problem, window, extra_points, tol_sing)
+    moments = moment_vectors(bs, f.refined_against(problem.w))
+    return t0_solve_system(bs, moments, tol_rank, tol_solve)
 
+
+def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
+                    tol_rank: float = DEFAULT_TOL_RANK,
+                    tol_solve: float = DEFAULT_TOL_SOLVE):
+    """t0_solve on an already built block system, from the moments of its rhs.
+
+    ``moments`` are the moment vectors on ``bs`` of the right-hand side
+    refined against the weight, as t0_solve computes them.
+    """
+    problem = bs.problem
+    f = moments.f
     target = moments.functional
     gamma = bs.reduced_factors.solve(target, tol_rank)
     residual = float(np.linalg.norm(bs.B_m @ gamma - target))

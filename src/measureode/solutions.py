@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksystem import DEFAULT_TOL_RANK, BlockSystem, MomentVectors, _adjoint
+from .blocksystem import DEFAULT_TOL_RANK, BlockSystem, MomentVectors
 from .errors import (
     DimensionMismatch,
     InconsistentLift,
@@ -21,7 +21,7 @@ from .errors import (
     NotInKernel,
 )
 from .functions import L2Function
-from .propagation import PiecewiseSolution, w_pairing
+from .propagation import PiecewiseSolution, _adjoint, w_pairing
 
 DEFAULT_TOL_SOLVE = 1e-9
 # How far a claimed kernel vector may sit from the computed kernel.

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, build_system,
-                          moment_vectors, nullspace)
+from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
+                          build_system, moment_vectors, nullspace)
 from .coefficients import Check, Problem
 from .functions import L2Function
 from .fuzz import random_f, random_instance
@@ -195,9 +195,10 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     return L2Function(window, edges, values, zero_atoms)
 
 
-def _t0_result_rows(bs, f: L2Function, result, homogeneous, prefix: str,
+def _t0_result_rows(bs, moments: MomentVectors, result, homogeneous, prefix: str,
                     tag: str, tol_rank: float) -> list[Check]:
     problem = bs.problem
+    f = moments.f
     window = bs.partition.window
     lo, hi = window
     rows = []
@@ -219,9 +220,8 @@ def _t0_result_rows(bs, f: L2Function, result, homogeneous, prefix: str,
     rows.append(Check(f"{prefix} endpoints vanish [{tag}]", endpoint,
                       TOL_ENDPOINT, endpoint <= TOL_ENDPOINT))
 
-    mv = moment_vectors(bs, f)
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
-    proj = float(np.linalg.norm(basis.conj().T @ mv.functional)) \
+    proj = float(np.linalg.norm(basis.conj().T @ moments.functional)) \
         if basis.shape[1] else 0.0
     rows.append(Check(f"{prefix} solvable means orthogonal [{tag}]", proj,
                       CERTIFICATE_TRIGGER, proj <= CERTIFICATE_TRIGGER))
@@ -245,15 +245,17 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
     ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites does.
     """
     homogeneous = solve_system(bs, tol_rank=tol_rank).kernel_basis
-    result = t0_solve_system(bs, f, tol_rank, tol_solve)
-    rows = _t0_result_rows(bs, f, result, homogeneous, "t0", tag, tol_rank)
+    moments = moment_vectors(bs, f.refined_against(bs.problem.w))
+    result = t0_solve_system(bs, moments, tol_rank, tol_solve)
+    rows = _t0_result_rows(bs, moments, result, homogeneous, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
-    result_perp = t0_solve_system(bs, f_perp, tol_rank, tol_solve)
+    moments_perp = moment_vectors(bs, f_perp.refined_against(bs.problem.w))
+    result_perp = t0_solve_system(bs, moments_perp, tol_rank, tol_solve)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
                           result_perp.residual, tol_solve, False))
     else:
-        rows.extend(_t0_result_rows(bs, f_perp, result_perp, homogeneous,
+        rows.extend(_t0_result_rows(bs, moments_perp, result_perp, homogeneous,
                                     "t0 orthogonal rhs", tag, tol_rank))
     return rows
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import measureode
 from measureode.cli import main
 from measureode.fileio import load_problem, parse_problem, render_report
 from measureode.errors import ParseError
@@ -199,8 +200,12 @@ def test_console_script_is_installed():
 
 
 def test_module_invocation_matches_the_entry_point():
+    # The child imports the package the tests import, installed or not.
+    src = os.path.dirname(os.path.dirname(measureode.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "measureode.cli", "validate",
                            "--input", data("instance_a.json")],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"

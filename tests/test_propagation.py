@@ -428,3 +428,243 @@ def test_solution_coefficients_are_read_only():
     sol = solve_ivp_regular(_density_problem(), (-1.0, 1.0), -1.0, [1.0, 0.0])
     with pytest.raises(ValueError):
         sol.coefficients[0][0] = 2.0
+
+
+def test_fundamental_matrix_values_are_read_only():
+    q = MeasureMatrix((-1.0, 1.0), breakpoints=[-1.0, 0.2, 1.0],
+                      densities=[np.diag([0.4, -0.2]), np.array([[0.0, 0.3], [0.3, 0.0]])],
+                      atoms=[(-0.3, np.diag([0.5, 0.5]))])
+    U = fundamental_matrix(Problem(J2, q, MeasureMatrix.zero((-1.0, 1.0), 2)), (-1.0, 1.0))
+    before = {side: U.evaluate(-0.3, side).copy() for side in ("left", "right")}
+    end = U.end_value.copy()
+    for value in (U.evaluate(-1.0), U.evaluate(-0.3, "left"), U.evaluate(-0.3, "right"),
+                  U.end_value, U.transfers[0]):
+        with pytest.raises(ValueError):
+            value[0, 0] = 7.0
+    np.testing.assert_array_equal(U.evaluate(-1.0), np.eye(2))
+    for side, value in before.items():
+        np.testing.assert_array_equal(U.evaluate(-0.3, side), value)
+    np.testing.assert_array_equal(U.end_value, end)
+
+
+# -- the stacked exponential kernel ---------------------------------------------
+
+
+def _kernel_stack(rng, m, top, complex_entries):
+    """Matrices of size m with 1-norms up to ``top``; the first one reaches it.
+
+    Hermitian, skew-Hermitian (both with well-conditioned exponentials),
+    nilpotent augmented [[0, b], [0, 0]] and, below norm 3, general matrices.
+    """
+    def draw(shape):
+        out = rng.standard_normal(shape)
+        return out + 1j * rng.standard_normal(shape) if complex_entries else out
+
+    mats = []
+    for k in range(int(rng.integers(1, 9))):
+        kind = k % 4
+        A = draw((m, m))
+        if kind == 0:
+            A = A + A.conj().T
+        elif kind == 1:
+            A = A - A.conj().T
+        elif kind == 2:
+            A = np.zeros((m, m), dtype=A.dtype)
+            h = max(1, m // 2)
+            A[:h, h:] = draw((h, m - h))
+        norm = np.abs(A).sum(axis=0).max()
+        target = top if k == 0 else rng.uniform(0.0, top if kind < 3 else min(top, 3.0))
+        mats.append(A * (target / norm) if norm > 0 else A)
+    return np.array(mats)
+
+
+# scipy's expm itself sits up to 1.1e-12 (relative) from the series oracle on
+# the real symmetric matrices of norm 40 below; the stacked kernel stays within
+# 1e-14 of the oracle there.
+TOL_SCIPY = 1e-11
+
+
+def test_stacked_expm_matches_series_and_scipy_per_slice():
+    from scipy.linalg import expm as scipy_expm
+    rng = np.random.default_rng(44)
+    worst_series = worst_scipy = 0.0
+    # 0 and the bounds between Padé degrees 3 / 5 / 7 / 9 / 13 / scaled 13
+    for top in (0.0, 0.01, 0.2, 0.9, 2.0, 5.0, 12.0, 40.0):
+        for m in range(1, 15):
+            for complex_entries in (False, True):
+                stack = _kernel_stack(rng, m, top, complex_entries)
+                got = propagation.expm(stack)
+                assert got.shape == stack.shape
+                assert np.iscomplexobj(got) == complex_entries
+                for A, value in zip(stack, got):
+                    want = series_expm(A)
+                    scale = np.linalg.norm(want, 2)
+                    worst_series = max(worst_series, np.linalg.norm(value - want, 2) / scale)
+                    worst_scipy = max(worst_scipy,
+                                      np.linalg.norm(value - scipy_expm(A), 2) / scale)
+    assert worst_series <= TOL_SERIES
+    assert worst_scipy <= TOL_SCIPY
+
+
+def test_stacked_expm_shapes_and_the_exact_nilpotent_case():
+    assert propagation.expm(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 3, 3)
+    b = np.array([[2.0, -1.0], [0.5, 3.0]])
+    N = np.zeros((2, 3, 4, 4))
+    N[..., :2, 2:] = b * np.arange(1, 7).reshape(2, 3, 1, 1)
+    got = propagation.expm(N)
+    assert got.shape == (2, 3, 4, 4)
+    np.testing.assert_allclose(got, np.eye(4) + N, rtol=0, atol=1e-13)
+
+
+# -- pairings and moment integrals against a per-piece reference -----------------
+
+TOL_PAIRING_REF = 1e-12  # relative to max(1, |value|)
+
+
+def _piece_form(factor, problem, s0, mid):
+    """(P, A, y0) with factor(s0 + s) = P exp(A s) y0 on a structure-free piece.
+
+    Built from problem data and public evaluation only: the augmented
+    generator [[-J^-1 q0, J^-1 w0 f0], [0, 0]] and the right limit at s0.
+    """
+    if isinstance(factor, L2Function):
+        return (factor.value(mid).reshape(-1, 1), np.zeros((1, 1), dtype=complex),
+                np.ones(1, dtype=complex))
+    n, J = problem.n, problem.J
+    A = np.zeros((n + 1, n + 1), dtype=complex)
+    A[:n, :n] = -np.linalg.solve(J, problem.q.density_at(mid))
+    if factor.rhs is not None:
+        A[:n, n] = np.linalg.solve(J, problem.w.density_at(mid) @ factor.rhs.value(mid))
+    y0 = np.append(factor.evaluate(s0, "right"), 1.0)
+    return np.eye(n, n + 1, dtype=complex), A, y0
+
+
+def _balanced(factor, x):
+    if isinstance(factor, L2Function):
+        return factor.value(x, "balanced")
+    return factor.evaluate(x, "balanced")
+
+
+def _reference_pairing(problem, u, v, window):
+    lo, hi = window
+    w = problem.w
+    cuts = [np.array([lo, hi])] + [f.structure_points() for f in (w, u, v)]
+    grid = np.unique(np.concatenate(cuts))
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    total = 0.0
+    for s0, s1 in zip(grid[:-1], grid[1:]):
+        s0, mid = float(s0), 0.5 * float(s0 + s1)
+        w0 = w.density_at(mid)
+        if not w0.any():
+            continue
+        Pu, Au, yu = _piece_form(u, problem, s0, mid)
+        Pv, Av, yv = _piece_form(v, problem, s0, mid)
+        kernel = product_integral(Au.conj().T, Pu.conj().T @ w0 @ Pv, Av, float(s1) - s0)
+        total += yu.conj() @ kernel @ yv
+    for pos, mat in zip(*w.atoms_between(lo, hi)):
+        total += _balanced(u, float(pos)).conj() @ (mat @ _balanced(v, float(pos)))
+    return complex(total)
+
+
+def _reference_integral(U, problem, f, upto):
+    w = problem.w
+    grid = np.unique(np.concatenate([U.nodes, w.structure_points(), f.structure_points(),
+                                     [U.lo, upto]]))
+    grid = grid[(grid >= U.lo) & (grid <= upto)]
+    total = np.zeros(U.n, dtype=complex)
+    for s0, s1 in zip(grid[:-1], grid[1:]):
+        s0, mid = float(s0), 0.5 * float(s0 + s1)
+        M = -np.linalg.solve(problem.J, problem.q.density_at(mid))
+        load = w.density_at(mid) @ f.value(mid)
+        total += U.evaluate(s0, "right").conj().T @ (segment_integral(M.conj().T, float(s1) - s0)
+                                                       @ load)
+    for pos, mat in zip(*w.atoms_between(U.lo, upto)):
+        total += U.evaluate(float(pos)).conj().T @ (mat @ f.value(float(pos), "balanced"))
+    return total
+
+
+def _relative(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want)) / max(1.0, float(np.max(np.abs(want)))))
+
+
+def test_pairings_and_moment_integrals_match_a_per_piece_reference():
+    from test_acceptance import _fuzz_systems  # imports this module, so not at the top
+    rng = np.random.default_rng(45)
+    cases = [(inst.problem, bs, random_f(rng, inst.problem, inst.window))
+             for inst, bs in _fuzz_systems()]
+    problem, f = _dense_problem(rng)
+    cases.append((problem, build_system(problem, (-1.0, 1.0), (0.1,)), f))
+    worst = 0.0
+    for problem, bs, f in cases:
+        f = f.refined_against(problem.w)
+        window = bs.partition.window
+        integrals = moment_vectors(bs, f).integrals.reshape(bs.N, bs.n)
+        for j, U in enumerate(bs.fundamentals[:-1]):
+            worst = max(worst, _relative(integrals[j], _reference_integral(U, problem, f, U.hi)))
+        U = bs.fundamentals[-1]
+        upto = 0.5 * (U.lo + U.hi)
+        worst = max(worst, _relative(inhomogeneous_integral(U, problem.w, f, upto),
+                                     _reference_integral(U, problem, f, upto)))
+        solutions = _solutions_of(bs, f)
+        for sol in solutions:
+            for u, v in ((sol, sol), (sol, f), (f, sol), (solutions[0], sol)):
+                worst = max(worst, _relative(w_pairing(problem.w, u, v, window),
+                                             _reference_pairing(problem, u, v, window)))
+    assert worst <= TOL_PAIRING_REF
+
+
+# -- one stacked exponential call per routine ------------------------------------
+
+
+def _chain(N):
+    """N mirrored singular atoms on (0, N + 1), q and w densities on quarter pieces,
+    w-atoms between the q-atoms, and a rhs with its own breakpoints."""
+    rng = np.random.default_rng(46)
+    window = (0.0, N + 1.0)
+    qbp = np.arange(0.0, N + 1.25, 0.5)
+    q = MeasureMatrix(window, breakpoints=qbp,
+                      densities=[0.3 * hermitize(random_matrix(rng, 2)) for _ in qbp[1:]],
+                      atoms=[(float(x), (-1) ** x * np.array([[0.0, 2.0], [2.0, 0.0]]))
+                             for x in range(1, N + 1)])
+    wbp = np.arange(0.0, N + 1.125, 0.25)
+    w = MeasureMatrix(window, breakpoints=wbp,
+                      densities=[psd_project(random_matrix(rng, 2)) for _ in wbp[1:]],
+                      atoms=[(x + 0.625, psd_project(random_matrix(rng, 2))) for x in range(N)])
+    problem = Problem(J2, q, w)
+    edges = np.arange(0.0, N + 1.1, 1.0 / 3.0)
+    edges[-1] = N + 1.0
+    f = L2Function.from_pieces(window, [(edges[i], edges[i + 1], random_complex(rng, 2))
+                                        for i in range(edges.size - 1)], w=w)
+    return problem, window, f
+
+
+def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
+    from measureode.blocksystem import assemble, find_singular_points, make_partition
+    counts = {}
+
+    def counted(func):
+        def wrapper(*args, **kwargs):
+            counts["expm"] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(propagation, "expm", counted(propagation.expm))
+
+    def calls(run):
+        counts["expm"] = 0
+        result = run()
+        return counts["expm"], result
+
+    per_size = []
+    for N in (10, 40):
+        problem, window, f = _chain(N)
+        partition = make_partition(window, find_singular_points(problem, window))
+        assert partition.count == N
+        n_assemble, bs = calls(lambda: assemble(problem, partition))
+        n_moments, mv = calls(lambda: moment_vectors(bs, f))
+        sol = reconstruct(bs, solve_system(bs, mv).coefficients, f)
+        n_states, _ = calls(sol._node_states)
+        n_pairing, _ = calls(lambda: w_pairing(problem.w, sol, sol, window))
+        n_mixed, _ = calls(lambda: w_pairing(problem.w, sol, f, window))
+        per_size.append((n_assemble, n_moments, n_states, n_pairing, n_mixed))
+    assert per_size[0] == per_size[1]

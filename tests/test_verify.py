@@ -84,3 +84,20 @@ def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
     assert sum("range orthogonal" in r.name for r in rows) == 2
     # one basis shared by both result checks, one inside orthogonal_rhs
     assert len(calls) == 2
+
+
+def test_suite_t0_computes_moment_vectors_once_per_rhs(monkeypatch):
+    import measureode.relations as relations
+    import measureode.verify as verify
+    calls = []
+    for module in (verify, relations):
+        moments = module.moment_vectors
+        monkeypatch.setattr(module, "moment_vectors",
+                            lambda *a, _m=moments, **k: calls.append(1) or _m(*a, **k))
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng)
+    rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
+                      checks=("t0",), rng=rng)
+    assert sum("solvable means orthogonal" in r.name for r in rows) == 2
+    # f and the orthogonal rhs: one set of moment vectors each
+    assert len(calls) == 2
