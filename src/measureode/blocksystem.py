@@ -17,8 +17,8 @@ import numpy as np
 from .coefficients import Problem
 from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
-from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint,
-                          _fundamental_matrices, _inhomogeneous_integrals)
+from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint, _check_rhs,
+                          _fundamental_matrices, _NodeStates, _pairings)
 
 DEFAULT_TOL_RANK = 1e-10
 BORDERLINE_SING = 1e-6
@@ -290,7 +290,10 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         if dw.any():
             jump_moments[(j - 1) * n: j * n] = dw @ f.value(x, "balanced")
 
-    integrals = _inhomogeneous_integrals(bs.fundamentals, w, f, pts[1:])
+    # Open subintervals: the w-atoms at the partition points are the jump moments.
+    _check_rhs(f, pts[0], pts[-1])
+    states = _NodeStates.join([U.states for U in bs.fundamentals])
+    integrals = _pairings(w, states, f, pts)[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
     coupled = _adjoint(bs.b_plus) @ (bs.u_ends[:N] @ solved[:N, :, None])
     rhs = jump_moments - coupled.reshape(-1)

@@ -363,64 +363,6 @@ def _check_rhs(f, lo: float, hi: float) -> None:
             f"right-hand side lives on {f.window}, which does not cover [{lo}, {hi}]")
 
 
-def _inhomogeneous_integrals(fundamentals: list[FundamentalMatrix], w: MeasureMatrix,
-                             f: L2Function | None, uppers) -> np.ndarray:
-    """inhomogeneous_integral of consecutive fundamental matrices, stacked.
-
-    Row j integrates over (lo_j, uppers[j]).  One stacked flow gives every U
-    at the piece starts and the w-atoms, one stacked segment_integral covers
-    every piece.
-    """
-    lows = np.array([U.lo for U in fundamentals])
-    highs = np.array([U.hi for U in fundamentals])
-    uppers = np.asarray(uppers, dtype=float)
-    bad = (uppers < lows) | (uppers > highs)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise OutOfInterval(f"upper limit {uppers[j]} outside [{lows[j]}, {highs[j]}]")
-    out = np.zeros((len(fundamentals), fundamentals[0].n), dtype=complex)
-    active = uppers > lows
-    if f is None or not active.any():
-        return out
-    _check_rhs(f, lows[active].min(), uppers[active].max())
-
-    states = _NodeStates.join([U.states for U in fundamentals])
-    cuts = np.concatenate([states.nodes, w.structure_points(), f.structure_points(), uppers])
-    grid = np.unique(cuts[(cuts >= lows[0]) & (cuts <= highs[-1])])
-    s0, s1 = grid[:-1], grid[1:]
-    mids = 0.5 * (s0 + s1)
-    owner = np.searchsorted(highs, mids)
-    w0 = _pieces_at(w.breakpoints, w.densities, mids)
-    keep = (s1 <= uppers[owner]) & w0.any(axis=(1, 2))
-    s0, dx, mids, owner, w0 = s0[keep], (s1 - s0)[keep], mids[keep], owner[keep], w0[keep]
-
-    positions, matrices = w.atoms_between(lows[0], highs[-1])
-    atom_owner = np.searchsorted(highs, positions)
-    inside = (positions > lows[atom_owner]) & (positions < uppers[atom_owner])
-    positions, matrices, atom_owner = positions[inside], matrices[inside], atom_owner[inside]
-
-    left, right = states.limits(np.concatenate([s0, positions]))
-    K = s0.size
-    loads = w0 @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None]
-    S = segment_integral(_adjoint(states.generators_at(mids)), dx)
-    np.add.at(out, owner, (_adjoint(right[:K]) @ (S @ loads))[..., 0])
-    balanced = 0.5 * (left[K:] + right[K:])
-    values = np.array([f.value(float(x), "balanced") for x in positions]).reshape(-1, f.n, 1)
-    np.add.at(out, atom_owner, (_adjoint(balanced) @ (matrices @ values))[..., 0])
-    return out
-
-
-def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
-                           f: L2Function | None, upto: float) -> np.ndarray:
-    """Integral of U^* w f over the open interval (lo, upto).
-
-    Interior atoms of w contribute with the balanced value of U and the
-    stored value of f; an atom exactly at ``upto`` is excluded (it belongs to
-    the point, not to the open interval).
-    """
-    return _inhomogeneous_integrals([U], w, f, [upto])[0]
-
-
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
@@ -564,39 +506,83 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
 # -- pairings against a weight -------------------------------------------------
 
 
-def _factor_structure(factor) -> np.ndarray:
-    """Points where a pairing factor changes form (unsorted, possibly repeated)."""
-    if isinstance(factor, PiecewiseSolution):
-        return factor._node_states().nodes
-    return np.concatenate([factor.breakpoints, factor.atom_positions])
-
-
-def _pairing_form(factor, starts: np.ndarray, mids: np.ndarray, atoms: np.ndarray):
+def _pairing_form(factor, n: int, starts: np.ndarray, mids: np.ndarray,
+                  atoms: np.ndarray):
     """A factor on the pieces of a pairing grid and at the w-atoms.
 
     Returns (P, A, y, a): on the piece from starts[k] the factor's value is
     P exp(A[k] s) y[k] (P one matrix, or one per piece), and a[i] is its
-    balanced value at atoms[i].
+    balanced value at atoms[i].  Values are columns (n, 1), or (n, n) for the
+    matrix states of fundamental matrices.
     """
-    if isinstance(factor, PiecewiseSolution):
-        states, n = factor._node_states(), factor.n
-        left, right = states.limits(np.concatenate([starts, atoms]))
-        K = starts.size
-        return (np.eye(n, n + 1, dtype=complex),
-                states.generators_at(mids),
-                right[:K, :, 0], 0.5 * (left[K:, :n, 0] + right[K:, :n, 0]))
-    values = _pieces_at(factor.breakpoints, factor.piece_values, mids)
-    balanced = np.array([factor.value(float(x), "balanced") for x in atoms])
-    return (values[..., None], np.zeros((mids.size, 1, 1), dtype=complex),
-            np.ones((mids.size, 1), dtype=complex), balanced.reshape(-1, factor.n))
+    if isinstance(factor, L2Function):
+        values = _pieces_at(factor.breakpoints, factor.piece_values, mids)
+        balanced = np.array([factor.value(float(x), "balanced") for x in atoms])
+        return (values[..., None], np.zeros((mids.size, 1, 1), dtype=complex),
+                np.ones((mids.size, 1, 1), dtype=complex), balanced.reshape(-1, n, 1))
+    left, right = factor.limits(np.concatenate([starts, atoms]))
+    K = starts.size
+    return (np.eye(n, factor.generators.shape[-1], dtype=complex),
+            factor.generators_at(mids), right[:K],
+            0.5 * (left[K:, :n] + right[K:, :n]))
+
+
+def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
+    """Integral of u^* w v over each open interval (edges[i], edges[i+1]).
+
+    A factor is a balanced solution, a representable function or the node
+    states of fundamental matrices (matrix-valued); row i holds the pairings
+    of u's columns with v's.  Atoms of w strictly inside an interval
+    contribute with balanced values, atoms at the edges do not.  One grid, one
+    ``limits`` call per state factor and one stacked product_integral cover
+    every interval.
+    """
+    u, v = (f._node_states() if isinstance(f, PiecewiseSolution) else f for f in (u, v))
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[0], edges[-1]
+    cuts = np.concatenate([edges, w.breakpoints, w.atom_positions] + [
+        f.nodes if isinstance(f, _NodeStates) else f.structure_points() for f in (u, v)])
+    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    w0 = _pieces_at(w.breakpoints, w.densities, mids)
+    keep = w0.any(axis=(1, 2))
+    starts, dx, mids, w0 = grid[:-1][keep], np.diff(grid)[keep], mids[keep], w0[keep]
+    positions, matrices = w.atoms_between(lo, hi)
+    inside = ~np.isin(positions, edges)
+    positions, matrices = positions[inside], matrices[inside]
+
+    Pu, Au, yu, au = _pairing_form(u, w.n, starts, mids, positions)
+    Pv, Av, yv, av = (Pu, Au, yu, au) if v is u else \
+        _pairing_form(v, w.n, starts, mids, positions)
+    kernel = product_integral(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, dx)
+    pieces = _adjoint(yu) @ kernel @ yv
+    out = np.zeros((edges.size - 1,) + pieces.shape[1:], dtype=complex)
+    np.add.at(out, np.searchsorted(edges, mids) - 1, pieces)
+    np.add.at(out, np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))
+    return out
+
+
+def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
+                           f: L2Function | None, upto: float) -> np.ndarray:
+    """Integral of U^* w f over the open interval (lo, upto).
+
+    Interior atoms of w contribute with the balanced value of U and the
+    stored value of f; an atom exactly at ``upto`` is excluded (it belongs to
+    the point, not to the open interval).
+    """
+    if not U.lo <= upto <= U.hi:
+        raise OutOfInterval(f"upper limit {upto} outside [{U.lo}, {U.hi}]")
+    if f is None or upto == U.lo:
+        return np.zeros(U.n, dtype=complex)
+    _check_rhs(f, U.lo, upto)
+    return _pairings(w, U.states, f, [U.lo, upto])[0, :, 0]
 
 
 def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     """Integral of u^* w v over the open window, conjugate-linear in u.
 
     Both factors may be balanced solutions or representable functions; atoms
-    of w strictly inside the window contribute with balanced values.  One
-    stacked product_integral covers every piece of the grid.
+    of w strictly inside the window contribute with balanced values.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -605,19 +591,4 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
         if not factor.covers(lo, hi):
             raise WindowMismatch(
                 f"factor on {factor.window} does not cover the window ({lo}, {hi})")
-
-    cuts = np.concatenate([[lo, hi], w.breakpoints, w.atom_positions,
-                           _factor_structure(u), _factor_structure(v)])
-    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w0 = _pieces_at(w.breakpoints, w.densities, mids)
-    keep = w0.any(axis=(1, 2))
-    starts, dx, mids, w0 = grid[:-1][keep], np.diff(grid)[keep], mids[keep], w0[keep]
-    positions, matrices = w.atoms_between(lo, hi)
-
-    Pu, Au, yu, au = _pairing_form(u, starts, mids, positions)
-    Pv, Av, yv, av = (Pu, Au, yu, au) if v is u else _pairing_form(v, starts, mids, positions)
-    kernel = product_integral(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, dx)
-    total = np.einsum("ki,kij,kj->", yu.conj(), kernel, yv) \
-        + np.einsum("ai,aij,aj->", au.conj(), matrices, av)
-    return complex(total)
+    return complex(_pairings(w, u, v, [lo, hi])[0, 0, 0])

@@ -97,15 +97,19 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
 
 
 def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
-                                 tol_rank: float) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of uhat onto ker(B_m^*), plus the distance."""
+                                 tol_rank: float) -> np.ndarray:
+    """Orthogonal projection of uhat onto ker(B_m^*); NotInKernel if it is far."""
     uhat = np.asarray(uhat, dtype=complex).reshape(-1)
     if uhat.size != bs.n * bs.N:
         raise DimensionMismatch(
             f"expected a vector of length {bs.n * bs.N}, got {uhat.size}")
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     projected = basis @ (basis.conj().T @ uhat)
-    return projected, float(np.linalg.norm(uhat - projected))
+    distance = float(np.linalg.norm(uhat - projected))
+    if distance > KERNEL_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(uhat))):
+        raise NotInKernel(
+            f"vector sits {distance:.3e} away from the adjoint kernel")
+    return projected
 
 
 def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
@@ -120,11 +124,7 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
     formulas (one stripping the first block, one the last) are both evaluated
     and must agree on the overlap.
     """
-    projected, distance = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    scale = max(1.0, float(np.linalg.norm(uhat)))
-    if distance > KERNEL_MEMBERSHIP_TOL * scale:
-        raise NotInKernel(
-            f"vector sits {distance:.3e} away from the adjoint kernel")
+    projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
     return _lift_projected(bs, projected, tol)
 
 
@@ -207,10 +207,7 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     homogeneous solution with the right-hand side; this returns the absolute
     mismatch between the two computations.
     """
-    projected, distance = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    if distance > KERNEL_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(uhat))):
-        raise NotInKernel(
-            f"vector sits {distance:.3e} away from the adjoint kernel")
+    projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
     stacked = _lift_projected(bs, projected, tol)
     u = reconstruct(bs, stacked)
     lhs = complex(np.vdot(projected, moments.functional))

@@ -17,6 +17,7 @@ from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
 from .coefficients import Check, Problem
 from .functions import L2Function
 from .fuzz import random_f, random_instance
+from .propagation import _adjoint, _NodeStates, _pairings
 from .relations import (OrthogonalityCertificate, inner_product,
                         lagrange_check, t0_solve_system, weighted_norm)
 from .solutions import (DEFAULT_TOL_SOLVE, compact_support_solutions,
@@ -68,10 +69,9 @@ def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
     J = bs.problem.J
     worst = 0.0
     for U in bs.fundamentals:
-        for x in np.linspace(U.lo, U.hi, samples):
-            val = U.evaluate(float(x), "left")
-            worst = max(worst, float(np.linalg.norm(
-                val.conj().T @ J @ val - J)))
+        vals, _ = U.states.limits(np.linspace(U.lo, U.hi, samples))
+        worst = max(worst, float(np.max(np.linalg.norm(
+            _adjoint(vals) @ J @ vals - J, axis=(1, 2)), initial=0.0)))
     transfer_worst = 0.0
     for U in bs.fundamentals:
         for T in U.transfers:
@@ -165,8 +165,11 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     """Random representable function orthogonal to every homogeneous solution.
 
     Constant on each partition subinterval with zero values at the weight
-    atoms; the piece values are drawn from the nullspace of the Gram-type
-    constraint matrix pairing each homogeneous solution with each indicator.
+    atoms; the piece values are drawn from the nullspace of the Gram matrix
+    pairing each homogeneous solution with each indicator of a subinterval and
+    a component.  On subinterval i a homogeneous solution is U_i c_i, so its
+    pairing with the indicator of (i, c) is c_i^* times the integral of
+    U_i^* w e_c there: n pairings of the fundamental matrices give them all.
     """
     problem = bs.problem
     window = bs.partition.window
@@ -177,20 +180,16 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     positions, _ = problem.w.atoms_between(lo, hi)
     zero_atoms = {float(x): np.zeros(n, dtype=complex) for x in positions}
 
-    homogeneous = solve_system(bs, tol_rank=tol_rank).kernel_basis
-    indicators = []
-    for i in range(pieces):
-        for c in range(n):
-            values = [np.zeros(n, dtype=complex) for _ in range(pieces)]
-            values[i] = np.eye(n, dtype=complex)[c]
-            indicators.append(L2Function(window, edges, values, zero_atoms))
-    gram = np.zeros((len(homogeneous), len(indicators)), dtype=complex)
-    for k, sol in enumerate(homogeneous):
-        for l, gfun in enumerate(indicators):
-            gram[k, l] = inner_product(problem.w, sol, gfun, window)
+    states = _NodeStates.join([U.states for U in bs.fundamentals])
+    moments = np.stack([_pairings(problem.w, states,
+                                  L2Function(window, [lo, hi], [e], zero_atoms),
+                                  edges)[..., 0]
+                        for e in np.eye(n, dtype=complex)], axis=-1)
+    kernel = bs.factors.kernel(tol_rank).reshape(pieces, n, -1)
+    gram = np.einsum("iak,iac->kic", kernel.conj(), moments).reshape(-1, pieces * n)
     span = nullspace(gram, tol_rank)
     coeffs = span @ _rand_complex(rng, span.shape[1]) if span.shape[1] else \
-        np.zeros(len(indicators), dtype=complex)
+        np.zeros(pieces * n, dtype=complex)
     values = [coeffs[i * n:(i + 1) * n] for i in range(pieces)]
     return L2Function(window, edges, values, zero_atoms)
 

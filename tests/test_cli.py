@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
+import importlib
 import json
 import os
 import shutil
@@ -197,6 +198,16 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_console_script_names_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts["measureode"] == "measureode.cli:main"
+    module, _, name = scripts["measureode"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_module_invocation_matches_the_entry_point():

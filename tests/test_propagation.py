@@ -28,6 +28,7 @@ from measureode.functions import L2Function
 from measureode.fuzz import hermitize, psd_project, random_f, random_matrix
 from measureode.propagation import inhomogeneous_integral, w_pairing
 from measureode.solutions import reconstruct, solve_system
+from measureode.verify import orthogonal_rhs
 
 TOL_SERIES = 1e-12    # relative, exponential vs series oracle
 TOL_QUAD = 1e-8       # absolute, integrals vs adaptive quadrature
@@ -666,5 +667,10 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
         n_states, _ = calls(sol._node_states)
         n_pairing, _ = calls(lambda: w_pairing(problem.w, sol, sol, window))
         n_mixed, _ = calls(lambda: w_pairing(problem.w, sol, f, window))
-        per_size.append((n_assemble, n_moments, n_states, n_pairing, n_mixed))
+        U = bs.fundamentals[-1]
+        n_integral, _ = calls(lambda: inhomogeneous_integral(U, problem.w, f,
+                                                             0.5 * (U.lo + U.hi)))
+        n_orthogonal, _ = calls(lambda: orthogonal_rhs(np.random.default_rng(0), bs, 1e-10))
+        per_size.append((n_assemble, n_moments, n_states, n_pairing, n_mixed,
+                         n_integral, n_orthogonal))
     assert per_size[0] == per_size[1]

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from measureode import run_random_suites, run_suites
-from measureode.verify import SUITE_NAMES, orthogonal_rhs
+from measureode.propagation import w_pairing
+from measureode.solutions import solve_system
+from measureode.verify import SUITE_NAMES, TOL_PAIRING, orthogonal_rhs
 from measureode import inner_product, kernel_K0, weighted_norm
 from measureode.fuzz import random_instance
 
 from conftest import INTERVAL, block_system
+from test_acceptance import _fuzz_systems
 
 
 def test_every_suite_row_passes_on_a_seeded_batch():
@@ -57,6 +60,21 @@ def test_orthogonal_rhs_is_orthogonal_to_the_kernel():
             assert pairing <= 1e-8 * (1.0 + fn * el.w_norm)
 
 
+def test_orthogonal_rhs_is_orthogonal_to_every_homogeneous_solution():
+    # The Gram matrix comes from the fundamental matrices and bs.factors; the
+    # check pairs f with the reconstructed kernel basis through w_pairing.
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for inst, bs in _fuzz_systems():
+        f = orthogonal_rhs(rng, bs, 1e-10)
+        fn = weighted_norm(inst.problem.w, f, inst.window)
+        for u in solve_system(bs).kernel_basis:
+            pairing = abs(w_pairing(inst.problem.w, u, f, inst.window))
+            un = weighted_norm(inst.problem.w, u, inst.window)
+            worst = max(worst, pairing / (TOL_PAIRING * (1.0 + fn * un)))
+    assert worst <= 1.0
+
+
 def test_cbbc_bookkeeping_row_fails_when_the_ranks_disagree(monkeypatch, mirror_system):
     import measureode.verify as verify
 
@@ -82,8 +100,8 @@ def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
     rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
                       checks=("t0",), rng=rng)
     assert sum("range orthogonal" in r.name for r in rows) == 2
-    # one basis shared by both result checks, one inside orthogonal_rhs
-    assert len(calls) == 2
+    # one basis shared by both result checks; orthogonal_rhs builds none
+    assert len(calls) == 1
 
 
 def test_suite_t0_computes_moment_vectors_once_per_rhs(monkeypatch):
