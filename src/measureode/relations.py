@@ -26,12 +26,7 @@ from .coefficients import MeasureMatrix, Problem
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, w_pairing
-from .solutions import (
-    DEFAULT_TOL_SOLVE,
-    lift_kernel_vector,
-    reconstruct,
-    solve_system,
-)
+from .solutions import DEFAULT_TOL_SOLVE, _lift_projected, reconstruct, solve_system
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -151,8 +146,8 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
     residual = float(np.linalg.norm(bs.B_m @ gamma - target))
 
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
-    projected = basis @ (basis.conj().T @ target)
-    projection_norm = float(np.linalg.norm(projected))
+    kernel_vector = basis @ (basis.conj().T @ target)
+    projection_norm = float(np.linalg.norm(kernel_vector))
 
     if residual <= tol_solve * (1.0 + float(np.linalg.norm(target))):
         n = bs.n
@@ -161,8 +156,7 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
         stacked = np.concatenate([first, gamma, last])
         return reconstruct(bs, stacked, f)
 
-    kernel_vector = projected
-    stacked = lift_kernel_vector(bs, kernel_vector, tol_solve, tol_rank)
+    stacked = _lift_projected(bs, kernel_vector[:, None], tol_solve)[:, 0]
     witness = reconstruct(bs, stacked)
     pairing = w_pairing(problem.w, witness, f, bs.partition.window)
     moment_pairing = complex(np.vdot(kernel_vector, target))

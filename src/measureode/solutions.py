@@ -125,60 +125,64 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
     and must agree on the overlap.
     """
     projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    return _lift_projected(bs, projected, tol)
+    return _lift_projected(bs, projected[:, None], tol)[:, 0]
 
 
 def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray:
+    """Lift of each column of uhat (nN, K), already in ker B_m^*: (n(N+1), K).
+
+    Overlap and post-checks (B c = 0, C c = uhat) are bounded per column and
+    computed block by block from ``b_plus`` and ``u_ends``.
+    """
     J = bs.problem.J
-    blocks = uhat.reshape(bs.N, bs.n, 1)
+    n, N = bs.n, bs.N
+    b_plus_adj = _adjoint(bs.b_plus)
+    blocks = uhat.reshape(N, n, -1)
     # Strip-first formula: coefficients c_1 .. c_N.
-    top = -np.linalg.solve(J, _adjoint(bs.b_plus) @ blocks)[..., 0]
+    top = -np.linalg.solve(J, b_plus_adj @ blocks)
     # Strip-last formula: coefficients c_0 .. c_{N-1}.
-    bottom = np.linalg.solve(
-        J, _adjoint(bs.u_ends[:-1]) @ (bs.b_plus @ blocks))[..., 0]
+    bottom = np.linalg.solve(J, _adjoint(bs.u_ends[:-1]) @ (bs.b_plus @ blocks))
 
-    scale = max(1.0, float(np.linalg.norm(uhat)))
-    overlap = float(np.max(np.linalg.norm(top[:-1] - bottom[1:], axis=1)))
-    if overlap > 10.0 * tol * scale:
+    scale = np.maximum(1.0, np.linalg.norm(uhat, axis=0))
+    overlap = np.linalg.norm(top[:-1] - bottom[1:], axis=1).max(axis=0)
+    if (overlap > 10.0 * tol * scale).any():
         raise InconsistentLift(
-            f"reconstruction formulas disagree by {overlap:.3e} on the overlap")
-    stacked = np.concatenate(
-        [bottom[:1], 0.5 * (top[:-1] + bottom[1:]), top[-1:]]).reshape(-1)
+            f"reconstruction formulas disagree by {overlap.max():.3e} on the overlap")
+    c = np.concatenate([bottom[:1], 0.5 * (top[:-1] + bottom[1:]), top[-1:]])
 
-    residual = float(np.linalg.norm(bs.B @ stacked))
-    matched = float(np.linalg.norm(bs.C @ stacked - uhat))
-    if residual > 100.0 * tol * scale or matched > 100.0 * tol * scale:
+    ends = bs.u_ends[:-1] @ c[:-1]
+    residual = np.linalg.norm(b_plus_adj @ ends + bs.b_plus @ c[1:], axis=(0, 1))
+    matched = np.linalg.norm(0.5 * (ends + c[1:]) - blocks, axis=(0, 1))
+    if (np.maximum(residual, matched) > 100.0 * tol * scale).any():
         raise InconsistentLift(
-            f"lift failed post-check: coupling residual {residual:.3e}, "
-            f"balanced-value mismatch {matched:.3e}")
-    return stacked
+            f"lift failed post-check: coupling residual {residual.max():.3e}, "
+            f"balanced-value mismatch {matched.max():.3e}")
+    return c.reshape(n * (N + 1), -1)
 
 
 def _compact_lifts(bs: BlockSystem, tol: float, tol_rank: float
                    ) -> list[tuple[PiecewiseSolution, float]]:
     """Solution lifted from each ker B^* vector, with its endpoint defect.
 
+    ker B^* lies in ker B_m^*, so the columns are lifted without projection.
     The defect is the larger norm of the lift's first and last coefficient
     blocks, taken before they are set to zero.
     """
     basis = bs.factors.adjoint_kernel(tol_rank)
+    if basis.shape[1] == 0:
+        return []
     n = bs.n
-    out = []
-    for i in range(basis.shape[1]):
-        uhat = basis[:, i]
-        top = int(np.argmax(np.abs(uhat)))
-        uhat = uhat / uhat[top]
-        stacked = lift_kernel_vector(bs, uhat, tol, tol_rank)
-        edge = max(float(np.linalg.norm(stacked[:n])),
-                   float(np.linalg.norm(stacked[-n:])))
-        if edge > 10.0 * tol * max(1.0, float(np.linalg.norm(uhat))):
-            raise LiftEndpointNonzero(
-                f"endpoint coefficient blocks have norm {edge:.3e}")
-        stacked = stacked.copy()
-        stacked[:n] = 0.0
-        stacked[-n:] = 0.0
-        out.append((reconstruct(bs, stacked), edge))
-    return out
+    uhat = basis / basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    stacked = _lift_projected(bs, uhat, tol)
+    edges = np.maximum(np.linalg.norm(stacked[:n], axis=0),
+                       np.linalg.norm(stacked[-n:], axis=0))
+    if (edges > 10.0 * tol * np.maximum(1.0, np.linalg.norm(uhat, axis=0))).any():
+        raise LiftEndpointNonzero(
+            f"endpoint coefficient blocks have norm {edges.max():.3e}")
+    stacked[:n] = 0.0
+    stacked[-n:] = 0.0
+    return [(reconstruct(bs, stacked[:, k]), float(edges[k]))
+            for k in range(basis.shape[1])]
 
 
 def compact_support_solutions(bs: BlockSystem,
@@ -208,7 +212,7 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     mismatch between the two computations.
     """
     projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    stacked = _lift_projected(bs, projected, tol)
+    stacked = _lift_projected(bs, projected[:, None], tol)[:, 0]
     u = reconstruct(bs, stacked)
     lhs = complex(np.vdot(projected, moments.functional))
     lo, hi = bs.partition.window

@@ -2,8 +2,9 @@
 
 The kernels and min-norm solves a BlockSystem answers from its two cached
 SVDs (of B and of B_m) must agree with ``nullspace`` and
-``minimum_norm_solve`` applied to the dense matrices, and each system must
-factorise B_m at most once however many kernel vectors are lifted.
+``minimum_norm_solve`` applied to the dense matrices.  Compactly supported
+solutions lift every ker B^* vector in one batch and never factorise B_m;
+the batch must agree with the dense B and with one-column lifts.
 """
 
 import numpy as np
@@ -11,14 +12,19 @@ import pytest
 
 from measureode import MeasureMatrix, Problem, blocksystem, fuzz
 from measureode.blocksystem import nullspace
-from measureode.solutions import compact_support_solutions, minimum_norm_solve
+from measureode.cli import main
+from measureode.solutions import (compact_support_solutions, lift_kernel_vector,
+                                  minimum_norm_solve)
 from measureode.verify import run_suites
 
 from conftest import block_system
+from test_cli import data
 from test_acceptance import _fuzz_systems
 
 SPAN_TOL = 1e-8
 SOLVE_TOL = 1e-10
+LIFT_RESIDUAL_TOL = 1e-9
+LIFT_MATCH_TOL = 1e-12
 
 
 def mirrored_chain(seed=5, pairs=2):
@@ -92,7 +98,7 @@ def test_run_suites_builds_one_block_system(monkeypatch):
     assert len(built) == 1
 
 
-def test_compact_solutions_factorise_b_m_once(monkeypatch):
+def test_compact_solutions_never_factorise_b_m(monkeypatch):
     problem, interval = mirrored_chain()
     bs = block_system(problem, interval)
     reduced_shapes = {bs.B_m.shape, bs.B_m.T.shape}
@@ -107,7 +113,38 @@ def test_compact_solutions_factorise_b_m_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     solutions = compact_support_solutions(bs)
     assert bs.N == 4 and len(solutions) == 2
-    assert len(calls) <= 1
+    assert calls == []
+    assert "reduced_factors" not in vars(bs)
+
+
+def test_cli_compact_never_factorises_b_m(monkeypatch, capsys):
+    def forbidden(self):
+        raise AssertionError("compact factorised B_m")
+
+    monkeypatch.setattr(blocksystem.BlockSystem, "reduced_factors", property(forbidden))
+    assert main(["compact", "--input", data("instance_a.json")]) == 0
+
+
+def test_batched_compact_lifts_match_the_dense_oracle():
+    systems = [bs for _, bs in _fuzz_systems()]
+    systems += [block_system(*mirrored_chain(pairs=pairs)) for pairs in (10, 20)]
+    counts = []
+    for bs in systems:
+        n = bs.n
+        basis = bs.factors.adjoint_kernel()
+        solutions = compact_support_solutions(bs)
+        assert len(solutions) == nullspace(bs.B.conj().T).shape[1]
+        counts.append(len(solutions))
+        for k, solution in enumerate(solutions):
+            uhat = basis[:, k] / basis[np.argmax(np.abs(basis[:, k])), k]
+            c = solution.coefficient_vector()
+            scale = max(1.0, float(np.linalg.norm(uhat)))
+            assert np.linalg.norm(bs.B @ c) <= LIFT_RESIDUAL_TOL * scale
+            assert not c[:n].any() and not c[-n:].any()
+            one_column = lift_kernel_vector(bs, uhat)[n:-n]
+            assert np.linalg.norm(c[n:-n] - one_column) \
+                <= LIFT_MATCH_TOL * max(1.0, float(np.linalg.norm(one_column)))
+    assert counts[-2:] == [10, 20]
 
 
 @pytest.mark.parametrize("tol_rank", [1e-10, 1e-3])

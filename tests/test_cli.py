@@ -173,6 +173,19 @@ def test_report_has_the_documented_shape(capsys):
         assert set(row) == {"name", "defect", "tolerance", "pass"}
 
 
+def test_verify_reports_a_failed_lift_as_failing_rows(capsys):
+    # Each subinterval's propagator grows by about e^33, so the lifts break down.
+    code, out, _ = run_main(["verify", "--input", data("instance_hyperbolic.json")],
+                            capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    raised = [row for row in report["checks"] if " raised " in row["name"]]
+    assert "lift raised InconsistentLift [input]" in [row["name"] for row in raised]
+    assert all(not row["pass"] and row["defect"] > row["tolerance"]
+               for row in raised)
+
+
 def test_reports_are_byte_identical_for_a_fixed_seed(tmp_path, capsys):
     outputs = []
     for name in ("first.json", "second.json"):

@@ -16,6 +16,7 @@ from measureode import (
     t0_solve,
     weighted_norm,
 )
+from measureode import solutions
 from measureode.functions import L2Function
 from measureode.verify import orthogonal_rhs
 
@@ -77,6 +78,18 @@ def test_t0_solve_certifies_the_mirror_obstruction(mirror_problem, ones_rhs):
         assert np.linalg.norm(witness.evaluate(x)) <= 1e-12
     assert inner_product(mirror_problem.w, witness, ones_rhs,
                          INTERVAL) == pytest.approx(result.pairing, abs=1e-10)
+
+
+def test_t0_certificate_is_lifted_without_a_membership_check(
+        monkeypatch, mirror_problem, ones_rhs):
+    # The certificate vector is a projection onto ker B_m^* by construction.
+    checks = []
+    original = solutions._project_onto_adjoint_kernel
+    monkeypatch.setattr(solutions, "_project_onto_adjoint_kernel",
+                        lambda *args: checks.append(args) or original(*args))
+    assert isinstance(t0_solve(mirror_problem, INTERVAL, ones_rhs),
+                      OrthogonalityCertificate)
+    assert checks == []
 
 
 def test_t0_solve_solves_orthogonal_right_hand_sides(repeated_problem):
