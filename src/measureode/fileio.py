@@ -130,8 +130,11 @@ def _rhs(value, n: int, w: MeasureMatrix, ctx: str) -> L2Function:
                 raise ParseError(f"missing key '{key}'", pctx)
         pieces.append((_number(piece["from"], pctx), _number(piece["to"], pctx),
                        _vector(piece["vector"], n, pctx)))
+    raw_atom_values = value.get("atom_values", [])
+    if not isinstance(raw_atom_values, list):
+        raise ParseError("atom_values must be a list", ctx)
     atom_values = {}
-    for i, item in enumerate(value.get("atom_values", [])):
+    for i, item in enumerate(raw_atom_values):
         actx = f"{ctx}.atom_values[{i}]"
         _reject_unknown(item, _F_ATOM_KEYS, actx)
         for key in _F_ATOM_KEYS:
@@ -210,8 +213,12 @@ def parse_problem(data: dict) -> ParsedProblem:
                                  f"$.tolerances.{key}")
             tolerances[key] = value
 
+    raw_forced = data.get("forced_partition_points", [])
+    if not isinstance(raw_forced, list):
+        raise ParseError("forced_partition_points must be a list",
+                         "$.forced_partition_points")
     forced = []
-    for i, value in enumerate(data.get("forced_partition_points", [])):
+    for i, value in enumerate(raw_forced):
         x = _number(value, f"$.forced_partition_points[{i}]")
         if not (window[0] < x < window[1]):
             raise ParseError("forced partition points must lie strictly inside "

@@ -304,50 +304,53 @@ class FundamentalMatrix:
         return self.evaluate(x, side)
 
 
+def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only right and left limits of a state carried across consecutive gaps.
+
+    One stacked expm steps every gap.  Gap k starts from starts[k] where that
+    is given, else from jump(k, y), y being the left limit that ends gap k - 1.
+    """
+    steps = expm(generators * widths[:, None, None])
+    rights = np.empty(steps.shape[:1] + starts[0].shape, dtype=complex)
+    lefts = np.empty_like(rights)
+    for k, step in enumerate(steps):
+        y = starts[k] if k in starts else jump(k, y)
+        rights[k] = y
+        y = lefts[k] = step @ y
+    return _freeze(rights), _freeze(lefts)
+
+
 def _fundamental_matrices(problem: Problem, subs, tol_sing: float = DEFAULT_TOL_SING
                           ) -> list[FundamentalMatrix]:
     """Fundamental matrices on each subinterval, every gap in one stacked expm."""
     a, b = problem.interval
     J, q, n = problem.J, problem.q, problem.n
-    node_sets, atom_maps = [], []
+    eye = np.eye(n, dtype=complex)
+    node_sets, starts, transfers = [], {}, []   # transfers[k]: entering gap k, or None
     for lo, hi in subs:
         lo, hi = float(lo), float(hi)
         if not (a <= lo < hi <= b):
             raise OutOfInterval(f"({lo}, {hi}) is not a subinterval of [{a}, {b}]")
         atom_pos, atom_mats = q.atoms_between(lo, hi)
-        bkpts = q.breakpoints
-        inner_bkpts = bkpts[(bkpts > lo) & (bkpts < hi)]
-        node_sets.append(np.unique(np.concatenate([[lo, hi], atom_pos, inner_bkpts])))
-        atom_maps.append(dict(zip(atom_pos.tolist(), atom_mats)))
+        atom_at = dict(zip(atom_pos.tolist(), atom_mats))
+        bkpts = q.breakpoints[(q.breakpoints > lo) & (q.breakpoints < hi)]
+        nodes = np.unique(np.concatenate([[lo, hi], atom_pos, bkpts]))
+        node_sets.append(nodes)
+        starts[len(transfers)] = eye
+        transfers += [None] + [atom_transfer(J, atom_at[x], tol_sing, position=x)
+                               if x in atom_at else None for x in nodes[1:-1].tolist()]
     mids = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]) for nodes in node_sets])
     widths = np.concatenate([np.diff(nodes) for nodes in node_sets])
     generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
-    steps = expm(generators * widths[:, None, None])
-
-    eye = np.eye(n, dtype=complex)
+    rights, lefts = _carry(generators, widths, starts,
+                           lambda k, y: y if transfers[k] is None else transfers[k] @ y)
     fundamentals = []
-    start = 0
-    for nodes, atom_at in zip(node_sets, atom_maps):
-        gaps = nodes.size - 1
-        rights = np.empty((gaps, n, n), dtype=complex)
-        lefts = np.empty((gaps, n, n), dtype=complex)
-        transfers = np.empty((gaps - 1, n, n), dtype=complex)
-        right = eye
-        for k in range(gaps):
-            rights[k] = right
-            left = lefts[k] = steps[start + k] @ right
-            if k + 1 < gaps:
-                pos = float(nodes[k + 1])
-                if pos in atom_at:
-                    transfers[k] = atom_transfer(J, atom_at[pos], tol_sing, position=pos)
-                    right = transfers[k] @ left
-                else:
-                    transfers[k] = eye
-                    right = left
-        states = _NodeStates(nodes, generators[start:start + gaps],
-                             _freeze(rights), _freeze(lefts))
-        fundamentals.append(FundamentalMatrix(J, states, _freeze(transfers)))
-        start += gaps
+    for first, nodes in zip(starts, node_sets):
+        gaps = slice(first, first + nodes.size - 1)
+        inner = np.array([eye if T is None else T for T in transfers[first + 1:gaps.stop]],
+                         dtype=complex).reshape(-1, n, n)
+        states = _NodeStates(nodes, generators[gaps], rights[gaps], lefts[gaps])
+        fundamentals.append(FundamentalMatrix(J, states, _freeze(inner)))
     return fundamentals
 
 
@@ -366,16 +369,17 @@ def _check_rhs(f, lo: float, hi: float) -> None:
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
-    Stores the partition points, one fundamental matrix and one read-only
-    coefficient vector (the right limit at the subinterval's start) per
+    Stores the partition points, one fundamental matrix U_j and one read-only
+    coefficient vector c_j (the right limit at the subinterval's start) per
     subinterval, and the right-hand side (None for homogeneous).  On first use
-    the solution is stepped once through its nodes, the points where q, w or
-    f change: exponentials of [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one per
-    gap and all from one stacked call, carry the augmented state (u, 1) across
-    the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u- + dw f links the
-    two limits at each interior node.  A value at a node is a stored limit;
-    anywhere else it is one exponential from the node to its left.  Outside
-    the window evaluation raises.
+    it builds its node states.  A homogeneous solution reads them off its
+    fundamental matrices as U_j(node+-) c_j, with no exponential of its own.
+    With a rhs the nodes include where w or f change; exponentials of
+    [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
+    (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
+    + dw f links the two limits at each interior atom.  A value at a node is a
+    stored limit; anywhere else it is one exponential from the node to its
+    left.  Outside the window evaluation raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
@@ -391,6 +395,9 @@ class PiecewiseSolution:
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
         self.fundamentals = list(fundamentals)
+        if any(U.interval != (lo, hi) for U, lo, hi in
+               zip(self.fundamentals, self.points[:-1], self.points[1:])):
+            raise WindowMismatch("each fundamental matrix must span its own subinterval")
         self.coefficients = [_freeze(np.array(c, dtype=complex).reshape(-1))
                              for c in coefficients]
         n = problem.n
@@ -421,47 +428,44 @@ class PiecewiseSolution:
         return np.unique(np.concatenate(pieces))
 
     def _node_states(self) -> _NodeStates:
-        """States at every node: one stacked expm for all gaps, then the jump rule."""
+        """States at every node, built on first use as the class describes."""
         if self._states is not None:
             return self._states
+        homogeneous = _NodeStates.join([U.states for U in self.fundamentals])
         f, problem, n = self.rhs, self.problem, self.n
+        if f is None:
+            c = np.repeat(np.array(self.coefficients),
+                          [U.nodes.size - 1 for U in self.fundamentals], axis=0)[..., None]
+            self._states = homogeneous._replace(rights=_freeze(homogeneous.rights @ c),
+                                                lefts=_freeze(homogeneous.lefts @ c))
+            return self._states
         q, w = problem.q, problem.w
-        if f is not None:
-            _check_rhs(f, *self.window)
+        _check_rhs(f, *self.window)
         nodes = self.structure_points()
         nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-        gaps = mids.size
-        homogeneous = _NodeStates.join([U.states for U in self.fundamentals])
-        generators = np.zeros((gaps, n + 1, n + 1), dtype=complex)
+        generators = np.zeros((mids.size, n + 1, n + 1), dtype=complex)
         generators[:, :n, :n] = homogeneous.generators_at(mids)
-        jumps = np.isin(nodes, q.atom_positions)
-        if f is not None:
-            loads = (_pieces_at(w.breakpoints, w.densities, mids)
-                     @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
-            generators[:, :n, n:] = _solve_j(problem.J, loads)
-            jumps |= np.isin(nodes, w.atom_positions)
-        steps = expm(generators * np.diff(nodes)[:, None, None])
+        loads = (_pieces_at(w.breakpoints, w.densities, mids)
+                 @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
+        generators[:, :n, n:] = _solve_j(problem.J, loads)
+        atoms = np.isin(nodes, q.atom_positions) | np.isin(nodes, w.atom_positions)
+        # At a partition point the coupling equation holds the jump.
+        starts = {int(k): np.append(c, 1.0)[:, None] for k, c in
+                  zip(np.searchsorted(nodes, self.points[:-1]), self.coefficients)}
 
-        rights = np.empty((gaps, n + 1, 1), dtype=complex)
-        lefts = np.empty((gaps, n + 1, 1), dtype=complex)
-        j = -1
-        for k in range(gaps):
+        def jump(k, y):
+            if not atoms[k]:
+                return y
             x = float(nodes[k])
-            if x == self.points[j + 1]:
-                # A partition point: the coupling equation holds the jump there.
-                j += 1
-                y = np.append(self.coefficients[j], 1.0)[:, None]
-            elif jumps[k]:
-                load = w.jump(x) @ f.value(x, "balanced") if f is not None else 0.0
-                if q.jump(x).any() or np.any(load):
-                    y[:n, 0] = np.linalg.solve(problem.b_plus(x),
-                                               problem.b_minus(x) @ y[:n, 0] + load)
-            rights[k] = y
-            y = steps[k] @ y
-            lefts[k] = y
-        self._states = _NodeStates(nodes, _freeze(generators), _freeze(rights),
-                                   _freeze(lefts))
+            load = w.jump(x) @ f.value(x, "balanced")
+            if not (q.jump(x).any() or load.any()):
+                return y
+            u = np.linalg.solve(problem.b_plus(x), problem.b_minus(x) @ y[:n, 0] + load)
+            return np.vstack([u[:, None], y[n:]])
+
+        rights, lefts = _carry(generators, np.diff(nodes), starts, jump)
+        self._states = _NodeStates(nodes, _freeze(generators), rights, lefts)
         return self._states
 
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:

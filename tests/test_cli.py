@@ -118,6 +118,35 @@ def test_malformed_input_exits_two(capsys):
     assert "unknown key" in err
 
 
+def _instance_b() -> dict:
+    with open(data("instance_b.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_a_list_field_that_is_not_a_list_is_a_parse_error():
+    forced = _instance_b()
+    forced["forced_partition_points"] = 3
+    with pytest.raises(ParseError, match="must be a list") as err:
+        parse_problem(forced)
+    assert "$.forced_partition_points" in str(err.value)
+    atom_values = _instance_b()
+    atom_values["f"]["atom_values"] = 5
+    with pytest.raises(ParseError, match="must be a list") as err:
+        parse_problem(atom_values)
+    assert "$.f" in str(err.value)
+
+
+def test_a_malformed_list_field_exits_two(tmp_path, capsys):
+    raw = _instance_b()
+    raw["f"]["atom_values"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run_main(["validate", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "atom_values must be a list" in err
+
+
 def test_missing_input_exits_two_except_for_random_verify(capsys):
     code, _, err = run_main(["kernel"], capsys)
     assert code == 2

@@ -13,6 +13,7 @@ from scipy.integrate import quad_vec
 from measureode import (
     MeasureMatrix,
     OutOfInterval,
+    PiecewiseSolution,
     Problem,
     SingularAtom,
     atom_transfer,
@@ -21,13 +22,14 @@ from measureode import (
     segment_integral,
     product_integral,
     solve_ivp_regular,
+    WindowMismatch,
 )
 from measureode import build_system, propagation
 from measureode.blocksystem import moment_vectors
 from measureode.functions import L2Function
 from measureode.fuzz import hermitize, psd_project, random_f, random_matrix
 from measureode.propagation import inhomogeneous_integral, w_pairing
-from measureode.solutions import reconstruct, solve_system
+from measureode.solutions import compact_support_solutions, reconstruct, solve_system
 from measureode.verify import orthogonal_rhs
 
 TOL_SERIES = 1e-12    # relative, exponential vs series oracle
@@ -386,7 +388,9 @@ def _dense_problem(rng):
 
 
 def test_solution_values_match_the_closed_form_oracle():
-    from test_acceptance import _fuzz_systems  # imports this module, so not at the top
+    # Both import this module (test_block_factors through test_acceptance).
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import mirrored_chain
     rng = np.random.default_rng(41)
     worst = 0.0
     for inst, bs in _fuzz_systems():
@@ -398,7 +402,23 @@ def test_solution_values_match_the_closed_form_oracle():
         bs = build_system(problem, (-1.0, 1.0), extra)
         for sol in _solutions_of(bs, f):
             worst = max(worst, _worst_oracle_defect(sol))
+    for pairs in (2, 10):
+        compact = compact_support_solutions(build_system(*mirrored_chain(pairs=pairs)))
+        assert len(compact) == pairs
+        for sol in compact:
+            worst = max(worst, _worst_oracle_defect(sol))
+            _assert_zero_outside_support(sol)
     assert worst <= TOL_ORACLE
+
+
+def _assert_zero_outside_support(sol):
+    """Exact zeros off [p_1, p_{N-1}], and the outer limits at its two ends."""
+    lo, hi = sol.points[1], sol.points[-2]
+    nodes = _nodes(sol)
+    for x in np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]):
+        for side in _oracle(sol, float(x)):
+            if x < lo or x > hi or (x, side) in ((lo, "left"), (hi, "right")):
+                assert not sol.evaluate(float(x), side).any()
 
 
 def test_sampling_takes_one_exponential_per_sample(monkeypatch):
@@ -423,6 +443,13 @@ def test_sampling_takes_one_exponential_per_sample(monkeypatch):
         sol.evaluate(float(x))
     assert counts["integral"] == 0
     assert counts["expm"] - first <= grid.size - 1
+
+
+def test_solution_fundamentals_must_span_their_subintervals():
+    problem = _density_problem()
+    U = fundamental_matrix(problem, (-1.0, 0.5))
+    with pytest.raises(WindowMismatch):
+        PiecewiseSolution(problem, [-1.0, 1.0], [U], [[1.0, 0.0]])
 
 
 def test_solution_coefficients_are_read_only():
@@ -589,7 +616,9 @@ def _relative(got, want):
 
 
 def test_pairings_and_moment_integrals_match_a_per_piece_reference():
-    from test_acceptance import _fuzz_systems  # imports this module, so not at the top
+    # Both import this module (test_block_factors through test_acceptance).
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import mirrored_chain
     rng = np.random.default_rng(45)
     cases = [(inst.problem, bs, random_f(rng, inst.problem, inst.window))
              for inst, bs in _fuzz_systems()]
@@ -673,4 +702,8 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
         n_orthogonal, _ = calls(lambda: orthogonal_rhs(np.random.default_rng(0), bs, 1e-10))
         per_size.append((n_assemble, n_moments, n_states, n_pairing, n_mixed,
                          n_integral, n_orthogonal))
+        # A homogeneous solution reads its states off the fundamental matrices.
+        n_homogeneous, states = calls(solve_system(bs).kernel_basis[0]._node_states)
+        assert n_homogeneous == 0
+        assert states.generators.shape[1:] == (2, 2) and states.rights.shape[1:] == (2, 1)
     assert per_size[0] == per_size[1]

@@ -119,3 +119,20 @@ def test_suite_t0_computes_moment_vectors_once_per_rhs(monkeypatch):
     assert sum("solvable means orthogonal" in r.name for r in rows) == 2
     # f and the orthogonal rhs: one set of moment vectors each
     assert len(calls) == 2
+
+
+def test_suite_lift_lifts_its_basis_in_one_call_unprojected(monkeypatch, mirror_system):
+    import measureode.solutions as solutions
+    import measureode.verify as verify
+    lifted, projected = [], []
+    lift, project = solutions._lift_projected, solutions._project_onto_adjoint_kernel
+    monkeypatch.setattr(verify, "_lift_projected",
+                        lambda bs, uhat, tol: lifted.append(uhat.shape[1]) or lift(bs, uhat, tol))
+    monkeypatch.setattr(solutions, "_project_onto_adjoint_kernel",
+                        lambda *a: projected.append(1) or project(*a))
+    columns = mirror_system.reduced_factors.adjoint_kernel(1e-10).shape[1]
+    rows = verify.suite_lift(mirror_system, "mirror", 1e-9, 1e-10)
+    assert columns >= 1 and len(rows) == 3 and all(r.passed for r in rows)
+    # the basis and its sum column in one batch, none of them projected
+    assert lifted == [columns + 1]
+    assert projected == []
