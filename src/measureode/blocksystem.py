@@ -18,7 +18,7 @@ from .coefficients import Problem
 from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
 from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint, _check_rhs,
-                          _fundamental_matrices, _NodeStates, _pairings)
+                          _fundamental_matrices, _pairings, _partition_states)
 
 DEFAULT_TOL_RANK = 1e-10
 BORDERLINE_SING = 1e-6
@@ -178,6 +178,10 @@ class Factorisation:
 class BlockSystem:
     """All matrices coupling the subinterval coefficients of a partition.
 
+    ``states`` holds the read-only node states of the whole partition, one
+    build stepped through every gap, and ``transfers`` the matrices that
+    carry them into each gap; each fundamental matrix's states and transfers
+    are views of those, and solutions, moment vectors and pairings read them.
     ``b_plus`` and ``b_minus`` stack J +- dq/2 at the N interior points,
     ``u_ends`` the end values of the N + 1 fundamental matrices.  Every
     min-norm solve and kernel of B and of the reduced B_m comes from
@@ -197,17 +201,18 @@ class BlockSystem:
 
         self.b_plus = np.array([problem.b_plus(float(x)) for x in interior])
         self.b_minus = np.array([problem.b_minus(float(x)) for x in interior])
-        self.u_ends = np.array([U.end_value for U in fundamentals])
+        self.states, self.transfers = _partition_states(fundamentals, partition.points)
+        self.u_ends = self.states.lefts[
+            np.searchsorted(self.states.nodes, partition.points[1:]) - 1]
 
         B = np.zeros((n * N, n * (N + 1)), dtype=complex)
-        C = np.zeros((n * N, n * (N + 1)), dtype=complex)
-        half = 0.5 * np.eye(n)
-        for j in range(N):
-            rows = slice(j * n, (j + 1) * n)
-            B[rows, j * n:(j + 1) * n] = _adjoint(self.b_plus[j]) @ self.u_ends[j]
-            B[rows, (j + 1) * n:(j + 2) * n] = self.b_plus[j]
-            C[rows, j * n:(j + 1) * n] = 0.5 * self.u_ends[j]
-            C[rows, (j + 1) * n:(j + 2) * n] = half
+        C = np.zeros_like(B)
+        j = np.arange(N)
+        # Block (j, j) and block (j, j + 1) of each block row j.
+        B.reshape(N, n, N + 1, n)[j, :, j] = _adjoint(self.b_plus) @ self.u_ends[:N]
+        B.reshape(N, n, N + 1, n)[j, :, j + 1] = self.b_plus
+        C.reshape(N, n, N + 1, n)[j, :, j] = 0.5 * self.u_ends[:N]
+        C.reshape(N, n, N + 1, n)[j, :, j + 1] = 0.5 * np.eye(n)
         self.B = B
         self.C = C
         self.B_m = B[:, n:-n]
@@ -236,8 +241,7 @@ def assemble(problem: Problem, partition: Partition,
     Raises SingularAtom if a singular jump sits strictly inside a
     subinterval, i.e. the partition misses it.
     """
-    pts = partition.points
-    fundamentals = _fundamental_matrices(problem, zip(pts[:-1], pts[1:]), tol_sing)
+    fundamentals = _fundamental_matrices(problem, partition.points, tol_sing)
     return BlockSystem(problem, partition, fundamentals)
 
 
@@ -278,22 +282,13 @@ class MomentVectors:
 
 def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
     """Compute all moments of f that the coupling equation needs."""
-    problem = bs.problem
-    pts = bs.points
-    n, N = bs.n, bs.N
+    problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
-
-    jump_moments = np.zeros(n * N, dtype=complex)
-    for j in range(1, N + 1):
-        x = float(pts[j])
-        dw = w.jump(x)
-        if dw.any():
-            jump_moments[(j - 1) * n: j * n] = dw @ f.value(x, "balanced")
-
-    # Open subintervals: the w-atoms at the partition points are the jump moments.
     _check_rhs(f, pts[0], pts[-1])
-    states = _NodeStates.join([U.states for U in bs.fundamentals])
-    integrals = _pairings(w, states, f, pts)[..., 0]
+    jump_moments = np.concatenate([w.jump(x) @ f.value(x, "balanced")
+                                   for x in pts[1:-1].tolist()])
+    # Open subintervals: the w-atoms at the partition points are the jump moments.
+    integrals = _pairings(w, bs.states, f, pts)[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
     coupled = _adjoint(bs.b_plus) @ (bs.u_ends[:N] @ solved[:N, :, None])
     rhs = jump_moments - coupled.reshape(-1)

@@ -18,11 +18,11 @@ from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, build_system,
                           classify_jumps, make_partition, moment_vectors)
 from .coefficients import DEFAULT_VALIDATE_TOL, Check, validate
 from .errors import MeasureOdeError, MissingRHS, ParseError
-from .fileio import ParsedProblem, load_problem, render_report, vector_json
-from .fuzz import random_instance
+from .fileio import (ParsedProblem, check_tolerance, load_problem, render_report,
+                     vector_json)
 from .relations import kernel_K0
 from .solutions import DEFAULT_TOL_SOLVE, _compact_lifts, solve_system
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, run_random_suites, run_suites
 
 _MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
 
@@ -50,16 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(parsed: ParsedProblem | None, args) -> dict[str, float]:
-    stored = parsed.tolerances if parsed is not None else {}
-    tols = {
-        "tol_sing": stored.get("tol_sing", DEFAULT_TOL_SING),
-        "tol_rank": stored.get("tol_rank", DEFAULT_TOL_RANK),
-        "tol_solve": stored.get("tol_solve", DEFAULT_TOL_SOLVE),
-    }
-    if args.tol_sing is not None:
-        tols["tol_sing"] = args.tol_sing
-    if args.tol_rank is not None:
-        tols["tol_rank"] = args.tol_rank
+    tols = {"tol_sing": DEFAULT_TOL_SING, "tol_rank": DEFAULT_TOL_RANK,
+            "tol_solve": DEFAULT_TOL_SOLVE, **(parsed.tolerances if parsed else {})}
+    for key in ("tol_sing", "tol_rank"):
+        value = getattr(args, key)
+        if value is not None:
+            tols[key] = check_tolerance(value, "--" + key.replace("_", "-"))
     return tols
 
 
@@ -67,10 +63,6 @@ def _check_rows(checks) -> list[dict]:
     return [{"name": c.name, "defect": float(c.measured),
              "tolerance": float(c.tolerance), "pass": bool(c.passed)}
             for c in checks]
-
-
-def _grid(window, samples: int) -> np.ndarray:
-    return np.linspace(window[0], window[1], max(2, samples))
 
 
 def _sampled(solution, grid) -> list[dict]:
@@ -120,7 +112,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
     f = parsed.f.refined_against(parsed.problem.w)
     mv = moment_vectors(bs, f)
     outcome = solve_system(bs, mv, tols["tol_solve"], tols["tol_rank"])
-    grid = _grid(parsed.window, args.samples)
+    grid = np.linspace(*parsed.window, args.samples)
     results = {
         "partition": _partition_json(bs.partition),
         "consistent": outcome.consistent,
@@ -130,9 +122,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
         if outcome.consistent else None,
         "kernel_samples": [_sampled(sol, grid) for sol in outcome.kernel_basis],
     }
-    rhs_norm = float(np.linalg.norm(mv.rhs))
-    row_tol = tols["tol_solve"] * (1.0 + rhs_norm)
-    row = Check("solve consistent", float(outcome.residual), row_tol,
+    row = Check("solve consistent", float(outcome.residual), outcome.bound,
                 outcome.consistent)
     return results, [row], outcome.consistent
 
@@ -140,7 +130,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
 def cmd_kernel(parsed: ParsedProblem, args, tols):
     elements = kernel_K0(parsed.problem, parsed.window, parsed.forced_points,
                          tols["tol_sing"], tols["tol_rank"])
-    grid = _grid(parsed.window, args.samples)
+    grid = np.linspace(*parsed.window, args.samples)
     results = {
         "dimension": len(elements),
         "elements": [{"w_norm": float(el.w_norm),
@@ -155,7 +145,7 @@ def cmd_compact(parsed: ParsedProblem, args, tols):
     bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
                       tols["tol_sing"])
     lifts = _compact_lifts(bs, tols["tol_solve"], tols["tol_rank"])
-    grid = _grid(parsed.window, args.samples)
+    grid = np.linspace(*parsed.window, args.samples)
     results = {
         "partition": _partition_json(bs.partition),
         "adjoint_kernel_dimension": len(lifts),
@@ -179,14 +169,9 @@ def cmd_verify(parsed: ParsedProblem | None, args, tols):
                                args.samples, tols["tol_sing"],
                                tols["tol_rank"], tols["tol_solve"],
                                tag="input"))
-    for index in range(max(0, args.random)):
-        instance = random_instance(rng)
-        rows.extend(run_suites(instance.problem, instance.window, instance.f,
-                               instance.extra_points, selected, rng,
-                               args.samples, tols["tol_sing"],
-                               tols["tol_rank"], tols["tol_solve"],
-                               tag=f"random {index}"))
-    results = {"suites": list(selected), "random_instances": max(0, args.random)}
+    rows.extend(run_random_suites(rng, args.random, selected, args.samples,
+                                  tols["tol_sing"], tols["tol_rank"], tols["tol_solve"]))
+    results = {"suites": list(selected), "random_instances": args.random}
     return results, rows, all(row.passed for row in rows)
 
 
@@ -203,6 +188,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.samples < 2:
+            raise ParseError("--samples must be at least 2", "--samples")
+        if args.random < 0:
+            raise ParseError("--random must not be negative", "--random")
         parsed = None
         if args.input is not None:
             parsed = load_problem(args.input)

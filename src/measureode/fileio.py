@@ -35,10 +35,25 @@ def _reject_unknown(obj: dict, allowed: set, ctx: str) -> None:
         raise ParseError(f"unknown key '{unknown[0]}'", ctx)
 
 
+def _fields(obj: dict, keys: set, ctx: str) -> None:
+    """ParseError unless obj has exactly these keys, naming an unknown or missing one."""
+    _reject_unknown(obj, keys, ctx)
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"missing key '{key}'", ctx)
+
+
 def _number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", ctx)
     return float(value)
+
+
+def check_tolerance(value: float, ctx: str) -> float:
+    """A tolerance strictly between 0 and 1 (so not NaN); ParseError otherwise."""
+    if not 0.0 < value < 1.0:
+        raise ParseError("tolerances must lie strictly between 0 and 1", ctx)
+    return value
 
 
 def _complex_pair(value, ctx: str) -> complex:
@@ -77,10 +92,7 @@ def _measure(value, interval, n: int, ctx: str) -> MeasureMatrix:
         mats = []
         for i, piece in enumerate(density):
             pctx = f"{ctx}.density[{i}]"
-            _reject_unknown(piece, _PIECE_KEYS, pctx)
-            for key in _PIECE_KEYS:
-                if key not in piece:
-                    raise ParseError(f"missing key '{key}'", pctx)
+            _fields(piece, _PIECE_KEYS, pctx)
             p0 = _number(piece["from"], pctx)
             p1 = _number(piece["to"], pctx)
             if p0 != edges[-1]:
@@ -101,18 +113,13 @@ def _measure(value, interval, n: int, ctx: str) -> MeasureMatrix:
         raise ParseError("atoms must be a list", ctx)
     for i, atom in enumerate(raw_atoms):
         actx = f"{ctx}.atoms[{i}]"
-        _reject_unknown(atom, _ATOM_KEYS, actx)
-        for key in _ATOM_KEYS:
-            if key not in atom:
-                raise ParseError(f"missing key '{key}'", actx)
+        _fields(atom, _ATOM_KEYS, actx)
         atoms.append((_number(atom["x"], actx), _matrix(atom["matrix"], n, actx)))
     atoms.sort(key=lambda p: p[0])
     try:
         return MeasureMatrix(interval, n=n, breakpoints=breakpoints,
                              densities=densities, atoms=atoms)
-    except MeasureOdeError as exc:
-        raise ParseError(str(exc), ctx) from exc
-    except ValueError as exc:
+    except (MeasureOdeError, ValueError) as exc:
         raise ParseError(str(exc), ctx) from exc
 
 
@@ -124,10 +131,7 @@ def _rhs(value, n: int, w: MeasureMatrix, ctx: str) -> L2Function:
     pieces = []
     for i, piece in enumerate(raw_pieces):
         pctx = f"{ctx}.pieces[{i}]"
-        _reject_unknown(piece, _F_PIECE_KEYS, pctx)
-        for key in _F_PIECE_KEYS:
-            if key not in piece:
-                raise ParseError(f"missing key '{key}'", pctx)
+        _fields(piece, _F_PIECE_KEYS, pctx)
         pieces.append((_number(piece["from"], pctx), _number(piece["to"], pctx),
                        _vector(piece["vector"], n, pctx)))
     raw_atom_values = value.get("atom_values", [])
@@ -136,10 +140,7 @@ def _rhs(value, n: int, w: MeasureMatrix, ctx: str) -> L2Function:
     atom_values = {}
     for i, item in enumerate(raw_atom_values):
         actx = f"{ctx}.atom_values[{i}]"
-        _reject_unknown(item, _F_ATOM_KEYS, actx)
-        for key in _F_ATOM_KEYS:
-            if key not in item:
-                raise ParseError(f"missing key '{key}'", actx)
+        _fields(item, _F_ATOM_KEYS, actx)
         atom_values[_number(item["x"], actx)] = _vector(item["vector"], n, actx)
     pieces.sort(key=lambda t: t[0])
     window = (pieces[0][0], pieces[-1][1])
@@ -207,11 +208,8 @@ def parse_problem(data: dict) -> ParsedProblem:
     if "tolerances" in data:
         _reject_unknown(data["tolerances"], _TOL_KEYS, "$.tolerances")
         for key, value in data["tolerances"].items():
-            value = _number(value, f"$.tolerances.{key}")
-            if not 0.0 < value < 1.0:
-                raise ParseError("tolerances must lie strictly between 0 and 1",
-                                 f"$.tolerances.{key}")
-            tolerances[key] = value
+            ctx = f"$.tolerances.{key}"
+            tolerances[key] = check_tolerance(_number(value, ctx), ctx)
 
     raw_forced = data.get("forced_partition_points", [])
     if not isinstance(raw_forced, list):

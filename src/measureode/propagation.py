@@ -145,23 +145,28 @@ def segment_integral(A: np.ndarray, dx) -> np.ndarray:
     return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
 
 
-def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndarray:
-    """Integral of exp(A s) X exp(B s) for s from 0 to dx.
+def _convolution(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndarray:
+    """exp(-A dx) times product_integral(A, X, B, dx), from one exponential.
 
-    Uses the block-triangular exponential of [[-A, X], [0, B]], whose
-    upper-right block is the time-reversed convolution, corrected by a left
-    factor exp(A dx).  Stacks (K, ...) with widths dx (K,) broadcast.
+    The upper-right block of exp([[-A, X], [0, B]] dx); stacks broadcast.
     """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
     X = np.asarray(X, dtype=complex)
     m, p = X.shape[-2:]
     block = np.zeros(X.shape[:-2] + (m + p, m + p), dtype=complex)
-    block[..., :m, :m] = -A
+    block[..., :m, :m] = -np.asarray(A)
     block[..., :m, m:] = X
     block[..., m:, m:] = B
-    t = np.asarray(dx, dtype=float)[..., None, None]
-    return expm(A * t) @ expm(block * t)[..., :m, m:]
+    return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
+
+
+def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndarray:
+    """Integral of exp(A s) X exp(B s) for s from 0 to dx.
+
+    The block convolution times exp(A dx).  Stacks (K, ...) with widths dx
+    (K,) broadcast.
+    """
+    A, t = np.asarray(A, dtype=complex), np.asarray(dx, dtype=float)[..., None, None]
+    return expm(A * t) @ _convolution(A, X, B, dx)
 
 
 def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_SING,
@@ -197,14 +202,10 @@ class _NodeStates(NamedTuple):
     rights: np.ndarray
     lefts: np.ndarray
 
-    @staticmethod
-    def join(parts: list["_NodeStates"]) -> "_NodeStates":
-        """States of consecutive windows as one, each shared end once."""
-        if len(parts) == 1:
-            return parts[0]
-        nodes = np.concatenate([parts[0].nodes[:1]] + [p.nodes[1:] for p in parts])
-        return _NodeStates(nodes, *(np.concatenate([p[i] for p in parts])
-                                    for i in (1, 2, 3)))
+    def span(self, gaps: slice) -> "_NodeStates":
+        """The states of a run of consecutive gaps: views, not copies."""
+        return _NodeStates(self.nodes[gaps.start:gaps.stop + 1], self.generators[gaps],
+                           self.rights[gaps], self.lefts[gaps])
 
     def generators_at(self, xs: np.ndarray) -> np.ndarray:
         """Generators of the gaps containing the points xs, all off the nodes."""
@@ -264,16 +265,18 @@ class FundamentalMatrix:
 
     Normalized to the identity as the right limit at the left endpoint; the
     value attributed to the right endpoint is the left limit there.  All jumps
-    strictly inside must be regular.  The node states and the transfers are
-    read-only stacks.
+    strictly inside must be regular.  Its ``states`` and ``transfers`` are
+    views of its run ``gaps`` of the read-only states and transfers that one
+    build stepped for a whole partition.
     """
 
-    def __init__(self, J, states: _NodeStates, transfers):
-        self.J = J
-        self.states = states
-        self.transfers = transfers    # one per interior node, identity if no atom
-        self.lo = float(states.nodes[0])
-        self.hi = float(states.nodes[-1])
+    def __init__(self, J, partition_states: _NodeStates, partition_transfers, gaps: slice):
+        self.J, self.gaps = J, gaps
+        self.partition_states = partition_states
+        self.partition_transfers = partition_transfers
+        self.states = partition_states.span(gaps)
+        self.transfers = partition_transfers[gaps.start + 1:gaps.stop]  # at interior nodes
+        self.lo, self.hi = float(self.states.nodes[0]), float(self.states.nodes[-1])
 
     @property
     def nodes(self) -> np.ndarray:
@@ -320,44 +323,59 @@ def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarr
     return _freeze(rights), _freeze(lefts)
 
 
-def _fundamental_matrices(problem: Problem, subs, tol_sing: float = DEFAULT_TOL_SING
+def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TOL_SING
                           ) -> list[FundamentalMatrix]:
-    """Fundamental matrices on each subinterval, every gap in one stacked expm."""
+    """Fundamental matrices on the subintervals between consecutive points.
+
+    One stacked expm steps every gap into one set of node states; transfers[k]
+    enters gap k (the identity where no atom is, and where a subinterval
+    restarts from the identity).
+    """
     a, b = problem.interval
     J, q, n = problem.J, problem.q, problem.n
+    points = np.asarray(points, dtype=float)
+    lo, hi = float(points[0]), float(points[-1])
+    if not (a <= lo and hi <= b and np.all(np.diff(points) > 0)):
+        raise OutOfInterval(f"{points.tolist()} do not partition part of [{a}, {b}]")
+    atom_pos, atom_mats = q.atoms_between(lo, hi)
+    bkpts = q.breakpoints[(q.breakpoints > lo) & (q.breakpoints < hi)]
+    nodes = _freeze(np.unique(np.concatenate([points, atom_pos, bkpts])))
+    firsts = np.searchsorted(nodes, points).tolist()
     eye = np.eye(n, dtype=complex)
-    node_sets, starts, transfers = [], {}, []   # transfers[k]: entering gap k, or None
-    for lo, hi in subs:
-        lo, hi = float(lo), float(hi)
-        if not (a <= lo < hi <= b):
-            raise OutOfInterval(f"({lo}, {hi}) is not a subinterval of [{a}, {b}]")
-        atom_pos, atom_mats = q.atoms_between(lo, hi)
-        atom_at = dict(zip(atom_pos.tolist(), atom_mats))
-        bkpts = q.breakpoints[(q.breakpoints > lo) & (q.breakpoints < hi)]
-        nodes = np.unique(np.concatenate([[lo, hi], atom_pos, bkpts]))
-        node_sets.append(nodes)
-        starts[len(transfers)] = eye
-        transfers += [None] + [atom_transfer(J, atom_at[x], tol_sing, position=x)
-                               if x in atom_at else None for x in nodes[1:-1].tolist()]
-    mids = np.concatenate([0.5 * (nodes[:-1] + nodes[1:]) for nodes in node_sets])
-    widths = np.concatenate([np.diff(nodes) for nodes in node_sets])
+    starts = dict.fromkeys(firsts[:-1], eye)
+    atom_at = dict(zip(atom_pos.tolist(), atom_mats))
+    inner = {k: atom_transfer(J, atom_at[x], tol_sing, position=x)
+             for k, x in enumerate(nodes[:-1].tolist()) if x in atom_at and k not in starts}
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
     generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
-    rights, lefts = _carry(generators, widths, starts,
-                           lambda k, y: y if transfers[k] is None else transfers[k] @ y)
-    fundamentals = []
-    for first, nodes in zip(starts, node_sets):
-        gaps = slice(first, first + nodes.size - 1)
-        inner = np.array([eye if T is None else T for T in transfers[first + 1:gaps.stop]],
-                         dtype=complex).reshape(-1, n, n)
-        states = _NodeStates(nodes, generators[gaps], rights[gaps], lefts[gaps])
-        fundamentals.append(FundamentalMatrix(J, states, _freeze(inner)))
-    return fundamentals
+    rights, lefts = _carry(generators, np.diff(nodes), starts,
+                           lambda k, y: inner[k] @ y if k in inner else y)
+    states = _NodeStates(nodes, generators, rights, lefts)
+    transfers = _freeze(np.array([inner.get(k, eye) for k in range(nodes.size - 1)]))
+    return [FundamentalMatrix(J, states, transfers, slice(first, stop))
+            for first, stop in zip(firsts[:-1], firsts[1:])]
+
+
+def _partition_states(fundamentals, points) -> tuple[_NodeStates, np.ndarray]:
+    """Views of the states and transfers of fundamentals on (points[j], points[j+1]).
+
+    WindowMismatch unless they are consecutive subintervals of one build.
+    """
+    spans = list(zip(points[:-1], points[1:]))
+    one_build = all(V.partition_states is U.partition_states and V.gaps.start == U.gaps.stop
+                    for U, V in zip(fundamentals, fundamentals[1:]))
+    if not one_build or [U.interval for U in fundamentals] != spans:
+        raise WindowMismatch("fundamental matrices must be consecutive subintervals "
+                             "of one build, spanning the partition")
+    first = fundamentals[0]
+    gaps = slice(first.gaps.start, fundamentals[-1].gaps.stop)
+    return first.partition_states.span(gaps), first.partition_transfers[gaps]
 
 
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
                        ) -> FundamentalMatrix:
     """Build the fundamental matrix on (lo, hi); SingularAtom if a jump inside is."""
-    return _fundamental_matrices(problem, [sub], tol_sing)[0]
+    return _fundamental_matrices(problem, sub, tol_sing)[0]
 
 
 def _check_rhs(f, lo: float, hi: float) -> None:
@@ -371,9 +389,10 @@ class PiecewiseSolution:
 
     Stores the partition points, one fundamental matrix U_j and one read-only
     coefficient vector c_j (the right limit at the subinterval's start) per
-    subinterval, and the right-hand side (None for homogeneous).  On first use
-    it builds its node states.  A homogeneous solution reads them off its
-    fundamental matrices as U_j(node+-) c_j, with no exponential of its own.
+    subinterval, and the right-hand side (None for homogeneous).  It keeps
+    views of the node states of its fundamental matrices, consecutive
+    subintervals of one build.  A homogeneous solution's node states are
+    U_j(node+-) c_j, with no exponential of their own.
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
@@ -388,16 +407,10 @@ class PiecewiseSolution:
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 1 or self.points.size < 2:
             raise DimensionMismatch("a solution needs at least one subinterval")
-        if not np.all(np.diff(self.points) > 0):
-            raise ValueError("partition points must increase")
-        if len(fundamentals) != self.points.size - 1:
-            raise DimensionMismatch("one fundamental matrix per subinterval required")
+        self.fundamentals = list(fundamentals)
+        self._homogeneous, _ = _partition_states(self.fundamentals, self.points)
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
-        self.fundamentals = list(fundamentals)
-        if any(U.interval != (lo, hi) for U, lo, hi in
-               zip(self.fundamentals, self.points[:-1], self.points[1:])):
-            raise WindowMismatch("each fundamental matrix must span its own subinterval")
         self.coefficients = [_freeze(np.array(c, dtype=complex).reshape(-1))
                              for c in coefficients]
         n = problem.n
@@ -422,7 +435,7 @@ class PiecewiseSolution:
 
     def structure_points(self) -> np.ndarray:
         """Partition points and the points where q, or with a rhs w or f, changes."""
-        pieces = [self.points] + [U.nodes for U in self.fundamentals]
+        pieces = [self._homogeneous.nodes]
         if self.rhs is not None:
             pieces += [self.rhs.structure_points(), self.problem.w.structure_points()]
         return np.unique(np.concatenate(pieces))
@@ -431,7 +444,7 @@ class PiecewiseSolution:
         """States at every node, built on first use as the class describes."""
         if self._states is not None:
             return self._states
-        homogeneous = _NodeStates.join([U.states for U in self.fundamentals])
+        homogeneous = self._homogeneous
         f, problem, n = self.rhs, self.problem, self.n
         if f is None:
             c = np.repeat(np.array(self.coefficients),
@@ -510,25 +523,27 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
 # -- pairings against a weight -------------------------------------------------
 
 
-def _pairing_form(factor, n: int, starts: np.ndarray, mids: np.ndarray,
-                  atoms: np.ndarray):
+def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
+                  starts: np.ndarray, ends: np.ndarray):
     """A factor on the pieces of a pairing grid and at the w-atoms.
 
-    Returns (P, A, y, a): on the piece from starts[k] the factor's value is
-    P exp(A[k] s) y[k] (P one matrix, or one per piece), and a[i] is its
-    balanced value at atoms[i].  Values are columns (n, 1), or (n, n) for the
-    matrix states of fundamental matrices.
+    Returns (P, A, y, z, a): on the piece from starts[k] the factor's value is
+    P exp(A[k] s) y[k] (P one matrix, or one per piece), z[k] is its left
+    limit at ends[k] (``ends`` may be empty) and a[i] its balanced value at
+    atoms[i].  Values are columns (n, 1), or (n, n) for the matrix states of
+    fundamental matrices.
     """
     if isinstance(factor, L2Function):
         values = _pieces_at(factor.breakpoints, factor.piece_values, mids)
         balanced = np.array([factor.value(float(x), "balanced") for x in atoms])
         return (values[..., None], np.zeros((mids.size, 1, 1), dtype=complex),
-                np.ones((mids.size, 1, 1), dtype=complex), balanced.reshape(-1, n, 1))
-    left, right = factor.limits(np.concatenate([starts, atoms]))
-    K = starts.size
+                np.ones((starts.size, 1, 1), dtype=complex),
+                np.ones((ends.size, 1, 1), dtype=complex), balanced.reshape(-1, n, 1))
+    K, L = starts.size, starts.size + ends.size
+    left, right = factor.limits(np.concatenate([starts, ends, atoms]))
     return (np.eye(n, factor.generators.shape[-1], dtype=complex),
-            factor.generators_at(mids), right[:K],
-            0.5 * (left[K:, :n] + right[K:, :n]))
+            factor.generators_at(mids), right[:K], left[K:L],
+            0.5 * (left[L:, :n] + right[L:, :n]))
 
 
 def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
@@ -537,8 +552,9 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     A factor is a balanced solution, a representable function or the node
     states of fundamental matrices (matrix-valued); row i holds the pairings
     of u's columns with v's.  Atoms of w strictly inside an interval
-    contribute with balanced values, atoms at the edges do not.  One grid, one
-    ``limits`` call per state factor and one stacked product_integral cover
+    contribute with balanced values, atoms at the edges do not.  One grid,
+    one ``limits`` call per state factor (u's at both piece ends, as
+    y_u^* exp(A_u^* dx) is u's end state) and one stacked _convolution cover
     every interval.
     """
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution) else f for f in (u, v))
@@ -550,16 +566,16 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     mids = 0.5 * (grid[:-1] + grid[1:])
     w0 = _pieces_at(w.breakpoints, w.densities, mids)
     keep = w0.any(axis=(1, 2))
-    starts, dx, mids, w0 = grid[:-1][keep], np.diff(grid)[keep], mids[keep], w0[keep]
+    starts, ends, mids, w0 = grid[:-1][keep], grid[1:][keep], mids[keep], w0[keep]
     positions, matrices = w.atoms_between(lo, hi)
     inside = ~np.isin(positions, edges)
     positions, matrices = positions[inside], matrices[inside]
 
-    Pu, Au, yu, au = _pairing_form(u, w.n, starts, mids, positions)
-    Pv, Av, yv, av = (Pu, Au, yu, au) if v is u else \
-        _pairing_form(v, w.n, starts, mids, positions)
-    kernel = product_integral(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, dx)
-    pieces = _adjoint(yu) @ kernel @ yv
+    Pu, Au, yu, zu, au = _pairing_form(u, w.n, mids, positions, starts, ends)
+    Pv, Av, yv, _, av = (Pu, Au, yu, zu, au) if v is u else \
+        _pairing_form(v, w.n, mids, positions, starts, ends[:0])
+    kernel = _convolution(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, ends - starts)
+    pieces = _adjoint(zu) @ kernel @ yv
     out = np.zeros((edges.size - 1,) + pieces.shape[1:], dtype=complex)
     np.add.at(out, np.searchsorted(edges, mids) - 1, pieces)
     np.add.at(out, np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))

@@ -26,7 +26,8 @@ from .coefficients import MeasureMatrix, Problem
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, w_pairing
-from .solutions import DEFAULT_TOL_SOLVE, _lift_projected, reconstruct, solve_system
+from .solutions import (DEFAULT_TOL_SOLVE, _consistency_bound, _lift_projected,
+                        reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -149,7 +150,7 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
     kernel_vector = basis @ (basis.conj().T @ target)
     projection_norm = float(np.linalg.norm(kernel_vector))
 
-    if residual <= tol_solve * (1.0 + float(np.linalg.norm(target))):
+    if residual <= _consistency_bound(target, tol_solve):
         n = bs.n
         first = np.zeros(n, dtype=complex)
         last = -np.linalg.solve(problem.J, moments.last_integral)

@@ -55,12 +55,18 @@ def reconstruct(bs: BlockSystem, coefficients: np.ndarray,
                              coefficients.reshape(-1, bs.n), f)
 
 
+def _consistency_bound(rhs: np.ndarray, tol_solve: float) -> float:
+    """Largest residual a solve of the coupling equation for rhs may leave."""
+    return tol_solve * (1.0 + float(np.linalg.norm(rhs)))
+
+
 @dataclass
 class SolutionSet:
     """Outcome of solving the coupling equation for one right-hand side."""
 
     consistent: bool
     residual: float
+    bound: float  # consistent means residual <= bound
     coefficients: np.ndarray
     particular: PiecewiseSolution | None
     kernel_coefficients: np.ndarray  # columns span the nullspace
@@ -83,7 +89,8 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
     rhs = moments.rhs if moments is not None else np.zeros(bs.n * bs.N, dtype=complex)
     coeffs = bs.factors.solve(rhs, tol_rank)
     residual = float(np.linalg.norm(bs.B @ coeffs - rhs))
-    consistent = residual <= tol_solve * (1.0 + float(np.linalg.norm(rhs)))
+    bound = _consistency_bound(rhs, tol_solve)
+    consistent = residual <= bound
 
     kernel_coeffs = bs.factors.kernel(tol_rank)
     kernel_basis = [reconstruct(bs, kernel_coeffs[:, i])
@@ -92,7 +99,7 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
     if consistent:
         f = moments.f if moments is not None else None
         particular = reconstruct(bs, coeffs, f)
-    return SolutionSet(consistent, residual, coeffs, particular,
+    return SolutionSet(consistent, residual, bound, coeffs, particular,
                        kernel_coeffs, kernel_basis)
 
 

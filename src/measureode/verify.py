@@ -18,7 +18,7 @@ from .coefficients import Check, Problem
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
-from .propagation import _adjoint, _NodeStates, _pairings
+from .propagation import _adjoint, _pairings
 from .relations import (OrthogonalityCertificate, inner_product,
                         lagrange_check, t0_solve_system, weighted_norm)
 from .solutions import (DEFAULT_TOL_SOLVE, _lift_projected, compact_support_solutions,
@@ -67,16 +67,13 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
 
 def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
     J = bs.problem.J
-    worst = 0.0
-    for U in bs.fundamentals:
-        vals, _ = U.states.limits(np.linspace(U.lo, U.hi, samples))
-        worst = max(worst, float(np.max(np.linalg.norm(
-            _adjoint(vals) @ J @ vals - J, axis=(1, 2)), initial=0.0)))
-    transfer_worst = 0.0
-    for U in bs.fundamentals:
-        for T in U.transfers:
-            transfer_worst = max(transfer_worst, float(np.linalg.norm(
-                T.conj().T @ J @ T - J)))
+    pts = bs.points
+    # Left limits: at each partition point the end value of the subinterval before.
+    values, _ = bs.states.limits(np.concatenate(
+        [np.linspace(lo, hi, samples) for lo, hi in zip(pts[:-1], pts[1:])]))
+    worst, transfer_worst = (
+        float(np.max(np.linalg.norm(_adjoint(M) @ J @ M - J, axis=(1, 2)), initial=0.0))
+        for M in (values, bs.transfers))
     return [
         Check(f"wronskian fundamental [{tag}]", worst, TOL_IDENTITY,
               worst <= TOL_IDENTITY),
@@ -166,18 +163,13 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     pairing with the indicator of (i, c) is c_i^* times the integral of
     U_i^* w e_c there: n pairings of the fundamental matrices give them all.
     """
-    problem = bs.problem
-    window = bs.partition.window
-    lo, hi = window
-    edges = bs.points
-    n = problem.n
+    problem, window, edges, n = bs.problem, bs.partition.window, bs.points, bs.n
     pieces = len(edges) - 1
-    positions, _ = problem.w.atoms_between(lo, hi)
+    positions, _ = problem.w.atoms_between(*window)
     zero_atoms = {float(x): np.zeros(n, dtype=complex) for x in positions}
 
-    states = _NodeStates.join([U.states for U in bs.fundamentals])
-    moments = np.stack([_pairings(problem.w, states,
-                                  L2Function(window, [lo, hi], [e], zero_atoms),
+    moments = np.stack([_pairings(problem.w, bs.states,
+                                  L2Function(window, list(window), [e], zero_atoms),
                                   edges)[..., 0]
                         for e in np.eye(n, dtype=complex)], axis=-1)
     kernel = bs.factors.kernel(tol_rank).reshape(pieces, n, -1)
@@ -275,8 +267,7 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
 
     bs = build_system(problem, window, extra_points, tol_sing)
 
-    needs_rhs = bool({"functional", "lagrange", "t0"} & set(selected))
-    if needs_rhs:
+    if {"functional", "lagrange", "t0"} & set(selected):
         if f is None:
             f = random_f(rng, problem, window)
         f = f.refined_against(problem.w)
@@ -305,12 +296,15 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
     return rows
 
 
-def run_random_suites(seed: int, count: int, checks=SUITE_NAMES,
+def run_random_suites(seed, count: int, checks=SUITE_NAMES,
                       samples: int = 64,
                       tol_sing: float = DEFAULT_TOL_SING,
                       tol_rank: float = DEFAULT_TOL_RANK,
                       tol_solve: float = DEFAULT_TOL_SOLVE) -> list[Check]:
-    """Run the suites over ``count`` seeded random instances."""
+    """Run the suites over ``count`` random instances drawn from ``seed``.
+
+    ``seed`` is an int or a numpy Generator, which is drawn from in place.
+    """
     rng = np.random.default_rng(seed)
     rows: list[Check] = []
     for index in range(count):

@@ -28,11 +28,13 @@ LIFT_MATCH_TOL = 1e-12
 
 
 def mirrored_chain(seed=5, pairs=2):
-    """n = 2, atoms at 1..2*pairs with atom 2k+1 = -atom 2k, zero q-density.
+    """n = 2, atoms at 1..2*pairs with atom 2k+1 = -atom 2k, q-density pi I.
 
     J + dq/2 annihilates an isotropic vector at atom 2k and J - dq/2 the
-    same vector at atom 2k+1, so each pair supports one compactly
-    supported solution: dim ker B^* = pairs.
+    same vector at atom 2k+1.  Across the unit gap between them the density
+    rotates the state by pi (U(1) = -I), so each pair still supports one
+    compactly supported solution, which turns between its atoms:
+    dim ker B^* = pairs.
     """
     rng = np.random.default_rng(seed)
     J = fuzz.canonical_j(2)
@@ -41,7 +43,7 @@ def mirrored_chain(seed=5, pairs=2):
         dq = -atoms[-1][1] if k % 2 else fuzz.singular_jump(J, rng)
         atoms.append((float(k + 1), dq))
     interval = (0.0, float(2 * pairs + 1))
-    q = MeasureMatrix.from_atoms(interval, 2, atoms)
+    q = MeasureMatrix(interval, densities=[np.pi * np.eye(2)], atoms=atoms)
     w = MeasureMatrix.lebesgue(interval, np.eye(2, dtype=complex))
     return Problem(J, q, w), interval
 

@@ -156,6 +156,34 @@ def test_missing_input_exits_two_except_for_random_verify(capsys):
     assert json.loads(out)["results"]["random_instances"] == 1
 
 
+@pytest.mark.parametrize("mode, flag", [("kernel", "--tol-rank"), ("analyze", "--tol-sing")])
+@pytest.mark.parametrize("value", ["nan", "-1", "5"])
+def test_tolerance_overrides_outside_zero_one_exit_two(mode, flag, value, capsys):
+    code, out, err = run_main([mode, "--input", data("instance_b.json"), flag, value],
+                              capsys)
+    assert code == 2
+    assert out == ""
+    assert "between 0 and 1" in err and flag in err
+
+
+@pytest.mark.parametrize("argv", [["--samples", "-1"], ["--samples", "0"],
+                                  ["--samples", "1"], ["--random", "-3"]])
+def test_out_of_range_counts_exit_two(argv, capsys):
+    code, out, err = run_main(["verify", "--input", data("instance_b.json")] + argv,
+                              capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and argv[0] in err
+
+
+def test_two_samples_are_enough(capsys):
+    code, out, _ = run_main(["kernel", "--input", data("instance_b.json"),
+                             "--samples", "2"], capsys)
+    assert code == 0
+    elements = json.loads(out)["results"]["elements"]
+    assert elements and all(len(el["samples"]) == 2 for el in elements)
+
+
 def test_unknown_suite_name_exits_two(capsys):
     code, _, err = run_main(["verify", "--random", "1", "--checks", "cbbc,bogus"],
                             capsys)

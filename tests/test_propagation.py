@@ -403,11 +403,15 @@ def test_solution_values_match_the_closed_form_oracle():
         for sol in _solutions_of(bs, f):
             worst = max(worst, _worst_oracle_defect(sol))
     for pairs in (2, 10):
-        compact = compact_support_solutions(build_system(*mirrored_chain(pairs=pairs)))
+        problem, window = mirrored_chain(pairs=pairs)
+        bs = build_system(problem, window)
+        compact = compact_support_solutions(bs)
         assert len(compact) == pairs
         for sol in compact:
             worst = max(worst, _worst_oracle_defect(sol))
             _assert_zero_outside_support(sol)
+        for sol in _solutions_of(bs, random_f(rng, problem, window)):
+            worst = max(worst, _worst_oracle_defect(sol))
     assert worst <= TOL_ORACLE
 
 
@@ -450,6 +454,29 @@ def test_solution_fundamentals_must_span_their_subintervals():
     U = fundamental_matrix(problem, (-1.0, 0.5))
     with pytest.raises(WindowMismatch):
         PiecewiseSolution(problem, [-1.0, 1.0], [U], [[1.0, 0.0]])
+    # Consecutive subintervals, but from two builds: no shared states to view.
+    left, right = (fundamental_matrix(problem, sub) for sub in ((-1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(WindowMismatch):
+        PiecewiseSolution(problem, [-1.0, 0.0, 1.0], [left, right], [[1.0, 0.0]] * 2)
+    bs = build_system(problem, (-1.0, 1.0))
+    with pytest.raises(WindowMismatch):
+        PiecewiseSolution(problem, bs.points[:3], bs.fundamentals[::2], [[1.0, 0.0]] * 2)
+
+
+def test_fundamentals_and_solutions_view_the_partition_states():
+    problem, window, f = _chain(4)
+    bs = build_system(problem, window)
+    assert all(not a.flags.writeable for a in bs.states)
+    for U in bs.fundamentals:
+        for mine, shared in zip(U.states, bs.states):
+            assert np.shares_memory(mine, shared)
+        assert np.shares_memory(U.transfers, bs.transfers)
+    kernel = solve_system(bs).kernel_basis[0]
+    assert kernel._node_states().generators is kernel._homogeneous.generators
+    particular = solve_system(bs, moment_vectors(bs, f)).particular
+    for sol in (kernel, particular):
+        assert np.shares_memory(sol._homogeneous.generators, bs.states.generators)
+        assert np.shares_memory(sol._homogeneous.rights, bs.states.rights)
 
 
 def test_solution_coefficients_are_read_only():
@@ -700,10 +727,18 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
         n_integral, _ = calls(lambda: inhomogeneous_integral(U, problem.w, f,
                                                              0.5 * (U.lo + U.hi)))
         n_orthogonal, _ = calls(lambda: orthogonal_rhs(np.random.default_rng(0), bs, 1e-10))
-        per_size.append((n_assemble, n_moments, n_states, n_pairing, n_mixed,
-                         n_integral, n_orthogonal))
         # A homogeneous solution reads its states off the fundamental matrices.
-        n_homogeneous, states = calls(solve_system(bs).kernel_basis[0]._node_states)
-        assert n_homogeneous == 0
+        kernel = solve_system(bs).kernel_basis[0]
+        n_homogeneous, states = calls(kernel._node_states)
         assert states.generators.shape[1:] == (2, 2) and states.rights.shape[1:] == (2, 1)
-    assert per_size[0] == per_size[1]
+        n_kernel, _ = calls(lambda: w_pairing(problem.w, kernel, kernel, window))
+        per_size.append(dict(assemble=n_assemble, moments=n_moments, states=n_states,
+                             pairing=n_pairing, mixed=n_mixed, integral=n_integral,
+                             orthogonal=n_orthogonal, homogeneous=n_homogeneous,
+                             kernel_pairing=n_kernel))
+    # Each piece end's left limit comes from the same limits call as its start,
+    # so a pairing exponentiates only the block convolution besides the flows
+    # to grid points off the factor's nodes (the w-breakpoints here).
+    assert per_size[0] == per_size[1] == dict(
+        assemble=1, moments=2, states=1, pairing=1, mixed=1, integral=2,
+        orthogonal=4, homogeneous=0, kernel_pairing=2)

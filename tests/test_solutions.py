@@ -14,7 +14,7 @@ from measureode import (
     nullspace,
     solve_system,
 )
-from measureode.solutions import reconstruct
+from measureode.solutions import DEFAULT_TOL_SOLVE, reconstruct
 from measureode.fuzz import random_f, random_instance
 
 from conftest import INTERVAL, block_system
@@ -61,6 +61,8 @@ def test_solve_system_detects_inconsistency(mirror_system, ones_rhs):
     assert not result.consistent
     assert result.particular is None
     assert result.residual == pytest.approx(np.sqrt(2.0), abs=1e-10)
+    assert result.bound == DEFAULT_TOL_SOLVE * (1.0 + float(np.linalg.norm(mv.rhs)))
+    assert result.residual > result.bound
 
 
 def test_solve_system_consistent_case(repeated_system, ones_rhs):
