@@ -66,9 +66,8 @@ def _check_rows(checks) -> list[dict]:
 
 
 def _sampled(solution, grid) -> list[dict]:
-    return [{"x": float(x),
-             "value": vector_json(solution.evaluate(float(x), "balanced"))}
-            for x in grid]
+    return [{"x": float(x), "value": vector_json(value)}
+            for x, value in zip(grid, solution.evaluate_many(grid))]
 
 
 def _partition_json(partition) -> dict:
@@ -157,10 +156,13 @@ def cmd_compact(parsed: ParsedProblem, args, tols):
 
 
 def cmd_verify(parsed: ParsedProblem | None, args, tols):
-    selected = tuple(name for name in args.checks.split(",") if name)
-    unknown = sorted(set(selected) - set(SUITE_NAMES))
+    requested = {name for name in args.checks.split(",") if name}
+    unknown = sorted(requested - set(SUITE_NAMES))
     if unknown:
         raise ParseError(f"unknown check suite '{unknown[0]}'", "--checks")
+    selected = tuple(name for name in SUITE_NAMES if name in requested)
+    if not selected:
+        raise ParseError("no check suite selected", "--checks")
     rng = np.random.default_rng(args.seed)
     rows = []
     if parsed is not None:
@@ -192,6 +194,8 @@ def main(argv=None) -> int:
             raise ParseError("--samples must be at least 2", "--samples")
         if args.random < 0:
             raise ParseError("--random must not be negative", "--random")
+        if args.seed < 0:
+            raise ParseError("--seed must not be negative", "--seed")
         parsed = None
         if args.input is not None:
             parsed = load_problem(args.input)

@@ -13,10 +13,10 @@ all of them in one stacked call.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .coefficients import _SIDES, MeasureMatrix, Problem, _freeze
 from .errors import (
@@ -50,17 +50,29 @@ _PADE = (
 )
 
 
+@cache
+def _scipy_expm():
+    """scipy's compiled expm, imported on the first single-matrix exponential.
+
+    Cached, so a caller that evaluates point by point pays a lookup per call,
+    not an import statement.
+    """
+    from scipy.linalg import expm as single
+    return single
+
+
 def expm(A) -> np.ndarray:
     """Exponential of one matrix (m, m) or of every matrix in a stack (..., m, m).
 
-    A single matrix goes to scipy's compiled expm.  A stack goes to batched
-    scaling and squaring (Higham 2005): one Padé degree for the stack, chosen
-    from its largest 1-norm; above theta_13 each matrix is scaled by its own
-    2^-s, and the squarings are applied to the matrices that still need them.
+    A single matrix goes to scipy's compiled expm, the only use of scipy, so
+    scipy is loaded on the first one.  A stack goes to batched scaling and
+    squaring (Higham 2005): one Padé degree for the stack, chosen from its
+    largest 1-norm; above theta_13 each matrix is scaled by its own 2^-s, and
+    the squarings are applied to the matrices that still need them.
     """
     A = np.asarray(A)
     if A.ndim <= 2:
-        return _scipy_expm(A)
+        return _scipy_expm()(A)
     shape, m = A.shape, A.shape[-1]
     A = A.reshape(-1, m, m).astype(np.result_type(A.dtype, float), copy=False)
     if A.shape[0] == 0:
@@ -492,6 +504,22 @@ class PiecewiseSolution:
         if side == "right" and x == hi:
             raise OutOfInterval("no right limit at the window end")
         return self._node_states().value(x, side)[:self.n, 0]
+
+    def evaluate_many(self, xs) -> np.ndarray:
+        """Balanced values (len(xs), n) at every point of xs.
+
+        (left + right)/2 from one ``limits`` call, so every point off the
+        nodes shares one stacked exponential.  OutOfInterval if a point lies
+        outside the window.
+        """
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        lo, hi = self.window
+        inside = (lo <= xs) & (xs <= hi)
+        if not inside.all():
+            raise OutOfInterval(f"{xs[~inside][0]} is outside the solution window "
+                                f"[{lo}, {hi}]")
+        left, right = self._node_states().limits(xs)
+        return 0.5 * (left[:, :self.n, 0] + right[:, :self.n, 0])
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)

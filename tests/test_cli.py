@@ -167,7 +167,8 @@ def test_tolerance_overrides_outside_zero_one_exit_two(mode, flag, value, capsys
 
 
 @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--samples", "0"],
-                                  ["--samples", "1"], ["--random", "-3"]])
+                                  ["--samples", "1"], ["--random", "-3"],
+                                  ["--seed", "-1"]])
 def test_out_of_range_counts_exit_two(argv, capsys):
     code, out, err = run_main(["verify", "--input", data("instance_b.json")] + argv,
                               capsys)
@@ -189,6 +190,26 @@ def test_unknown_suite_name_exits_two(capsys):
                             capsys)
     assert code == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [["--input", data("instance_b.json"), "--checks", ","],
+                                  ["--input", data("instance_b.json"), "--checks", ""],
+                                  ["--random", "2", "--checks", ""]])
+def test_an_empty_suite_selection_exits_two(argv, capsys):
+    code, out, err = run_main(["verify"] + argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--checks" in err
+
+
+def test_selected_suites_are_reported_once_in_suite_order(capsys):
+    code, out, _ = run_main(["verify", "--input", data("instance_b.json"),
+                             "--checks", "lift,cbbc,cbbc"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["suites"] == ["cbbc", "lift"]
+    cbbc = [row["name"] for row in report["checks"] if row["name"].startswith("cbbc")]
+    assert len(cbbc) == len(set(cbbc)) == 3
 
 
 # -- reports ----------------------------------------------------------------------
@@ -280,13 +301,38 @@ def test_console_script_names_the_cli_main():
     assert callable(getattr(importlib.import_module(module), name))
 
 
-def test_module_invocation_matches_the_entry_point():
-    # The child imports the package the tests import, installed or not.
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package the tests import."""
     src = os.path.dirname(os.path.dirname(measureode.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "measureode.cli", "validate",
-                           "--input", data("instance_a.json")],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_invocation_matches_the_entry_point():
+    proc = _fresh_python("-m", "measureode.cli", "validate",
+                         "--input", data("instance_a.json"))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"
+
+
+def _assert_scipy_stays_unloaded(code: str) -> None:
+    """Run ``code`` in a fresh interpreter; scipy must not be imported after it."""
+    proc = _fresh_python("-c", f"import sys\n{code}\nassert 'scipy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["validate", "analyze", "solve", "kernel", "compact",
+                                  "verify"])
+def test_the_cli_never_imports_scipy(mode, tmp_path):
+    # Every sample comes from one stacked exponential; scipy only serves a
+    # single-matrix one.
+    argv = [mode, "--input", data("instance_b.json"), "--output", str(tmp_path / "r.json")]
+    if mode == "verify":
+        argv += ["--random", "1"]
+    _assert_scipy_stays_unloaded(
+        f"from measureode.cli import main\nassert main({argv!r}) == 0")
+
+
+def test_importing_the_package_does_not_import_scipy():
+    _assert_scipy_stays_unloaded("import measureode")

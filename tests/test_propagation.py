@@ -425,6 +425,43 @@ def _assert_zero_outside_support(sol):
                 assert not sol.evaluate(float(x), side).any()
 
 
+def _worst_relative(got, want):
+    """Largest |got - want| per point, relative to max(1, |want|) there."""
+    scale = np.maximum(1.0, np.abs(want).max(axis=1))
+    return float(np.max(np.abs(got - want).max(axis=1) / scale, initial=0.0))
+
+
+def test_evaluate_many_matches_the_balanced_values():
+    # Both import this module (test_block_factors through test_acceptance).
+    from test_acceptance import _fuzz_systems
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for inst, bs in _fuzz_systems():
+        f = random_f(rng, inst.problem, inst.window)
+        for sol in _solutions_of(bs, f):
+            # Window ends, partition points, q- and w-atoms, gap midpoints.
+            nodes = _nodes(sol)
+            xs = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])])
+            want = np.array([sol.evaluate(float(x), "balanced") for x in xs])
+            worst = max(worst, _worst_relative(sol.evaluate_many(xs), want))
+    assert worst <= TOL_ORACLE
+    lo, hi = sol.window
+    for outside in (np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)):
+        with pytest.raises(OutOfInterval):
+            sol.evaluate_many([0.5 * (lo + hi), outside])
+    assert sol.evaluate_many([]).shape == (0, sol.n)
+
+
+def test_a_single_off_node_value_matches_evaluate_many():
+    # One point at a time takes the single-matrix exponential, not the stack.
+    problem, f = _dense_problem(np.random.default_rng(42))
+    sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
+    x = 0.123
+    assert x not in _nodes(sol)
+    want = sol.evaluate_many([x])
+    assert _worst_relative(sol.evaluate(x)[None], want) <= TOL_ORACLE
+
+
 def test_sampling_takes_one_exponential_per_sample(monkeypatch):
     problem, f = _dense_problem(np.random.default_rng(42))
     sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
@@ -447,6 +484,9 @@ def test_sampling_takes_one_exponential_per_sample(monkeypatch):
         sol.evaluate(float(x))
     assert counts["integral"] == 0
     assert counts["expm"] - first <= grid.size - 1
+    first = counts["expm"]
+    sol.evaluate_many(grid)
+    assert counts["expm"] - first == 1
 
 
 def test_solution_fundamentals_must_span_their_subintervals():
