@@ -16,9 +16,9 @@ from .blocksystem import (BlockSystem, JumpReport, MomentVectors, Partition,
 from .coefficients import (Check, MeasureMatrix, Problem, ValidationReport,
                            validate)
 from .errors import (DimensionMismatch, EmptyWindow, InconsistentLift,
-                     LiftEndpointNonzero, MeasureOdeError, MissingRHS,
-                     NotInKernel, NotRepresentable, OutOfInterval, ParseError,
-                     SingularAtom, SingularJ, WindowMismatch)
+                     InconsistentRank, LiftEndpointNonzero, MeasureOdeError,
+                     MissingRHS, NotInKernel, NotRepresentable, OutOfInterval,
+                     ParseError, SingularAtom, SingularJ, WindowMismatch)
 from .fileio import ParsedProblem, load_problem, parse_problem
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, PiecewiseSolution, atom_transfer,
@@ -37,7 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSystem", "Check", "DimensionMismatch", "EmptyWindow",
-    "FundamentalMatrix", "InconsistentLift", "JumpReport", "K0Element",
+    "FundamentalMatrix", "InconsistentLift", "InconsistentRank", "JumpReport",
+    "K0Element",
     "L2Function", "LiftEndpointNonzero", "MeasureMatrix", "MeasureOdeError",
     "MissingRHS", "MomentVectors", "NotInKernel", "NotRepresentable",
     "OrthogonalityCertificate", "OutOfInterval", "PairingReport",

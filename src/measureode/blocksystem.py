@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .coefficients import Problem
-from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
+from .errors import DimensionMismatch, EmptyWindow, InconsistentRank, OutOfInterval
 from .functions import L2Function
 from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint, _check_rhs,
                           _fundamental_matrices, _pairings, _partition_states)
@@ -144,35 +145,197 @@ def nullspace(matrix: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndar
     return vh[rank:].conj().T
 
 
-class Factorisation:
-    """One factorisation of a coupling matrix (a full SVD).
+class _Sweep:
+    """One orthogonal sweep over a block-bidiagonal matrix at one rank cut.
 
-    Min-norm solves and kernels are cut at rank tol_rank * sigma_max per
-    call, so one factorisation serves every tolerance.
+    Row j holds ``lower[j]`` on column block j and ``upper[j]`` on column
+    block j + 1.  Before row j, the orthonormal columns of Z_j span the
+    solutions of rows 0 .. j-1 on column blocks 0 .. j; only its block j,
+    the free basis F_j, is kept.  The SVD of the pivot matrix
+    G_j = [lower[j] F_j, upper[j]] splits its right singular vectors into
+    pivots (singular values above the cut) and the rest, V_0, and
+    Z_{j+1} = diag(Z_j, I) V_0, whose top rows T_j carry Z_{j+1}
+    coordinates back to Z_j's.  When F_j has more columns than rows, F_j's
+    SVD rotates the surplus columns to a zero block j: they are kernel
+    vectors already (zero from block j on) and retire, so at most one block
+    width of columns stays active and each row costs O(n^3).
     """
 
-    def __init__(self, matrix: np.ndarray):
-        self.u, self.s, self.vh = np.linalg.svd(matrix)
+    def __init__(self, lower, upper, cut: float):
+        self.lower = lower
+        self.ends = list(accumulate([lower[0].shape[1]] + [d.shape[1] for d in upper]))
+        self.steps = []      # (rotation or None, F_j, T_j) per row
+        self.svds = []       # (U, S, V^*, rank) of G_j per row
+        self.rank = 0
+        free = np.eye(self.ends[0], dtype=complex)
+        for a, d in zip(lower, upper):
+            width, count = free.shape
+            rotation = None
+            if count > width:
+                u, s, vh = np.linalg.svd(free)
+                rotation, free, count = vh.conj().T, u * s, width
+            u, s, vh = np.linalg.svd(np.concatenate([a @ free, d], axis=1))
+            r = sum(value > cut for value in s.tolist())
+            kept = vh[r:].conj().T
+            self.steps.append((rotation, free, kept[:count]))
+            self.svds.append((u, s, vh, r))
+            self.rank += r
+            free = kept[count:]
+        self.last = free
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal kernel basis (read-only), written out from the back.
+
+        ``coords`` holds the kernel columns in Z_j's coordinates; the columns
+        retired at row j join there, with zero blocks from j on.
+        """
+        out = np.zeros((self.ends[-1], self.ends[-1] - self.rank), dtype=complex)
+        coords = np.eye(self.last.shape[1], dtype=complex)
+        out[self.ends[-1] - self.last.shape[0]:, :coords.shape[1]] = self.last
+        for (rotation, free, transfer), end in zip(reversed(self.steps), self.ends[-2::-1]):
+            active = transfer @ coords
+            out[end - free.shape[0]:end, :active.shape[1]] = free @ active
+            coords = active if rotation is None else np.concatenate(
+                [rotation[:, :free.shape[1]] @ active, rotation[:, free.shape[1]:]], axis=1)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _inverses(self) -> list[np.ndarray]:
+        """Each row's pivot pseudo-inverse V_r S_r^-1 U_r^*."""
+        return [(vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T for u, s, vh, r in self.svds]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Min-norm solution for a consistent rhs.
+
+        Forward substitution on the pivots, then the kernel's backward
+        product.  Each row's pivot solution is orthogonal to its V_0, so the
+        result is orthogonal to the kernel.
+        """
+        tops, bottoms = [], [np.zeros(self.ends[0], dtype=complex)]
+        stop = 0
+        for (_, free, _), a, inverse in zip(self.steps, self.lower, self._inverses):
+            start, stop = stop, stop + a.shape[0]
+            pivot = inverse @ (rhs[start:stop] - a @ bottoms[-1])
+            tops.append(pivot[:free.shape[1]])
+            bottoms.append(pivot[free.shape[1]:])
+        out = np.empty(self.ends[-1], dtype=complex)
+        out[self.ends[-2]:] = bottoms.pop()
+        coords = np.zeros(self.last.shape[1], dtype=complex)
+        for (rotation, free, transfer), top, bottom, end in zip(
+                reversed(self.steps), reversed(tops), reversed(bottoms), self.ends[-2::-1]):
+            active = top + transfer @ coords
+            out[end - free.shape[0]:end] = bottom + free @ active
+            coords = active if rotation is None else rotation[:, :free.shape[1]] @ active
+        return out
+
+
+class Factorisation:
+    """Orthogonal sweeps over one block-bidiagonal coupling matrix M.
+
+    Row j of M holds ``lower[j]`` (A_j) on column block j and ``upper[j]``
+    (D_j) on column block j + 1; ``reduced`` drops the first and last column
+    blocks (A_0 and D_{N-1}), as B_m drops them from B.  The one rank rule:
+    a singular value s of a row's pivot matrix counts when
+
+        s > tol_rank * max_j sigma_max([A_j D_j]),
+
+    for the sweeps over M and over M^* alike.  Each tol_rank gets its own
+    sweep over M, computed on first use and cached; the kernel is its free
+    basis.  The adjoint kernel comes from the same sweep over M^*, run only
+    when the rank falls short of the rows, and both ranks must agree
+    (InconsistentRank otherwise): the rule is local, and where a singular
+    value of M itself lies near the cut the two sweeps can disagree.  Every
+    step is O(n^3), so a factorisation costs O(N n^3) against O((nN)^3) for
+    a dense SVD.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, reduced: bool = False):
+        self.lower, self.upper, self.reduced = lower, upper, reduced
+        rows = np.concatenate([lower, upper], axis=2)
+        N, n, width = lower.shape
+        if reduced:
+            rows[0, :, :width] = 0.0
+            rows[-1, :, width:] = 0.0
+            lower, upper = list(lower), list(upper)
+            lower[0], upper[-1] = lower[0][:, :0], upper[-1][:, :0]
+        self._blocks = (lower, upper)
+        self.scale = float(np.linalg.svd(rows, compute_uv=False)[:, 0].max())
+        self.shape = (N * n, width * (N - 1 if reduced else N + 1))
+        self._sweeps = {}
+        self._adjoint_sweeps = {}
+
+    def _sweep(self, tol_rank: float) -> _Sweep:
+        if tol_rank not in self._sweeps:
+            self._sweeps[tol_rank] = _Sweep(*self._blocks, tol_rank * self.scale)
+        return self._sweeps[tol_rank]
+
+    def _adjoint_sweep(self, tol_rank: float) -> _Sweep:
+        # Row k of M^* holds D_{k-1}^* and A_k^*.  Its first and last rows have
+        # zero height exactly where M's outer column blocks have zero width,
+        # and dropping them leaves the same matrix.
+        lower, upper = self._blocks
+        rows = [(a, d) for a, d in zip(
+            [np.zeros((lower[0].shape[1], 0), dtype=complex)] + [_adjoint(d) for d in upper],
+            [_adjoint(a) for a in lower] + [np.zeros((upper[-1].shape[1], 0), dtype=complex)])
+            if a.shape[0]]
+        return _Sweep([a for a, _ in rows], [d for _, d in rows], tol_rank * self.scale)
 
     def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
-        """Singular values above tol_rank * sigma_max (none if all vanish)."""
-        return int(np.sum(self.s > tol_rank * self.s[0]))
+        """Sum of the pivot counts of the sweep over M."""
+        return self._sweep(tol_rank).rank
 
     def kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-        """Orthonormal basis of the kernel, columns."""
-        return self.vh[self.rank(tol_rank):].conj().T
+        """Orthonormal basis of the kernel, columns (read-only)."""
+        return self._sweep(tol_rank).kernel
 
     def adjoint_kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-        """Orthonormal basis of the adjoint matrix's kernel, columns."""
-        return self.u[:, self.rank(tol_rank):]
+        """Orthonormal basis of the adjoint matrix's kernel, columns (read-only)."""
+        rank = self.rank(tol_rank)
+        if rank == self.shape[0]:
+            return np.zeros((rank, 0), dtype=complex)
+        if tol_rank not in self._adjoint_sweeps:
+            sweep = self._adjoint_sweep(tol_rank)
+            if sweep.rank != rank:
+                raise InconsistentRank(
+                    f"the sweeps over M and M* find ranks {rank} and {sweep.rank}")
+            self._adjoint_sweeps[tol_rank] = sweep
+        return self._adjoint_sweeps[tol_rank].kernel
 
     def solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-        """Minimum-norm least-squares solution."""
+        """Minimum-norm least-squares solution.
+
+        The rhs is projected off ker M^* first; the projected rhs is
+        consistent, and the sweep's forward substitution then yields the
+        solution orthogonal to ker M.
+        """
         rhs = np.asarray(rhs, dtype=complex).reshape(-1)
-        if rhs.size != self.u.shape[0]:
+        if rhs.size != self.shape[0]:
             raise DimensionMismatch("right-hand side length must match the row count")
-        r = self.rank(tol_rank)
-        return self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ rhs) / self.s[:r])
+        basis = self.adjoint_kernel(tol_rank)
+        if basis.shape[1]:
+            rhs = rhs - basis @ (basis.conj().T @ rhs)
+        return self._sweep(tol_rank).solve(rhs)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """M x, block by block."""
+        n = self.lower.shape[2]
+        x = np.asarray(x, dtype=complex).reshape(-1)
+        if self.reduced:
+            x = np.concatenate([np.zeros(n, dtype=complex), x, np.zeros(n, dtype=complex)])
+        blocks = x.reshape(-1, n, 1)
+        return (self.lower @ blocks[:-1] + self.upper @ blocks[1:]).reshape(-1)
+
+
+def _bidiagonal(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix with lower[j] at block (j, j) and upper[j] at block (j, j + 1)."""
+    N, n, _ = lower.shape
+    dense = np.zeros((N, n, N + 1, n), dtype=complex)
+    j = np.arange(N)
+    dense[j, :, j] = lower
+    dense[j, :, j + 1] = upper
+    return dense.reshape(n * N, n * (N + 1))
 
 
 class BlockSystem:
@@ -183,9 +346,13 @@ class BlockSystem:
     carry them into each gap; each fundamental matrix's states and transfers
     are views of those, and solutions, moment vectors and pairings read them.
     ``b_plus`` and ``b_minus`` stack J +- dq/2 at the N interior points,
-    ``u_ends`` the end values of the N + 1 fundamental matrices.  Every
-    min-norm solve and kernel of B and of the reduced B_m comes from
-    ``factors`` and ``reduced_factors``, each computed once.
+    ``u_ends`` the end values of the N + 1 fundamental matrices.  Block row
+    j of the coupling matrix B is the jump rule at x_{j+1}: b_plus^* U_j(end)
+    on column block j and b_plus on block j + 1, so B and the reduced B_m
+    (without the first and last column block) are block-bidiagonal.  Every
+    min-norm solve and kernel of them comes from the orthogonal sweeps of
+    ``factors`` and ``reduced_factors``, built from those blocks in
+    O(N n^3); the dense B, C, B_m and C_m are built only on demand.
     """
 
     def __init__(self, problem: Problem, partition: Partition,
@@ -205,28 +372,35 @@ class BlockSystem:
         self.u_ends = self.states.lefts[
             np.searchsorted(self.states.nodes, partition.points[1:]) - 1]
 
-        B = np.zeros((n * N, n * (N + 1)), dtype=complex)
-        C = np.zeros_like(B)
-        j = np.arange(N)
-        # Block (j, j) and block (j, j + 1) of each block row j.
-        B.reshape(N, n, N + 1, n)[j, :, j] = _adjoint(self.b_plus) @ self.u_ends[:N]
-        B.reshape(N, n, N + 1, n)[j, :, j + 1] = self.b_plus
-        C.reshape(N, n, N + 1, n)[j, :, j] = 0.5 * self.u_ends[:N]
-        C.reshape(N, n, N + 1, n)[j, :, j + 1] = 0.5 * np.eye(n)
-        self.B = B
-        self.C = C
-        self.B_m = B[:, n:-n]
-        self.C_m = C[:, n:-n]
-
     @cached_property
     def factors(self) -> Factorisation:
-        """Factorisation of B, computed on first use."""
-        return Factorisation(self.B)
+        """Sweeps over B, from its blocks b_plus^* U_j(x_{j+1}) and b_plus."""
+        return Factorisation(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus)
 
     @cached_property
     def reduced_factors(self) -> Factorisation:
-        """Factorisation of B_m, computed on first use."""
-        return Factorisation(self.B_m)
+        """Sweeps over B_m: B's blocks without the first and last column block."""
+        return Factorisation(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus,
+                             reduced=True)
+
+    # Dense coupling matrices, built on demand for the identity suites and as
+    # oracles; no solve or kernel reads them.
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _bidiagonal(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus)
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return _bidiagonal(0.5 * self.u_ends[:-1],
+                           np.broadcast_to(0.5 * np.eye(self.n), self.b_plus.shape))
+
+    @cached_property
+    def B_m(self) -> np.ndarray:
+        return self.B[:, self.n:-self.n]
+
+    @cached_property
+    def C_m(self) -> np.ndarray:
+        return self.C[:, self.n:-self.n]
 
     @property
     def points(self) -> np.ndarray:

@@ -155,14 +155,20 @@ def cmd_compact(parsed: ParsedProblem, args, tols):
     return results, [], True
 
 
-def cmd_verify(parsed: ParsedProblem | None, args, tols):
-    requested = {name for name in args.checks.split(",") if name}
+def _parse_checks(text: str) -> tuple[str, ...]:
+    """The suites a --checks value selects, once each, in SUITE_NAMES order."""
+    requested = {name for name in text.split(",") if name}
     unknown = sorted(requested - set(SUITE_NAMES))
     if unknown:
         raise ParseError(f"unknown check suite '{unknown[0]}'", "--checks")
     selected = tuple(name for name in SUITE_NAMES if name in requested)
     if not selected:
         raise ParseError("no check suite selected", "--checks")
+    return selected
+
+
+def cmd_verify(parsed: ParsedProblem | None, args, tols):
+    selected = args.checks  # parsed by main
     rng = np.random.default_rng(args.seed)
     rows = []
     if parsed is not None:
@@ -196,6 +202,7 @@ def main(argv=None) -> int:
             raise ParseError("--random must not be negative", "--random")
         if args.seed < 0:
             raise ParseError("--seed must not be negative", "--seed")
+        args.checks = _parse_checks(args.checks)
         parsed = None
         if args.input is not None:
             parsed = load_problem(args.input)

@@ -45,6 +45,10 @@ class InconsistentLift(MeasureOdeError):
     """The two reconstruction formulas disagree on their overlap."""
 
 
+class InconsistentRank(MeasureOdeError):
+    """The sweeps over a coupling matrix and over its adjoint find different ranks."""
+
+
 class LiftEndpointNonzero(MeasureOdeError):
     """A lift that must vanish at the window ends produced nonzero blocks."""
 

@@ -215,6 +215,45 @@ def random_instance(rng: np.random.Generator, n: int | None = None,
     return Instance(problem, window, f, tuple(sorted(extras)))
 
 
+def random_chain(rng: np.random.Generator, N: int, n: int = 2,
+                 mirrored: bool = True) -> Instance:
+    """Random problem with N singular q-atoms at x = 1 .. N on the window (0, N + 1).
+
+    Independent singular jumps leave ker B^* trivial.  ``mirrored`` (N even)
+    makes atom 2k+1 the negative of atom 2k and the q-density a(x) iJ with a
+    real: its generator -i a(x) is scalar, so the vector e that J + dq/2
+    annihilates at atom 2k reaches atom 2k+1 up to a phase, where
+    J - (-dq)/2 annihilates it again.  Each pair then carries one
+    homogeneous solution vanishing outside it, and dim ker B^* = N / 2.
+    The weight and the rhs are drawn as in random_instance; n >= 2, since J
+    needs an isotropic vector.
+    """
+    if mirrored and N % 2:
+        raise ValueError("a mirrored chain needs an even number of atoms")
+    J = canonical_j(n)
+    window = (0.0, N + 1.0)
+    q_atoms = []
+    for k in range(N):
+        dq = -q_atoms[-1][1] if mirrored and k % 2 else singular_jump(J, rng)
+        if dq is None:
+            raise ValueError("J has no isotropic vector")
+        q_atoms.append((float(k + 1), dq))
+    # Density breakpoints sit halfway between atoms.
+    q_breaks = [0.0, float(rng.integers(0, N + 1)) + 0.5, N + 1.0]
+    if mirrored:
+        q_dens = [rng.uniform(-1.0, 1.0) * _DENSITY_CAP * 1j * J for _ in range(2)]
+    else:
+        q_dens = [_clip_norm(hermitize(random_matrix(rng, n)), _DENSITY_CAP)
+                  for _ in range(2)]
+    w_breaks, w_dens = _random_density(rng, window, n, False, psd_project)
+    w_atoms = [(k + 0.5, random_psd_atom(rng, n))
+               for k in sorted(rng.choice(N + 1, size=min(N + 1, 3), replace=False))]
+    q = MeasureMatrix(window, n=n, breakpoints=q_breaks, densities=q_dens, atoms=q_atoms)
+    w = MeasureMatrix(window, n=n, breakpoints=w_breaks, densities=w_dens, atoms=w_atoms)
+    problem = Problem(J, q, w)
+    return Instance(problem, window, random_f(rng, problem, window), ())
+
+
 def _random_density(rng, interval, n, zero: bool, project):
     a, b = interval
     if zero:

@@ -373,13 +373,14 @@ def _partition_states(fundamentals, points) -> tuple[_NodeStates, np.ndarray]:
 
     WindowMismatch unless they are consecutive subintervals of one build.
     """
-    spans = list(zip(points[:-1], points[1:]))
-    one_build = all(V.partition_states is U.partition_states and V.gaps.start == U.gaps.stop
-                    for U, V in zip(fundamentals, fundamentals[1:]))
-    if not one_build or [U.interval for U in fundamentals] != spans:
+    first = fundamentals[0]
+    # Subintervals of one build that span the points are consecutive gaps
+    # there, since the build's nodes increase strictly.
+    one_build = all(U.partition_states is first.partition_states for U in fundamentals)
+    if not one_build or [U.lo for U in fundamentals] != points[:-1].tolist() \
+            or [U.hi for U in fundamentals] != points[1:].tolist():
         raise WindowMismatch("fundamental matrices must be consecutive subintervals "
                              "of one build, spanning the partition")
-    first = fundamentals[0]
     gaps = slice(first.gaps.start, fundamentals[-1].gaps.stop)
     return first.partition_states.span(gaps), first.partition_transfers[gaps]
 
@@ -399,12 +400,13 @@ def _check_rhs(f, lo: float, hi: float) -> None:
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
-    Stores the partition points, one fundamental matrix U_j and one read-only
-    coefficient vector c_j (the right limit at the subinterval's start) per
-    subinterval, and the right-hand side (None for homogeneous).  It keeps
-    views of the node states of its fundamental matrices, consecutive
-    subintervals of one build.  A homogeneous solution's node states are
-    U_j(node+-) c_j, with no exponential of their own.
+    Stores the partition points, one fundamental matrix U_j per subinterval,
+    the read-only coefficient vectors c_j (the right limit at the
+    subinterval's start) as the rows of ``coefficients``, and the right-hand
+    side (None for homogeneous).  It keeps views of the node states of its
+    fundamental matrices, consecutive subintervals of one build.  A
+    homogeneous solution's node states are U_j(node+-) c_j, with no
+    exponential of their own.
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
@@ -423,11 +425,12 @@ class PiecewiseSolution:
         self._homogeneous, _ = _partition_states(self.fundamentals, self.points)
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
-        self.coefficients = [_freeze(np.array(c, dtype=complex).reshape(-1))
-                             for c in coefficients]
         n = problem.n
-        if any(c.size != n for c in self.coefficients):
-            raise DimensionMismatch(f"coefficient vectors must have length {n}")
+        try:
+            self.coefficients = _freeze(
+                np.array(coefficients, dtype=complex).reshape(len(coefficients), n))
+        except ValueError:
+            raise DimensionMismatch(f"coefficient vectors must have length {n}") from None
         self.rhs = rhs
         self._states: _NodeStates | None = None
 
@@ -443,7 +446,7 @@ class PiecewiseSolution:
         return self.points[0] <= lo and hi <= self.points[-1]
 
     def coefficient_vector(self) -> np.ndarray:
-        return np.concatenate(self.coefficients)
+        return self.coefficients.flatten()
 
     def structure_points(self) -> np.ndarray:
         """Partition points and the points where q, or with a rhs w or f, changes."""
@@ -459,7 +462,7 @@ class PiecewiseSolution:
         homogeneous = self._homogeneous
         f, problem, n = self.rhs, self.problem, self.n
         if f is None:
-            c = np.repeat(np.array(self.coefficients),
+            c = np.repeat(self.coefficients,
                           [U.nodes.size - 1 for U in self.fundamentals], axis=0)[..., None]
             self._states = homogeneous._replace(rights=_freeze(homogeneous.rights @ c),
                                                 lefts=_freeze(homogeneous.lefts @ c))
@@ -558,15 +561,19 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
     Returns (P, A, y, z, a): on the piece from starts[k] the factor's value is
     P exp(A[k] s) y[k] (P one matrix, or one per piece), z[k] is its left
     limit at ends[k] (``ends`` may be empty) and a[i] its balanced value at
-    atoms[i].  Values are columns (n, 1), or (n, n) for the matrix states of
-    fundamental matrices.
+    atoms[i].  Values are (n, m): m columns of representable functions, or
+    (n, n) for the matrix states of fundamental matrices.
     """
-    if isinstance(factor, L2Function):
-        values = _pieces_at(factor.breakpoints, factor.piece_values, mids)
-        balanced = np.array([factor.value(float(x), "balanced") for x in atoms])
-        return (values[..., None], np.zeros((mids.size, 1, 1), dtype=complex),
-                np.ones((starts.size, 1, 1), dtype=complex),
-                np.ones((ends.size, 1, 1), dtype=complex), balanced.reshape(-1, n, 1))
+    if isinstance(factor, list):
+        m = len(factor)
+        eye = np.eye(m, dtype=complex)
+        values = np.stack([_pieces_at(f.breakpoints, f.piece_values, mids) for f in factor],
+                          axis=-1)
+        balanced = np.array([[f.value(float(x), "balanced") for f in factor]
+                             for x in atoms]).reshape(-1, m, n)
+        return (values, np.zeros((mids.size, m, m), dtype=complex),
+                np.broadcast_to(eye, (starts.size, m, m)),
+                np.broadcast_to(eye, (ends.size, m, m)), np.swapaxes(balanced, 1, 2))
     K, L = starts.size, starts.size + ends.size
     left, right = factor.limits(np.concatenate([starts, ends, atoms]))
     return (np.eye(n, factor.generators.shape[-1], dtype=complex),
@@ -577,19 +584,21 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
 def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     """Integral of u^* w v over each open interval (edges[i], edges[i+1]).
 
-    A factor is a balanced solution, a representable function or the node
-    states of fundamental matrices (matrix-valued); row i holds the pairings
-    of u's columns with v's.  Atoms of w strictly inside an interval
-    contribute with balanced values, atoms at the edges do not.  One grid,
-    one ``limits`` call per state factor (u's at both piece ends, as
-    y_u^* exp(A_u^* dx) is u's end state) and one stacked _convolution cover
-    every interval.
+    A factor is a balanced solution, a representable function, a list of
+    them (the columns of a matrix-valued function) or the node states of
+    fundamental matrices (matrix-valued); row i holds the pairings of u's
+    columns with v's.  Atoms of w strictly inside an interval contribute with
+    balanced values, atoms at the edges do not.  One grid, one ``limits``
+    call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
+    u's end state) and one stacked _convolution cover every interval.
     """
-    u, v = (f._node_states() if isinstance(f, PiecewiseSolution) else f for f in (u, v))
+    u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
+            else [f] if isinstance(f, L2Function) else f for f in (u, v))
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[0], edges[-1]
     cuts = np.concatenate([edges, w.breakpoints, w.atom_positions] + [
-        f.nodes if isinstance(f, _NodeStates) else f.structure_points() for f in (u, v)])
+        f.nodes if isinstance(f, _NodeStates) else g.structure_points()
+        for f in (u, v) for g in (f if isinstance(f, list) else [f])])
     grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
     mids = 0.5 * (grid[:-1] + grid[1:])
     w0 = _pieces_at(w.breakpoints, w.densities, mids)

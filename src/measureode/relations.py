@@ -144,7 +144,7 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
     f = moments.f
     target = moments.functional
     gamma = bs.reduced_factors.solve(target, tol_rank)
-    residual = float(np.linalg.norm(bs.B_m @ gamma - target))
+    residual = float(np.linalg.norm(bs.reduced_factors.apply(gamma) - target))
 
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     kernel_vector = basis @ (basis.conj().T @ target)

@@ -86,9 +86,13 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
     is the zero solution and the kernel basis spans all homogeneous balanced
     solutions on the window.
     """
-    rhs = moments.rhs if moments is not None else np.zeros(bs.n * bs.N, dtype=complex)
-    coeffs = bs.factors.solve(rhs, tol_rank)
-    residual = float(np.linalg.norm(bs.B @ coeffs - rhs))
+    if moments is None:
+        rhs = np.zeros(bs.n * bs.N, dtype=complex)
+        coeffs = np.zeros(bs.n * (bs.N + 1), dtype=complex)
+    else:
+        rhs = moments.rhs
+        coeffs = bs.factors.solve(rhs, tol_rank)
+    residual = float(np.linalg.norm(bs.factors.apply(coeffs) - rhs))
     bound = _consistency_bound(rhs, tol_solve)
     consistent = residual <= bound
 
@@ -146,9 +150,9 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     b_plus_adj = _adjoint(bs.b_plus)
     blocks = uhat.reshape(N, n, -1)
     # Strip-first formula: coefficients c_1 .. c_N.
-    top = -np.linalg.solve(J, b_plus_adj @ blocks)
+    top = -np.linalg.solve(J, b_plus_adj) @ blocks
     # Strip-last formula: coefficients c_0 .. c_{N-1}.
-    bottom = np.linalg.solve(J, _adjoint(bs.u_ends[:-1]) @ (bs.b_plus @ blocks))
+    bottom = np.linalg.solve(J, _adjoint(bs.u_ends[:-1]) @ bs.b_plus) @ blocks
 
     scale = np.maximum(1.0, np.linalg.norm(uhat, axis=0))
     overlap = np.linalg.norm(top[:-1] - bottom[1:], axis=1).max(axis=0)

@@ -15,7 +15,7 @@ import numpy as np
 from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
                           build_system, moment_vectors, nullspace)
 from .coefficients import Check, Problem
-from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
+from .errors import InconsistentLift, InconsistentRank, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
@@ -161,17 +161,17 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     pairing each homogeneous solution with each indicator of a subinterval and
     a component.  On subinterval i a homogeneous solution is U_i c_i, so its
     pairing with the indicator of (i, c) is c_i^* times the integral of
-    U_i^* w e_c there: n pairings of the fundamental matrices give them all.
+    U_i^* w e_c there: one pairing of the fundamental matrices with the n
+    indicator columns gives them all.
     """
     problem, window, edges, n = bs.problem, bs.partition.window, bs.points, bs.n
     pieces = len(edges) - 1
     positions, _ = problem.w.atoms_between(*window)
     zero_atoms = {float(x): np.zeros(n, dtype=complex) for x in positions}
 
-    moments = np.stack([_pairings(problem.w, bs.states,
-                                  L2Function(window, list(window), [e], zero_atoms),
-                                  edges)[..., 0]
-                        for e in np.eye(n, dtype=complex)], axis=-1)
+    indicators = [L2Function(window, list(window), [e], zero_atoms)
+                  for e in np.eye(n, dtype=complex)]
+    moments = _pairings(problem.w, bs.states, indicators, edges)
     kernel = bs.factors.kernel(tol_rank).reshape(pieces, n, -1)
     gram = np.einsum("iak,iac->kic", kernel.conj(), moments).reshape(-1, pieces * n)
     span = nullspace(gram, tol_rank)
@@ -289,8 +289,10 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
             elif name == "t0":
                 rows.extend(suite_t0(bs, f, extra_points, rng, tag,
                                      tol_sing, tol_rank, tol_solve))
-        except (InconsistentLift, NotInKernel, LiftEndpointNonzero) as exc:
-            # A lift the suite relies on broke down: one failing row, not a crash.
+        except (InconsistentLift, InconsistentRank, NotInKernel,
+                LiftEndpointNonzero) as exc:
+            # A lift or rank decision the suite relies on broke down: one
+            # failing row, not a crash.
             rows.append(Check(f"{name} raised {type(exc).__name__} [{tag}]",
                               1.0, 0.0, False))
     return rows

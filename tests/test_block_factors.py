@@ -1,20 +1,23 @@
 """BlockSystem's cached factorisations against the dense oracles.
 
-The kernels and min-norm solves a BlockSystem answers from its two cached
-SVDs (of B and of B_m) must agree with ``nullspace`` and
+The kernels and min-norm solves a BlockSystem answers from the orthogonal
+sweeps over B and B_m must agree with ``nullspace`` and
 ``minimum_norm_solve`` applied to the dense matrices.  Compactly supported
 solutions lift every ker B^* vector in one batch and never factorise B_m;
 the batch must agree with the dense B and with one-column lifts.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from measureode import MeasureMatrix, Problem, blocksystem, fuzz
-from measureode.blocksystem import nullspace
+from measureode import InconsistentRank, MeasureMatrix, Problem, blocksystem, fuzz
+from measureode.blocksystem import moment_vectors, nullspace
 from measureode.cli import main
+from measureode.relations import t0_solve_system
 from measureode.solutions import (compact_support_solutions, lift_kernel_vector,
-                                  minimum_norm_solve)
+                                  minimum_norm_solve, solve_system)
 from measureode.verify import run_suites
 
 from conftest import block_system
@@ -157,3 +160,141 @@ def test_rank_cut_applies_per_call(tol_rank):
     _assert_same_span(bs.factors.kernel(tol_rank), nullspace(bs.B, tol_rank))
     _assert_same_span(bs.factors.adjoint_kernel(tol_rank),
                       nullspace(bs.B.conj().T, tol_rank))
+
+
+# -- the sweeps against the dense SVD on larger and rank-deficient systems ------
+
+
+@functools.lru_cache(maxsize=1)
+def _mirrored_family():
+    """Mirrored chains of 2 to 8 atoms at n = 2 to 4, so ker B^* != 0."""
+    rng = np.random.default_rng(4242)
+    instances = [fuzz.random_chain(rng, 2 * int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+                 for _ in range(40)]
+    return [(inst, block_system(inst.problem, inst.window)) for inst in instances]
+
+
+@functools.lru_cache(maxsize=1)
+def _chains():
+    """Random and mirrored chains up to N = 160 at n = 2 and N = 60 at n <= 6.
+
+    The dense oracle is capped at nN <= 400 rows.
+    """
+    rng = np.random.default_rng(31)
+    instances = [fuzz.random_chain(rng, N, n, mirrored)
+                 for n, N in ((2, 160), (3, 40), (4, 60), (6, 60))
+                 for mirrored in (False, True)]
+    return [(inst, block_system(inst.problem, inst.window)) for inst in instances]
+
+
+def _matches_dense(factors, matrix, rhs) -> list[bool]:
+    """Compare one factorisation with a dense SVD at both cuts; False where not sharp.
+
+    One full SVD gives the oracle kernels and min-norm solve at every cut,
+    with the relative rule of ``nullspace`` and ``minimum_norm_solve``.
+    Dimensions must always agree.  Spans and solves are compared where the
+    spectrum drops by 1 / SPAN_TOL across the cut; elsewhere a singular
+    value sits near the cut, the truncated kernel is fixed only up to it,
+    and each kernel is checked against the residual every sweep guarantees,
+    at most the cut per block row (bounded here per row).
+    """
+    u, s, vh = np.linalg.svd(matrix)
+    sharp = []
+    for tol_rank in (1e-10, 1e-3):
+        rank = int(np.sum(s > tol_rank * s[0]))
+        kernel, adjoint = factors.kernel(tol_rank), factors.adjoint_kernel(tol_rank)
+        assert kernel.shape[1] == matrix.shape[1] - rank
+        assert adjoint.shape[1] == matrix.shape[0] - rank
+        sharp.append(rank == s.size or s[rank] <= SPAN_TOL * s[rank - 1])
+        if not sharp[-1]:
+            bound = np.sqrt(matrix.shape[0]) * tol_rank * factors.scale
+            assert np.linalg.norm(matrix @ kernel, 2) <= bound
+            assert np.linalg.norm(matrix.conj().T @ adjoint, 2) <= bound
+            continue
+        _assert_same_span(kernel, vh[rank:].conj().T)
+        _assert_same_span(adjoint, u[:, rank:])
+        oracle = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ rhs) / s[:rank])
+        scale = max(1.0, float(np.linalg.norm(oracle)))
+        assert np.linalg.norm(factors.solve(rhs, tol_rank) - oracle) <= SOLVE_TOL * scale
+    return sharp
+
+
+def test_sweeps_match_the_dense_oracle():
+    rng = np.random.default_rng(17)
+    sharp = []
+    for _, bs in _fuzz_systems() + _mirrored_family() + _chains():
+        for factors, matrix in ((bs.factors, bs.B), (bs.reduced_factors, bs.B_m)):
+            rows = matrix.shape[0]
+            rhs = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+            sharp.append(_matches_dense(factors, matrix, rhs))
+    assert all(at_default for at_default, _ in sharp)
+
+
+def _random_chain_system(seed, N):
+    inst = fuzz.random_chain(np.random.default_rng(seed), N, 2, mirrored=False)
+    return block_system(inst.problem, inst.window)
+
+
+def test_a_singular_value_near_the_cut_fixes_dimensions_not_spans():
+    # B and B_m have a singular value of 5e-4 sigma_max, next to the 1e-3 cut.
+    bs = _random_chain_system(27, 20)
+    for factors, matrix in ((bs.factors, bs.B), (bs.reduced_factors, bs.B_m)):
+        assert _matches_dense(factors, matrix, np.ones(matrix.shape[0], dtype=complex)) \
+            == [True, False]
+
+
+def test_sweeps_that_disagree_at_a_coarse_cut_raise():
+    # B_m has a singular value of 6.5e-4 sigma_max: the sweep over B_m keeps a
+    # pivot for it at the 1e-3 cut, the sweep over B_m^* does not.
+    bs = _random_chain_system(42, 20)
+    with pytest.raises(InconsistentRank, match="ranks 38 and 37"):
+        bs.reduced_factors.adjoint_kernel(1e-3)
+    assert bs.reduced_factors.adjoint_kernel().shape[1] == bs.n
+
+
+def test_mirrored_chains_reach_a_nontrivial_adjoint_kernel():
+    chains = _chains()
+    cases = [(bs, bs.N // 2) for _, bs in _mirrored_family() + chains[1::2]]
+    cases += [(bs, 0) for _, bs in chains[::2]]
+    for bs, expected in cases:
+        assert bs.factors.adjoint_kernel().shape[1] == expected
+        assert bs.factors.kernel().shape[1] == bs.n + expected
+        assert len(compact_support_solutions(bs)) == expected
+
+
+def test_structured_paths_build_no_dense_matrix_and_take_no_large_svd(monkeypatch):
+    inst = fuzz.random_chain(np.random.default_rng(8), 40, 2)
+    bs = block_system(inst.problem, inst.window)
+    moments = moment_vectors(bs, inst.f.refined_against(inst.problem.w))
+    shapes = []
+    original = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    solve_system(bs, moments)
+    assert len(compact_support_solutions(bs)) == 20
+    t0_solve_system(bs, moments)
+    # Only pivot matrices (n x at most 2n) and the free bases are decomposed.
+    assert shapes and max(max(shape) for shape in shapes) <= 2 * bs.n
+    assert not {"B", "C", "B_m", "C_m"} & set(vars(bs))
+
+
+def test_disagreeing_sweep_ranks_raise_and_fail_rows(monkeypatch, capsys):
+    original = blocksystem.Factorisation._adjoint_sweep
+    # A cut above every singular value, for the sweeps over M^* only.
+    monkeypatch.setattr(blocksystem.Factorisation, "_adjoint_sweep",
+                        lambda self, tol_rank: original(self, 1e12 * tol_rank))
+    problem, interval = mirrored_chain()
+    bs = block_system(problem, interval)
+    with pytest.raises(InconsistentRank):
+        bs.factors.adjoint_kernel()
+    rows = run_suites(problem, interval, rng=np.random.default_rng(4))
+    raised = [row for row in rows if "raised InconsistentRank" in row.name]
+    assert raised and not any(row.passed for row in raised)
+    assert main(["verify", "--input", data("instance_a.json")]) == 1
+    assert '"lift raised InconsistentRank [input]"' in capsys.readouterr().out
+    assert main(["compact", "--input", data("instance_a.json")]) == 1
+    assert "find ranks" in capsys.readouterr().err

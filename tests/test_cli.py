@@ -202,6 +202,15 @@ def test_an_empty_suite_selection_exits_two(argv, capsys):
     assert "--checks" in err
 
 
+@pytest.mark.parametrize("checks", ["bogus", ","])
+def test_a_malformed_checks_exits_two_before_the_input_is_read(checks, capsys):
+    code, out, err = run_main(["verify", "--input", data("bad_negative_w.json"),
+                               "--checks", checks], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --checks")
+
+
 def test_selected_suites_are_reported_once_in_suite_order(capsys):
     code, out, _ = run_main(["verify", "--input", data("instance_b.json"),
                              "--checks", "lift,cbbc,cbbc"], capsys)

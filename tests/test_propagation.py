@@ -781,4 +781,4 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
     # to grid points off the factor's nodes (the w-breakpoints here).
     assert per_size[0] == per_size[1] == dict(
         assemble=1, moments=2, states=1, pairing=1, mixed=1, integral=2,
-        orthogonal=4, homogeneous=0, kernel_pairing=2)
+        orthogonal=2, homogeneous=0, kernel_pairing=2)
