@@ -385,6 +385,18 @@ def _partition_states(fundamentals, points) -> tuple[_NodeStates, np.ndarray]:
     return first.partition_states.span(gaps), first.partition_transfers[gaps]
 
 
+def _homogeneous_states(states: _NodeStates, fundamentals, coefficients) -> _NodeStates:
+    """Node states of homogeneous solutions U_j c_j, one column per solution.
+
+    ``states`` are the node states of ``fundamentals``, consecutive
+    subintervals of one build (``_partition_states``); ``coefficients``
+    (N+1, n, d) holds the c_j of d solutions as columns.  No exponential: a
+    basis of d solutions is one matrix-valued factor with (n, d) states.
+    """
+    c = np.repeat(coefficients, [U.nodes.size - 1 for U in fundamentals], axis=0)
+    return states._replace(rights=_freeze(states.rights @ c), lefts=_freeze(states.lefts @ c))
+
+
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
                        ) -> FundamentalMatrix:
     """Build the fundamental matrix on (lo, hi); SingularAtom if a jump inside is."""
@@ -462,10 +474,8 @@ class PiecewiseSolution:
         homogeneous = self._homogeneous
         f, problem, n = self.rhs, self.problem, self.n
         if f is None:
-            c = np.repeat(self.coefficients,
-                          [U.nodes.size - 1 for U in self.fundamentals], axis=0)[..., None]
-            self._states = homogeneous._replace(rights=_freeze(homogeneous.rights @ c),
-                                                lefts=_freeze(homogeneous.lefts @ c))
+            self._states = _homogeneous_states(homogeneous, self.fundamentals,
+                                               self.coefficients[..., None])
             return self._states
         q, w = problem.q, problem.w
         _check_rhs(f, *self.window)
@@ -562,7 +572,8 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
     P exp(A[k] s) y[k] (P one matrix, or one per piece), z[k] is its left
     limit at ends[k] (``ends`` may be empty) and a[i] its balanced value at
     atoms[i].  Values are (n, m): m columns of representable functions, or
-    (n, n) for the matrix states of fundamental matrices.
+    (n, n) for the matrix states of fundamental matrices, or (n, d) for a
+    basis of d homogeneous solutions.
     """
     if isinstance(factor, list):
         m = len(factor)
@@ -585,10 +596,12 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     """Integral of u^* w v over each open interval (edges[i], edges[i+1]).
 
     A factor is a balanced solution, a representable function, a list of
-    them (the columns of a matrix-valued function) or the node states of
-    fundamental matrices (matrix-valued); row i holds the pairings of u's
-    columns with v's.  Atoms of w strictly inside an interval contribute with
-    balanced values, atoms at the edges do not.  One grid, one ``limits``
+    them (the columns of a matrix-valued function) or node states with any
+    number of columns (fundamental matrices, or a homogeneous basis from
+    ``_homogeneous_states``); row i holds the pairings of u's columns with
+    v's, and the block convolution is the same size whatever their number.
+    Atoms of w strictly inside an interval contribute with balanced values,
+    atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
     u's end state) and one stacked _convolution cover every interval.
     """

@@ -25,9 +25,9 @@ from .blocksystem import (
 from .coefficients import MeasureMatrix, Problem
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
-from .propagation import PiecewiseSolution, w_pairing
-from .solutions import (DEFAULT_TOL_SOLVE, _consistency_bound, _lift_projected,
-                        reconstruct, solve_system)
+from .propagation import PiecewiseSolution, _pairings, w_pairing
+from .solutions import (DEFAULT_TOL_SOLVE, _basis_states, _consistency_bound,
+                        _lift_projected, reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -59,7 +59,11 @@ def inner_product(w: MeasureMatrix, u, v, window=None) -> complex:
 
 def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     """Norm induced by the weight; tiny negative squares clamp to zero."""
-    square = inner_product(w, u, u, window)
+    return _norm_from_square(inner_product(w, u, u, window))
+
+
+def _norm_from_square(square) -> float:
+    """weighted_norm's rule: ValueError below -1e-12, clamp to zero above."""
     value = float(np.real(square))
     if value < -1e-12:
         raise ValueError(f"squared norm came out {value}, far below zero")
@@ -81,17 +85,19 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     """All homogeneous balanced solutions on the window, with w-norms.
 
     Elements whose w-norm vanishes represent the zero class of the weighted
-    space and are flagged degenerate.
+    space and are flagged degenerate.  The squared norms are the diagonal of
+    one Gram pairing of the whole basis, a matrix-valued factor; negative
+    squares clamp to zero.
     """
     bs = build_system(problem, window, extra_points, tol_sing)
     result = solve_system(bs, tol_rank=tol_rank)
-    elements = []
-    for sol in result.kernel_basis:
-        square = float(np.real(inner_product(problem.w, sol, sol, window)))
-        square = max(square, 0.0)
-        elements.append(K0Element(sol, float(np.sqrt(square)),
-                                  square <= DEGENERATE_NORM_TOL))
-    return elements
+    if not result.kernel_basis:
+        return []
+    basis = _basis_states(bs, result.kernel_coefficients)
+    gram = _pairings(problem.w, basis, basis, bs.partition.window)[0]
+    squares = np.maximum(np.real(np.diagonal(gram)), 0.0).tolist()
+    return [K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
+            for sol, square in zip(result.kernel_basis, squares)]
 
 
 @dataclass

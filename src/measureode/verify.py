@@ -10,6 +10,9 @@ command line and the test battery.
 
 from __future__ import annotations
 
+import sys
+from functools import cache
+
 import numpy as np
 
 from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
@@ -19,10 +22,11 @@ from .errors import InconsistentLift, InconsistentRank, LiftEndpointNonzero, Not
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
-from .relations import (OrthogonalityCertificate, inner_product,
-                        lagrange_check, t0_solve_system, weighted_norm)
-from .solutions import (DEFAULT_TOL_SOLVE, _lift_projected, compact_support_solutions,
-                        functional_identity_defect, reconstruct, solve_system)
+from .relations import (OrthogonalityCertificate, _norm_from_square, lagrange_check,
+                        t0_solve_system, weighted_norm)
+from .solutions import (DEFAULT_TOL_SOLVE, _basis_states, _lift_projected,
+                        compact_support_solutions, functional_identity_defect,
+                        reconstruct, solve_system)
 
 SUITE_NAMES = ("cbbc", "wronskian", "lift", "functional", "lagrange", "t0")
 
@@ -103,13 +107,15 @@ def suite_lift(bs, tag: str, tol_solve: float, tol_rank: float) -> list[Check]:
 
 
 def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
-                     tol_solve: float, tol_rank: float) -> list[Check]:
+                     tol_solve: float, tol_rank: float, *,
+                     moments: MomentVectors | None = None) -> list[Check]:
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     if basis.shape[1] == 0:
         return [Check(f"functional identity [{tag}]", 0.0, TOL_FUNCTIONAL, True)]
     uhat = basis @ _rand_complex(rng, basis.shape[1])
-    mv = moment_vectors(bs, f)
-    defect = functional_identity_defect(bs, mv, uhat, tol_solve, tol_rank)
+    if moments is None:
+        moments = moment_vectors(bs, f)
+    defect = functional_identity_defect(bs, moments, uhat, tol_solve, tol_rank)
     bound = TOL_FUNCTIONAL * (1.0 + _sup_norm(f)) \
         * (1.0 + float(np.linalg.norm(uhat)))
     return [Check(f"functional identity [{tag}]", defect, bound,
@@ -117,14 +123,17 @@ def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
 
 
 def _solution_with_rhs(bs, f: L2Function, rng: np.random.Generator,
-                       tol_solve: float, tol_rank: float):
+                       tol_solve: float, tol_rank: float,
+                       moments: MomentVectors | None = None):
     """A genuine balanced solution on the window, with the rhs it solves.
 
     Uses the inhomogeneous solve when consistent; otherwise falls back to a
-    random homogeneous solution (rhs None, meaning zero).
+    random homogeneous solution (rhs None, meaning zero).  ``moments`` are
+    f's, computed here when not given.
     """
-    mv = moment_vectors(bs, f)
-    result = solve_system(bs, mv, tol_solve, tol_rank)
+    if moments is None:
+        moments = moment_vectors(bs, f)
+    result = solve_system(bs, moments, tol_solve, tol_rank)
     combo = result.kernel_coefficients @ _rand_complex(
         rng, result.kernel_dimension)
     if result.consistent:
@@ -133,10 +142,11 @@ def _solution_with_rhs(bs, f: L2Function, rng: np.random.Generator,
 
 
 def suite_lagrange(bs, f: L2Function, g: L2Function, rng: np.random.Generator,
-                   tag: str, tol_solve: float, tol_rank: float) -> list[Check]:
+                   tag: str, tol_solve: float, tol_rank: float, *,
+                   moments: MomentVectors | None = None) -> list[Check]:
     problem = bs.problem
     window = bs.partition.window
-    u, fu = _solution_with_rhs(bs, f, rng, tol_solve, tol_rank)
+    u, fu = _solution_with_rhs(bs, f, rng, tol_solve, tol_rank, moments)
     v, gv = _solution_with_rhs(bs, g, rng, tol_solve, tol_rank)
     report = lagrange_check(problem, window, (u, fu), (v, gv))
     rows = [Check(f"lagrange pairing [{tag}]", report.defect, TOL_PAIRING,
@@ -181,8 +191,16 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     return L2Function(window, edges, values, zero_atoms)
 
 
-def _t0_result_rows(bs, moments: MomentVectors, result, homogeneous, prefix: str,
-                    tag: str, tol_rank: float) -> list[Check]:
+def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
+                    prefix: str, tag: str, tol_rank: float) -> list[Check]:
+    """Rows for one t0 result: a certificate's two checks, or a solution's three.
+
+    ``kernel`` holds the node states of every homogeneous solution on the
+    window as the columns of one matrix-valued factor (``_basis_states``),
+    and ``kernel_norms()`` their w-norms.  A solution's "range orthogonal to
+    kernel" row pairs f with all columns in one call; the norms are asked
+    for only then, so a certificate costs no Gram pairing.
+    """
     problem = bs.problem
     f = moments.f
     window = bs.partition.window
@@ -212,12 +230,11 @@ def _t0_result_rows(bs, moments: MomentVectors, result, homogeneous, prefix: str
     rows.append(Check(f"{prefix} solvable means orthogonal [{tag}]", proj,
                       CERTIFICATE_TRIGGER, proj <= CERTIFICATE_TRIGGER))
 
-    norm_f = weighted_norm(problem.w, f, window)
     worst = 0.0
-    for sol in homogeneous:
-        pairing = abs(inner_product(problem.w, f, sol, window))
-        norm_r = weighted_norm(problem.w, sol, window)
-        worst = max(worst, pairing / (1.0 + norm_f * norm_r))
+    if kernel.rights.shape[-1]:
+        norm_f = weighted_norm(problem.w, f, window)
+        pairings = np.abs(_pairings(problem.w, f, kernel, window)[0, 0])
+        worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
     rows.append(Check(f"{prefix} range orthogonal to kernel [{tag}]", worst,
                       TOL_PAIRING, worst <= TOL_PAIRING))
     return rows
@@ -225,23 +242,34 @@ def _t0_result_rows(bs, moments: MomentVectors, result, homogeneous, prefix: str
 
 def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
              tag: str, tol_sing: float, tol_rank: float,
-             tol_solve: float) -> list[Check]:
+             tol_solve: float, *, moments: MomentVectors | None = None) -> list[Check]:
     """Endpoint-vanishing solves for f and a random orthogonal rhs, on ``bs``.
 
-    ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites does.
+    ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites
+    does; ``moments``, when given, are those of f refined against the weight.
+    The homogeneous basis is one factor for both results, and its Gram
+    pairing is made at most once.
     """
-    homogeneous = solve_system(bs, tol_rank=tol_rank).kernel_basis
-    moments = moment_vectors(bs, f.refined_against(bs.problem.w))
+    w, window = bs.problem.w, bs.partition.window
+    kernel = _basis_states(bs, bs.factors.kernel(tol_rank))
+
+    @cache
+    def kernel_norms() -> np.ndarray:
+        gram = _pairings(w, kernel, kernel, window)[0]
+        return np.array([_norm_from_square(square) for square in np.diagonal(gram)])
+
+    if moments is None:
+        moments = moment_vectors(bs, f.refined_against(w))
     result = t0_solve_system(bs, moments, tol_rank, tol_solve)
-    rows = _t0_result_rows(bs, moments, result, homogeneous, "t0", tag, tol_rank)
+    rows = _t0_result_rows(bs, moments, result, kernel, kernel_norms, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
-    moments_perp = moment_vectors(bs, f_perp.refined_against(bs.problem.w))
+    moments_perp = moment_vectors(bs, f_perp.refined_against(w))
     result_perp = t0_solve_system(bs, moments_perp, tol_rank, tol_solve)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
                           result_perp.residual, tol_solve, False))
     else:
-        rows.extend(_t0_result_rows(bs, moments_perp, result_perp, homogeneous,
+        rows.extend(_t0_result_rows(bs, moments_perp, result_perp, kernel, kernel_norms,
                                     "t0 orthogonal rhs", tag, tol_rank))
     return rows
 
@@ -256,7 +284,11 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
     """Run the selected identity suites against one problem instance.
 
     ``f`` is synthesized pseudo-randomly when a suite needs a right-hand
-    side and none is given; all randomness comes from ``rng``.
+    side and none is given; all randomness comes from ``rng``.  f's moment
+    vectors are computed once and passed to the functional, lagrange and t0
+    suites as ``moments``; called without it, each computes its own.  A
+    row whose defect is NaN or inf becomes a failing row named
+    "non-finite: ..." with the defect ``sys.float_info.max``.
     """
     unknown = sorted(set(checks) - set(SUITE_NAMES))
     if unknown:
@@ -267,10 +299,12 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
 
     bs = build_system(problem, window, extra_points, tol_sing)
 
+    moments = None
     if {"functional", "lagrange", "t0"} & set(selected):
         if f is None:
             f = random_f(rng, problem, window)
         f = f.refined_against(problem.w)
+        moments = moment_vectors(bs, f)
 
     rows: list[Check] = []
     for name in selected:
@@ -282,20 +316,24 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
             elif name == "lift":
                 rows.extend(suite_lift(bs, tag, tol_solve, tol_rank))
             elif name == "functional":
-                rows.extend(suite_functional(bs, f, rng, tag, tol_solve, tol_rank))
+                rows.extend(suite_functional(bs, f, rng, tag, tol_solve, tol_rank,
+                                             moments=moments))
             elif name == "lagrange":
                 g = random_f(rng, problem, window).refined_against(problem.w)
-                rows.extend(suite_lagrange(bs, f, g, rng, tag, tol_solve, tol_rank))
+                rows.extend(suite_lagrange(bs, f, g, rng, tag, tol_solve, tol_rank,
+                                           moments=moments))
             elif name == "t0":
                 rows.extend(suite_t0(bs, f, extra_points, rng, tag,
-                                     tol_sing, tol_rank, tol_solve))
+                                     tol_sing, tol_rank, tol_solve, moments=moments))
         except (InconsistentLift, InconsistentRank, NotInKernel,
                 LiftEndpointNonzero) as exc:
             # A lift or rank decision the suite relies on broke down: one
             # failing row, not a crash.
             rows.append(Check(f"{name} raised {type(exc).__name__} [{tag}]",
                               1.0, 0.0, False))
-    return rows
+    return [row if np.isfinite(row.measured) else
+            Check(f"non-finite: {row.name}", sys.float_info.max, row.tolerance, False)
+            for row in rows]
 
 
 def run_random_suites(seed, count: int, checks=SUITE_NAMES,

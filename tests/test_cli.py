@@ -273,6 +273,26 @@ def test_verify_reports_a_failed_lift_as_failing_rows(capsys):
                for row in raised)
 
 
+def test_non_finite_defects_become_failing_rows_in_a_valid_report(monkeypatch, capsys):
+    import measureode.verify as verify
+    from measureode.coefficients import Check
+    # An inf that would pass a "greater than" row, and a NaN, in every instance.
+    monkeypatch.setattr(verify, "suite_cbbc", lambda bs, tag, tol_rank: [
+        Check(f"inf [{tag}]", float("inf"), 1.0, True),
+        Check(f"nan [{tag}]", float("nan"), 1.0, False)])
+    code, out, _ = run_main(["verify", "--input", data("instance_a.json"),
+                             "--checks", "cbbc,wronskian", "--random", "1"], capsys)
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    suspect = [row for row in rows if row["name"].split()[0] in ("inf", "nan")
+               or row["name"].startswith("non-finite: ")]
+    assert [row["name"] for row in suspect] == [
+        f"non-finite: {kind} [{tag}]" for tag in ("input", "random 0")
+        for kind in ("inf", "nan")]
+    assert all(row["defect"] == sys.float_info.max and not row["pass"] for row in suspect)
+    assert all(row["pass"] for row in rows if row not in suspect)
+
+
 def test_reports_are_byte_identical_for_a_fixed_seed(tmp_path, capsys):
     outputs = []
     for name in ("first.json", "second.json"):
@@ -311,11 +331,11 @@ def test_console_script_names_the_cli_main():
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports the package the tests import."""
+    """Run a fresh interpreter, warnings as errors, that imports the tested package."""
     src = os.path.dirname(os.path.dirname(measureode.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_module_invocation_matches_the_entry_point():
@@ -323,6 +343,19 @@ def test_module_invocation_matches_the_entry_point():
                          "--input", data("instance_a.json"))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"
+
+
+@pytest.mark.parametrize("instance", ["instance_a", "instance_b", "instance_hyperbolic"])
+@pytest.mark.parametrize("mode", ["validate", "analyze", "solve", "kernel", "compact",
+                                  "verify"])
+def test_no_warning_or_traceback_escapes_a_cli_process(mode, instance, tmp_path):
+    # Warnings are errors in the fresh interpreter, so any would end in a
+    # traceback; failing checks and error exits are fine.
+    argv = [mode, "--input", data(f"{instance}.json"), "--output", str(tmp_path / "r.json")]
+    if mode == "verify":
+        argv += ["--random", "2"]
+    proc = _fresh_python("-m", "measureode.cli", *argv)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
 
 
 def _assert_scipy_stays_unloaded(code: str) -> None:

@@ -710,6 +710,39 @@ def test_pairings_and_moment_integrals_match_a_per_piece_reference():
     assert worst <= TOL_PAIRING_REF
 
 
+def test_a_batched_basis_pairs_like_its_solutions_one_by_one():
+    # The kernel basis as one factor with d columns: its Gram matrix and its
+    # pairings with f must match w_pairing on the d reconstructed solutions,
+    # from either side (so a lost conjugate shows as a non-Hermitian Gram).
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import _mirrored_family
+    from measureode.solutions import _basis_states
+    rng = np.random.default_rng(47)
+    systems = _fuzz_systems() + _mirrored_family()
+    worst, widest = 0.0, 0
+    for inst, bs in systems:
+        w, window = inst.problem.w, bs.partition.window
+        f = random_f(rng, inst.problem, window)
+        kernel = bs.factors.kernel()
+        basis = _basis_states(bs, kernel)
+        gram = propagation._pairings(w, basis, basis, window)[0]
+        f_pairings = propagation._pairings(w, f, basis, window)[0, 0]
+        solutions = [reconstruct(bs, column) for column in kernel.T]
+        norms = [abs(w_pairing(w, u, u, window)) ** 0.5 for u in solutions]
+        f_norm = abs(w_pairing(w, f, f, window)) ** 0.5
+        widest = max(widest, len(solutions))
+        for i, u in enumerate(solutions):
+            scale = max(1.0, f_norm * norms[i])
+            worst = max(worst, abs(f_pairings[i] - w_pairing(w, f, u, window)) / scale,
+                        abs(f_pairings[i] - np.conj(w_pairing(w, u, f, window))) / scale)
+            for j, v in enumerate(solutions):
+                scale = max(1.0, norms[i] * norms[j])
+                worst = max(worst, abs(gram[i, j] - w_pairing(w, u, v, window)) / scale,
+                            abs(gram[i, j] - np.conj(w_pairing(w, v, u, window))) / scale)
+    assert len(systems) == 240 and widest >= 6
+    assert worst <= 1e-12
+
+
 # -- one stacked exponential call per routine ------------------------------------
 
 

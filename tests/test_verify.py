@@ -91,17 +91,41 @@ def test_cbbc_bookkeeping_row_fails_when_the_ranks_disagree(monkeypatch, mirror_
 
 def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
     import measureode.verify as verify
-    calls = []
-    solve = verify.solve_system
+    solves, bases, grams = [], [], []
+    solve, build, pair = verify.solve_system, verify._basis_states, verify._pairings
     monkeypatch.setattr(verify, "solve_system",
-                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+                        lambda *a, **k: solves.append(1) or solve(*a, **k))
+    monkeypatch.setattr(verify, "_basis_states",
+                        lambda *a: bases.append(1) or build(*a))
+    monkeypatch.setattr(verify, "_pairings",
+                        lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
     rng = np.random.default_rng(5)
     inst = random_instance(rng)
     rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
                       checks=("t0",), rng=rng)
     assert sum("range orthogonal" in r.name for r in rows) == 2
-    # one basis shared by both result checks; orthogonal_rhs builds none
-    assert len(calls) == 1
+    # one set of basis states shared by both result checks, no reconstructed
+    # solutions, and one Gram pairing for both results' norms
+    assert solves == []
+    assert len(bases) == 1
+    assert sum(grams) == 1
+
+
+def test_run_suites_computes_each_rhs_s_moment_vectors_once(monkeypatch):
+    import measureode.relations as relations
+    import measureode.verify as verify
+    calls = []
+    for module in (verify, relations):
+        moments = module.moment_vectors
+        monkeypatch.setattr(module, "moment_vectors",
+                            lambda *a, _m=moments, **k: calls.append(1) or _m(*a, **k))
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng)
+    rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points, rng=rng)
+    assert rows and all(r.passed for r in rows)
+    # f (shared by functional, lagrange and t0), lagrange's g and t0's
+    # orthogonal rhs
+    assert len(calls) == 3
 
 
 def test_suite_t0_computes_moment_vectors_once_per_rhs(monkeypatch):
