@@ -8,13 +8,15 @@ piecewise constant and the formulas are closed.
 
 Every exponential goes through ``expm``, and each routine that needs many of
 them (fundamental matrices, node states, moment integrals, pairings) asks for
-all of them in one stacked call.
+all of them in one stacked call.  A pointwise value off the nodes takes none:
+it is read from a Taylor table kept with the node states.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from typing import NamedTuple
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,29 +52,15 @@ _PADE = (
 )
 
 
-@cache
-def _scipy_expm():
-    """scipy's compiled expm, imported on the first single-matrix exponential.
-
-    Cached, so a caller that evaluates point by point pays a lookup per call,
-    not an import statement.
-    """
-    from scipy.linalg import expm as single
-    return single
-
-
 def expm(A) -> np.ndarray:
     """Exponential of one matrix (m, m) or of every matrix in a stack (..., m, m).
 
-    A single matrix goes to scipy's compiled expm, the only use of scipy, so
-    scipy is loaded on the first one.  A stack goes to batched scaling and
-    squaring (Higham 2005): one Padé degree for the stack, chosen from its
-    largest 1-norm; above theta_13 each matrix is scaled by its own 2^-s, and
-    the squarings are applied to the matrices that still need them.
+    Batched scaling and squaring (Higham 2005); one matrix is a stack of one.
+    One Padé degree serves the stack, chosen from its largest 1-norm; above
+    theta_13 each matrix is scaled by its own 2^-s, and the squarings are
+    applied to the matrices that still need them.
     """
     A = np.asarray(A)
-    if A.ndim <= 2:
-        return _scipy_expm()(A)
     shape, m = A.shape, A.shape[-1]
     A = A.reshape(-1, m, m).astype(np.result_type(A.dtype, float), copy=False)
     if A.shape[0] == 0:
@@ -199,14 +187,48 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
     return np.linalg.solve(b_plus, b_minus)
 
 
-class _NodeStates(NamedTuple):
+# Off-node values come from a Taylor table, the truncated-Taylor action of
+# the exponential (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)).  Each
+# gap is split into sub-gaps of width delta with ||G||_1 delta <= _TAYLOR_THETA;
+# on the sub-gap from xi, Y(xi + r delta) for 0 <= r <= 1 is the sum over
+# j <= _TAYLOR_DEGREE of r^j (delta G)^j Y(xi) / j!.  The truncation error is
+# at most theta^(P+1) e^theta / (P+1)! ||Y(xi)||_1 = 2.2e-17 ||Y(xi)||_1.
+_TAYLOR_THETA = 1.0
+_TAYLOR_DEGREE = 18
+_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class _TaylorTable:
+    """Read-only Taylor coefficients of a flow on each of its sub-gaps.
+
+    ``terms[s, ..., j]`` is (delta_s G)^j Y(starts[s]) / j!; the sub-gap
+    starts and widths are tuples of floats, so a lookup is one ``bisect``.
+    """
+
+    starts: tuple
+    widths: tuple
+    terms: np.ndarray
+
+    def at(self, x: float) -> np.ndarray:
+        """The flow's state at x, inside the window and off the nodes."""
+        s = bisect_right(self.starts, x) - 1
+        powers = ((x - self.starts[s]) / self.widths[s]) ** _TAYLOR_POWERS
+        # Complex powers: a mixed-type dot would cast them, more slowly, per call.
+        return self.terms[s].dot(powers.astype(complex))
+
+
+@dataclass(frozen=True, eq=False)
+class _NodeStates:
     """Stacked read-only states of a piecewise exponential flow over a window.
 
     ``nodes`` holds the window ends and every point inside where the
     generator or the state jumps; ``generators[k]`` is the constant generator
     on (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
     ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
-    fundamental matrix) or a column (a solution's augmented (u, 1)).
+    fundamental matrix) or a column (a solution's augmented (u, 1)).  The
+    Taylor table of off-node values is built on first use and belongs to
+    these states alone: ``replace`` and ``span`` start without one.
     """
 
     nodes: np.ndarray
@@ -223,24 +245,51 @@ class _NodeStates(NamedTuple):
         """Generators of the gaps containing the points xs, all off the nodes."""
         return _pieces_at(self.nodes, self.generators, xs)
 
-    def flow(self, k, x) -> np.ndarray:
-        """State at x in the closure of gap k: one exponential from nodes[k].
+    def flow(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """States at the points x, each in the closure of its gap k.
 
-        A scalar k and x give one state; index and point arrays give a stack
-        from one stacked exponential.
+        One stacked exponential from the nodes to their right; a single point
+        off the nodes is read from the Taylor table by ``value`` instead.
         """
         dx = x - self.nodes[k]
-        if np.ndim(dx):
-            dx = dx[:, None, None]
-        return expm(self.generators[k] * dx) @ self.rights[k]
+        return expm(self.generators[k] * dx[:, None, None]) @ self.rights[k]
+
+    @cached_property
+    def _taylor(self) -> _TaylorTable:
+        """The Taylor table, from one stacked ``flow`` to the sub-gap starts inside gaps.
+
+        Gap k of width h_k splits into max(1, ceil(||G_k||_1 h_k / theta))
+        sub-gaps, each holding _TAYLOR_DEGREE + 1 states.
+        """
+        widths = np.diff(self.nodes)
+        norms = np.abs(self.generators).sum(axis=-2).max(axis=-1)
+        pieces = np.maximum(np.ceil(norms * widths / _TAYLOR_THETA), 1).astype(int)
+        gap = np.repeat(np.arange(pieces.size), pieces)
+        offset = np.arange(gap.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        delta = (widths / pieces)[gap]
+        starts = self.nodes[gap] + offset * delta
+        state = self.rights[gap]
+        inner = offset > 0
+        if inner.any():
+            state[inner] = self.flow(gap[inner], starts[inner])
+        steps = self.generators[gap] * delta[:, None, None]
+        terms = [state]
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            terms.append(steps @ terms[-1] / j)
+        return _TaylorTable(tuple(starts.tolist()), tuple(delta.tolist()),
+                            _freeze(np.stack(terms, axis=-1)))
 
     def value(self, x: float, side: str) -> np.ndarray:
-        """State at x; at the window ends the one limit there, whatever the side."""
+        """State at x; at the window ends the one limit there, whatever the side.
+
+        On a node it is a stored limit; off the nodes it is read from the
+        Taylor table, with no exponential.
+        """
         nodes = self.nodes
-        i = int(np.searchsorted(nodes, x))
+        i = int(nodes.searchsorted(x))
         if nodes[i] != x:
             # Off a node the left, right and balanced values coincide.
-            return self.flow(i - 1, x)
+            return self._taylor.at(x)
         if i == 0:
             return self.rights[0]
         if i == nodes.size - 1:
@@ -394,7 +443,7 @@ def _homogeneous_states(states: _NodeStates, fundamentals, coefficients) -> _Nod
     basis of d solutions is one matrix-valued factor with (n, d) states.
     """
     c = np.repeat(coefficients, [U.nodes.size - 1 for U in fundamentals], axis=0)
-    return states._replace(rights=_freeze(states.rights @ c), lefts=_freeze(states.lefts @ c))
+    return replace(states, rights=_freeze(states.rights @ c), lefts=_freeze(states.lefts @ c))
 
 
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
@@ -423,8 +472,9 @@ class PiecewiseSolution:
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
     + dw f links the two limits at each interior atom.  A value at a node is a
-    stored limit; anywhere else it is one exponential from the node to its
-    left.  Outside the window evaluation raises.
+    stored limit; anywhere else it is read from the states' Taylor table,
+    built on the first such value, with no exponential per call.  Outside the
+    window evaluation raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,

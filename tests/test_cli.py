@@ -367,8 +367,7 @@ def _assert_scipy_stays_unloaded(code: str) -> None:
 @pytest.mark.parametrize("mode", ["validate", "analyze", "solve", "kernel", "compact",
                                   "verify"])
 def test_the_cli_never_imports_scipy(mode, tmp_path):
-    # Every sample comes from one stacked exponential; scipy only serves a
-    # single-matrix one.
+    # The package imports no scipy; this guards against an import creeping back.
     argv = [mode, "--input", data("instance_b.json"), "--output", str(tmp_path / "r.json")]
     if mode == "verify":
         argv += ["--random", "1"]
@@ -378,3 +377,14 @@ def test_the_cli_never_imports_scipy(mode, tmp_path):
 
 def test_importing_the_package_does_not_import_scipy():
     _assert_scipy_stays_unloaded("import measureode")
+
+
+def test_single_exponentials_and_pointwise_values_do_not_import_scipy():
+    _assert_scipy_stays_unloaded(
+        "from measureode import MeasureMatrix, Problem, segment_exponential, "
+        "solve_ivp_regular\n"
+        "J = [[0, -1], [1, 0]]\n"
+        "segment_exponential(J, [[1, 0], [0, -1]], 0.5)\n"
+        "q = MeasureMatrix.lebesgue((0.0, 1.0), [[1.0, 0.0], [0.0, -1.0]])\n"
+        "problem = Problem(J, q, MeasureMatrix.zero((0.0, 1.0), 2))\n"
+        "solve_ivp_regular(problem, (0.0, 1.0), 0.0, [1.0, 0.0]).evaluate(0.3)")

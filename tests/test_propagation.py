@@ -6,11 +6,17 @@ norm, followed by repeated squaring.  The integral oracles are adaptive
 quadrature of the integrand sampled entry by entry.
 """
 
+import dataclasses
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
 from measureode import (
+    FundamentalMatrix,
     MeasureMatrix,
     OutOfInterval,
     PiecewiseSolution,
@@ -27,7 +33,9 @@ from measureode import (
 from measureode import build_system, propagation
 from measureode.blocksystem import moment_vectors
 from measureode.functions import L2Function
-from measureode.fuzz import hermitize, psd_project, random_f, random_matrix
+from measureode.fileio import load_problem
+from measureode.fuzz import (hermitize, psd_project, random_f, random_matrix,
+                             random_skew_invertible)
 from measureode.propagation import inhomogeneous_integral, w_pairing
 from measureode.solutions import compact_support_solutions, reconstruct, solve_system
 from measureode.verify import orthogonal_rhs
@@ -453,7 +461,7 @@ def test_evaluate_many_matches_the_balanced_values():
 
 
 def test_a_single_off_node_value_matches_evaluate_many():
-    # One point at a time takes the single-matrix exponential, not the stack.
+    # One point at a time is read from the Taylor table, not from the stack.
     problem, f = _dense_problem(np.random.default_rng(42))
     sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
     x = 0.123
@@ -462,7 +470,7 @@ def test_a_single_off_node_value_matches_evaluate_many():
     assert _worst_relative(sol.evaluate(x)[None], want) <= TOL_ORACLE
 
 
-def test_sampling_takes_one_exponential_per_sample(monkeypatch):
+def test_sampling_takes_no_exponential_after_the_first_sample(monkeypatch):
     problem, f = _dense_problem(np.random.default_rng(42))
     sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
     counts = {"expm": 0, "integral": 0}
@@ -483,10 +491,101 @@ def test_sampling_takes_one_exponential_per_sample(monkeypatch):
     for x in grid[1:]:
         sol.evaluate(float(x))
     assert counts["integral"] == 0
-    assert counts["expm"] - first <= grid.size - 1
+    assert counts["expm"] == first
     first = counts["expm"]
     sol.evaluate_many(grid)
     assert counts["expm"] - first == 1
+
+
+# -- pointwise values from the Taylor table ------------------------------------
+
+
+def _hyperbolic_factors(rng):
+    """instance_hyperbolic on its whole (0, 100): every gap splits 100 ways or more."""
+    parsed = load_problem(os.path.join(os.path.dirname(__file__), "data",
+                                       "instance_hyperbolic.json"))
+    problem, f, window = parsed.problem, parsed.f, parsed.window
+    U = fundamental_matrix(problem, window)
+    return [U, solve_ivp_regular(problem, window, 0.0, random_complex(rng, 2), f)]
+
+
+def _nilpotent_factors(rng):
+    """q = 0 on two of three pieces, with a large rhs: nilpotent generators that split."""
+    window = (0.0, 3.0)
+    q = MeasureMatrix(window, breakpoints=[0.0, 1.0, 2.0, 3.0],
+                      densities=[np.zeros((2, 2)), hermitize(random_matrix(rng, 2)),
+                                 np.zeros((2, 2))])
+    w = MeasureMatrix.lebesgue(window, psd_project(random_matrix(rng, 2)) + np.eye(2))
+    problem = Problem(J2, q, w)
+    f = L2Function.from_pieces(window, [(0.0, 0.5, 40.0 * random_complex(rng, 2)),
+                                        (0.5, 3.0, 8.0 * random_complex(rng, 2))], w=w)
+    return [solve_ivp_regular(problem, window, 0.0, random_complex(rng, 2), f)]
+
+
+def _complex_j_factors(rng, n):
+    """Complex skew-Hermitian J, q with pieces whose ||G|| width runs past 1, and a rhs."""
+    window = (-1.0, 2.0)
+    qbp = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 2.0, 3)), [2.0]])
+    scales = rng.uniform(0.1, 4.0, qbp.size - 1)
+    q = MeasureMatrix(window, breakpoints=qbp,
+                      densities=[c * hermitize(random_matrix(rng, n)) for c in scales],
+                      atoms=[(0.5, 0.2 * hermitize(random_matrix(rng, n)))])
+    w = MeasureMatrix(window, breakpoints=[-1.0, 0.0, 2.0],
+                      densities=[psd_project(random_matrix(rng, n)) for _ in range(2)])
+    problem = Problem(random_skew_invertible(rng, n), q, w)
+    f = random_f(rng, problem, window)
+    U = fundamental_matrix(problem, window)
+    return [U, solve_ivp_regular(problem, window, -1.0, random_complex(rng, n), f)]
+
+
+def _table_points(states):
+    """Just right of each node, just left of the next, mid-gap, and the inner sub-gap starts."""
+    nodes = states.nodes
+    inner = np.setdiff1d(states._taylor.starts, nodes)
+    xs = np.concatenate([np.nextafter(nodes[:-1], np.inf), np.nextafter(nodes[1:], -np.inf),
+                         0.5 * (nodes[:-1] + nodes[1:]), inner])
+    return xs, inner.size
+
+
+def test_pointwise_values_match_the_stack_and_the_series_oracle():
+    rng = np.random.default_rng(48)
+    factors = _hyperbolic_factors(rng) + _nilpotent_factors(rng)
+    for n in range(1, 7):
+        factors += _complex_j_factors(rng, n)
+    worst, split = 0.0, 0
+    for factor in factors:
+        states = factor.states if isinstance(factor, FundamentalMatrix) \
+            else factor._node_states()
+        xs, inner = _table_points(states)
+        split += inner > 0
+        gaps = np.searchsorted(states.nodes, xs) - 1
+        series = np.array([series_expm(states.generators[k] * (x - states.nodes[k]))
+                           @ states.rights[k] for k, x in zip(gaps, xs)])
+        stacked, _ = states.limits(xs)
+        got = np.array([factor.evaluate(float(x)) for x in xs]).reshape(xs.size, -1)
+        if isinstance(factor, FundamentalMatrix):
+            series, stacked = series.reshape(xs.size, -1), stacked.reshape(xs.size, -1)
+        else:
+            series, stacked = series[:, :factor.n, 0], factor.evaluate_many(xs)
+        worst = max(worst, _worst_relative(got, series), _worst_relative(got, stacked))
+    assert worst <= TOL_ORACLE
+    assert split == len(factors)
+
+
+def test_the_taylor_table_lives_and_dies_with_its_states():
+    rng = np.random.default_rng(49)
+    U, solution = _hyperbolic_factors(rng)
+    U.evaluate(50.5)
+    solution.evaluate(50.5)
+    # A span or a replaced copy of the states starts without a table.
+    assert "_taylor" in vars(U.states)
+    assert "_taylor" not in vars(U.partition_states)
+    assert "_taylor" not in vars(dataclasses.replace(U.states))
+    tables = [weakref.ref(U.states._taylor), weakref.ref(solution._node_states()._taylor)]
+    owners = [weakref.ref(U), weakref.ref(solution)]
+    del U, solution
+    gc.collect()
+    assert all(ref() is None for ref in owners + tables)
 
 
 def test_solution_fundamentals_must_span_their_subintervals():
@@ -506,10 +605,11 @@ def test_solution_fundamentals_must_span_their_subintervals():
 def test_fundamentals_and_solutions_view_the_partition_states():
     problem, window, f = _chain(4)
     bs = build_system(problem, window)
-    assert all(not a.flags.writeable for a in bs.states)
+    names = [field.name for field in dataclasses.fields(bs.states)]
+    assert all(not getattr(bs.states, name).flags.writeable for name in names)
     for U in bs.fundamentals:
-        for mine, shared in zip(U.states, bs.states):
-            assert np.shares_memory(mine, shared)
+        for name in names:
+            assert np.shares_memory(getattr(U.states, name), getattr(bs.states, name))
         assert np.shares_memory(U.transfers, bs.transfers)
     kernel = solve_system(bs).kernel_basis[0]
     assert kernel._node_states().generators is kernel._homogeneous.generators
