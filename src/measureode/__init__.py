@@ -18,7 +18,8 @@ from .coefficients import (Check, MeasureMatrix, Problem, ValidationReport,
 from .errors import (DimensionMismatch, EmptyWindow, InconsistentLift,
                      InconsistentRank, LiftEndpointNonzero, MeasureOdeError,
                      MissingRHS, NotInKernel, NotRepresentable, OutOfInterval,
-                     ParseError, SingularAtom, SingularJ, WindowMismatch)
+                     ParseError, SingularAtom, SingularInitialPoint,
+                     SingularJ, WindowMismatch)
 from .fileio import ParsedProblem, load_problem, parse_problem
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, PiecewiseSolution, atom_transfer,
@@ -43,9 +44,10 @@ __all__ = [
     "MissingRHS", "MomentVectors", "NotInKernel", "NotRepresentable",
     "OrthogonalityCertificate", "OutOfInterval", "PairingReport",
     "ParseError", "ParsedProblem", "Partition", "PiecewiseSolution",
-    "Problem", "SingularAtom", "SingularJ", "SolutionSet", "ValidationReport",
-    "WindowMismatch", "assemble", "atom_transfer", "build_system",
-    "classify_jumps", "compact_support_solutions", "find_singular_points",
+    "Problem", "SingularAtom", "SingularInitialPoint", "SingularJ",
+    "SolutionSet", "ValidationReport", "WindowMismatch", "assemble",
+    "atom_transfer", "build_system", "classify_jumps",
+    "compact_support_solutions", "find_singular_points",
     "functional_identity_defect", "fundamental_matrix", "inner_product",
     "kernel_K0", "lagrange_check", "lift_kernel_vector", "load_problem",
     "make_partition", "minimum_norm_solve", "moment_vectors", "nullspace",

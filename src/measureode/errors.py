@@ -29,6 +29,13 @@ class SingularAtom(MeasureOdeError):
         self.position = position
 
 
+class SingularInitialPoint(MeasureOdeError):
+    """The fundamental matrix at an initial point is numerically singular.
+
+    No value prescribed there determines a solution in floating point.
+    """
+
+
 class EmptyWindow(MeasureOdeError):
     """A window [lo, hi] with lo >= hi was requested."""
 

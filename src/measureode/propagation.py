@@ -26,6 +26,7 @@ from .errors import (
     NotRepresentable,
     OutOfInterval,
     SingularAtom,
+    SingularInitialPoint,
     SingularJ,
     WindowMismatch,
 )
@@ -228,7 +229,8 @@ class _NodeStates:
     ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
     fundamental matrix) or a column (a solution's augmented (u, 1)).  The
     Taylor table of off-node values is built on first use and belongs to
-    these states alone: ``replace`` and ``span`` start without one.
+    these states alone: ``replace`` and ``span`` start without one.  So does
+    the pairing table of a build's fundamental matrices (``pairing_table``).
     """
 
     nodes: np.ndarray
@@ -278,6 +280,24 @@ class _NodeStates:
             terms.append(steps @ terms[-1] / j)
         return _TaylorTable(tuple(starts.tolist()), tuple(delta.tolist()),
                             _freeze(np.stack(terms, axis=-1)))
+
+    @cached_property
+    def _pairing_cache(self) -> dict:
+        """The last pairing table built on these states, keyed by (w, edges)."""
+        return {}
+
+    def pairing_table(self, w: MeasureMatrix, edges: np.ndarray) -> "_PairingTable":
+        """The pairing table of these fundamental-matrix states over edges against w.
+
+        Kept until a pairing asks for another weight object or other edges,
+        and freed with the states.
+        """
+        cache = self._pairing_cache
+        key = (w, tuple(edges.tolist()))
+        if key not in cache:
+            cache.clear()
+            cache[key] = _pairing_table(self, w, edges)
+        return cache[key]
 
     def value(self, x: float, side: str) -> np.ndarray:
         """State at x; at the window ends the one limit there, whatever the side.
@@ -467,7 +487,11 @@ class PiecewiseSolution:
     side (None for homogeneous).  It keeps views of the node states of its
     fundamental matrices, consecutive subintervals of one build.  A
     homogeneous solution's node states are U_j(node+-) c_j, with no
-    exponential of their own.
+    exponential of their own, and two homogeneous solutions of one build pair
+    through the pairing table cached on its node states, from their
+    coefficient rows alone.  ``states``, when given, are the node states that
+    ``_partition_states`` checks out of ``fundamentals`` (a BlockSystem's
+    ``states``), so that check is not run again.
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
@@ -478,13 +502,14 @@ class PiecewiseSolution:
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
-                 rhs: L2Function | None = None):
+                 rhs: L2Function | None = None, *, states: _NodeStates | None = None):
         self.problem = problem
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 1 or self.points.size < 2:
             raise DimensionMismatch("a solution needs at least one subinterval")
         self.fundamentals = list(fundamentals)
-        self._homogeneous, _ = _partition_states(self.fundamentals, self.points)
+        self._homogeneous = (states if states is not None
+                             else _partition_states(self.fundamentals, self.points)[0])
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
         n = problem.n
@@ -595,6 +620,8 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
 
     At the left endpoint the prescribed value is the right limit, at the
     right endpoint the left limit, anywhere else the balanced value.
+    SingularInitialPoint if the fundamental matrix at x0 is numerically
+    singular.
     """
     lo, hi = float(sub[0]), float(sub[1])
     x0 = float(x0)
@@ -607,7 +634,11 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
     side = "right" if x0 == lo else "left" if x0 == hi else "balanced"
     particular = PiecewiseSolution(problem, [lo, hi], [U],
                                    [np.zeros(problem.n, dtype=complex)], f)
-    c = np.linalg.solve(U.evaluate(x0, side), u0 - particular.evaluate(x0, side))
+    try:
+        c = np.linalg.solve(U.evaluate(x0, side), u0 - particular.evaluate(x0, side))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInitialPoint(
+            f"the fundamental matrix at x0={x0} is numerically singular") from exc
     return PiecewiseSolution(problem, [lo, hi], [U], [c], f)
 
 
@@ -642,6 +673,100 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
             0.5 * (left[L:, :n] + right[L:, :n]))
 
 
+def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
+    """The pieces and atoms a pairing over ``edges`` sums.
+
+    The grid cuts at the edges, at w's structure and at every array of
+    ``nodes``.  Returns (starts, ends, mids, w0) of the pieces where w has a
+    density w0, and (positions, matrices) of w's atoms strictly inside an
+    interval: atoms at the edges are left out.
+    """
+    lo, hi = edges[0], edges[-1]
+    cuts = np.concatenate([edges, w.breakpoints, w.atom_positions] + nodes)
+    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    w0 = _pieces_at(w.breakpoints, w.densities, mids)
+    keep = w0.any(axis=(1, 2))
+    positions, matrices = w.atoms_between(lo, hi)
+    inside = ~np.isin(positions, edges)
+    return (grid[:-1][keep], grid[1:][keep], mids[keep], w0[keep],
+            positions[inside], matrices[inside])
+
+
+@dataclass(frozen=True, eq=False)
+class _PairingTable:
+    """What a pairing of homogeneous solutions of one build takes from the build alone.
+
+    On piece k of the pairing grid, around ``mids[k]``: ``kernel[k]`` is the
+    block convolution of w's density between the build's generators,
+    ``rights[k]`` the fundamental matrix's right limit at the piece start and
+    ``lefts[k]`` its left limit at the piece end.  At the w-atom
+    ``positions[i]``: ``atom_lefts[i]`` and ``atom_rights[i]`` are the two
+    limits and ``matrices[i]`` the atom.  ``piece_rows`` and ``atom_rows``
+    give the edge interval each term adds to.  A solution with coefficient
+    rows c_j takes U c at each point from the row of the subinterval that
+    holds it, the left and right one at a partition point.
+    """
+
+    mids: np.ndarray
+    kernel: np.ndarray
+    rights: np.ndarray
+    lefts: np.ndarray
+    piece_rows: np.ndarray
+    positions: np.ndarray
+    atom_lefts: np.ndarray
+    atom_rights: np.ndarray
+    matrices: np.ndarray
+    atom_rows: np.ndarray
+    intervals: int
+
+
+def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges: np.ndarray) -> _PairingTable:
+    """The pairing table over edges against w of a build's fundamental-matrix states.
+
+    One ``limits`` call and one stacked _convolution, as a general pairing of
+    two of the build's homogeneous solutions takes, on the same grid.
+    """
+    starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [states.nodes])
+    K, L = starts.size, starts.size + ends.size
+    left, right = states.limits(np.concatenate([starts, ends, positions]))
+    A = states.generators_at(mids)
+    arrays = (mids, _convolution(_adjoint(A), w0, A, ends - starts), right[:K], left[K:L],
+              np.searchsorted(edges, mids) - 1, positions, left[L:], right[L:], matrices,
+              np.searchsorted(edges, positions) - 1)
+    return _PairingTable(*map(_freeze, arrays), edges.size - 1)
+
+
+def _shared_build(u, v, edges: np.ndarray) -> _NodeStates | None:
+    """The build's node states if u and v are homogeneous solutions of it covering edges."""
+    lo, hi = edges[0], edges[-1]
+    if not all(isinstance(f, PiecewiseSolution) and f.rhs is None and f.covers(lo, hi)
+               for f in (u, v)):
+        return None
+    states = u.fundamentals[0].partition_states
+    return states if v.fundamentals[0].partition_states is states else None
+
+
+def _table_pairings(table: _PairingTable, u: PiecewiseSolution, v: PiecewiseSolution
+                    ) -> np.ndarray:
+    """``_pairings`` of two homogeneous solutions from their build's pairing table."""
+    def values(sol):
+        # U c at each piece end and the balanced U c at each atom.
+        c, points = sol.coefficients[..., None], sol.points
+        rows = c[points.searchsorted(table.mids) - 1]
+        atoms = 0.5 * (table.atom_lefts @ c[points.searchsorted(table.positions) - 1]
+                       + table.atom_rights @ c[points.searchsorted(table.positions, "right") - 1])
+        return rows, atoms
+
+    cu, au = values(u)
+    cv, av = (cu, au) if v is u else values(v)
+    pieces = _adjoint(table.lefts @ cu) @ table.kernel @ (table.rights @ cv)
+    out = np.zeros((table.intervals, 1, 1), dtype=complex)
+    np.add.at(out, table.piece_rows, pieces)
+    np.add.at(out, table.atom_rows, _adjoint(au) @ (table.matrices @ av))
+    return out
+
+
 def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     """Integral of u^* w v over each open interval (edges[i], edges[i+1]).
 
@@ -653,23 +778,20 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     Atoms of w strictly inside an interval contribute with balanced values,
     atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
-    u's end state) and one stacked _convolution cover every interval.
+    u's end state) and one stacked _convolution cover every interval.  Two
+    homogeneous solutions of one build read all of that from the pairing
+    table cached on the build's node states, built by the first such pairing
+    against w over these edges; they add no exponential and no grid of their own.
     """
+    edges = np.asarray(edges, dtype=float)
+    build = _shared_build(u, v, edges)
+    if build is not None:
+        return _table_pairings(build.pairing_table(w, edges), u, v)
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
             else [f] if isinstance(f, L2Function) else f for f in (u, v))
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[0], edges[-1]
-    cuts = np.concatenate([edges, w.breakpoints, w.atom_positions] + [
+    starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [
         f.nodes if isinstance(f, _NodeStates) else g.structure_points()
         for f in (u, v) for g in (f if isinstance(f, list) else [f])])
-    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    w0 = _pieces_at(w.breakpoints, w.densities, mids)
-    keep = w0.any(axis=(1, 2))
-    starts, ends, mids, w0 = grid[:-1][keep], grid[1:][keep], mids[keep], w0[keep]
-    positions, matrices = w.atoms_between(lo, hi)
-    inside = ~np.isin(positions, edges)
-    positions, matrices = positions[inside], matrices[inside]
 
     Pu, Au, yu, zu, au = _pairing_form(u, w.n, mids, positions, starts, ends)
     Pv, Av, yv, _, av = (Pu, Au, yu, zu, au) if v is u else \
@@ -702,7 +824,9 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     """Integral of u^* w v over the open window, conjugate-linear in u.
 
     Both factors may be balanced solutions or representable functions; atoms
-    of w strictly inside the window contribute with balanced values.
+    of w strictly inside the window contribute with balanced values.  Two
+    homogeneous solutions of one build pair from the pairing table cached
+    on the build's node states (``_pairings``).
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:

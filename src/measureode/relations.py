@@ -58,7 +58,12 @@ def inner_product(w: MeasureMatrix, u, v, window=None) -> complex:
 
 
 def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
-    """Norm induced by the weight; tiny negative squares clamp to zero."""
+    """Norm induced by the weight; tiny negative squares clamp to zero.
+
+    A homogeneous solution of a block system reads the pairing table cached
+    on the build's node states, so the norms of a whole kernel basis take
+    exponentials only for the first.
+    """
     return _norm_from_square(inner_product(w, u, u, window))
 
 

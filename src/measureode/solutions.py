@@ -47,13 +47,17 @@ def minimum_norm_solve(matrix: np.ndarray, rhs: np.ndarray,
 
 def reconstruct(bs: BlockSystem, coefficients: np.ndarray,
                 f: L2Function | None = None) -> PiecewiseSolution:
-    """Balanced solution from one stacked coefficient vector (N+1 blocks)."""
+    """Balanced solution from one stacked coefficient vector (N+1 blocks).
+
+    It views ``bs.states``, which the block system already checked out of
+    its fundamental matrices.
+    """
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     if coefficients.size != bs.n * (bs.N + 1):
         raise DimensionMismatch(
             f"expected {bs.n * (bs.N + 1)} stacked coefficients, got {coefficients.size}")
     return PiecewiseSolution(bs.problem, bs.points, bs.fundamentals,
-                             coefficients.reshape(-1, bs.n), f)
+                             coefficients.reshape(-1, bs.n), f, states=bs.states)
 
 
 def _basis_states(bs: BlockSystem, coefficients: np.ndarray) -> _NodeStates:

@@ -5,7 +5,10 @@ Two hand-analyzed two-atom systems recur throughout: the "mirror" pair
 kernel and a compactly supported solution) and the "repeated" pair (equal
 atoms, whose adjoint kernel is trivial).  Both use the canonical 2x2
 rotation J and a single identity weight atom at the origin.
+``count_calls`` counts the calls of a module attribute during one test.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,3 +57,23 @@ def repeated_system(repeated_problem):
 def ones_rhs(mirror_problem):
     """The constant function (1, 1) refined against the weight."""
     return L2Function.constant(INTERVAL, np.array([1.0, 1.0]), w=mirror_problem.w)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the test.
+
+    Returns its counter: ``counter.calls`` is the number of calls so far,
+    and a test may reset it.
+    """
+    def wrap(module, name):
+        func = getattr(module, name)
+        counter = SimpleNamespace(calls=0)
+
+        def counted(*args, **kwargs):
+            counter.calls += 1
+            return func(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return counter
+    return wrap

@@ -22,19 +22,21 @@ from measureode import (
     PiecewiseSolution,
     Problem,
     SingularAtom,
+    SingularInitialPoint,
     atom_transfer,
     fundamental_matrix,
     segment_exponential,
     segment_integral,
     product_integral,
     solve_ivp_regular,
+    weighted_norm,
     WindowMismatch,
 )
 from measureode import build_system, propagation
 from measureode.blocksystem import moment_vectors
 from measureode.functions import L2Function
 from measureode.fileio import load_problem
-from measureode.fuzz import (hermitize, psd_project, random_f, random_matrix,
+from measureode.fuzz import (hermitize, psd_project, random_chain, random_f, random_matrix,
                              random_skew_invertible)
 from measureode.propagation import inhomogeneous_integral, w_pairing
 from measureode.solutions import compact_support_solutions, reconstruct, solve_system
@@ -276,6 +278,15 @@ def test_solve_ivp_regular_propagates_like_the_exponential():
         np.testing.assert_allclose(sol.evaluate(x), want, atol=1e-12)
 
 
+def test_solve_ivp_regular_names_a_numerically_singular_initial_point():
+    # On (0, 100) U(x0) = exp(G x0) has entries cosh x0 and sinh x0, so at
+    # x0 = 70 it is singular in floating point.
+    problem = load_problem(os.path.join(os.path.dirname(__file__), "data",
+                                        "instance_hyperbolic.json")).problem
+    with pytest.raises(SingularInitialPoint, match="x0=70.0"):
+        solve_ivp_regular(problem, (0.0, 100.0), 70.0, [1.0, 0.0])
+
+
 def test_solution_jumps_at_interior_weight_atom():
     problem = _weighted_problem()
     f = L2Function.constant((-1.0, 1.0), [1.0, -1.0], w=problem.w)
@@ -470,31 +481,22 @@ def test_a_single_off_node_value_matches_evaluate_many():
     assert _worst_relative(sol.evaluate(x)[None], want) <= TOL_ORACLE
 
 
-def test_sampling_takes_no_exponential_after_the_first_sample(monkeypatch):
+def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
     problem, f = _dense_problem(np.random.default_rng(42))
     sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
-    counts = {"expm": 0, "integral": 0}
-
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(propagation, "expm", counted("expm", propagation.expm))
-    monkeypatch.setattr(propagation, "inhomogeneous_integral",
-                        counted("integral", propagation.inhomogeneous_integral))
+    expm = count_calls(propagation, "expm")
+    integral = count_calls(propagation, "inhomogeneous_integral")
     grid = -1.0 + (np.arange(200) + 0.5) / 100.0
     assert not np.isin(grid, _nodes(sol)).any()
     sol.evaluate(float(grid[0]))
-    first = counts["expm"]
+    first = expm.calls
     for x in grid[1:]:
         sol.evaluate(float(x))
-    assert counts["integral"] == 0
-    assert counts["expm"] == first
-    first = counts["expm"]
+    assert integral.calls == 0
+    assert expm.calls == first
+    first = expm.calls
     sol.evaluate_many(grid)
-    assert counts["expm"] - first == 1
+    assert expm.calls - first == 1
 
 
 # -- pointwise values from the Taylor table ------------------------------------
@@ -843,6 +845,88 @@ def test_a_batched_basis_pairs_like_its_solutions_one_by_one():
     assert worst <= 1e-12
 
 
+def _other_weight(rng, problem, bs):
+    """A weight with atoms on every interior partition point and between them,
+    its own pieces inside the window, and one piece where its density is zero."""
+    (a, b), (lo, hi), n = problem.interval, bs.partition.window, bs.n
+    breakpoints = np.concatenate([[a], np.sort(rng.uniform(lo, hi, 4)), [b]])
+    densities = [psd_project(random_matrix(rng, n)) for _ in breakpoints[1:]]
+    densities[int(rng.integers(len(densities)))] = np.zeros((n, n))
+    positions = np.sort(np.concatenate([bs.points[1:-1], rng.uniform(lo, hi, 3)]))
+    return MeasureMatrix((a, b), breakpoints=breakpoints, densities=densities,
+                         atoms=[(float(x), psd_project(random_matrix(rng, n)))
+                                for x in positions])
+
+
+def test_homogeneous_pairings_from_the_table_match_the_general_path():
+    # Every ordered pair of each kernel basis: against the problem's weight
+    # over the window, then against another weight over a sub-window and over
+    # several intervals (one edge on its w-atom at a partition point).  The
+    # general path pairs the solutions' own node states, with no table; each
+    # case changes the weight or the edges, so a stale table would show.  The
+    # general path runs once per unordered pair; the exact pairing is Hermitian.
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import _mirrored_family
+    rng = np.random.default_rng(51)
+    systems = _fuzz_systems() + _mirrored_family()
+    worst = 0.0
+    for inst, bs in systems:
+        problem, (lo, hi) = inst.problem, bs.partition.window
+        other = _other_weight(rng, problem, bs)
+        a, b = np.sort(rng.uniform(lo, hi, 2))
+        cases = [(problem.w, [lo, hi]), (other, [a, b]),
+                 (other, np.unique([lo, bs.points[1], b, hi]))]
+        solutions = [reconstruct(bs, column) for column in bs.factors.kernel().T]
+        states = [u._node_states() for u in solutions]
+        d = len(solutions)
+        for w, edges in cases:
+            want = np.empty((d, d, len(edges) - 1), dtype=complex)
+            for i in range(d):
+                for j in range(i, d):
+                    pair = propagation._pairings(w, states[i], states[j], edges)[:, 0, 0]
+                    want[j, i], want[i, j] = pair.conj(), pair
+            norms = np.sqrt(np.abs(np.diagonal(want).sum(axis=0)))
+            for i, u in enumerate(solutions):
+                for j, v in enumerate(solutions):
+                    got = propagation._pairings(w, u, v, edges)[:, 0, 0]
+                    worst = max(worst, np.abs(got - want[i, j]).max()
+                                / max(1.0, norms[i] * norms[j]))
+            cache = bs.fundamentals[0].partition_states._pairing_cache
+            assert list(cache) == [(w, tuple(edges))]
+    assert len(systems) == 240
+    assert worst <= 1e-12
+
+
+def test_weighted_norms_of_a_kernel_basis_exponentiate_only_for_the_first(count_calls):
+    inst = random_chain(np.random.default_rng(52), 20)
+    bs = build_system(inst.problem, inst.window)
+    basis = solve_system(bs).kernel_basis
+    expm = count_calls(propagation, "expm")
+    counts = []
+    for u in basis:
+        expm.calls = 0
+        weighted_norm(inst.problem.w, u, inst.window)
+        counts.append(expm.calls)
+    # The first builds the table: one flow to the w-breakpoints, one convolution.
+    assert len(basis) == 12 and counts == [2] + [0] * 11
+
+
+def test_the_pairing_table_lives_and_dies_with_its_build():
+    inst = random_chain(np.random.default_rng(53), 6)
+    bs = build_system(inst.problem, inst.window)
+    basis = solve_system(bs).kernel_basis
+    for u in basis:
+        weighted_norm(inst.problem.w, u, inst.window)
+    states = bs.fundamentals[0].partition_states
+    (table,) = states._pairing_cache.values()
+    # Spans of the build's states carry no table of their own.
+    assert "_pairing_cache" not in vars(bs.states)
+    refs = [weakref.ref(states), weakref.ref(table)]
+    del bs, basis, u, states, table
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 # -- one stacked exponential call per routine ------------------------------------
 
 
@@ -868,22 +952,14 @@ def _chain(N):
     return problem, window, f
 
 
-def test_each_routine_makes_a_fixed_number_of_exponential_calls(monkeypatch):
+def test_each_routine_makes_a_fixed_number_of_exponential_calls(count_calls):
     from measureode.blocksystem import assemble, find_singular_points, make_partition
-    counts = {}
-
-    def counted(func):
-        def wrapper(*args, **kwargs):
-            counts["expm"] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(propagation, "expm", counted(propagation.expm))
+    expm = count_calls(propagation, "expm")
 
     def calls(run):
-        counts["expm"] = 0
+        expm.calls = 0
         result = run()
-        return counts["expm"], result
+        return expm.calls, result
 
     per_size = []
     for N in (10, 40):
