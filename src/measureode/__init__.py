@@ -16,7 +16,7 @@ from .blocksystem import (BlockSystem, JumpReport, MomentVectors, Partition,
 from .coefficients import (Check, MeasureMatrix, Problem, ValidationReport,
                            validate)
 from .errors import (DimensionMismatch, EmptyWindow, InconsistentLift,
-                     InconsistentRank, LiftEndpointNonzero, MeasureOdeError,
+                     LiftEndpointNonzero, MeasureOdeError,
                      MissingRHS, NotInKernel, NotRepresentable, OutOfInterval,
                      ParseError, SingularAtom, SingularInitialPoint,
                      SingularJ, WindowMismatch)
@@ -38,8 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSystem", "Check", "DimensionMismatch", "EmptyWindow",
-    "FundamentalMatrix", "InconsistentLift", "InconsistentRank", "JumpReport",
-    "K0Element",
+    "FundamentalMatrix", "InconsistentLift", "JumpReport", "K0Element",
     "L2Function", "LiftEndpointNonzero", "MeasureMatrix", "MeasureOdeError",
     "MissingRHS", "MomentVectors", "NotInKernel", "NotRepresentable",
     "OrthogonalityCertificate", "OutOfInterval", "PairingReport",

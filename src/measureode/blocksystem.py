@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 
 from .coefficients import Problem
-from .errors import DimensionMismatch, EmptyWindow, InconsistentRank, OutOfInterval
+from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
 from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint, _check_rhs,
                           _fundamental_matrices, _pairings, _partition_states)
@@ -206,49 +206,103 @@ class _Sweep:
         """Each row's pivot pseudo-inverse V_r S_r^-1 U_r^*."""
         return [(vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T for u, s, vh, r in self.svds]
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Min-norm solution for a consistent rhs.
+    @cached_property
+    def pivot_sweep(self) -> _Sweep:
+        """The sweep over L^*, where L = M E on the orthonormal pivot columns E.
 
-        Forward substitution on the pivots, then the kernel's backward
-        product.  Each row's pivot solution is orthogonal to its V_0, so the
-        result is orthogonal to the kernel.
+        Row j's pivot group E_j = diag(Z_j, I) V_r solves rows 0 .. j-1, so L
+        is block lower-bidiagonal with full column rank: U_r S_r on row j and
+        A_{j+1} times V_r's block-(j+1) rows on row j + 1.  M = L E^* up to
+        the cut, so ker M^* = ker L^*; every row of L^* is a pivot.
         """
-        tops, bottoms = [], [np.zeros(self.ends[0], dtype=complex)]
-        stop = 0
-        for (_, free, _), a, inverse in zip(self.steps, self.lower, self._inverses):
-            start, stop = stop, stop + a.shape[0]
-            pivot = inverse @ (rhs[start:stop] - a @ bottoms[-1])
-            tops.append(pivot[:free.shape[1]])
-            bottoms.append(pivot[free.shape[1]:])
-        out = np.empty(self.ends[-1], dtype=complex)
-        out[self.ends[-2]:] = bottoms.pop()
+        lower = [s[:r, None] * u[:, :r].conj().T for u, s, _, r in self.svds]
+        upper = [vh[:r, vh.shape[1] - a.shape[1]:] @ a.conj().T
+                 for (_, _, vh, r), a in zip(self.svds, self.lower[1:])]
+        upper.append(np.zeros((lower[-1].shape[0], 0), dtype=complex))
+        return _Sweep(lower, upper, -np.inf)
+
+    @cached_property
+    def _adjoint_steps(self) -> list[tuple]:
+        """Per row: the active rotation^*, V^*, the pivot count, U_r S_r^-1 and
+        U_r S_r^-1 times the adjoint of the next row's coupling to this one."""
+        steps = []
+        for (rotation, free, _), (u, s, vh, r), a in zip(
+                self.steps, self.svds, list(self.lower[1:]) + [np.zeros((0, 0))]):
+            if rotation is not None:
+                rotation = rotation[:, :free.shape[1]].conj().T
+            scaled = u[:, :r] / s[:r]
+            steps.append((rotation, vh, r, scaled, scaled @ vh[:r, free.shape[1]:] @ a.conj().T))
+        return steps
+
+    def _adjoint_solve(self, rhs: np.ndarray) -> list[np.ndarray]:
+        """(M^+)^* rhs by rows, where every row is a pivot: the adjoint of ``solve``.
+
+        A projection pass forward takes rhs to each row's pivot coordinates
+        V_r^* [Z_j^* rhs; rhs on block j + 1]; back substitution with the
+        adjoint pivot inverses follows.
+        """
+        coords, projections = rhs[:self.ends[0]], []
+        for (rotation, vh, r, _, _), start, stop in zip(
+                self._adjoint_steps, self.ends, self.ends[1:]):
+            if rotation is not None:
+                coords = rotation @ coords
+            coords = vh @ np.concatenate([coords, rhs[start:stop]])
+            projections.append(coords[:r])
+            coords = coords[r:]
+        out = [np.zeros(0, dtype=complex)]
+        for (_, _, _, scaled, coupling), projection in zip(
+                reversed(self._adjoint_steps), reversed(projections)):
+            out.append(scaled @ projection - coupling @ out[-1])
+        return out[:0:-1]  # rows in order, without the empty seed
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Min-norm least-squares solution E L^+ rhs.
+
+        Where every row is a pivot, L is square and forward substitution on
+        the pivots is L^-1; otherwise L^+ rhs is the adjoint of the min-norm
+        solve of the sweep over L^*.  The kernel's backward product then
+        writes E out, so the result is orthogonal to the kernel.
+        """
+        if self.rank < rhs.size:
+            pivots = [vh[:r].conj().T @ c for (_, _, vh, r), c in
+                      zip(self.svds, self.pivot_sweep._adjoint_solve(rhs))]
+        else:
+            pivots, bottom, stop = [], np.zeros(self.ends[0], dtype=complex), 0
+            for (_, free, _), a, inverse in zip(self.steps, self.lower, self._inverses):
+                start, stop = stop, stop + a.shape[0]
+                pivots.append(inverse @ (rhs[start:stop] - a @ bottom))
+                bottom = pivots[-1][free.shape[1]:]
+        out = np.zeros(self.ends[-1], dtype=complex)
+        for (_, free, _), pivot, start, stop in zip(self.steps, pivots, self.ends, self.ends[1:]):
+            out[start:stop] = pivot[free.shape[1]:]
         coords = np.zeros(self.last.shape[1], dtype=complex)
-        for (rotation, free, transfer), top, bottom, end in zip(
-                reversed(self.steps), reversed(tops), reversed(bottoms), self.ends[-2::-1]):
-            active = top + transfer @ coords
-            out[end - free.shape[0]:end] = bottom + free @ active
+        for (rotation, free, transfer), pivot, end in zip(
+                reversed(self.steps), reversed(pivots), self.ends[-2::-1]):
+            active = pivot[:free.shape[1]] + transfer @ coords
+            out[end - free.shape[0]:end] += free @ active
             coords = active if rotation is None else rotation[:, :free.shape[1]] @ active
         return out
 
 
 class Factorisation:
-    """Orthogonal sweeps over one block-bidiagonal coupling matrix M.
+    """One orthogonal sweep over a block-bidiagonal coupling matrix M.
 
     Row j of M holds ``lower[j]`` (A_j) on column block j and ``upper[j]``
     (D_j) on column block j + 1; ``reduced`` drops the first and last column
-    blocks (A_0 and D_{N-1}), as B_m drops them from B.  The one rank rule:
-    a singular value s of a row's pivot matrix counts when
+    blocks (A_0 and D_{N-1}), as B_m drops them from B.  The one rank
+    decision is the sweep over M: a singular value s of a row's pivot matrix
+    counts when
 
-        s > tol_rank * max_j sigma_max([A_j D_j]),
+        s > tol_rank * max_j sigma_max([A_j D_j]).
 
-    for the sweeps over M and over M^* alike.  Each tol_rank gets its own
-    sweep over M, computed on first use and cached; the kernel is its free
-    basis.  The adjoint kernel comes from the same sweep over M^*, run only
-    when the rank falls short of the rows, and both ranks must agree
-    (InconsistentRank otherwise): the rule is local, and where a singular
-    value of M itself lies near the cut the two sweeps can disagree.  Every
-    step is O(n^3), so a factorisation costs O(N n^3) against O((nN)^3) for
-    a dense SVD.
+    Each tol_rank gets its own sweep, computed on first use and cached; the
+    kernel is its free basis.  Its pivot columns E give M E = L with full
+    column rank, so ker M^* = ker L^* and the min-norm least-squares
+    solution is E L^+ rhs.  When the rank falls short of the rows, one more
+    sweep, over L^* with every row a pivot, gives ker L^* and L^+ rhs;
+    otherwise L is square and forward substitution inverts it.  Every step
+    is O(n^3), so a factorisation costs O(N n^3) against O((nN)^3) for a
+    dense SVD.
     """
 
     def __init__(self, lower: np.ndarray, upper: np.ndarray, reduced: bool = False):
@@ -264,23 +318,11 @@ class Factorisation:
         self.scale = float(np.linalg.svd(rows, compute_uv=False)[:, 0].max())
         self.shape = (N * n, width * (N - 1 if reduced else N + 1))
         self._sweeps = {}
-        self._adjoint_sweeps = {}
 
     def _sweep(self, tol_rank: float) -> _Sweep:
         if tol_rank not in self._sweeps:
             self._sweeps[tol_rank] = _Sweep(*self._blocks, tol_rank * self.scale)
         return self._sweeps[tol_rank]
-
-    def _adjoint_sweep(self, tol_rank: float) -> _Sweep:
-        # Row k of M^* holds D_{k-1}^* and A_k^*.  Its first and last rows have
-        # zero height exactly where M's outer column blocks have zero width,
-        # and dropping them leaves the same matrix.
-        lower, upper = self._blocks
-        rows = [(a, d) for a, d in zip(
-            [np.zeros((lower[0].shape[1], 0), dtype=complex)] + [_adjoint(d) for d in upper],
-            [_adjoint(a) for a in lower] + [np.zeros((upper[-1].shape[1], 0), dtype=complex)])
-            if a.shape[0]]
-        return _Sweep([a for a, _ in rows], [d for _, d in rows], tol_rank * self.scale)
 
     def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
         """Sum of the pivot counts of the sweep over M."""
@@ -292,30 +334,16 @@ class Factorisation:
 
     def adjoint_kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
         """Orthonormal basis of the adjoint matrix's kernel, columns (read-only)."""
-        rank = self.rank(tol_rank)
-        if rank == self.shape[0]:
-            return np.zeros((rank, 0), dtype=complex)
-        if tol_rank not in self._adjoint_sweeps:
-            sweep = self._adjoint_sweep(tol_rank)
-            if sweep.rank != rank:
-                raise InconsistentRank(
-                    f"the sweeps over M and M* find ranks {rank} and {sweep.rank}")
-            self._adjoint_sweeps[tol_rank] = sweep
-        return self._adjoint_sweeps[tol_rank].kernel
+        sweep = self._sweep(tol_rank)
+        if sweep.rank == self.shape[0]:
+            return np.zeros((sweep.rank, 0), dtype=complex)
+        return sweep.pivot_sweep.kernel
 
     def solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-        """Minimum-norm least-squares solution.
-
-        The rhs is projected off ker M^* first; the projected rhs is
-        consistent, and the sweep's forward substitution then yields the
-        solution orthogonal to ker M.
-        """
+        """Minimum-norm least-squares solution E L^+ rhs."""
         rhs = np.asarray(rhs, dtype=complex).reshape(-1)
         if rhs.size != self.shape[0]:
             raise DimensionMismatch("right-hand side length must match the row count")
-        basis = self.adjoint_kernel(tol_rank)
-        if basis.shape[1]:
-            rhs = rhs - basis @ (basis.conj().T @ rhs)
         return self._sweep(tol_rank).solve(rhs)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -345,7 +373,7 @@ class BlockSystem:
     build stepped through every gap, and ``transfers`` the matrices that
     carry them into each gap; each fundamental matrix's states and transfers
     are views of those, and solutions, moment vectors and pairings read them.
-    ``b_plus`` and ``b_minus`` stack J +- dq/2 at the N interior points,
+    ``b_plus`` stacks J + dq/2 at the N interior points,
     ``u_ends`` the end values of the N + 1 fundamental matrices.  Block row
     j of the coupling matrix B is the jump rule at x_{j+1}: b_plus^* U_j(end)
     on column block j and b_plus on block j + 1, so B and the reduced B_m
@@ -367,7 +395,6 @@ class BlockSystem:
         self.N = N
 
         self.b_plus = np.array([problem.b_plus(float(x)) for x in interior])
-        self.b_minus = np.array([problem.b_minus(float(x)) for x in interior])
         self.states, self.transfers = _partition_states(fundamentals, partition.points)
         self.u_ends = self.states.lefts[
             np.searchsorted(self.states.nodes, partition.points[1:]) - 1]
@@ -446,12 +473,6 @@ class MomentVectors:
     last_integral: np.ndarray
     rhs: np.ndarray
     functional: np.ndarray
-
-    @property
-    def tail_integrals(self) -> np.ndarray:
-        """Stacked vector that is zero except for the last subinterval integral."""
-        head = np.zeros(self.integrals.size - self.last_integral.size, dtype=complex)
-        return np.concatenate([head, self.last_integral])
 
 
 def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:

@@ -32,7 +32,8 @@ class SingularAtom(MeasureOdeError):
 class SingularInitialPoint(MeasureOdeError):
     """The fundamental matrix at an initial point is numerically singular.
 
-    No value prescribed there determines a solution in floating point.
+    No value prescribed there determines a solution in floating point, or
+    the solution found misses the prescribed value.
     """
 
 
@@ -50,10 +51,6 @@ class NotInKernel(MeasureOdeError):
 
 class InconsistentLift(MeasureOdeError):
     """The two reconstruction formulas disagree on their overlap."""
-
-
-class InconsistentRank(MeasureOdeError):
-    """The sweeps over a coupling matrix and over its adjoint find different ranks."""
 
 
 class LiftEndpointNonzero(MeasureOdeError):

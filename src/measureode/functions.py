@@ -179,28 +179,3 @@ class L2Function:
             return 0.5 * (left + right)
         k = max(0, min(k - 1, self._values.shape[0] - 1))
         return self._values[k]
-
-    # -- linear structure (used by tests and the fuzzer) ------------------------
-
-    @staticmethod
-    def linear_combination(coeffs, funcs) -> "L2Function":
-        """sum(c_i * f_i) over functions sharing one window."""
-        funcs = list(funcs)
-        if not funcs:
-            raise ValueError("need at least one function")
-        window = funcs[0].window
-        if any(f.window != window for f in funcs):
-            raise WindowMismatch("all functions must share the window")
-        bp = np.unique(np.concatenate([f.breakpoints for f in funcs]))
-        values = []
-        for i in range(bp.size - 1):
-            mid = 0.5 * (bp[i] + bp[i + 1])
-            values.append(sum(c * f.value(mid) for c, f in zip(coeffs, funcs)))
-        atom_positions = np.unique(np.concatenate(
-            [f.atom_positions for f in funcs]))
-        atom_values = {
-            float(x): sum(c * f.value(float(x), "balanced")
-                          for c, f in zip(coeffs, funcs))
-            for x in atom_positions
-        }
-        return L2Function(window, bp, values, atom_values)

@@ -33,6 +33,7 @@ from .errors import (
 from .functions import L2Function
 
 DEFAULT_TOL_SING = 1e-9
+IVP_MATCH_TOL = 1e-8  # a solution's own value at x0 against u0, relative to 1 + |u0|
 
 # (degree m, theta_m, coefficients b_0..b_m) of the diagonal [m/m] Padé
 # approximants: below 1-norm theta_m their backward error is at most the unit
@@ -372,11 +373,6 @@ class FundamentalMatrix:
     def interval(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    @property
-    def end_value(self) -> np.ndarray:
-        """Left limit at the right endpoint."""
-        return self.states.lefts[-1]
-
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
@@ -532,9 +528,6 @@ class PiecewiseSolution:
     def covers(self, lo: float, hi: float) -> bool:
         return self.points[0] <= lo and hi <= self.points[-1]
 
-    def coefficient_vector(self) -> np.ndarray:
-        return self.coefficients.flatten()
-
     def structure_points(self) -> np.ndarray:
         """Partition points and the points where q, or with a rhs w or f, changes."""
         pieces = [self._homogeneous.nodes]
@@ -621,7 +614,8 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
     At the left endpoint the prescribed value is the right limit, at the
     right endpoint the left limit, anywhere else the balanced value.
     SingularInitialPoint if the fundamental matrix at x0 is numerically
-    singular.
+    singular, or so ill-conditioned that the solution's own value at x0
+    misses u0 by more than IVP_MATCH_TOL * (1 + |u0|).
     """
     lo, hi = float(sub[0]), float(sub[1])
     x0 = float(x0)
@@ -639,7 +633,12 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
     except np.linalg.LinAlgError as exc:
         raise SingularInitialPoint(
             f"the fundamental matrix at x0={x0} is numerically singular") from exc
-    return PiecewiseSolution(problem, [lo, hi], [U], [c], f)
+    solution = PiecewiseSolution(problem, [lo, hi], [U], [c], f)
+    miss = float(np.linalg.norm(solution.evaluate(x0, side) - u0))
+    if miss > IVP_MATCH_TOL * (1.0 + float(np.linalg.norm(u0))):
+        raise SingularInitialPoint(f"the fundamental matrix at x0={x0} is too "
+                                   f"ill-conditioned: the solution misses u0 by {miss:.3e}")
+    return solution
 
 
 # -- pairings against a weight -------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
                           build_system, moment_vectors, nullspace)
 from .coefficients import Check, Problem
-from .errors import InconsistentLift, InconsistentRank, LiftEndpointNonzero, NotInKernel
+from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
@@ -325,10 +325,9 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
             elif name == "t0":
                 rows.extend(suite_t0(bs, f, extra_points, rng, tag,
                                      tol_sing, tol_rank, tol_solve, moments=moments))
-        except (InconsistentLift, InconsistentRank, NotInKernel,
-                LiftEndpointNonzero) as exc:
-            # A lift or rank decision the suite relies on broke down: one
-            # failing row, not a crash.
+        except (InconsistentLift, NotInKernel, LiftEndpointNonzero) as exc:
+            # A lift the suite relies on broke down: one failing row, not a
+            # crash.
             rows.append(Check(f"{name} raised {type(exc).__name__} [{tag}]",
                               1.0, 0.0, False))
     return [row if np.isfinite(row.measured) else

@@ -187,8 +187,6 @@ def test_moment_vectors_for_the_mirror_instance(mirror_system, ones_rhs):
     np.testing.assert_allclose(mv.jump_moments, 0.0, atol=1e-14)
     np.testing.assert_allclose(mv.rhs, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(mv.functional, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
-    assert mv.tail_integrals.size == mv.integrals.size
-    np.testing.assert_allclose(mv.tail_integrals[:-2], 0.0, atol=1e-14)
 
 
 def test_moment_vectors_see_weight_atoms_at_partition_points():

@@ -273,6 +273,16 @@ def test_verify_reports_a_failed_lift_as_failing_rows(capsys):
                for row in raised)
 
 
+def test_verify_passes_on_the_padded_hyperbolic_window(capsys):
+    # Forced points every 2 units keep each propagator near e^2, but the t0
+    # solve on the tall B_m is unstable if it recurses along the partition.
+    code, out, _ = run_main(["verify", "--input", data("instance_hyperbolic_padded.json")],
+                            capsys)
+    report = json.loads(out)
+    assert [row["name"] for row in report["checks"] if not row["pass"]] == []
+    assert code == 0 and report["passed"] is True
+
+
 def test_non_finite_defects_become_failing_rows_in_a_valid_report(monkeypatch, capsys):
     import measureode.verify as verify
     from measureode.coefficients import Check
@@ -345,7 +355,8 @@ def test_module_invocation_matches_the_entry_point():
     assert json.loads(proc.stdout)["command"] == "validate"
 
 
-@pytest.mark.parametrize("instance", ["instance_a", "instance_b", "instance_hyperbolic"])
+@pytest.mark.parametrize("instance", ["instance_a", "instance_b", "instance_hyperbolic",
+                                      "instance_hyperbolic_padded"])
 @pytest.mark.parametrize("mode", ["validate", "analyze", "solve", "kernel", "compact",
                                   "verify"])
 def test_no_warning_or_traceback_escapes_a_cli_process(mode, instance, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from measureode import MeasureMatrix, NotRepresentable, OutOfInterval, WindowMismatch
+from measureode import MeasureMatrix, NotRepresentable, OutOfInterval
 from measureode.functions import L2Function
 
 WIN = (0.0, 1.0)
@@ -74,18 +74,6 @@ def test_refined_against_keeps_explicit_atom_values():
                                atom_values={0.5: [-9.0]})
     g = f.refined_against(w)
     np.testing.assert_allclose(g.value(0.5), [-9.0])
-
-
-def test_linear_combination():
-    f = L2Function.from_pieces(WIN, [(0.0, 0.5, [1.0]), (0.5, 1.0, [0.0])],
-                               atom_values={0.5: [1.0]})
-    g = L2Function.constant(WIN, [2.0])
-    h = L2Function.linear_combination([3.0, -1.0], [f, g])
-    np.testing.assert_allclose(h.value(0.25), [1.0])
-    np.testing.assert_allclose(h.value(0.75), [-2.0])
-    np.testing.assert_allclose(h.value(0.5), [3.0 * 1.0 - 1.0 * 2.0])
-    with pytest.raises(WindowMismatch):
-        L2Function.linear_combination([1.0, 1.0], [f, L2Function.constant((0.0, 2.0), [1.0])])
 
 
 def test_zero_function():

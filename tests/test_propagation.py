@@ -187,7 +187,7 @@ def test_fundamental_matrix_normalization_and_end_value():
     U = fundamental_matrix(_density_problem(), (-1.0, 1.0))
     np.testing.assert_array_equal(U.evaluate(-1.0, "right"), np.eye(2))
     want = segment_exponential(J2, np.diag([0.4, -0.2]), 2.0)
-    np.testing.assert_allclose(U.end_value, want, atol=1e-13)
+    np.testing.assert_allclose(U.states.lefts[-1], want, atol=1e-13)
 
 
 def test_fundamental_matrix_wronskian_identity():
@@ -285,6 +285,24 @@ def test_solve_ivp_regular_names_a_numerically_singular_initial_point():
                                         "instance_hyperbolic.json")).problem
     with pytest.raises(SingularInitialPoint, match="x0=70.0"):
         solve_ivp_regular(problem, (0.0, 100.0), 70.0, [1.0, 0.0])
+
+
+def test_solve_ivp_regular_raises_rather_than_miss_u0():
+    # cond U(x0) grows like e^(2 x0): past a few units the solve loses u0
+    # without U(x0) being singular in floating point.
+    problem = load_problem(os.path.join(os.path.dirname(__file__), "data",
+                                        "instance_hyperbolic.json")).problem
+    u0 = np.array([1.0, 0.0])
+    returned = 0
+    for x0 in np.arange(1.0, 99.0, 0.5).tolist():
+        try:
+            sol = solve_ivp_regular(problem, (0.0, 100.0), x0, u0)
+        except SingularInitialPoint as exc:
+            assert f"x0={x0}" in str(exc)
+            continue
+        returned += 1
+        assert np.linalg.norm(sol.evaluate(x0) - u0) <= 1e-6 * (1.0 + np.linalg.norm(u0))
+    assert returned
 
 
 def test_solution_jumps_at_interior_weight_atom():
@@ -633,15 +651,15 @@ def test_fundamental_matrix_values_are_read_only():
                       atoms=[(-0.3, np.diag([0.5, 0.5]))])
     U = fundamental_matrix(Problem(J2, q, MeasureMatrix.zero((-1.0, 1.0), 2)), (-1.0, 1.0))
     before = {side: U.evaluate(-0.3, side).copy() for side in ("left", "right")}
-    end = U.end_value.copy()
+    end = U.states.lefts[-1].copy()
     for value in (U.evaluate(-1.0), U.evaluate(-0.3, "left"), U.evaluate(-0.3, "right"),
-                  U.end_value, U.transfers[0]):
+                  U.states.lefts[-1], U.transfers[0]):
         with pytest.raises(ValueError):
             value[0, 0] = 7.0
     np.testing.assert_array_equal(U.evaluate(-1.0), np.eye(2))
     for side, value in before.items():
         np.testing.assert_array_equal(U.evaluate(-0.3, side), value)
-    np.testing.assert_array_equal(U.end_value, end)
+    np.testing.assert_array_equal(U.states.lefts[-1], end)
 
 
 # -- the stacked exponential kernel ---------------------------------------------

@@ -48,7 +48,7 @@ def test_kernel_K0_of_the_mirror_problem(mirror_problem):
         assert el.degenerate == (el.w_norm ** 2 <= 1e-10)
         # each element really is a homogeneous balanced solution
         bs = block_system(mirror_problem)
-        assert np.linalg.norm(bs.B @ el.solution.coefficient_vector()) <= 1e-9
+        assert np.linalg.norm(bs.B @ el.solution.coefficients.reshape(-1)) <= 1e-9
     assert max(el.w_norm for el in elements) > 0.1
 
 

@@ -51,7 +51,7 @@ def test_solve_system_homogeneous_by_default(mirror_system):
     assert result.kernel_dimension == 3
     assert len(result.kernel_basis) == 3
     for sol in result.kernel_basis:
-        assert np.linalg.norm(mirror_system.B @ sol.coefficient_vector()) <= TOL
+        assert np.linalg.norm(mirror_system.B @ sol.coefficients.reshape(-1)) <= TOL
 
 
 def test_solve_system_detects_inconsistency(mirror_system, ones_rhs):
@@ -69,7 +69,7 @@ def test_solve_system_consistent_case(repeated_system, ones_rhs):
     mv = moment_vectors(repeated_system, ones_rhs)
     result = solve_system(repeated_system, mv)
     assert result.consistent
-    coeffs = result.particular.coefficient_vector()
+    coeffs = result.particular.coefficients.reshape(-1)
     assert np.linalg.norm(repeated_system.B @ coeffs - mv.rhs) <= TOL
 
 

@@ -1,9 +1,12 @@
 """Randomized self-check suites."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
-from measureode import run_random_suites, run_suites
+from measureode import parse_problem, run_random_suites, run_suites
 from measureode.propagation import w_pairing
 from measureode.solutions import solve_system
 from measureode.verify import SUITE_NAMES, TOL_PAIRING, orthogonal_rhs
@@ -160,3 +163,20 @@ def test_suite_lift_lifts_its_basis_in_one_call_unprojected(monkeypatch, mirror_
     # the basis and its sum column in one batch, none of them projected
     assert lifted == [columns + 1]
     assert projected == []
+
+
+def test_suites_pass_on_a_padded_hyperbolic_window_of_length_400():
+    # instance_hyperbolic_padded widened to (0, 400): N = 199 regular points,
+    # where recursion along the tall B_m overflows to inf.
+    path = os.path.join(os.path.dirname(__file__), "data", "instance_hyperbolic_padded.json")
+    with open(path, encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["interval"] = [0.0, 400.0]
+    for pieces in (raw["q"]["density"], raw["w"]["density"], raw["f"]["pieces"]):
+        pieces[0]["to"] = 400.0
+    raw["forced_partition_points"] = np.arange(2.0, 400.0, 2.0).tolist()
+    parsed = parse_problem(raw)
+    rows = run_suites(parsed.problem, parsed.window, parsed.f, parsed.forced_points,
+                      rng=np.random.default_rng(0))
+    assert len(parsed.forced_points) == 199
+    assert rows and [row.name for row in rows if not row.passed] == []
