@@ -3,7 +3,8 @@
 Reads a JSON problem file, runs the requested analysis, and emits a JSON
 report (stdout, or ``--output``).  Reports are byte-deterministic for fixed
 input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed
-or the linear system is inconsistent, 2 malformed input.
+or the linear system is inconsistent, 2 malformed input or an unwritable
+``--output``.
 """
 
 from __future__ import annotations
@@ -240,8 +241,12 @@ def main(argv=None) -> int:
     }
     text = render_report(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

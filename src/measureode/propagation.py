@@ -14,7 +14,7 @@ it is read from a Taylor table kept with the node states.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -197,27 +197,30 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
 # at most theta^(P+1) e^theta / (P+1)! ||Y(xi)||_1 = 2.2e-17 ||Y(xi)||_1.
 _TAYLOR_THETA = 1.0
 _TAYLOR_DEGREE = 18
-_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1.0)
+# Complex, so a lookup's power vector needs no cast before its one dot.
+_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
 class _TaylorTable:
     """Read-only Taylor coefficients of a flow on each of its sub-gaps.
 
-    ``terms[s, ..., j]`` is (delta_s G)^j Y(starts[s]) / j!; the sub-gap
-    starts and widths are tuples of floats, so a lookup is one ``bisect``.
+    Power-major and contiguous: ``terms[s, j]`` is (delta_s G)^j Y(starts[s])
+    / j! flattened, and ``shape`` is the shape of one state.  The sub-gap
+    starts and widths are tuples of floats, so a lookup is one ``bisect``,
+    one complex power vector and one dot.
     """
 
     starts: tuple
     widths: tuple
     terms: np.ndarray
+    shape: tuple
 
     def at(self, x: float) -> np.ndarray:
         """The flow's state at x, inside the window and off the nodes."""
         s = bisect_right(self.starts, x) - 1
         powers = ((x - self.starts[s]) / self.widths[s]) ** _TAYLOR_POWERS
-        # Complex powers: a mixed-type dot would cast them, more slowly, per call.
-        return self.terms[s].dot(powers.astype(complex))
+        return powers.dot(self.terms[s]).reshape(self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,9 +232,10 @@ class _NodeStates:
     on (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
     ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
     fundamental matrix) or a column (a solution's augmented (u, 1)).  The
-    Taylor table of off-node values is built on first use and belongs to
-    these states alone: ``replace`` and ``span`` start without one.  So does
-    the pairing table of a build's fundamental matrices (``pairing_table``).
+    nodes as a tuple of floats, which ``value`` bisects, and the Taylor table
+    of off-node values are built on first use and belong to these states
+    alone: ``replace`` and ``span`` start without them.  So does the pairing
+    table of a build's fundamental matrices (``pairing_table``).
     """
 
     nodes: np.ndarray
@@ -279,8 +283,14 @@ class _NodeStates:
         terms = [state]
         for j in range(1, _TAYLOR_DEGREE + 1):
             terms.append(steps @ terms[-1] / j)
-        return _TaylorTable(tuple(starts.tolist()), tuple(delta.tolist()),
-                            _freeze(np.stack(terms, axis=-1)))
+        terms = np.stack(terms, axis=1).reshape(gap.size, len(terms), state[0].size)
+        return _TaylorTable(tuple(starts.tolist()), tuple(delta.tolist()), _freeze(terms),
+                            self.rights.shape[1:])
+
+    @cached_property
+    def _node_tuple(self) -> tuple:
+        """The nodes as a tuple of floats, for the ``bisect`` of ``value``."""
+        return tuple(self.nodes.tolist())
 
     @cached_property
     def _pairing_cache(self) -> dict:
@@ -303,17 +313,18 @@ class _NodeStates:
     def value(self, x: float, side: str) -> np.ndarray:
         """State at x; at the window ends the one limit there, whatever the side.
 
-        On a node it is a stored limit; off the nodes it is read from the
-        Taylor table, with no exponential.
+        One ``bisect`` on the cached node tuple finds x.  On a node the value
+        is a stored limit; off the nodes it is read from the Taylor table, with
+        no exponential.
         """
-        nodes = self.nodes
-        i = int(nodes.searchsorted(x))
+        nodes = self._node_tuple
+        i = bisect_left(nodes, x)
         if nodes[i] != x:
             # Off a node the left, right and balanced values coincide.
             return self._taylor.at(x)
         if i == 0:
             return self.rights[0]
-        if i == nodes.size - 1:
+        if i == len(nodes) - 1:
             return self.lefts[-1]
         if side == "left":
             return self.lefts[i - 1]
@@ -493,8 +504,10 @@ class PiecewiseSolution:
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
     + dw f links the two limits at each interior atom.  A value at a node is a
     stored limit; anywhere else it is read from the states' Taylor table,
-    built on the first such value, with no exponential per call.  Outside the
-    window evaluation raises.
+    built on the first such value, with no exponential per call: a bisect on
+    the states' cached node tuple, one on the table's sub-gap starts, one
+    power vector and one dot.  The window ends and ``n`` are Python scalars
+    fixed at construction.  Outside the window evaluation raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
@@ -503,12 +516,13 @@ class PiecewiseSolution:
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 1 or self.points.size < 2:
             raise DimensionMismatch("a solution needs at least one subinterval")
+        self.window = (float(self.points[0]), float(self.points[-1]))
+        self.n = n = problem.n
         self.fundamentals = list(fundamentals)
         self._homogeneous = (states if states is not None
                              else _partition_states(self.fundamentals, self.points)[0])
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
-        n = problem.n
         try:
             self.coefficients = _freeze(
                 np.array(coefficients, dtype=complex).reshape(len(coefficients), n))
@@ -517,16 +531,8 @@ class PiecewiseSolution:
         self.rhs = rhs
         self._states: _NodeStates | None = None
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (float(self.points[0]), float(self.points[-1]))
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
     def covers(self, lo: float, hi: float) -> bool:
-        return self.points[0] <= lo and hi <= self.points[-1]
+        return self.window[0] <= lo and hi <= self.window[1]
 
     def structure_points(self) -> np.ndarray:
         """Partition points and the points where q, or with a rhs w or f, changes."""
@@ -584,7 +590,8 @@ class PiecewiseSolution:
             raise OutOfInterval("no left limit at the window start")
         if side == "right" and x == hi:
             raise OutOfInterval("no right limit at the window end")
-        return self._node_states().value(x, side)[:self.n, 0]
+        # Built states are read without the method call, which a sample would pay.
+        return (self._states or self._node_states()).value(x, side)[:self.n, 0]
 
     def evaluate_many(self, xs) -> np.ndarray:
         """Balanced values (len(xs), n) at every point of xs.

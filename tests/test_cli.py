@@ -315,6 +315,17 @@ def test_reports_are_byte_identical_for_a_fixed_seed(tmp_path, capsys):
     assert outputs[0].endswith(b"\n")
 
 
+def test_an_unwritable_output_is_one_error_line_and_exit_two(tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    proc = _fresh_python("-m", "measureode.cli", "solve", "--input", data("instance_b.json"),
+                         "--output", str(target))
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not target.parent.exists()
+
+
 def test_render_report_rejects_nan():
     with pytest.raises(ValueError):
         render_report({"value": float("nan")})

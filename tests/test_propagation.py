@@ -490,13 +490,50 @@ def test_evaluate_many_matches_the_balanced_values():
 
 
 def test_a_single_off_node_value_matches_evaluate_many():
-    # One point at a time is read from the Taylor table, not from the stack.
-    problem, f = _dense_problem(np.random.default_rng(42))
-    sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
-    x = 0.123
-    assert x not in _nodes(sol)
-    want = sol.evaluate_many([x])
-    assert _worst_relative(sol.evaluate(x)[None], want) <= TOL_ORACLE
+    # One point at a time is read from the Taylor table, not from the stack;
+    # on a node it is the stored limit itself.  Solutions with a rhs, kernel
+    # elements and the matrix states of fundamental matrices, some with gaps
+    # that split into sub-gaps.
+    rng = np.random.default_rng(42)
+    problem, f = _dense_problem(rng)
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    factors = _solutions_of(bs, f) + bs.fundamentals + _complex_j_factors(rng, 3)
+    def casts(x):
+        return (float, np.float64) + ((int,) if x == int(x) else ())
+
+    worst, split = 0.0, 0
+    for factor in factors:
+        matrix = isinstance(factor, FundamentalMatrix)
+        states = factor.states if matrix else factor._node_states()
+        nodes, lo, hi = states.nodes, states.nodes[0], states.nodes[-1]
+        starts = np.array(states._taylor.starts)
+        split += starts.size > nodes.size - 1
+        marks = np.concatenate([nodes, starts])
+        xs = np.concatenate([np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                             starts, np.arange(np.ceil(lo), hi + 1.0)])
+        xs = np.unique(xs[(xs >= lo) & (xs <= hi) & ~np.isin(xs, nodes)])
+        want = states.limits(xs)[0].reshape(xs.size, -1) if matrix else factor.evaluate_many(xs)
+        for x, row in zip(xs, want):
+            got = [factor.evaluate(cast(x), side) for cast in casts(x)
+                   for side in ("left", "right", "balanced")]
+            assert all(np.array_equal(value, got[0]) for value in got)
+            worst = max(worst, _worst_relative(got[0].reshape(1, -1), row[None]))
+        for i, x in enumerate(nodes):
+            left = states.lefts[i - 1] if i > 0 else states.rights[0]
+            right = states.rights[i] if i < nodes.size - 1 else states.lefts[-1]
+            stored = {"left": left, "right": right, "balanced": 0.5 * (left + right)}
+            for side, value in stored.items():
+                if not matrix and (x, side) in ((lo, "left"), (hi, "right")):
+                    continue
+                value = value if matrix else value[:factor.n, 0]
+                for cast in casts(x):
+                    assert np.array_equal(factor.evaluate(cast(x), side), value)
+        for outside in (float("nan"), np.float64("nan"), np.nextafter(lo, -np.inf),
+                        np.nextafter(hi, np.inf)):
+            with pytest.raises(OutOfInterval):
+                factor.evaluate(outside)
+    assert worst <= TOL_ORACLE
+    assert split >= 2
 
 
 def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
@@ -595,17 +632,26 @@ def test_pointwise_values_match_the_stack_and_the_series_oracle():
 def test_the_taylor_table_lives_and_dies_with_its_states():
     rng = np.random.default_rng(49)
     U, solution = _hyperbolic_factors(rng)
+    # The node tuple comes with the first value, the table with the first off a node.
+    assert "_node_tuple" not in vars(U.states)
+    U.evaluate(U.lo)
+    assert "_node_tuple" in vars(U.states) and "_taylor" not in vars(U.states)
     U.evaluate(50.5)
     solution.evaluate(50.5)
-    # A span or a replaced copy of the states starts without a table.
-    assert "_taylor" in vars(U.states)
-    assert "_taylor" not in vars(U.partition_states)
-    assert "_taylor" not in vars(dataclasses.replace(U.states))
-    tables = [weakref.ref(U.states._taylor), weakref.ref(solution._node_states()._taylor)]
-    owners = [weakref.ref(U), weakref.ref(solution)]
-    del U, solution
+    # A span or a replaced copy of the states starts without either.
+    for name in ("_taylor", "_node_tuple"):
+        assert name in vars(U.states)
+        assert name not in vars(U.partition_states)
+        assert name not in vars(dataclasses.replace(U.states))
+    states = [U.states, solution._node_states()]
+    tables = [weakref.ref(s._taylor) for s in states]
+    owners = [weakref.ref(U), weakref.ref(solution)] + [weakref.ref(s) for s in states]
+    node_tuples = [s._node_tuple for s in states]
+    del U, solution, states
     gc.collect()
     assert all(ref() is None for ref in owners + tables)
+    # A tuple takes no weak reference: the list above is all that refers to it.
+    assert all(gc.get_referrers(t) == [node_tuples] for t in node_tuples)
 
 
 def test_solution_fundamentals_must_span_their_subintervals():

@@ -1,5 +1,8 @@
 """Solving the coupling system, kernel lifts, compactly supported solutions."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,19 @@ def test_functional_identity_exact_value_for_the_mirror_instance(
     # both routes give exactly 2 here, so the defect is fp-zero
     assert functional_identity_defect(mirror_system, mv, uhat) <= 1e-13
     assert complex(np.vdot(uhat, mv.functional)) == pytest.approx(2.0)
+
+
+def test_the_readme_library_example_prints_what_its_comment_says(capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(example.group(1), namespace)
+    solutions = compact_support_solutions(namespace["system"])
+    assert solutions
+    assert len(capsys.readouterr().out.splitlines()) == len(solutions)
+    for solution in solutions:
+        # Off the nodes: the value is a Taylor-table lookup.
+        assert 0.0 not in solution._node_states().nodes
+        np.testing.assert_allclose(solution.evaluate(0.0), [0.0, 2.0], rtol=0, atol=1e-12)
