@@ -15,13 +15,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .coefficients import Problem
+from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member
 from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
-from .propagation import (DEFAULT_TOL_SING, FundamentalMatrix, _adjoint, _check_rhs,
-                          _fundamental_matrices, _pairings, _partition_states)
+from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
+                          _pairings, _partition_states)
 
-DEFAULT_TOL_RANK = 1e-10
 BORDERLINE_SING = 1e-6
 
 
@@ -43,9 +42,9 @@ def classify_jumps(problem: Problem, window,
     if not (a <= lo < hi <= b):
         raise OutOfInterval(f"window ({lo}, {hi}) is not inside [{a}, {b}]")
     reports = []
-    positions, _ = problem.q.atoms_between(lo, hi)
-    for x in positions:
-        sigma = np.linalg.svd(problem.b_plus(float(x)), compute_uv=False)
+    positions, atoms = problem.q.atoms_between(lo, hi)
+    sigmas = np.linalg.svd(problem.J + 0.5 * atoms, compute_uv=False)
+    for x, sigma in zip(positions, sigmas):
         smin, smax = float(sigma[-1]), float(sigma[0])
         if smin <= tol_sing * max(1.0, smax):
             status = "singular"
@@ -394,7 +393,11 @@ class BlockSystem:
         self.n = n
         self.N = N
 
-        self.b_plus = np.array([problem.b_plus(float(x)) for x in interior])
+        q = problem.q
+        jumps = np.zeros((interior.size, n, n), dtype=complex)
+        hit = _member(interior, q.atom_positions)
+        jumps[hit] = q.atom_matrices[np.searchsorted(q.atom_positions, interior[hit])]
+        self.b_plus = problem.J + 0.5 * jumps
         self.states, self.transfers = _partition_states(fundamentals, partition.points)
         self.u_ends = self.states.lefts[
             np.searchsorted(self.states.nodes, partition.points[1:]) - 1]

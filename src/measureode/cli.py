@@ -4,26 +4,26 @@ Reads a JSON problem file, runs the requested analysis, and emits a JSON
 report (stdout, or ``--output``).  Reports are byte-deterministic for fixed
 input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed
 or the linear system is inconsistent, 2 malformed input or an unwritable
-``--output``.
+``--output`` (a missing directory is caught before the input is read).
+Each mode's handler imports the modules it runs, so a process loads no
+more of the package than its mode needs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, build_system,
-                          classify_jumps, make_partition, moment_vectors)
-from .coefficients import DEFAULT_VALIDATE_TOL, Check, validate
+from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
+                           DEFAULT_VALIDATE_TOL, SUITE_NAMES, Check, validate)
 from .errors import MeasureOdeError, MissingRHS, ParseError
 from .fileio import (ParsedProblem, check_tolerance, load_problem, render_report,
                      vector_json)
-from .relations import kernel_K0
-from .solutions import DEFAULT_TOL_SOLVE, _compact_lifts, solve_system
-from .verify import SUITE_NAMES, run_random_suites, run_suites
 
 _MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
 
@@ -87,6 +87,7 @@ def cmd_validate(parsed: ParsedProblem, args, tols):
 
 
 def cmd_analyze(parsed: ParsedProblem, args, tols):
+    from .blocksystem import classify_jumps, make_partition
     jumps = classify_jumps(parsed.problem, parsed.window, tols["tol_sing"])
     singular = [j.position for j in jumps if j.status == "singular"]
     partition = make_partition(parsed.window, singular, parsed.forced_points)
@@ -107,6 +108,8 @@ def cmd_analyze(parsed: ParsedProblem, args, tols):
 def cmd_solve(parsed: ParsedProblem, args, tols):
     if parsed.f is None:
         raise MissingRHS("solve needs an f block in the problem file")
+    from .blocksystem import build_system, moment_vectors
+    from .solutions import solve_system
     bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
                       tols["tol_sing"])
     f = parsed.f.refined_against(parsed.problem.w)
@@ -128,6 +131,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
 
 
 def cmd_kernel(parsed: ParsedProblem, args, tols):
+    from .relations import kernel_K0
     elements = kernel_K0(parsed.problem, parsed.window, parsed.forced_points,
                          tols["tol_sing"], tols["tol_rank"])
     grid = np.linspace(*parsed.window, args.samples)
@@ -142,6 +146,8 @@ def cmd_kernel(parsed: ParsedProblem, args, tols):
 
 
 def cmd_compact(parsed: ParsedProblem, args, tols):
+    from .blocksystem import build_system
+    from .solutions import _compact_lifts
     bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
                       tols["tol_sing"])
     lifts = _compact_lifts(bs, tols["tol_solve"], tols["tol_rank"])
@@ -154,6 +160,19 @@ def cmd_compact(parsed: ParsedProblem, args, tols):
                       for sol, defect in lifts],
     }
     return results, [], True
+
+
+def _missing_directory(path: str) -> str | None:
+    """Why ``path`` cannot be written if its directory is missing, else None."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(parent):
+        return None
+    return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+
+
+def _cannot_write(path: str, reason: str) -> int:
+    print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+    return 2
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
@@ -169,6 +188,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 
 def cmd_verify(parsed: ParsedProblem | None, args, tols):
+    from .verify import run_random_suites, run_suites
     selected = args.checks  # parsed by main
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -204,6 +224,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParseError("--seed must not be negative", "--seed")
         args.checks = _parse_checks(args.checks)
+        reason = args.output and _missing_directory(args.output)
+        if reason:
+            return _cannot_write(args.output, reason)
         parsed = None
         if args.input is not None:
             parsed = load_problem(args.input)
@@ -245,8 +268,7 @@ def main(argv=None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.output, exc.strerror)
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

@@ -16,6 +16,14 @@ from .errors import DimensionMismatch, OutOfInterval
 
 # Default tolerance for the hypothesis-level checks in validate().
 DEFAULT_VALIDATE_TOL = 1e-10
+# Defaults of the singular-jump cut, the rank cut and the solve's consistency
+# cut, and the verify suites in report order.  They live here, in a module
+# every command-line mode loads, so parsing arguments loads nothing else;
+# propagation, blocksystem, solutions and verify re-export them.
+DEFAULT_TOL_SING = 1e-9
+DEFAULT_TOL_RANK = 1e-10
+DEFAULT_TOL_SOLVE = 1e-9
+SUITE_NAMES = ("cbbc", "wronskian", "lift", "functional", "lagrange", "t0")
 
 _SIDES = ("left", "right", "balanced")
 
@@ -34,6 +42,29 @@ def _as_square(matrix, n: int | None, what: str) -> np.ndarray:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _union(*arrays) -> np.ndarray:
+    """The sorted distinct values of 1-D arrays, as ``np.unique`` of their concatenation.
+
+    The same sort and neighbour test that ``np.unique`` runs on 1-D input,
+    without its masked-array check, which imports ``numpy.ma``.
+    """
+    values = np.concatenate(arrays)
+    values.sort()
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _member(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_values)`` for a sorted 1-D ``sorted_values``."""
+    values = np.asarray(values)
+    if not sorted_values.size:
+        return np.zeros(values.shape, dtype=bool)
+    k = np.searchsorted(sorted_values, values).clip(max=sorted_values.size - 1)
+    return sorted_values[k] == values
 
 
 class MeasureMatrix:
@@ -166,7 +197,7 @@ class MeasureMatrix:
 
     def structure_points(self) -> np.ndarray:
         """All breakpoints and atom positions, sorted."""
-        return np.unique(np.concatenate([self._breakpoints, self._atom_positions]))
+        return _union(self._breakpoints, self._atom_positions)
 
     def antiderivative(self, x: float, side: str = "left") -> np.ndarray:
         """Accumulated measure of (a, x), normalized to vanish at a.
@@ -309,13 +340,14 @@ def validate(problem: Problem, tol: float = DEFAULT_VALIDATE_TOL) -> ValidationR
         for pos in m.atom_positions:
             interior_defect = max(interior_defect, max(0.0, a - pos), max(0.0, pos - b))
 
+    skew_defect = float(np.linalg.norm(J + J.conj().T, 2))
+    q_defect = _hermitian_defect(problem.q)
+    w_defect = _psd_defect(problem.w)
     checks = (
         Check("J invertible", sigma_min, tol, sigma_min > tol),
-        Check("J skew-Hermitian", float(np.linalg.norm(J + J.conj().T, 2)), tol,
-              bool(np.linalg.norm(J + J.conj().T, 2) <= tol)),
-        Check("q Hermitian", _hermitian_defect(problem.q), tol,
-              _hermitian_defect(problem.q) <= tol),
-        Check("w PSD", _psd_defect(problem.w), tol, _psd_defect(problem.w) <= tol),
+        Check("J skew-Hermitian", skew_defect, tol, skew_defect <= tol),
+        Check("q Hermitian", q_defect, tol, q_defect <= tol),
+        Check("w PSD", w_defect, tol, w_defect <= tol),
         Check("breakpoints sorted", sorted_defect, 0.0, sorted_defect <= 0.0),
         Check("atoms interior", interior_defect, 0.0, interior_defect <= 0.0),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coefficients import _SIDES, MeasureMatrix
+from .coefficients import _SIDES, MeasureMatrix, _union
 from .errors import DimensionMismatch, NotRepresentable, OutOfInterval, WindowMismatch
 
 
@@ -111,7 +111,7 @@ class L2Function:
         lo, hi = self._window
         cuts = w.structure_points()
         cuts = cuts[(cuts > lo) & (cuts < hi)]
-        bp = np.unique(np.concatenate([self._breakpoints, cuts]))
+        bp = _union(self._breakpoints, cuts)
         values = [self.value(0.5 * (bp[i] + bp[i + 1])) for i in range(bp.size - 1)]
         atom_values = {float(x): self._atom_values[i]
                        for i, x in enumerate(self._atom_positions)}
@@ -147,7 +147,7 @@ class L2Function:
                 for i, x in enumerate(self._atom_positions)}
 
     def structure_points(self) -> np.ndarray:
-        return np.unique(np.concatenate([self._breakpoints, self._atom_positions]))
+        return _union(self._breakpoints, self._atom_positions)
 
     def covers(self, lo: float, hi: float) -> bool:
         return self._window[0] <= lo and hi <= self._window[1]

@@ -20,7 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coefficients import _SIDES, MeasureMatrix, Problem, _freeze
+from .coefficients import (_SIDES, DEFAULT_TOL_SING, MeasureMatrix, Problem, _freeze,
+                           _member, _union)
 from .errors import (
     DimensionMismatch,
     NotRepresentable,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .functions import L2Function
 
-DEFAULT_TOL_SING = 1e-9
 IVP_MATCH_TOL = 1e-8  # a solution's own value at x0 against u0, relative to 1 + |u0|
 
 # (degree m, theta_m, coefficients b_0..b_m) of the diagonal [m/m] Padé
@@ -427,7 +427,7 @@ def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TO
         raise OutOfInterval(f"{points.tolist()} do not partition part of [{a}, {b}]")
     atom_pos, atom_mats = q.atoms_between(lo, hi)
     bkpts = q.breakpoints[(q.breakpoints > lo) & (q.breakpoints < hi)]
-    nodes = _freeze(np.unique(np.concatenate([points, atom_pos, bkpts])))
+    nodes = _freeze(_union(points, atom_pos, bkpts))
     firsts = np.searchsorted(nodes, points).tolist()
     eye = np.eye(n, dtype=complex)
     starts = dict.fromkeys(firsts[:-1], eye)
@@ -539,7 +539,7 @@ class PiecewiseSolution:
         pieces = [self._homogeneous.nodes]
         if self.rhs is not None:
             pieces += [self.rhs.structure_points(), self.problem.w.structure_points()]
-        return np.unique(np.concatenate(pieces))
+        return _union(*pieces)
 
     def _node_states(self) -> _NodeStates:
         """States at every node, built on first use as the class describes."""
@@ -561,7 +561,7 @@ class PiecewiseSolution:
         loads = (_pieces_at(w.breakpoints, w.densities, mids)
                  @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
         generators[:, :n, n:] = _solve_j(problem.J, loads)
-        atoms = np.isin(nodes, q.atom_positions) | np.isin(nodes, w.atom_positions)
+        atoms = _member(nodes, q.atom_positions) | _member(nodes, w.atom_positions)
         # At a partition point the coupling equation holds the jump.
         starts = {int(k): np.append(c, 1.0)[:, None] for k, c in
                   zip(np.searchsorted(nodes, self.points[:-1]), self.coefficients)}
@@ -689,12 +689,12 @@ def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
     """
     lo, hi = edges[0], edges[-1]
     cuts = np.concatenate([edges, w.breakpoints, w.atom_positions] + nodes)
-    grid = np.unique(cuts[(cuts >= lo) & (cuts <= hi)])
+    grid = _union(cuts[(cuts >= lo) & (cuts <= hi)])
     mids = 0.5 * (grid[:-1] + grid[1:])
     w0 = _pieces_at(w.breakpoints, w.densities, mids)
     keep = w0.any(axis=(1, 2))
     positions, matrices = w.atoms_between(lo, hi)
-    inside = ~np.isin(positions, edges)
+    inside = ~_member(positions, edges)
     return (grid[:-1][keep], grid[1:][keep], mids[keep], w0[keep],
             positions[inside], matrices[inside])
 

@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksystem import (
-    DEFAULT_TOL_RANK,
-    DEFAULT_TOL_SING,
-    BlockSystem,
-    MomentVectors,
-    build_system,
-    moment_vectors,
-)
-from .coefficients import MeasureMatrix, Problem
+from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vectors
+from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
+                           MeasureMatrix, Problem)
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, _pairings, w_pairing
-from .solutions import (DEFAULT_TOL_SOLVE, _basis_states, _consistency_bound,
-                        _lift_projected, reconstruct, solve_system)
+from .solutions import (_basis_states, _consistency_bound, _lift_projected, reconstruct,
+                        solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10

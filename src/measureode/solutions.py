@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocksystem import DEFAULT_TOL_RANK, BlockSystem, MomentVectors
+from .blocksystem import BlockSystem, MomentVectors
+from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SOLVE
 from .errors import (
     DimensionMismatch,
     InconsistentLift,
@@ -24,7 +25,6 @@ from .functions import L2Function
 from .propagation import (PiecewiseSolution, _adjoint, _homogeneous_states, _NodeStates,
                           w_pairing)
 
-DEFAULT_TOL_SOLVE = 1e-9
 # How far a claimed kernel vector may sit from the computed kernel.
 KERNEL_MEMBERSHIP_TOL = 1e-6
 

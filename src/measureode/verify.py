@@ -15,20 +15,17 @@ from functools import cache
 
 import numpy as np
 
-from .blocksystem import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, MomentVectors,
-                          build_system, moment_vectors, nullspace)
-from .coefficients import Check, Problem
+from .blocksystem import MomentVectors, build_system, moment_vectors, nullspace
+from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
+                           SUITE_NAMES, Check, Problem)
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
 from .relations import (OrthogonalityCertificate, _norm_from_square, lagrange_check,
                         t0_solve_system, weighted_norm)
-from .solutions import (DEFAULT_TOL_SOLVE, _basis_states, _lift_projected,
-                        compact_support_solutions, functional_identity_defect,
-                        reconstruct, solve_system)
-
-SUITE_NAMES = ("cbbc", "wronskian", "lift", "functional", "lagrange", "t0")
+from .solutions import (_basis_states, _lift_projected, compact_support_solutions,
+                        functional_identity_defect, reconstruct, solve_system)
 
 TOL_IDENTITY = 1e-10     # exact matrix identities
 TOL_LIFT = 1e-9          # lifted-solution defects

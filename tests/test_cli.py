@@ -326,6 +326,24 @@ def test_an_unwritable_output_is_one_error_line_and_exit_two(tmp_path):
     assert not target.parent.exists()
 
 
+def test_an_unwritable_output_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    from measureode import cli
+
+    def forbidden(*args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, forbidden))
+    monkeypatch.setattr(cli, "load_problem", forbidden)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target in (tmp_path / "missing" / "r.json", blocker / "r.json"):
+        code, out, err = run_main(["verify", "--input", data("instance_b.json"),
+                                   "--random", "3", "--output", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists() and blocker.read_text() == ""
+
+
 def test_render_report_rejects_nan():
     with pytest.raises(ValueError):
         render_report({"value": float("nan")})
@@ -393,12 +411,46 @@ def test_the_cli_never_imports_scipy(mode, tmp_path):
     argv = [mode, "--input", data("instance_b.json"), "--output", str(tmp_path / "r.json")]
     if mode == "verify":
         argv += ["--random", "1"]
+    # Each mode loads the modules it runs and no others, and never numpy.ma
+    # (np.unique would import it).
+    loaded = {"cli", "coefficients", "errors", "fileio", "functions"}
+    if mode != "validate":
+        loaded |= {"blocksystem", "propagation"}
+    if mode in ("solve", "compact", "kernel", "verify"):
+        loaded.add("solutions")
+    if mode in ("kernel", "verify"):
+        loaded.add("relations")
+    if mode == "verify":
+        loaded |= {"fuzz", "verify"}
+    expected = sorted(f"measureode.{name}" for name in loaded)
     _assert_scipy_stays_unloaded(
-        f"from measureode.cli import main\nassert main({argv!r}) == 0")
+        f"from measureode.cli import main\nassert main({argv!r}) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('measureode.'))\n"
+        f"assert loaded == {expected!r}, loaded\n"
+        "assert 'numpy.ma' not in sys.modules")
 
 
 def test_importing_the_package_does_not_import_scipy():
-    _assert_scipy_stays_unloaded("import measureode")
+    _assert_scipy_stays_unloaded(
+        "import measureode\n"
+        "assert not [m for m in sys.modules if m.startswith('measureode.')]")
+
+
+def test_public_names_resolve_on_first_use():
+    import measureode.verify
+    from measureode import blocksystem, coefficients, propagation, solutions
+    # The shared defaults have one home and are re-exported where they were.
+    for module, name in [(blocksystem, "DEFAULT_TOL_RANK"), (blocksystem, "DEFAULT_TOL_SING"),
+                         (propagation, "DEFAULT_TOL_SING"), (solutions, "DEFAULT_TOL_SOLVE"),
+                         (measureode.verify, "SUITE_NAMES")]:
+        assert getattr(module, name) is getattr(coefficients, name)
+    assert set(measureode.__all__) <= set(dir(measureode))
+    namespace = {}
+    exec("from measureode import *", namespace)
+    for name in measureode.__all__:
+        assert namespace[name] is getattr(measureode, name)
+    with pytest.raises(AttributeError):
+        measureode.no_such_name
 
 
 def test_single_exponentials_and_pointwise_values_do_not_import_scipy():

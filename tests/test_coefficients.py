@@ -12,6 +12,7 @@ from measureode import (
     Problem,
     validate,
 )
+from measureode.coefficients import _member, _union
 
 IV = (-1.0, 1.0)
 EYE2 = np.eye(2, dtype=complex)
@@ -168,3 +169,28 @@ def test_antiderivative_at_b_is_total_mass(positions, seed):
                       atoms=atoms)
     total = 2.0 * density + sum(mat for _, mat in atoms)
     np.testing.assert_allclose(m.antiderivative(1.0), total, atol=1e-12)
+
+
+# Finite floats, drawn often from a small pool so that duplicates and both
+# zeros are common.
+_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_ARRAYS = st.lists(_FLOATS, max_size=40).map(lambda xs: np.array(xs, dtype=float))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bits, so -0.0 and 0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ARRAYS, min_size=1, max_size=4))
+def test_union_is_unique_of_the_concatenation(arrays):
+    assert _same(_union(*arrays), np.unique(np.concatenate(arrays)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAYS, _ARRAYS)
+def test_member_is_isin_against_a_sorted_array(values, pool):
+    pool = np.sort(pool)
+    assert _same(_member(values, pool), np.isin(values, pool))
