@@ -47,10 +47,11 @@ class L2Function:
             raise NotRepresentable("breakpoints must be strictly increasing")
         if len(values) != bp.size - 1:
             raise DimensionMismatch("need one value per piece between breakpoints")
-        vals = np.stack([_as_vector(v, None, "piece value") for v in values])
-        self._n = vals.shape[1]
-        if any(v.size != self._n for v in vals):
+        vals = [_as_vector(v, None, "piece value") for v in values]
+        if any(v.size != vals[0].size for v in vals):
             raise DimensionMismatch("piece values must all have the same length")
+        vals = np.stack(vals)
+        self._n = vals.shape[1]
 
         items = sorted((float(x), _as_vector(v, self._n, "atom value"))
                        for x, v in (atom_values or {}).items())

@@ -9,12 +9,12 @@ piecewise constant and the formulas are closed.
 Every exponential goes through ``expm``, and each routine that needs many of
 them (fundamental matrices, node states, moment integrals, pairings) asks for
 all of them in one stacked call.  A pointwise value off the nodes takes none:
-it is read from a Taylor table kept with the node states.
+it is read from a Taylor table kept by the factor it belongs to.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -197,30 +197,63 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
 # at most theta^(P+1) e^theta / (P+1)! ||Y(xi)||_1 = 2.2e-17 ||Y(xi)||_1.
 _TAYLOR_THETA = 1.0
 _TAYLOR_DEGREE = 18
-# Complex, so a lookup's power vector needs no cast before its one dot.
-_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=complex)
+# Real, as the terms are read through their real view.
+_TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class _TaylorTable:
-    """Read-only Taylor coefficients of a flow on each of its sub-gaps.
+class _Sampler:
+    """A factor's values at single points strictly inside its window.
 
-    Power-major and contiguous: ``terms[s, j]`` is (delta_s G)^j Y(starts[s])
-    / j! flattened, and ``shape`` is the shape of one state.  The sub-gap
-    starts and widths are tuples of floats, so a lookup is one ``bisect``,
-    one complex power vector and one dot.
+    A value is the first n rows of a state, flattened: a solution's u, or a
+    whole fundamental matrix.  ``starts`` and ``widths`` (tuples of floats)
+    are the Taylor table's sub-gaps, gap k of width h_k split into max(1,
+    ceil(||G_k||_1 h_k / theta)); ``nodes[s]`` is the interior node at
+    starts[s], else 0.  ``terms[s, j]``, the real view of the values of
+    (delta_s G)^j Y(starts[s]) / j!, is power-major and contiguous; ``lefts``
+    and ``rights`` hold the values of the node limits.
     """
 
-    starts: tuple
-    widths: tuple
-    terms: np.ndarray
-    shape: tuple
+    def __init__(self, states: _NodeStates, n: int):
+        widths = np.diff(states.nodes)
+        norms = np.abs(states.generators).sum(axis=-2).max(axis=-1)
+        pieces = np.maximum(np.ceil(norms * widths / _TAYLOR_THETA), 1).astype(int)
+        gap = np.repeat(np.arange(pieces.size), pieces)
+        offset = np.arange(gap.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        delta = (widths / pieces)[gap]
+        starts = states.nodes[gap] + offset * delta
+        state = states.rights[gap]
+        inner = offset > 0
+        if inner.any():
+            state[inner] = states.flow(gap[inner], starts[inner])
+        steps = states.generators[gap] * delta[:, None, None]
+        terms = [state]
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            terms.append(steps @ terms[-1] / j)
+        self.starts, self.widths = tuple(starts.tolist()), tuple(delta.tolist())
+        self.nodes = tuple(np.where(offset == 0, gap, 0).tolist())
+        self.terms = _freeze(np.ascontiguousarray(_head(np.stack(terms, axis=1), n)).view(float))
+        self.lefts, self.rights = _head(states.lefts, n), _head(states.rights, n)
 
-    def at(self, x: float) -> np.ndarray:
-        """The flow's state at x, inside the window and off the nodes."""
+    def at(self, x: float, side: str) -> np.ndarray:
+        """Values at a float x strictly inside the window, after one ``bisect``.
+
+        A stored limit at an interior node, else one real power vector (r in
+        [0, 1)) and one real dot.
+        """
         s = bisect_right(self.starts, x) - 1
-        powers = ((x - self.starts[s]) / self.widths[s]) ** _TAYLOR_POWERS
-        return powers.dot(self.terms[s]).reshape(self.shape)
+        start, i = self.starts[s], self.nodes[s]
+        if i and x == start:
+            if side == "left":
+                return self.lefts[i - 1]
+            if side == "right":
+                return self.rights[i]
+            return 0.5 * (self.lefts[i - 1] + self.rights[i])
+        return (((x - start) / self.widths[s]) ** _TAYLOR_POWERS).dot(self.terms[s]).view(complex)
+
+
+def _head(states: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of each state in a stack (..., m, k), flattened to (..., n k)."""
+    return states[..., :n, :].reshape(states.shape[:-2] + (-1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +265,9 @@ class _NodeStates:
     on (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
     ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
     fundamental matrix) or a column (a solution's augmented (u, 1)).  The
-    nodes as a tuple of floats, which ``value`` bisects, and the Taylor table
-    of off-node values are built on first use and belong to these states
-    alone: ``replace`` and ``span`` start without them.  So does the pairing
-    table of a build's fundamental matrices (``pairing_table``).
+    pairing table of a build's fundamental matrices (``pairing_table``) is
+    built on first use and belongs to these states alone: ``replace`` and
+    ``span`` start without it.
     """
 
     nodes: np.ndarray
@@ -256,41 +288,10 @@ class _NodeStates:
         """States at the points x, each in the closure of its gap k.
 
         One stacked exponential from the nodes to their right; a single point
-        off the nodes is read from the Taylor table by ``value`` instead.
+        off the nodes is read from a factor's ``_Sampler`` instead.
         """
         dx = x - self.nodes[k]
         return expm(self.generators[k] * dx[:, None, None]) @ self.rights[k]
-
-    @cached_property
-    def _taylor(self) -> _TaylorTable:
-        """The Taylor table, from one stacked ``flow`` to the sub-gap starts inside gaps.
-
-        Gap k of width h_k splits into max(1, ceil(||G_k||_1 h_k / theta))
-        sub-gaps, each holding _TAYLOR_DEGREE + 1 states.
-        """
-        widths = np.diff(self.nodes)
-        norms = np.abs(self.generators).sum(axis=-2).max(axis=-1)
-        pieces = np.maximum(np.ceil(norms * widths / _TAYLOR_THETA), 1).astype(int)
-        gap = np.repeat(np.arange(pieces.size), pieces)
-        offset = np.arange(gap.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        delta = (widths / pieces)[gap]
-        starts = self.nodes[gap] + offset * delta
-        state = self.rights[gap]
-        inner = offset > 0
-        if inner.any():
-            state[inner] = self.flow(gap[inner], starts[inner])
-        steps = self.generators[gap] * delta[:, None, None]
-        terms = [state]
-        for j in range(1, _TAYLOR_DEGREE + 1):
-            terms.append(steps @ terms[-1] / j)
-        terms = np.stack(terms, axis=1).reshape(gap.size, len(terms), state[0].size)
-        return _TaylorTable(tuple(starts.tolist()), tuple(delta.tolist()), _freeze(terms),
-                            self.rights.shape[1:])
-
-    @cached_property
-    def _node_tuple(self) -> tuple:
-        """The nodes as a tuple of floats, for the ``bisect`` of ``value``."""
-        return tuple(self.nodes.tolist())
 
     @cached_property
     def _pairing_cache(self) -> dict:
@@ -310,30 +311,8 @@ class _NodeStates:
             cache[key] = _pairing_table(self, w, edges)
         return cache[key]
 
-    def value(self, x: float, side: str) -> np.ndarray:
-        """State at x; at the window ends the one limit there, whatever the side.
-
-        One ``bisect`` on the cached node tuple finds x.  On a node the value
-        is a stored limit; off the nodes it is read from the Taylor table, with
-        no exponential.
-        """
-        nodes = self._node_tuple
-        i = bisect_left(nodes, x)
-        if nodes[i] != x:
-            # Off a node the left, right and balanced values coincide.
-            return self._taylor.at(x)
-        if i == 0:
-            return self.rights[0]
-        if i == len(nodes) - 1:
-            return self.lefts[-1]
-        if side == "left":
-            return self.lefts[i - 1]
-        if side == "right":
-            return self.rights[i]
-        return 0.5 * (self.lefts[i - 1] + self.rights[i])
-
     def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left and right limits at each point of xs, as ``value`` gives them.
+        """Left and right limits at each point of xs; at the window ends the one limit there.
 
         Off the nodes both limits are the same state, from one stacked flow.
         """
@@ -360,7 +339,8 @@ class FundamentalMatrix:
     value attributed to the right endpoint is the left limit there.  All jumps
     strictly inside must be regular.  Its ``states`` and ``transfers`` are
     views of its run ``gaps`` of the read-only states and transfers that one
-    build stepped for a whole partition.
+    build stepped for a whole partition.  ``evaluate`` reads a point off the
+    ends through the matrix's own ``_Sampler``, built on the first such read.
     """
 
     def __init__(self, J, partition_states: _NodeStates, partition_transfers, gaps: slice):
@@ -384,12 +364,21 @@ class FundamentalMatrix:
     def interval(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
+    @cached_property
+    def _sampler(self) -> _Sampler:
+        return _Sampler(self.states, self.n)
+
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
+        x = float(x)
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
         if not (self.lo <= x <= self.hi):
             raise OutOfInterval(f"{x} is outside [{self.lo}, {self.hi}]")
-        return self.states.value(x, side)
+        if x == self.lo:
+            return self.states.rights[0]
+        if x == self.hi:
+            return self.states.lefts[-1]
+        return self._sampler.at(x, side).reshape(self.J.shape)
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)
@@ -502,12 +491,12 @@ class PiecewiseSolution:
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
-    + dw f links the two limits at each interior atom.  A value at a node is a
-    stored limit; anywhere else it is read from the states' Taylor table,
-    built on the first such value, with no exponential per call: a bisect on
-    the states' cached node tuple, one on the table's sub-gap starts, one
-    power vector and one dot.  The window ends and ``n`` are Python scalars
-    fixed at construction.  Outside the window evaluation raises.
+    + dw f links the two limits at each interior atom.  ``evaluate`` takes x
+    as a float; at a window end it returns the stored limit there, building
+    no sampler, and anywhere else it reads the solution's ``_Sampler``, built
+    on the first such value, with no exponential per call.  The window ends
+    and ``n`` are Python scalars fixed at construction.  Outside the window
+    evaluation raises.
     """
 
     def __init__(self, problem: Problem, points, fundamentals, coefficients,
@@ -580,18 +569,26 @@ class PiecewiseSolution:
         self._states = _NodeStates(nodes, _freeze(generators), rights, lefts)
         return self._states
 
+    @cached_property
+    def _sampler(self) -> _Sampler:
+        return _Sampler(self._node_states(), self.n)
+
     def evaluate(self, x: float, side: str = "balanced") -> np.ndarray:
+        x = float(x)
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
         lo, hi = self.window
         if not (lo <= x <= hi):
             raise OutOfInterval(f"{x} is outside the solution window [{lo}, {hi}]")
-        if side == "left" and x == lo:
-            raise OutOfInterval("no left limit at the window start")
-        if side == "right" and x == hi:
-            raise OutOfInterval("no right limit at the window end")
-        # Built states are read without the method call, which a sample would pay.
-        return (self._states or self._node_states()).value(x, side)[:self.n, 0]
+        if x == lo:
+            if side == "left":
+                raise OutOfInterval("no left limit at the window start")
+            return self._node_states().rights[0, :self.n, 0]
+        if x == hi:
+            if side == "right":
+                raise OutOfInterval("no right limit at the window end")
+            return self._node_states().lefts[-1, :self.n, 0]
+        return self._sampler.at(x, side)
 
     def evaluate_many(self, xs) -> np.ndarray:
         """Balanced values (len(xs), n) at every point of xs.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from measureode import MeasureMatrix, NotRepresentable, OutOfInterval
+from measureode import DimensionMismatch, MeasureMatrix, NotRepresentable, OutOfInterval
 from measureode.functions import L2Function
 
 WIN = (0.0, 1.0)
@@ -14,6 +14,13 @@ def test_constant_everywhere():
     np.testing.assert_allclose(f.value(0.3), [1.0, 2.0])
     np.testing.assert_allclose(f.value(0.0, "right"), [1.0, 2.0])
     np.testing.assert_allclose(f.value(1.0, "left"), [1.0, 2.0])
+
+
+def test_piece_values_of_different_lengths_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        L2Function(WIN, [0.0, 0.5, 1.0], [[1.0, 2.0], [3.0]])
+    with pytest.raises(DimensionMismatch):
+        L2Function.from_pieces(WIN, [(0.0, 0.5, [1.0]), (0.5, 1.0, [3.0, 4.0])])
 
 
 def test_from_pieces_values_and_breakpoint_sides():

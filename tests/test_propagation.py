@@ -490,10 +490,11 @@ def test_evaluate_many_matches_the_balanced_values():
 
 
 def test_a_single_off_node_value_matches_evaluate_many():
-    # One point at a time is read from the Taylor table, not from the stack;
-    # on a node it is the stored limit itself.  Solutions with a rhs, kernel
-    # elements and the matrix states of fundamental matrices, some with gaps
-    # that split into sub-gaps.
+    # One point at a time is read from the factor's sampler, not from the
+    # stack; on a node it is the stored limit itself.  Solutions with a rhs,
+    # kernel elements and the matrix states of fundamental matrices, some with
+    # gaps that split into sub-gaps, read just beside every node and sub-gap
+    # start and exactly on each sub-gap start inside a gap (r = 0).
     rng = np.random.default_rng(42)
     problem, f = _dense_problem(rng)
     bs = build_system(problem, (-1.0, 1.0), (0.1,))
@@ -506,11 +507,12 @@ def test_a_single_off_node_value_matches_evaluate_many():
         matrix = isinstance(factor, FundamentalMatrix)
         states = factor.states if matrix else factor._node_states()
         nodes, lo, hi = states.nodes, states.nodes[0], states.nodes[-1]
-        starts = np.array(states._taylor.starts)
-        split += starts.size > nodes.size - 1
+        starts = np.array(factor._sampler.starts)
+        inner = np.setdiff1d(starts, nodes)
+        split += inner.size > 0
         marks = np.concatenate([nodes, starts])
         xs = np.concatenate([np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
-                             starts, np.arange(np.ceil(lo), hi + 1.0)])
+                             inner, np.arange(np.ceil(lo), hi + 1.0)])
         xs = np.unique(xs[(xs >= lo) & (xs <= hi) & ~np.isin(xs, nodes)])
         want = states.limits(xs)[0].reshape(xs.size, -1) if matrix else factor.evaluate_many(xs)
         for x, row in zip(xs, want):
@@ -536,11 +538,45 @@ def test_a_single_off_node_value_matches_evaluate_many():
     assert split >= 2
 
 
+def test_a_numpy_or_0d_point_reads_as_its_float():
+    # x becomes a Python float before anything else, so a float32 point reads
+    # the value at float(x), not at a Taylor offset rounded to float32.
+    rng = np.random.default_rng(43)
+    problem, f = _dense_problem(rng)
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    factors = _solutions_of(bs, f) + bs.fundamentals + _complex_j_factors(rng, 3)
+    casts = (np.float32, np.float64, np.array, lambda x: np.array(x, dtype=np.float32))
+    worst, reads = 0.0, 0
+    for factor in factors:
+        matrix = isinstance(factor, FundamentalMatrix)
+        lo, hi = factor.interval if matrix else factor.window
+        points = [(cast, x) for x in rng.uniform(lo, hi, 8) for cast in casts]
+        points += [(cast, x) for x in np.arange(np.ceil(lo), hi + 0.5)
+                   for cast in casts + (np.int64, int)]
+        for cast, x in points:
+            point = cast(x)
+            at = float(point)
+            if not lo <= at <= hi:  # float32 rounding may leave the window
+                continue
+            if matrix:
+                left, right = factor.states.limits(np.array([at]))
+                want = (0.5 * (left + right)).reshape(1, -1)
+            else:
+                want = factor.evaluate_many([at])
+            got = factor.evaluate(point).reshape(1, -1)
+            worst = max(worst, _worst_relative(got, want))
+            reads += 1
+    assert reads > 300
+    assert worst <= TOL_ORACLE
+
+
 def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
     problem, f = _dense_problem(np.random.default_rng(42))
-    sol = _solutions_of(build_system(problem, (-1.0, 1.0), (0.1,)), f)[0]
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    sol = _solutions_of(bs, f)[0]
     expm = count_calls(propagation, "expm")
     integral = count_calls(propagation, "inhomogeneous_integral")
+    sampler = count_calls(propagation, "_Sampler")
     grid = -1.0 + (np.arange(200) + 0.5) / 100.0
     assert not np.isin(grid, _nodes(sol)).any()
     sol.evaluate(float(grid[0]))
@@ -549,12 +585,54 @@ def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
         sol.evaluate(float(x))
     assert integral.calls == 0
     assert expm.calls == first
+    assert sampler.calls == 1
     first = expm.calls
     sol.evaluate_many(grid)
     assert expm.calls - first == 1
+    # A fundamental matrix: its first read off the ends builds its sampler,
+    # and no later read exponentiates or builds again.
+    U = bs.fundamentals[1]
+    inside = grid[(grid > U.lo) & (grid < U.hi)]
+    assert inside.size > 10 and not np.isin(inside, U.nodes).any()
+    U.evaluate(float(inside[0]))
+    first = expm.calls
+    for x in inside[1:]:
+        U.evaluate(float(x))
+    assert expm.calls == first
+    assert sampler.calls == 2
 
 
-# -- pointwise values from the Taylor table ------------------------------------
+def test_reads_at_the_window_ends_build_no_sampler(count_calls):
+    # The ends are stored limits: reading only them (as the Lagrange and t0
+    # checks do) builds no sampler and, for states already built, takes no
+    # exponential.
+    problem, f = _dense_problem(np.random.default_rng(42))
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    solutions = _solutions_of(bs, f)
+    assert len(solutions) > 1
+    for sol in solutions:
+        sol._node_states()
+    expm = count_calls(propagation, "expm")
+    sampler = count_calls(propagation, "_Sampler")
+    for factor in solutions + bs.fundamentals:
+        solution = isinstance(factor, PiecewiseSolution)
+        lo, hi = factor.window if solution else factor.interval
+        for x in (lo, hi):
+            for side in ("left", "right", "balanced"):
+                if not (solution and (x, side) in ((lo, "left"), (hi, "right"))):
+                    factor.evaluate(x, side)
+        assert "_sampler" not in vars(factor)
+    # A homogeneous solution's states are the build's times its coefficients.
+    kernel = solutions[1]
+    fresh = PiecewiseSolution(kernel.problem, kernel.points, kernel.fundamentals,
+                              kernel.coefficients)
+    for x, side in ((fresh.window[0], "right"), (fresh.window[1], "left")):
+        assert np.array_equal(fresh.evaluate(x, side), kernel.evaluate(x, side))
+    assert "_sampler" not in vars(fresh)
+    assert expm.calls == 0 and sampler.calls == 0
+
+
+# -- pointwise values from the sampler's Taylor table ---------------------------
 
 
 def _hyperbolic_factors(rng):
@@ -595,13 +673,13 @@ def _complex_j_factors(rng, n):
     return [U, solve_ivp_regular(problem, window, -1.0, random_complex(rng, n), f)]
 
 
-def _table_points(states):
+def _table_points(factor, states):
     """Just right of each node, just left of the next, mid-gap, and the inner sub-gap starts."""
     nodes = states.nodes
-    inner = np.setdiff1d(states._taylor.starts, nodes)
+    inner = np.setdiff1d(factor._sampler.starts, nodes)
     xs = np.concatenate([np.nextafter(nodes[:-1], np.inf), np.nextafter(nodes[1:], -np.inf),
                          0.5 * (nodes[:-1] + nodes[1:]), inner])
-    return xs, inner.size
+    return xs, inner
 
 
 def test_pointwise_values_match_the_stack_and_the_series_oracle():
@@ -613,8 +691,13 @@ def test_pointwise_values_match_the_stack_and_the_series_oracle():
     for factor in factors:
         states = factor.states if isinstance(factor, FundamentalMatrix) \
             else factor._node_states()
-        xs, inner = _table_points(states)
-        split += inner > 0
+        xs, inner = _table_points(factor, states)
+        split += inner.size > 0
+        # On a sub-gap start inside a gap (r = 0) the read is the first term.
+        sampler = factor._sampler
+        for x in inner:
+            term = sampler.terms[sampler.starts.index(x), 0].view(complex)
+            assert np.array_equal(factor.evaluate(x).reshape(-1), term)
         gaps = np.searchsorted(states.nodes, xs) - 1
         series = np.array([series_expm(states.generators[k] * (x - states.nodes[k]))
                            @ states.rights[k] for k, x in zip(gaps, xs)])
@@ -632,26 +715,29 @@ def test_pointwise_values_match_the_stack_and_the_series_oracle():
 def test_the_taylor_table_lives_and_dies_with_its_states():
     rng = np.random.default_rng(49)
     U, solution = _hyperbolic_factors(rng)
-    # The node tuple comes with the first value, the table with the first off a node.
-    assert "_node_tuple" not in vars(U.states)
+    # The sampler comes with the first value away from the window ends.
     U.evaluate(U.lo)
-    assert "_node_tuple" in vars(U.states) and "_taylor" not in vars(U.states)
+    solution.evaluate(solution.window[1], "left")
+    assert "_sampler" not in vars(U) and "_sampler" not in vars(solution)
     U.evaluate(50.5)
     solution.evaluate(50.5)
-    # A span or a replaced copy of the states starts without either.
-    for name in ("_taylor", "_node_tuple"):
-        assert name in vars(U.states)
-        assert name not in vars(U.partition_states)
-        assert name not in vars(dataclasses.replace(U.states))
-    states = [U.states, solution._node_states()]
-    tables = [weakref.ref(s._taylor) for s in states]
-    owners = [weakref.ref(U), weakref.ref(solution)] + [weakref.ref(s) for s in states]
-    node_tuples = [s._node_tuple for s in states]
-    del U, solution, states
+    assert "_sampler" in vars(U) and "_sampler" in vars(solution)
+    # It belongs to its factor alone: no states hold it, so a span or a
+    # replaced copy of them starts without one, as does a second matrix on
+    # the same states.
+    for states in (U.states, U.partition_states, U.partition_states.span(U.gaps),
+                   dataclasses.replace(U.states), solution._node_states()):
+        assert not any(isinstance(v, propagation._Sampler) for v in vars(states).values())
+    twin = FundamentalMatrix(U.J, U.partition_states, U.partition_transfers, U.gaps)
+    assert "_sampler" not in vars(twin)
+    samplers = [weakref.ref(f._sampler) for f in (U, solution)]
+    owners = [weakref.ref(U), weakref.ref(solution), weakref.ref(solution._node_states())]
+    starts = [f._sampler.starts for f in (U, solution)]
+    del U, solution, twin, states
     gc.collect()
-    assert all(ref() is None for ref in owners + tables)
+    assert all(ref() is None for ref in owners + samplers)
     # A tuple takes no weak reference: the list above is all that refers to it.
-    assert all(gc.get_referrers(t) == [node_tuples] for t in node_tuples)
+    assert all(gc.get_referrers(t) == [starts] for t in starts)
 
 
 def test_solution_fundamentals_must_span_their_subintervals():
