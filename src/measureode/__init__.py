@@ -20,7 +20,8 @@ _HOMES = {
     "blocksystem": ("BlockSystem", "JumpReport", "MomentVectors", "Partition", "assemble",
                     "build_system", "classify_jumps", "find_singular_points",
                     "make_partition", "moment_vectors", "nullspace"),
-    "coefficients": ("Check", "MeasureMatrix", "Problem", "ValidationReport", "validate"),
+    "coefficients": ("Check", "MeasureMatrix", "Problem", "Tolerances", "ValidationReport",
+                     "validate"),
     "errors": ("DimensionMismatch", "EmptyWindow", "InconsistentLift",
                "LiftEndpointNonzero", "MeasureOdeError", "MissingRHS", "NotInKernel",
                "NotRepresentable", "OutOfInterval", "ParseError", "SingularAtom",

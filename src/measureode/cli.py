@@ -2,11 +2,11 @@
 
 Reads a JSON problem file, runs the requested analysis, and emits a JSON
 report (stdout, or ``--output``).  Reports are byte-deterministic for fixed
-input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed
-or the linear system is inconsistent, 2 malformed input or an unwritable
-``--output`` (a missing directory is caught before the input is read).
-Each mode's handler imports the modules it runs, so a process loads no
-more of the package than its mode needs.
+input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed,
+the linear system is inconsistent or the result is not finite (no report),
+2 malformed input or an unwritable ``--output`` (a missing directory is
+caught before the input is read).  Each mode's handler imports the modules
+it runs, so a process loads no more of the package than its mode needs.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
-                           DEFAULT_VALIDATE_TOL, SUITE_NAMES, Check, validate)
+from .coefficients import DEFAULT_VALIDATE_TOL, SUITE_NAMES, Check, Tolerances, validate
 from .errors import MeasureOdeError, MissingRHS, ParseError
 from .fileio import (ParsedProblem, check_tolerance, load_problem, render_report,
                      vector_json)
@@ -50,14 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(parsed: ParsedProblem | None, args) -> dict[str, float]:
-    tols = {"tol_sing": DEFAULT_TOL_SING, "tol_rank": DEFAULT_TOL_RANK,
-            "tol_solve": DEFAULT_TOL_SOLVE, **(parsed.tolerances if parsed else {})}
-    for key in ("tol_sing", "tol_rank"):
-        value = getattr(args, key)
-        if value is not None:
-            tols[key] = check_tolerance(value, "--" + key.replace("_", "-"))
-    return tols
+def _tolerances(parsed: ParsedProblem | None, args) -> Tolerances:
+    """The file's tolerances (or the defaults), with the command-line overrides."""
+    tols = parsed.tolerances if parsed is not None else Tolerances()
+    return tols._replace(
+        sing=tols.sing if args.tol_sing is None else check_tolerance(args.tol_sing, "--tol-sing"),
+        rank=tols.rank if args.tol_rank is None else check_tolerance(args.tol_rank, "--tol-rank"))
 
 
 def _check_rows(checks) -> list[dict]:
@@ -88,7 +85,7 @@ def cmd_validate(parsed: ParsedProblem, args, tols):
 
 def cmd_analyze(parsed: ParsedProblem, args, tols):
     from .blocksystem import classify_jumps, make_partition
-    jumps = classify_jumps(parsed.problem, parsed.window, tols["tol_sing"])
+    jumps = classify_jumps(parsed.problem, parsed.window, tols.sing)
     singular = [j.position for j in jumps if j.status == "singular"]
     partition = make_partition(parsed.window, singular, parsed.forced_points)
     results = {
@@ -110,11 +107,10 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
         raise MissingRHS("solve needs an f block in the problem file")
     from .blocksystem import build_system, moment_vectors
     from .solutions import solve_system
-    bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
-                      tols["tol_sing"])
+    bs = build_system(parsed.problem, parsed.window, parsed.forced_points, tols.sing)
     f = parsed.f.refined_against(parsed.problem.w)
     mv = moment_vectors(bs, f)
-    outcome = solve_system(bs, mv, tols["tol_solve"], tols["tol_rank"])
+    outcome = solve_system(bs, mv, tols)
     grid = np.linspace(*parsed.window, args.samples)
     results = {
         "partition": _partition_json(bs.partition),
@@ -132,8 +128,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
 
 def cmd_kernel(parsed: ParsedProblem, args, tols):
     from .relations import kernel_K0
-    elements = kernel_K0(parsed.problem, parsed.window, parsed.forced_points,
-                         tols["tol_sing"], tols["tol_rank"])
+    elements = kernel_K0(parsed.problem, parsed.window, parsed.forced_points, tols)
     grid = np.linspace(*parsed.window, args.samples)
     results = {
         "dimension": len(elements),
@@ -148,9 +143,8 @@ def cmd_kernel(parsed: ParsedProblem, args, tols):
 def cmd_compact(parsed: ParsedProblem, args, tols):
     from .blocksystem import build_system
     from .solutions import _compact_lifts
-    bs = build_system(parsed.problem, parsed.window, parsed.forced_points,
-                      tols["tol_sing"])
-    lifts = _compact_lifts(bs, tols["tol_solve"], tols["tol_rank"])
+    bs = build_system(parsed.problem, parsed.window, parsed.forced_points, tols.sing)
+    lifts = _compact_lifts(bs, tols)
     grid = np.linspace(*parsed.window, args.samples)
     results = {
         "partition": _partition_json(bs.partition),
@@ -195,11 +189,8 @@ def cmd_verify(parsed: ParsedProblem | None, args, tols):
     if parsed is not None:
         rows.extend(run_suites(parsed.problem, parsed.window, parsed.f,
                                parsed.forced_points, selected, rng,
-                               args.samples, tols["tol_sing"],
-                               tols["tol_rank"], tols["tol_solve"],
-                               tag="input"))
-    rows.extend(run_random_suites(rng, args.random, selected, args.samples,
-                                  tols["tol_sing"], tols["tol_rank"], tols["tol_solve"]))
+                               args.samples, tols, tag="input"))
+    rows.extend(run_random_suites(rng, args.random, selected, args.samples, tols))
     results = {"suites": list(selected), "random_instances": args.random}
     return results, rows, all(row.passed for row in rows)
 
@@ -242,14 +233,17 @@ def main(argv=None) -> int:
             prevalidated = report.passed
 
         if prevalidated:
-            results, rows, passed = _HANDLERS[args.mode](parsed, args, tols)
+            # An overflow is not printed as a numpy warning: a NaN or inf it
+            # leaves in the results is caught when the report is rendered.
+            with np.errstate(all="ignore"):
+                results, rows, passed = _HANDLERS[args.mode](parsed, args, tols)
             checks.extend(rows)
         else:
             results, passed = {"skipped": "validation failed"}, False
     except (ParseError, MissingRHS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MeasureOdeError as exc:
+    except (MeasureOdeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -262,7 +256,11 @@ def main(argv=None) -> int:
         "checks": _check_rows(checks),
         "passed": bool(passed),
     }
-    text = render_report(report)
+    try:
+        text = render_report(report)
+    except ValueError:  # a NaN or inf, which JSON cannot carry
+        print("error: the result holds a non-finite number", file=sys.stderr)
+        return 1
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

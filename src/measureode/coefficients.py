@@ -9,6 +9,7 @@ float keys; two positions are the same point only if the floats are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,11 +20,20 @@ DEFAULT_VALIDATE_TOL = 1e-10
 # Defaults of the singular-jump cut, the rank cut and the solve's consistency
 # cut, and the verify suites in report order.  They live here, in a module
 # every command-line mode loads, so parsing arguments loads nothing else;
-# propagation, blocksystem, solutions and verify re-export them.
+# propagation, blocksystem and solutions re-export the cuts, verify the suites.
 DEFAULT_TOL_SING = 1e-9
 DEFAULT_TOL_RANK = 1e-10
 DEFAULT_TOL_SOLVE = 1e-9
 SUITE_NAMES = ("cbbc", "wronskian", "lift", "functional", "lagrange", "t0")
+
+
+class Tolerances(NamedTuple):
+    """The singular-jump, rank and consistency cuts, each relative to its scale."""
+
+    sing: float = DEFAULT_TOL_SING
+    rank: float = DEFAULT_TOL_RANK
+    solve: float = DEFAULT_TOL_SOLVE
+
 
 _SIDES = ("left", "right", "balanced")
 

@@ -8,11 +8,12 @@ the same input produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import MeasureMatrix, Problem
+from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MeasureOdeError, ParseError
 from .functions import L2Function
 
@@ -24,7 +25,7 @@ _ATOM_KEYS = {"x", "matrix"}
 _F_KEYS = {"pieces", "atom_values"}
 _F_PIECE_KEYS = {"from", "to", "vector"}
 _F_ATOM_KEYS = {"x", "vector"}
-_TOL_KEYS = {"tol_sing", "tol_rank", "tol_solve"}
+_TOL_KEYS = {f"tol_{field}" for field in Tolerances._fields}
 
 
 def _reject_unknown(obj: dict, allowed: set, ctx: str) -> None:
@@ -46,6 +47,8 @@ def _fields(obj: dict, keys: set, ctx: str) -> None:
 def _number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", ctx)
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int past float range
+        raise ParseError(f"expected a finite number, got {value!r}", ctx)
     return float(value)
 
 
@@ -157,7 +160,7 @@ class ParsedProblem:
     problem: Problem
     f: L2Function | None
     window: tuple[float, float]
-    tolerances: dict[str, float]
+    tolerances: Tolerances
     forced_points: tuple[float, ...]
     raw: dict
 
@@ -204,12 +207,12 @@ def parse_problem(data: dict) -> ParsedProblem:
         if not f.covers(*window):
             raise ParseError("f does not cover the window", "$.f")
 
-    tolerances = {}
+    tols = {}
     if "tolerances" in data:
         _reject_unknown(data["tolerances"], _TOL_KEYS, "$.tolerances")
         for key, value in data["tolerances"].items():
             ctx = f"$.tolerances.{key}"
-            tolerances[key] = check_tolerance(_number(value, ctx), ctx)
+            tols[key.removeprefix("tol_")] = check_tolerance(_number(value, ctx), ctx)
 
     raw_forced = data.get("forced_partition_points", [])
     if not isinstance(raw_forced, list):
@@ -223,7 +226,7 @@ def parse_problem(data: dict) -> ParsedProblem:
                              "the window", f"$.forced_partition_points[{i}]")
         forced.append(x)
 
-    return ParsedProblem(problem, f, window, tolerances, tuple(sorted(forced)), data)
+    return ParsedProblem(problem, f, window, Tolerances(**tols), tuple(sorted(forced)), data)
 
 
 def load_problem(path: str) -> ParsedProblem:
@@ -232,7 +235,7 @@ def load_problem(path: str) -> ParsedProblem:
             data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer too long to convert
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level of a problem file must be an object")

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vectors
-from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
-                           MeasureMatrix, Problem)
+from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, _pairings, w_pairing
@@ -79,8 +78,7 @@ class K0Element:
 
 
 def kernel_K0(problem: Problem, window, extra_points=(),
-              tol_sing: float = DEFAULT_TOL_SING,
-              tol_rank: float = DEFAULT_TOL_RANK) -> list[K0Element]:
+              tols: Tolerances = Tolerances()) -> list[K0Element]:
     """All homogeneous balanced solutions on the window, with w-norms.
 
     Elements whose w-norm vanishes represent the zero class of the weighted
@@ -88,8 +86,8 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     one Gram pairing of the whole basis, a matrix-valued factor; negative
     squares clamp to zero.
     """
-    bs = build_system(problem, window, extra_points, tol_sing)
-    result = solve_system(bs, tol_rank=tol_rank)
+    bs = build_system(problem, window, extra_points, tols.sing)
+    result = solve_system(bs, tols=tols)
     if not result.kernel_basis:
         return []
     basis = _basis_states(bs, result.kernel_coefficients)
@@ -120,9 +118,7 @@ class OrthogonalityCertificate:
 
 
 def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
-             tol_sing: float = DEFAULT_TOL_SING,
-             tol_rank: float = DEFAULT_TOL_RANK,
-             tol_solve: float = DEFAULT_TOL_SOLVE):
+             tols: Tolerances = Tolerances()):
     """Solve with both endpoint values forced to zero, or certify failure.
 
     Returns the balanced solution with vanishing right limit at the window
@@ -132,14 +128,13 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
     """
     if f is None:
         raise MissingRHS("the endpoint-vanishing solver needs a right-hand side")
-    bs = build_system(problem, window, extra_points, tol_sing)
+    bs = build_system(problem, window, extra_points, tols.sing)
     moments = moment_vectors(bs, f.refined_against(problem.w))
-    return t0_solve_system(bs, moments, tol_rank, tol_solve)
+    return t0_solve_system(bs, moments, tols)
 
 
 def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
-                    tol_rank: float = DEFAULT_TOL_RANK,
-                    tol_solve: float = DEFAULT_TOL_SOLVE):
+                    tols: Tolerances = Tolerances()):
     """t0_solve on an already built block system, from the moments of its rhs.
 
     ``moments`` are the moment vectors on ``bs`` of the right-hand side
@@ -148,21 +143,21 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
     problem = bs.problem
     f = moments.f
     target = moments.functional
-    gamma = bs.reduced_factors.solve(target, tol_rank)
+    gamma = bs.reduced_factors.solve(target, tols.rank)
     residual = float(np.linalg.norm(bs.reduced_factors.apply(gamma) - target))
 
-    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
+    basis = bs.reduced_factors.adjoint_kernel(tols.rank)
     kernel_vector = basis @ (basis.conj().T @ target)
     projection_norm = float(np.linalg.norm(kernel_vector))
 
-    if residual <= _consistency_bound(target, tol_solve):
+    if residual <= _consistency_bound(target, tols.solve):
         n = bs.n
         first = np.zeros(n, dtype=complex)
         last = -np.linalg.solve(problem.J, moments.last_integral)
         stacked = np.concatenate([first, gamma, last])
         return reconstruct(bs, stacked, f)
 
-    stacked = _lift_projected(bs, kernel_vector[:, None], tol_solve)[:, 0]
+    stacked = _lift_projected(bs, kernel_vector[:, None], tols.solve)[:, 0]
     witness = reconstruct(bs, stacked)
     pairing = w_pairing(problem.w, witness, f, bs.partition.window)
     moment_pairing = complex(np.vdot(kernel_vector, target))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksystem import BlockSystem, MomentVectors
-from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SOLVE
+# DEFAULT_TOL_SOLVE is imported to be re-exported.
+from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SOLVE, Tolerances
 from .errors import (
     DimensionMismatch,
     InconsistentLift,
@@ -93,8 +94,7 @@ class SolutionSet:
 
 
 def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
-                 tol_solve: float = DEFAULT_TOL_SOLVE,
-                 tol_rank: float = DEFAULT_TOL_RANK) -> SolutionSet:
+                 tols: Tolerances = Tolerances()) -> SolutionSet:
     """Particular solution (minimum norm) plus a basis of homogeneous ones.
 
     With no moment data the right-hand side is zero: the particular solution
@@ -106,12 +106,12 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
         coeffs = np.zeros(bs.n * (bs.N + 1), dtype=complex)
     else:
         rhs = moments.rhs
-        coeffs = bs.factors.solve(rhs, tol_rank)
+        coeffs = bs.factors.solve(rhs, tols.rank)
     residual = float(np.linalg.norm(bs.factors.apply(coeffs) - rhs))
-    bound = _consistency_bound(rhs, tol_solve)
+    bound = _consistency_bound(rhs, tols.solve)
     consistent = residual <= bound
 
-    kernel_coeffs = bs.factors.kernel(tol_rank)
+    kernel_coeffs = bs.factors.kernel(tols.rank)
     kernel_basis = [reconstruct(bs, kernel_coeffs[:, i])
                     for i in range(kernel_coeffs.shape[1])]
     particular = None
@@ -139,8 +139,7 @@ def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
 
 
 def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
-                       tol: float = DEFAULT_TOL_SOLVE,
-                       tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+                       tols: Tolerances = Tolerances()) -> np.ndarray:
     """Stacked coefficients of the homogeneous solution with balanced values uhat.
 
     ``uhat`` holds the desired balanced values at the interior partition
@@ -148,10 +147,10 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
     it is replaced by its projection onto the computed kernel when the
     distance is small, rejected otherwise.  The two closed-form reconstruction
     formulas (one stripping the first block, one the last) are both evaluated
-    and must agree on the overlap.
+    and must agree on the overlap, to within a multiple of ``tols.solve``.
     """
-    projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    return _lift_projected(bs, projected[:, None], tol)[:, 0]
+    projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
+    return _lift_projected(bs, projected[:, None], tols.solve)[:, 0]
 
 
 def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray:
@@ -186,7 +185,7 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     return c.reshape(n * (N + 1), -1)
 
 
-def _compact_lifts(bs: BlockSystem, tol: float, tol_rank: float
+def _compact_lifts(bs: BlockSystem, tols: Tolerances = Tolerances()
                    ) -> list[tuple[PiecewiseSolution, float]]:
     """Solution lifted from each ker B^* vector, with its endpoint defect.
 
@@ -194,15 +193,15 @@ def _compact_lifts(bs: BlockSystem, tol: float, tol_rank: float
     The defect is the larger norm of the lift's first and last coefficient
     blocks, taken before they are set to zero.
     """
-    basis = bs.factors.adjoint_kernel(tol_rank)
+    basis = bs.factors.adjoint_kernel(tols.rank)
     if basis.shape[1] == 0:
         return []
     n = bs.n
     uhat = basis / basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    stacked = _lift_projected(bs, uhat, tol)
+    stacked = _lift_projected(bs, uhat, tols.solve)
     edges = np.maximum(np.linalg.norm(stacked[:n], axis=0),
                        np.linalg.norm(stacked[-n:], axis=0))
-    if (edges > 10.0 * tol * np.maximum(1.0, np.linalg.norm(uhat, axis=0))).any():
+    if (edges > 10.0 * tols.solve * np.maximum(1.0, np.linalg.norm(uhat, axis=0))).any():
         raise LiftEndpointNonzero(
             f"endpoint coefficient blocks have norm {edges.max():.3e}")
     stacked[:n] = 0.0
@@ -211,9 +210,7 @@ def _compact_lifts(bs: BlockSystem, tol: float, tol_rank: float
             for k in range(basis.shape[1])]
 
 
-def compact_support_solutions(bs: BlockSystem,
-                              tol: float = DEFAULT_TOL_SOLVE,
-                              tol_rank: float = DEFAULT_TOL_RANK
+def compact_support_solutions(bs: BlockSystem, tols: Tolerances = Tolerances()
                               ) -> list[PiecewiseSolution]:
     """Homogeneous solutions vanishing identically outside the interior points.
 
@@ -223,13 +220,12 @@ def compact_support_solutions(bs: BlockSystem,
     zeros.  Each kernel vector is scaled so its largest balanced value is
     exactly 1, which pins the otherwise arbitrary basis scaling.
     """
-    return [solution for solution, _ in _compact_lifts(bs, tol, tol_rank)]
+    return [solution for solution, _ in _compact_lifts(bs, tols)]
 
 
 def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
                                uhat: np.ndarray,
-                               tol: float = DEFAULT_TOL_SOLVE,
-                               tol_rank: float = DEFAULT_TOL_RANK) -> float:
+                               tols: Tolerances = Tolerances()) -> float:
     """|uhat^* functional - integral of u^* w f| for the lifted solution u.
 
     The pairing of the functional moment vector with a kernel vector of the
@@ -237,8 +233,8 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     homogeneous solution with the right-hand side; this returns the absolute
     mismatch between the two computations.
     """
-    projected = _project_onto_adjoint_kernel(bs, uhat, tol_rank)
-    stacked = _lift_projected(bs, projected[:, None], tol)[:, 0]
+    projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
+    stacked = _lift_projected(bs, projected[:, None], tols.solve)[:, 0]
     u = reconstruct(bs, stacked)
     lhs = complex(np.vdot(projected, moments.functional))
     lo, hi = bs.partition.window

@@ -16,8 +16,7 @@ from functools import cache
 import numpy as np
 
 from .blocksystem import MomentVectors, build_system, moment_vectors, nullspace
-from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, DEFAULT_TOL_SOLVE,
-                           SUITE_NAMES, Check, Problem)
+from .coefficients import SUITE_NAMES, Check, Problem, Tolerances
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
@@ -112,7 +111,8 @@ def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
     uhat = basis @ _rand_complex(rng, basis.shape[1])
     if moments is None:
         moments = moment_vectors(bs, f)
-    defect = functional_identity_defect(bs, moments, uhat, tol_solve, tol_rank)
+    defect = functional_identity_defect(bs, moments, uhat,
+                                        Tolerances(rank=tol_rank, solve=tol_solve))
     bound = TOL_FUNCTIONAL * (1.0 + _sup_norm(f)) \
         * (1.0 + float(np.linalg.norm(uhat)))
     return [Check(f"functional identity [{tag}]", defect, bound,
@@ -120,8 +120,7 @@ def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
 
 
 def _solution_with_rhs(bs, f: L2Function, rng: np.random.Generator,
-                       tol_solve: float, tol_rank: float,
-                       moments: MomentVectors | None = None):
+                       tols: Tolerances, moments: MomentVectors | None = None):
     """A genuine balanced solution on the window, with the rhs it solves.
 
     Uses the inhomogeneous solve when consistent; otherwise falls back to a
@@ -130,7 +129,7 @@ def _solution_with_rhs(bs, f: L2Function, rng: np.random.Generator,
     """
     if moments is None:
         moments = moment_vectors(bs, f)
-    result = solve_system(bs, moments, tol_solve, tol_rank)
+    result = solve_system(bs, moments, tols)
     combo = result.kernel_coefficients @ _rand_complex(
         rng, result.kernel_dimension)
     if result.consistent:
@@ -143,12 +142,13 @@ def suite_lagrange(bs, f: L2Function, g: L2Function, rng: np.random.Generator,
                    moments: MomentVectors | None = None) -> list[Check]:
     problem = bs.problem
     window = bs.partition.window
-    u, fu = _solution_with_rhs(bs, f, rng, tol_solve, tol_rank, moments)
-    v, gv = _solution_with_rhs(bs, g, rng, tol_solve, tol_rank)
+    tols = Tolerances(rank=tol_rank, solve=tol_solve)
+    u, fu = _solution_with_rhs(bs, f, rng, tols, moments)
+    v, gv = _solution_with_rhs(bs, g, rng, tols)
     report = lagrange_check(problem, window, (u, fu), (v, gv))
     rows = [Check(f"lagrange pairing [{tag}]", report.defect, TOL_PAIRING,
                   report.defect <= TOL_PAIRING)]
-    compact = compact_support_solutions(bs, tol_solve, tol_rank)
+    compact = compact_support_solutions(bs, tols)
     if compact:
         creport = lagrange_check(problem, window, (compact[0], None), (v, gv))
         rows.append(Check(f"lagrange compact support [{tag}]", creport.defect,
@@ -247,6 +247,7 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
     The homogeneous basis is one factor for both results, and its Gram
     pairing is made at most once.
     """
+    tols = Tolerances(tol_sing, tol_rank, tol_solve)
     w, window = bs.problem.w, bs.partition.window
     kernel = _basis_states(bs, bs.factors.kernel(tol_rank))
 
@@ -257,11 +258,11 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
 
     if moments is None:
         moments = moment_vectors(bs, f.refined_against(w))
-    result = t0_solve_system(bs, moments, tol_rank, tol_solve)
+    result = t0_solve_system(bs, moments, tols)
     rows = _t0_result_rows(bs, moments, result, kernel, kernel_norms, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
     moments_perp = moment_vectors(bs, f_perp.refined_against(w))
-    result_perp = t0_solve_system(bs, moments_perp, tol_rank, tol_solve)
+    result_perp = t0_solve_system(bs, moments_perp, tols)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
                           result_perp.residual, tol_solve, False))
@@ -274,10 +275,7 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
 def run_suites(problem: Problem, window, f: L2Function | None = None,
                extra_points=(), checks=SUITE_NAMES,
                rng: np.random.Generator | None = None, samples: int = 64,
-               tol_sing: float = DEFAULT_TOL_SING,
-               tol_rank: float = DEFAULT_TOL_RANK,
-               tol_solve: float = DEFAULT_TOL_SOLVE,
-               tag: str = "input") -> list[Check]:
+               tols: Tolerances = Tolerances(), tag: str = "input") -> list[Check]:
     """Run the selected identity suites against one problem instance.
 
     ``f`` is synthesized pseudo-randomly when a suite needs a right-hand
@@ -294,7 +292,7 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
         rng = np.random.default_rng(0)
     selected = [name for name in SUITE_NAMES if name in checks]
 
-    bs = build_system(problem, window, extra_points, tol_sing)
+    bs = build_system(problem, window, extra_points, tols.sing)
 
     moments = None
     if {"functional", "lagrange", "t0"} & set(selected):
@@ -307,21 +305,21 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
     for name in selected:
         try:
             if name == "cbbc":
-                rows.extend(suite_cbbc(bs, tag, tol_rank))
+                rows.extend(suite_cbbc(bs, tag, tols.rank))
             elif name == "wronskian":
                 rows.extend(suite_wronskian(bs, samples, tag))
             elif name == "lift":
-                rows.extend(suite_lift(bs, tag, tol_solve, tol_rank))
+                rows.extend(suite_lift(bs, tag, tols.solve, tols.rank))
             elif name == "functional":
-                rows.extend(suite_functional(bs, f, rng, tag, tol_solve, tol_rank,
+                rows.extend(suite_functional(bs, f, rng, tag, tols.solve, tols.rank,
                                              moments=moments))
             elif name == "lagrange":
                 g = random_f(rng, problem, window).refined_against(problem.w)
-                rows.extend(suite_lagrange(bs, f, g, rng, tag, tol_solve, tol_rank,
+                rows.extend(suite_lagrange(bs, f, g, rng, tag, tols.solve, tols.rank,
                                            moments=moments))
             elif name == "t0":
                 rows.extend(suite_t0(bs, f, extra_points, rng, tag,
-                                     tol_sing, tol_rank, tol_solve, moments=moments))
+                                     tols.sing, tols.rank, tols.solve, moments=moments))
         except (InconsistentLift, NotInKernel, LiftEndpointNonzero) as exc:
             # A lift the suite relies on broke down: one failing row, not a
             # crash.
@@ -332,11 +330,8 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
             for row in rows]
 
 
-def run_random_suites(seed, count: int, checks=SUITE_NAMES,
-                      samples: int = 64,
-                      tol_sing: float = DEFAULT_TOL_SING,
-                      tol_rank: float = DEFAULT_TOL_RANK,
-                      tol_solve: float = DEFAULT_TOL_SOLVE) -> list[Check]:
+def run_random_suites(seed, count: int, checks=SUITE_NAMES, samples: int = 64,
+                      tols: Tolerances = Tolerances()) -> list[Check]:
     """Run the suites over ``count`` random instances drawn from ``seed``.
 
     ``seed`` is an int or a numpy Generator, which is drawn from in place.
@@ -346,7 +341,6 @@ def run_random_suites(seed, count: int, checks=SUITE_NAMES,
     for index in range(count):
         instance = random_instance(rng)
         rows.extend(run_suites(instance.problem, instance.window, instance.f,
-                               instance.extra_points, checks, rng, samples,
-                               tol_sing, tol_rank, tol_solve,
+                               instance.extra_points, checks, rng, samples, tols,
                                tag=f"random {index}"))
     return rows

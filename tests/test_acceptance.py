@@ -16,7 +16,7 @@ from measureode.blocksystem import (assemble, classify_jumps,
                                     find_singular_points, make_partition,
                                     moment_vectors, nullspace)
 from measureode.cli import main
-from measureode.coefficients import MeasureMatrix, Problem
+from measureode.coefficients import MeasureMatrix, Problem, Tolerances
 from measureode.fuzz import random_f, random_instance
 from measureode.propagation import (atom_transfer, product_integral,
                                     segment_exponential, segment_integral)
@@ -261,6 +261,7 @@ def test_criterion_08_endpoint_solve_and_certificates(report):
 
 def test_criterion_09_lagrange_identity(report):
     rng = np.random.default_rng(9)
+    tols = Tolerances(rank=TOL_RANK, solve=1e-9)
     worst = 0.0
     for _ in range(PAIR_COUNT):
         inst = random_instance(rng)
@@ -268,8 +269,8 @@ def test_criterion_09_lagrange_identity(report):
         f = inst.f.refined_against(inst.problem.w)
         g = random_f(rng, inst.problem, inst.window).refined_against(
             inst.problem.w)
-        u, fu = _solution_with_rhs(bs, f, rng, 1e-9, TOL_RANK)
-        v, gv = _solution_with_rhs(bs, g, rng, 1e-9, TOL_RANK)
+        u, fu = _solution_with_rhs(bs, f, rng, tols)
+        v, gv = _solution_with_rhs(bs, g, rng, tols)
         check = lagrange_check(inst.problem, inst.window, (u, fu), (v, gv))
         worst = max(worst, check.defect)
 
@@ -279,7 +280,7 @@ def test_criterion_09_lagrange_identity(report):
     worst_compact = 0.0
     for _ in range(10):
         g = random_f(rng, mirror, INTERVAL).refined_against(mirror.w)
-        v, gv = _solution_with_rhs(bs, g, rng, 1e-9, TOL_RANK)
+        v, gv = _solution_with_rhs(bs, g, rng, tols)
         check = lagrange_check(mirror, INTERVAL, (compact, None), (v, gv))
         worst_compact = max(worst_compact, check.defect, abs(check.lhs))
     ok = worst <= 1e-8 and worst_compact <= 1e-8

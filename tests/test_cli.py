@@ -7,10 +7,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import measureode
 from measureode.cli import main
+from measureode.coefficients import Tolerances
 from measureode.fileio import load_problem, parse_problem, render_report
 from measureode.errors import ParseError
 
@@ -118,18 +120,56 @@ def test_malformed_input_exits_two(capsys):
     assert "unknown key" in err
 
 
-def _instance_b() -> dict:
-    with open(data("instance_b.json"), encoding="utf-8") as handle:
+def _raw(name: str = "instance_b.json") -> dict:
+    with open(data(name), encoding="utf-8") as handle:
         return json.load(handle)
 
 
+def _write(directory, raw: dict, name: str = "problem.json") -> str:
+    path = directory / name
+    path.write_text(json.dumps(raw), encoding="utf-8")  # NaN and inf as NaN and Infinity
+    return str(path)
+
+
+@pytest.mark.parametrize("keys, value, context", [
+    (("J", 0, 0, 0), float("nan"), "$.J[0]"),
+    (("f", "pieces", 0, "vector", 0, 0), float("nan"), "$.f.pieces[0]"),
+    (("f", "atom_values"), [{"x": 0.0, "vector": [[float("nan"), 0], [1, 0]]}],
+     "$.f.atom_values[0]"),
+    (("f", "pieces", 0, "to"), float("inf"), "$.f.pieces[0]"),
+    (("interval", 1), 10 ** 400, "$.interval"),  # past the float range
+], ids=["J", "f piece", "f atom value", "f piece end", "interval end"])
+def test_a_non_finite_number_in_a_problem_file_exits_two(keys, value, context, tmp_path,
+                                                          capsys):
+    raw = _raw("instance_a.json")
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    code, out, err = run_main(["validate", "--input", _write(tmp_path, raw)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {context}: expected a finite number, got ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [b'{"n": ' + b"1" * 5000 + b"}", b'{"n": \xff}'],
+                         ids=["long integer", "not utf-8"])
+def test_a_file_the_json_reader_rejects_exits_two(text, tmp_path, capsys):
+    # An integer too long to convert, and a byte that is not UTF-8.
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    code, out, err = run_main(["validate", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: invalid JSON in {path}: ") and err.count("\n") == 1
+
+
 def test_a_list_field_that_is_not_a_list_is_a_parse_error():
-    forced = _instance_b()
+    forced = _raw()
     forced["forced_partition_points"] = 3
     with pytest.raises(ParseError, match="must be a list") as err:
         parse_problem(forced)
     assert "$.forced_partition_points" in str(err.value)
-    atom_values = _instance_b()
+    atom_values = _raw()
     atom_values["f"]["atom_values"] = 5
     with pytest.raises(ParseError, match="must be a list") as err:
         parse_problem(atom_values)
@@ -137,11 +177,9 @@ def test_a_list_field_that_is_not_a_list_is_a_parse_error():
 
 
 def test_a_malformed_list_field_exits_two(tmp_path, capsys):
-    raw = _instance_b()
+    raw = _raw()
     raw["f"]["atom_values"] = 5
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    code, out, err = run_main(["validate", "--input", str(path)], capsys)
+    code, out, err = run_main(["validate", "--input", _write(tmp_path, raw)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "atom_values must be a list" in err
@@ -164,6 +202,70 @@ def test_tolerance_overrides_outside_zero_one_exit_two(mode, flag, value, capsys
     assert code == 2
     assert out == ""
     assert "between 0 and 1" in err and flag in err
+
+
+def _borderline(tolerances: dict) -> dict:
+    """One q-atom (1 + 1e-7) [[0, 2], [2, 0]] at 0 with J = [[0, -1], [1, 0]].
+
+    sigma_min(J + dq/2) = 1e-7 against sigma_max about 2: the jump is
+    borderline at the default tol_sing 1e-9 and singular at 1e-5.
+    """
+    two = 2.0 * (1.0 + 1e-7)
+    return {"n": 2, "J": [[[0, 0], [-1, 0]], [[1, 0], [0, 0]]], "interval": [-1.0, 1.0],
+            "q": {"atoms": [{"x": 0.0, "matrix": [[[0, 0], [two, 0]], [[two, 0], [0, 0]]]}]},
+            "w": {"atoms": []}, "tolerances": tolerances}
+
+
+def test_tol_sing_from_the_file_or_the_flag_decides_a_borderline_jump(tmp_path, capsys):
+    def status(tolerances, *flags):
+        path = _write(tmp_path, _borderline(tolerances))
+        code, out, _ = run_main(["analyze", "--input", path, *flags], capsys)
+        assert code == 0
+        (jump,) = json.loads(out)["results"]["jumps"]
+        return jump["status"]
+
+    assert status({}) == "borderline"
+    assert status({"tol_sing": 1e-5}) == "singular"
+    assert status({}, "--tol-sing", "1e-5") == "singular"
+    assert status({"tol_sing": 1e-5}, "--tol-sing", "1e-9") == "borderline"
+    assert load_problem(_write(tmp_path, _borderline({"tol_sing": 1e-5}))).tolerances \
+        == Tolerances(sing=1e-5)
+
+
+def test_tol_solve_from_the_file_scales_the_consistency_bound(tmp_path, capsys):
+    from measureode import build_system, moment_vectors
+    raw = _raw()
+    raw["tolerances"] = {"tol_solve": 1e-3}
+    path = _write(tmp_path, raw)
+    code, out, _ = run_main(["solve", "--input", path], capsys)
+    assert code == 0
+    (row,) = [c for c in json.loads(out)["checks"] if c["name"] == "solve consistent"]
+    parsed = load_problem(path)
+    bs = build_system(parsed.problem, parsed.window, parsed.forced_points)
+    rhs = moment_vectors(bs, parsed.f.refined_against(parsed.problem.w)).rhs
+    assert row["tolerance"] == pytest.approx(1e-3 * (1.0 + np.linalg.norm(rhs)), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["solve", "kernel", "compact", "verify"])
+def test_tol_rank_from_the_file_or_the_flag_reaches_every_rank_decision(mode, tmp_path,
+                                                                        monkeypatch, capsys):
+    from measureode.blocksystem import Factorisation
+    cuts = []
+    sweep = Factorisation._sweep
+
+    def spy(self, tol_rank):
+        cuts.append(tol_rank)
+        return sweep(self, tol_rank)
+
+    monkeypatch.setattr(Factorisation, "_sweep", spy)
+    raw = _raw()
+    raw["tolerances"] = {"tol_rank": 1e-4}
+    path = _write(tmp_path, raw)
+    for flags, expected in [((), 1e-4), (("--tol-rank", "1e-6"), 1e-6)]:
+        cuts.clear()
+        code, _, _ = run_main([mode, "--input", path, *flags], capsys)
+        assert code == 0
+        assert cuts and set(cuts) == {expected}
 
 
 @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--samples", "0"],
@@ -384,14 +486,47 @@ def test_module_invocation_matches_the_entry_point():
     assert json.loads(proc.stdout)["command"] == "validate"
 
 
+def _stretched_hyperbolic(directory, end: float) -> str:
+    """instance_hyperbolic.json stretched from (0, 100) to (0, end).
+
+    Its propagators grow like e^x, so a long window overflows them.
+    """
+    raw = _raw("instance_hyperbolic.json")
+    raw["interval"][1] = end
+    for piece in (raw["q"]["density"][0], raw["w"]["density"][0], raw["f"]["pieces"][0]):
+        piece["to"] = end
+    return _write(directory, raw, f"hyperbolic_{end:g}.json")
+
+
+@pytest.mark.parametrize("mode, end", [("solve", 800.0), ("kernel", 1600.0)])
+def test_a_non_finite_result_is_one_error_line_and_exit_one(mode, end, tmp_path, capsys):
+    code, out, err = run_main([mode, "--input", _stretched_hyperbolic(tmp_path, end)],
+                              capsys)
+    assert (code, out, err) == (1, "", "error: the result holds a non-finite number\n")
+
+
+def test_a_failed_svd_is_one_error_line_and_exit_one(monkeypatch, capsys):
+    from measureode import cli
+
+    def diverge(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli._HANDLERS, "kernel", diverge)
+    code, out, err = run_main(["kernel", "--input", data("instance_a.json")], capsys)
+    assert (code, out, err) == (1, "", "error: SVD did not converge\n")
+
+
 @pytest.mark.parametrize("instance", ["instance_a", "instance_b", "instance_hyperbolic",
-                                      "instance_hyperbolic_padded"])
+                                      "instance_hyperbolic_padded", "stretched"])
 @pytest.mark.parametrize("mode", ["validate", "analyze", "solve", "kernel", "compact",
                                   "verify"])
 def test_no_warning_or_traceback_escapes_a_cli_process(mode, instance, tmp_path):
     # Warnings are errors in the fresh interpreter, so any would end in a
-    # traceback; failing checks and error exits are fine.
-    argv = [mode, "--input", data(f"{instance}.json"), "--output", str(tmp_path / "r.json")]
+    # traceback; failing checks and error exits are fine.  "stretched" is
+    # instance_hyperbolic.json on (0, 800), where solve and verify overflow.
+    path = (_stretched_hyperbolic(tmp_path, 800.0) if instance == "stretched"
+            else data(f"{instance}.json"))
+    argv = [mode, "--input", path, "--output", str(tmp_path / "r.json")]
     if mode == "verify":
         argv += ["--random", "2"]
     proc = _fresh_python("-m", "measureode.cli", *argv)

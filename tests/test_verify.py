@@ -180,3 +180,35 @@ def test_suites_pass_on_a_padded_hyperbolic_window_of_length_400():
                       rng=np.random.default_rng(0))
     assert len(parsed.forced_points) == 199
     assert rows and [row.name for row in rows if not row.passed] == []
+
+
+def test_the_call_shapes_the_benchmark_harness_uses():
+    # The verify-fuzz workload calls the jump test, the assembly and the six
+    # suites with positional float tolerances (its traced run), and run_suites
+    # with positional arguments (its untraced run). Both must keep working,
+    # and on the same random stream they make the same rows.
+    from measureode import assemble, classify_jumps, make_partition
+    from measureode import fuzz, verify
+    from measureode.blocksystem import DEFAULT_TOL_RANK, DEFAULT_TOL_SING
+    from measureode.solutions import DEFAULT_TOL_SOLVE
+    inst = fuzz.random_chain(np.random.default_rng(3), 4, 2, True)
+    problem, window, extra = inst.problem, inst.window, inst.extra_points
+    tol_sing, tol_rank, tol_solve = DEFAULT_TOL_SING, DEFAULT_TOL_RANK, DEFAULT_TOL_SOLVE
+    tag = "input"
+    rng = np.random.default_rng([0, 1])
+    reports = classify_jumps(problem, window, tol_sing)
+    singular = [r.position for r in reports if r.status == "singular"]
+    bs = assemble(problem, make_partition(window, singular, extra), tol_sing)
+    assert bs.factors.adjoint_kernel().shape[1] == 2  # the compact-support rows run
+    f = inst.f.refined_against(problem.w)
+    rows = verify.suite_cbbc(bs, tag, tol_rank)
+    rows += verify.suite_wronskian(bs, 64, tag)
+    rows += verify.suite_lift(bs, tag, tol_solve, tol_rank)
+    rows += verify.suite_functional(bs, f, rng, tag, tol_solve, tol_rank)
+    g = fuzz.random_f(rng, problem, window).refined_against(problem.w)
+    rows += verify.suite_lagrange(bs, f, g, rng, tag, tol_solve, tol_rank)
+    rows += verify.suite_t0(bs, f, extra, rng, tag, tol_sing, tol_rank, tol_solve)
+    untraced = run_suites(problem, window, inst.f, extra, verify.SUITE_NAMES,
+                          np.random.default_rng([0, 1]), 64)
+    assert len(rows) >= len(SUITE_NAMES) and all(row.passed for row in rows)
+    assert untraced == rows
