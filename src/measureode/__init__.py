@@ -34,7 +34,7 @@ _HOMES = {
     "relations": ("K0Element", "OrthogonalityCertificate", "PairingReport", "inner_product",
                   "kernel_K0", "lagrange_check", "t0_solve", "weighted_norm"),
     "solutions": ("SolutionSet", "compact_support_solutions", "functional_identity_defect",
-                  "lift_kernel_vector", "minimum_norm_solve", "solve_system"),
+                  "lift_kernel_vector", "solve_system"),
     "verify": ("run_random_suites", "run_suites"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -133,12 +133,26 @@ def make_partition(window, singular_points, extra=()) -> Partition:
     return Partition((lo, hi), interior, flags)
 
 
+def _dense_rank(matrix: np.ndarray, tol_rank: float) -> int:
+    """Number of singular values above tol_rank * sigma_max, from the values alone."""
+    s = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(s > tol_rank * s[0]))
+
+
 def nullspace(matrix: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-    """Orthonormal basis of the kernel, columns; rank cut at tol_rank * sigma_max."""
+    """Orthonormal basis of the kernel, columns; rank cut at tol_rank * sigma_max.
+
+    The singular vectors are computed only when a kernel can remain: a
+    matrix with at least as many rows as columns first takes its singular
+    values alone and, at full column rank, returns the empty basis.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    cols = matrix.shape[1]
-    if matrix.shape[0] == 0 or not matrix.any():
+    rows, cols = matrix.shape
+    if rows == 0 or not matrix.any():
         return np.eye(cols, dtype=complex)
+    if rows >= cols and _dense_rank(matrix, tol_rank) == cols:
+        return np.zeros((cols, 0), dtype=complex)
+    # The basis takes its rank from the same decomposition as its vectors.
     _, s, vh = np.linalg.svd(matrix)
     rank = int(np.sum(s > tol_rank * s[0]))
     return vh[rank:].conj().T

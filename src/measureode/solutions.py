@@ -15,7 +15,7 @@ import numpy as np
 
 from .blocksystem import BlockSystem, MomentVectors
 # DEFAULT_TOL_SOLVE is imported to be re-exported.
-from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SOLVE, Tolerances
+from .coefficients import DEFAULT_TOL_SOLVE, Tolerances
 from .errors import (
     DimensionMismatch,
     InconsistentLift,
@@ -28,22 +28,6 @@ from .propagation import (PiecewiseSolution, _adjoint, _homogeneous_states, _Nod
 
 # How far a claimed kernel vector may sit from the computed kernel.
 KERNEL_MEMBERSHIP_TOL = 1e-6
-
-
-def minimum_norm_solve(matrix: np.ndarray, rhs: np.ndarray,
-                       tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
-    """Minimum-norm least-squares solution with an explicit rank cut."""
-    matrix = np.asarray(matrix, dtype=complex)
-    rhs = np.asarray(rhs, dtype=complex).reshape(-1)
-    if matrix.shape[0] != rhs.size:
-        raise DimensionMismatch("right-hand side length must match the row count")
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(matrix.shape[1], dtype=complex)
-    keep = s > tol_rank * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return vh.conj().T @ (inv * (u.conj().T @ rhs))
 
 
 def reconstruct(bs: BlockSystem, coefficients: np.ndarray,

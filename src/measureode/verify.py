@@ -10,12 +10,14 @@ command line and the test battery.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import cache
 
 import numpy as np
 
-from .blocksystem import MomentVectors, build_system, moment_vectors, nullspace
+from .blocksystem import (MomentVectors, _dense_rank, build_system, moment_vectors,
+                          nullspace)
 from .coefficients import SUITE_NAMES, Check, Problem, Tolerances
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
@@ -51,9 +53,11 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     expected[-n:, -n:] = bs.problem.J
     full = bs.C.conj().T @ bs.B - bs.B.conj().T @ bs.C - expected
     reduced = bs.C_m.conj().T @ bs.B - bs.B_m.conj().T @ bs.C
-    # ker B* from its own SVD, so the ledger compares two independent ranks.
+    # ker B* from its own singular values, so the ledger compares two
+    # independent ranks.
     dim_ker = bs.factors.kernel(tol_rank).shape[1]
-    dim_adj = nullspace(bs.B.conj().T, tol_rank).shape[1]
+    adjoint = bs.B.conj().T
+    dim_adj = adjoint.shape[1] - _dense_rank(adjoint, tol_rank)
     bookkeeping = abs(dim_ker - n - dim_adj) + max(0, n - dim_ker)
     return [
         Check(f"cbbc full [{tag}]", float(np.linalg.norm(full)),
@@ -282,8 +286,9 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
     side and none is given; all randomness comes from ``rng``.  f's moment
     vectors are computed once and passed to the functional, lagrange and t0
     suites as ``moments``; called without it, each computes its own.  A
-    row whose defect is NaN or inf becomes a failing row named
-    "non-finite: ..." with the defect ``sys.float_info.max``.
+    row whose defect or tolerance is NaN or inf becomes a failing row named
+    "non-finite: ..." with the defect ``sys.float_info.max``; a non-finite
+    tolerance becomes 0.
     """
     unknown = sorted(set(checks) - set(SUITE_NAMES))
     if unknown:
@@ -325,8 +330,9 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
             # crash.
             rows.append(Check(f"{name} raised {type(exc).__name__} [{tag}]",
                               1.0, 0.0, False))
-    return [row if np.isfinite(row.measured) else
-            Check(f"non-finite: {row.name}", sys.float_info.max, row.tolerance, False)
+    return [row if math.isfinite(row.measured) and math.isfinite(row.tolerance) else
+            Check(f"non-finite: {row.name}", sys.float_info.max,
+                  row.tolerance if math.isfinite(row.tolerance) else 0.0, False)
             for row in rows]
 
 

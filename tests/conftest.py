@@ -5,7 +5,8 @@ Two hand-analyzed two-atom systems recur throughout: the "mirror" pair
 kernel and a compactly supported solution) and the "repeated" pair (equal
 atoms, whose adjoint kernel is trivial).  Both use the canonical 2x2
 rotation J and a single identity weight atom at the origin.
-``count_calls`` counts the calls of a module attribute during one test.
+``count_calls`` counts the calls of a module attribute during one test,
+and ``minimum_norm_solve`` is the dense-SVD oracle for min-norm solves.
 """
 
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from measureode import MeasureMatrix, Problem, build_system
+from measureode import DimensionMismatch, MeasureMatrix, Problem, build_system
+from measureode.coefficients import DEFAULT_TOL_RANK
 from measureode.functions import L2Function
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
@@ -29,6 +31,21 @@ def two_atom_problem(left, right, w_atoms=((0.0, np.eye(2)),)):
 
 def block_system(problem, window=INTERVAL, extra=()):
     return build_system(problem, window, extra)
+
+
+def minimum_norm_solve(matrix, rhs, tol_rank=DEFAULT_TOL_RANK):
+    """Minimum-norm least-squares solution with an explicit rank cut."""
+    matrix = np.asarray(matrix, dtype=complex)
+    rhs = np.asarray(rhs, dtype=complex).reshape(-1)
+    if matrix.shape[0] != rhs.size:
+        raise DimensionMismatch("right-hand side length must match the row count")
+    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros(matrix.shape[1], dtype=complex)
+    keep = s > tol_rank * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return vh.conj().T @ (inv * (u.conj().T @ rhs))
 
 
 @pytest.fixture
@@ -64,14 +81,16 @@ def count_calls(monkeypatch):
     """``count_calls(module, name)`` wraps ``module.name`` for the test.
 
     Returns its counter: ``counter.calls`` is the number of calls so far,
-    and a test may reset it.
+    and a test may reset it; ``counter.kwargs`` lists each call's keyword
+    arguments, one dict per call.
     """
     def wrap(module, name):
         func = getattr(module, name)
-        counter = SimpleNamespace(calls=0)
+        counter = SimpleNamespace(calls=0, kwargs=[])
 
         def counted(*args, **kwargs):
             counter.calls += 1
+            counter.kwargs.append(kwargs)
             return func(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)

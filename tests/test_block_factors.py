@@ -1,7 +1,7 @@
 """BlockSystem's cached factorisations against the dense oracles.
 
 The kernels and min-norm solves a BlockSystem answers from the orthogonal
-sweeps over B and B_m must agree with ``nullspace`` and
+sweeps over B and B_m must agree with ``nullspace`` and the tests'
 ``minimum_norm_solve`` applied to the dense matrices.  Compactly supported
 solutions lift every ker B^* vector in one batch and never factorise B_m;
 the batch must agree with the dense B and with one-column lifts.
@@ -16,11 +16,10 @@ from measureode import MeasureMatrix, Problem, blocksystem, fuzz
 from measureode.blocksystem import moment_vectors, nullspace
 from measureode.cli import main
 from measureode.relations import t0_solve_system
-from measureode.solutions import (compact_support_solutions, lift_kernel_vector,
-                                  minimum_norm_solve, solve_system)
+from measureode.solutions import compact_support_solutions, lift_kernel_vector, solve_system
 from measureode.verify import run_suites
 
-from conftest import block_system
+from conftest import block_system, minimum_norm_solve
 from test_cli import data
 from test_acceptance import _fuzz_systems
 

@@ -17,7 +17,7 @@ from measureode import (
 )
 from measureode.blocksystem import Partition
 from measureode.functions import L2Function
-from measureode.fuzz import random_instance
+from measureode.fuzz import random_chain, random_instance
 
 from conftest import J2, SWAP2, INTERVAL, block_system, two_atom_problem
 
@@ -122,9 +122,60 @@ def test_nullspace_rank_cut_is_relative():
     assert nullspace(m, tol_rank=1e-14).shape[1] == 0
 
 
-def test_nullspace_of_zero_matrix_is_identity():
-    basis = nullspace(np.zeros((2, 3)))
-    assert basis.shape == (3, 3)
+def test_nullspace_of_zero_matrix_is_identity(count_calls):
+    svd = count_calls(np.linalg, "svd")
+    for shape in [(2, 3), (3, 2), (0, 3)]:
+        np.testing.assert_array_equal(nullspace(np.zeros(shape)), np.eye(shape[1]))
+    assert svd.calls == 0
+
+
+def _oracle_dimension(matrix, tol_rank=1e-10):
+    """Kernel dimension from one full SVD, the cut nullspace made before."""
+    s = np.linalg.svd(matrix)[1]
+    return matrix.shape[1] - int(np.sum(s > tol_rank * s[0]))
+
+
+def _chain_adjoint(seed, N, mirrored):
+    """B^* of a random chain: 2(N + 1) x 2N, with kernel dimension N/2 if mirrored."""
+    inst = random_chain(np.random.default_rng(seed), N, 2, mirrored)
+    return block_system(inst.problem, inst.window, inst.extra_points).B.conj().T
+
+
+def test_nullspace_of_a_full_column_rank_matrix_takes_no_singular_vectors(count_calls):
+    # A random chain's B^* (tall, 2(N+1) x 2N) has a trivial kernel.
+    for seed, N in [(0, 20), (1, 40)]:
+        adjoint = _chain_adjoint(seed, N, False)
+        assert _oracle_dimension(adjoint) == 0
+        svd = count_calls(np.linalg, "svd")
+        basis = nullspace(adjoint, 1e-10)
+        assert basis.shape == (adjoint.shape[1], 0)
+        assert svd.kwargs == [{"compute_uv": False}]
+
+
+def test_nullspace_of_a_rank_deficient_tall_matrix_matches_the_full_svd(count_calls,
+                                                                        mirror_system):
+    mirrored = _chain_adjoint(3, 20, True)
+    for adjoint in (mirrored, mirror_system.B.conj().T):
+        expected = _oracle_dimension(adjoint)
+        assert expected >= 1
+        svd = count_calls(np.linalg, "svd")
+        basis = nullspace(adjoint, 1e-10)
+        assert svd.kwargs == [{"compute_uv": False}, {}]
+        assert basis.shape == (adjoint.shape[1], expected)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(expected), atol=1e-12)
+        assert np.linalg.norm(adjoint @ basis) <= 1e-12 * np.linalg.norm(adjoint)
+
+
+def test_nullspace_of_a_wide_matrix_takes_one_svd(count_calls):
+    rng = np.random.default_rng(4)
+    factor = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    gram = factor.conj().T @ factor   # 8 x 8 of rank 3, then its first rows
+    wide = gram[:5]
+    svd = count_calls(np.linalg, "svd")
+    basis = nullspace(wide, 1e-10)
+    assert svd.calls == 1
+    assert basis.shape == (8, _oracle_dimension(wide)) == (8, 5)
+    np.testing.assert_allclose(wide @ basis, 0.0, atol=1e-12 * np.linalg.norm(wide))
 
 
 # -- the coupling matrices ----------------------------------------------------

@@ -505,6 +505,16 @@ def test_a_non_finite_result_is_one_error_line_and_exit_one(mode, end, tmp_path,
     assert (code, out, err) == (1, "", "error: the result holds a non-finite number\n")
 
 
+def test_verify_on_an_overflowing_window_lists_its_failing_rows(tmp_path, capsys):
+    # Some rows there have a NaN tolerance as well as a NaN defect.
+    code, out, _ = run_main(["verify", "--input", _stretched_hyperbolic(tmp_path, 800.0),
+                             "--random", "0"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert "non-finite: t0 certificate two-route [input]" in [
+        row["name"] for row in report["checks"] if not row["pass"]]
+
+
 def test_a_failed_svd_is_one_error_line_and_exit_one(monkeypatch, capsys):
     from measureode import cli
 

@@ -12,7 +12,6 @@ from measureode import (
     compact_support_solutions,
     functional_identity_defect,
     lift_kernel_vector,
-    minimum_norm_solve,
     moment_vectors,
     nullspace,
     solve_system,
@@ -20,7 +19,7 @@ from measureode import (
 from measureode.solutions import DEFAULT_TOL_SOLVE, reconstruct
 from measureode.fuzz import random_f, random_instance
 
-from conftest import INTERVAL, block_system
+from conftest import INTERVAL, block_system, minimum_norm_solve
 
 TOL = 1e-9
 

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from measureode import parse_problem, run_random_suites, run_suites
+from measureode import load_problem, parse_problem, run_random_suites, run_suites
 from measureode.propagation import w_pairing
 from measureode.solutions import solve_system
 from measureode.verify import SUITE_NAMES, TOL_PAIRING, orthogonal_rhs
@@ -15,6 +15,7 @@ from measureode.fuzz import random_instance
 
 from conftest import INTERVAL, block_system
 from test_acceptance import _fuzz_systems
+from test_cli import _stretched_hyperbolic
 
 
 def test_every_suite_row_passes_on_a_seeded_batch():
@@ -85,11 +86,34 @@ def test_cbbc_bookkeeping_row_fails_when_the_ranks_disagree(monkeypatch, mirror_
         return next(r for r in rows if "rank bookkeeping" in r.name)
 
     assert row(verify.suite_cbbc(mirror_system, "mirror", 1e-10)).passed
-    dense = verify.nullspace
-    monkeypatch.setattr(verify, "nullspace", lambda m, tol: dense(m, tol)[:, 1:])
+    dense_rank = verify._dense_rank
+    monkeypatch.setattr(verify, "_dense_rank", lambda m, tol: dense_rank(m, tol) + 1)
     broken = row(verify.suite_cbbc(mirror_system, "mirror", 1e-10))
     assert not broken.passed
     assert broken.measured == 1.0
+
+
+def test_suite_cbbc_asks_for_no_singular_vectors_of_the_adjoint(count_calls,
+                                                                mirror_system):
+    import measureode.verify as verify
+    bs = mirror_system
+    bs.factors.kernel(1e-10)  # the sweep, cached; the ledger's other rank
+    svd = count_calls(np.linalg, "svd")
+    rows = verify.suite_cbbc(bs, "mirror", 1e-10)
+    assert all(row.passed for row in rows)
+    assert svd.kwargs == [{"compute_uv": False}]
+
+
+def test_non_finite_tolerances_become_failing_rows(tmp_path):
+    # On (0, 800) the propagators overflow, and some rows' tolerances scale
+    # with a NaN.
+    parsed = load_problem(_stretched_hyperbolic(tmp_path, 800.0))
+    with np.errstate(all="ignore"):
+        rows = run_suites(parsed.problem, parsed.window, parsed.f, parsed.forced_points,
+                          rng=np.random.default_rng(0), tols=parsed.tolerances)
+    assert all(np.isfinite(row.measured) and np.isfinite(row.tolerance) for row in rows)
+    failing = [row.name for row in rows if not row.passed]
+    assert "non-finite: t0 certificate two-route [input]" in failing
 
 
 def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
