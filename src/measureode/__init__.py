@@ -31,8 +31,9 @@ _HOMES = {
     "propagation": ("FundamentalMatrix", "PiecewiseSolution", "atom_transfer",
                     "fundamental_matrix", "product_integral", "segment_exponential",
                     "segment_integral", "solve_ivp_regular"),
-    "relations": ("K0Element", "OrthogonalityCertificate", "PairingReport", "inner_product",
-                  "kernel_K0", "lagrange_check", "t0_solve", "weighted_norm"),
+    "relations": ("K0Basis", "K0Element", "OrthogonalityCertificate", "PairingReport",
+                  "inner_product", "kernel_K0", "lagrange_check", "t0_solve",
+                  "weighted_norm"),
     "solutions": ("SolutionSet", "compact_support_solutions", "functional_identity_defect",
                   "lift_kernel_vector", "solve_system"),
     "verify": ("run_random_suites", "run_suites"),

@@ -22,6 +22,7 @@ from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_
                           _pairings, _partition_states)
 
 BORDERLINE_SING = 1e-6
+TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
 
 
 @dataclass(frozen=True)
@@ -450,6 +451,18 @@ class BlockSystem:
     def points(self) -> np.ndarray:
         return self.partition.points
 
+    @cached_property
+    def propagator_defect(self) -> float:
+        """max_k ||U_k^* J U_k - J|| over the node states' left limits ``states.lefts``.
+
+        Zero in exact arithmetic; computed, it is about cond(U) times the
+        unit roundoff, so above ``TOL_IDENTITY`` the propagators are too
+        ill-conditioned for the rank decisions built on them.  Not finite
+        if a state overflowed.
+        """
+        U, J = self.states.lefts, self.problem.J
+        return float(np.linalg.norm(_adjoint(U) @ J @ U - J, axis=(1, 2)).max())
+
 
 def assemble(problem: Problem, partition: Partition,
              tol_sing: float = DEFAULT_TOL_SING) -> BlockSystem:
@@ -497,8 +510,12 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
     problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
     _check_rhs(f, pts[0], pts[-1])
-    jump_moments = np.concatenate([w.jump(x) @ f.value(x, "balanced")
-                                   for x in pts[1:-1].tolist()])
+    # Only the partition points that carry a w-atom have a nonzero jump moment.
+    jump_moments = np.zeros((N, n), dtype=complex)
+    for j in np.flatnonzero(_member(pts[1:-1], w.atom_positions)).tolist():
+        x = float(pts[j + 1])
+        jump_moments[j] = w.jump(x) @ f.value(x, "balanced")
+    jump_moments = jump_moments.reshape(-1)
     # Open subintervals: the w-atoms at the partition points are the jump moments.
     integrals = _pairings(w, bs.states, f, pts)[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral

@@ -2,8 +2,9 @@
 
 Reads a JSON problem file, runs the requested analysis, and emits a JSON
 report (stdout, or ``--output``).  Reports are byte-deterministic for fixed
-input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed,
-the linear system is inconsistent or the result is not finite (no report),
+input, seed, and version.  Exit codes: 0 all checks pass, 1 a check failed
+(among them ``solve``'s consistency and the "propagator conditioned" row of
+``solve``, ``kernel`` and ``compact``) or the result is not finite (no report),
 2 malformed input or an unwritable ``--output`` (a missing directory is
 caught before the input is read).  Each mode's handler imports the modules
 it runs, so a process loads no more of the package than its mode needs.
@@ -76,6 +77,13 @@ def _partition_json(partition) -> dict:
     }
 
 
+def _conditioned(defect: float) -> Check:
+    """The "propagator conditioned" row: ``BlockSystem.propagator_defect`` against
+    the identity tolerance.  When it fails the rank decisions are not to be trusted."""
+    from .blocksystem import TOL_IDENTITY
+    return Check("propagator conditioned", defect, TOL_IDENTITY, defect <= TOL_IDENTITY)
+
+
 def cmd_validate(parsed: ParsedProblem, args, tols):
     report = validate(parsed.problem, DEFAULT_VALIDATE_TOL)
     results = {"n": parsed.problem.n,
@@ -121,9 +129,9 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
         if outcome.consistent else None,
         "kernel_samples": [_sampled(sol, grid) for sol in outcome.kernel_basis],
     }
-    row = Check("solve consistent", float(outcome.residual), outcome.bound,
-                outcome.consistent)
-    return results, [row], outcome.consistent
+    rows = [Check("solve consistent", float(outcome.residual), outcome.bound,
+                  outcome.consistent), _conditioned(outcome.propagator_defect)]
+    return results, rows, all(row.passed for row in rows)
 
 
 def cmd_kernel(parsed: ParsedProblem, args, tols):
@@ -137,7 +145,8 @@ def cmd_kernel(parsed: ParsedProblem, args, tols):
                       "samples": _sampled(el.solution, grid)}
                      for el in elements],
     }
-    return results, [], True
+    row = _conditioned(elements.propagator_defect)
+    return results, [row], row.passed
 
 
 def cmd_compact(parsed: ParsedProblem, args, tols):
@@ -153,7 +162,8 @@ def cmd_compact(parsed: ParsedProblem, args, tols):
                        "samples": _sampled(sol, grid)}
                       for sol, defect in lifts],
     }
-    return results, [], True
+    row = _conditioned(bs.propagator_defect)
+    return results, [row], row.passed
 
 
 def _missing_directory(path: str) -> str | None:

@@ -73,7 +73,7 @@ def _member(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if not sorted_values.size:
         return np.zeros(values.shape, dtype=bool)
-    k = np.searchsorted(sorted_values, values).clip(max=sorted_values.size - 1)
+    k = np.minimum(np.searchsorted(sorted_values, values), sorted_values.size - 1)
     return sorted_values[k] == values
 
 

@@ -9,9 +9,11 @@ enter any integral.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .coefficients import _SIDES, MeasureMatrix, _union
+from .coefficients import _SIDES, MeasureMatrix, _member, _union
 from .errors import DimensionMismatch, NotRepresentable, OutOfInterval, WindowMismatch
 
 
@@ -23,6 +25,21 @@ def _as_vector(v, n: int | None, what: str) -> np.ndarray:
     if not np.all(np.isfinite(vec.view(float))):
         raise ValueError(f"{what} contains non-finite entries")
     return vec
+
+
+def _stacked(values) -> np.ndarray:
+    """Piece values (P, n), checked in one pass: same length, finite entries."""
+    try:
+        vals = np.array(values, dtype=complex)  # a copy: it is frozen below
+    except (ValueError, TypeError):  # ragged: report as the per-value checks would
+        vals = [_as_vector(v, None, "piece value") for v in values]
+        if any(v.size != vals[0].size for v in vals):
+            raise DimensionMismatch("piece values must all have the same length") from None
+        return np.stack(vals)
+    vals = vals.reshape(vals.shape[0], math.prod(vals.shape[1:]))
+    if not np.isfinite(vals.view(float)).all():
+        raise ValueError("piece value contains non-finite entries")
+    return vals
 
 
 class L2Function:
@@ -47,10 +64,7 @@ class L2Function:
             raise NotRepresentable("breakpoints must be strictly increasing")
         if len(values) != bp.size - 1:
             raise DimensionMismatch("need one value per piece between breakpoints")
-        vals = [_as_vector(v, None, "piece value") for v in values]
-        if any(v.size != vals[0].size for v in vals):
-            raise DimensionMismatch("piece values must all have the same length")
-        vals = np.stack(vals)
+        vals = _stacked(values)
         self._n = vals.shape[1]
 
         items = sorted((float(x), _as_vector(v, self._n, "atom value"))
@@ -58,12 +72,14 @@ class L2Function:
         for x, _ in items:
             if not (lo <= x <= hi):
                 raise OutOfInterval(f"atom value position {x} outside [{lo}, {hi}]")
-        self._atom_positions = np.asarray([x for x, _ in items], dtype=float)
-        self._atom_values = (np.stack([v for _, v in items])
-                             if items else np.zeros((0, self._n), dtype=complex))
-        self._breakpoints = bp
-        self._values = vals
-        for a in (self._breakpoints, self._values, self._atom_positions, self._atom_values):
+        self._set(bp, vals, np.asarray([x for x, _ in items], dtype=float),
+                  np.stack([v for _, v in items]) if items
+                  else np.zeros((0, self._n), dtype=complex))
+
+    def _set(self, breakpoints, values, atom_positions, atom_values) -> None:
+        self._breakpoints, self._values = breakpoints, values
+        self._atom_positions, self._atom_values = atom_positions, atom_values
+        for a in (breakpoints, values, atom_positions, atom_values):
             a.flags.writeable = False
 
     # -- constructors ---------------------------------------------------------
@@ -108,18 +124,28 @@ class L2Function:
 
         Atoms of w inside the window that carry no explicit value get the
         balanced piece value, so that integrals against w are reproducible.
+        A function that w leaves unchanged is returned itself.
         """
         lo, hi = self._window
         cuts = w.structure_points()
         cuts = cuts[(cuts > lo) & (cuts < hi)]
-        bp = _union(self._breakpoints, cuts)
-        values = [self.value(0.5 * (bp[i] + bp[i + 1])) for i in range(bp.size - 1)]
-        atom_values = {float(x): self._atom_values[i]
-                       for i, x in enumerate(self._atom_positions)}
         positions, _ = w.atoms_between(lo, hi)
-        for x in positions:
-            atom_values.setdefault(float(x), self.value(float(x), "balanced"))
-        return L2Function(self._window, bp, values, atom_values)
+        new = ~_member(positions, self._atom_positions)
+        if _member(cuts, self._breakpoints).all() and not new.any():
+            return self
+        bp = _union(self._breakpoints, cuts)
+        # Each refined piece lies inside the old piece holding its midpoint.
+        k = np.searchsorted(self._breakpoints, 0.5 * (bp[:-1] + bp[1:]), side="right") - 1
+        values = self._values[np.minimum(k, self._values.shape[0] - 1)]
+        # The data was validated when self was built, so it is not checked again.
+        refined = L2Function.__new__(L2Function)
+        refined._window, refined._n = self._window, self._n
+        atoms = np.concatenate([self._atom_positions, positions[new]])
+        order = np.argsort(atoms)
+        added = [self.value(x, "balanced") for x in positions[new].tolist()]
+        refined._set(bp, values, atoms[order],
+                     np.concatenate([self._atom_values, np.reshape(added, (-1, self._n))])[order])
+        return refined
 
     # -- queries ----------------------------------------------------------------
 

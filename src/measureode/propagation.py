@@ -53,6 +53,10 @@ _PADE = (
                                40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
 )
 
+# Below degree 13, the rows of odd and even coefficients (b_1, b_3, ...) and
+# (b_0, b_2, ...) that weight I, A^2, A^4, ... in the two Padé sums.
+_PADE_SUMS = {degree: np.array([b[1::2], b[0::2]]) for degree, _, b in _PADE[:-1]}
+
 
 def expm(A) -> np.ndarray:
     """Exponential of one matrix (m, m) or of every matrix in a stack (..., m, m).
@@ -88,13 +92,13 @@ def expm(A) -> np.ndarray:
         V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) \
             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
     else:
-        powers = [A2]
-        while len(powers) < degree // 2:
-            powers.append(powers[-1] @ A2)
-        odd, V = b[1] * eye, b[0] * eye
-        for k, P in enumerate(powers, 1):
-            odd = odd + b[2 * k + 1] * P
-            V = V + b[2 * k] * P
+        # I, A^2, A^4, ... stacked, and both sums from one contraction.
+        powers = np.empty((degree // 2 + 1,) + A2.shape, dtype=A2.dtype)
+        powers[0], powers[1] = eye, A2
+        for k in range(2, powers.shape[0]):
+            np.matmul(powers[k - 1], A2, out=powers[k])
+        odd, V = (_PADE_SUMS[degree] @ powers.reshape(powers.shape[0], -1)).reshape(
+            (2,) + A2.shape)
     U = A @ odd
     R = np.linalg.solve(V - U, V + U)
     for level in range(0 if squarings is None else int(squarings.max())):
@@ -120,8 +124,8 @@ def _adjoint(blocks: np.ndarray) -> np.ndarray:
 
 def _pieces_at(breakpoints: np.ndarray, table: np.ndarray, xs) -> np.ndarray:
     """Rows of a per-piece table at points off its breakpoints (one piece per gap)."""
-    k = np.searchsorted(breakpoints, xs, side="right") - 1
-    return table[np.minimum(np.maximum(k, 0), len(table) - 1)]
+    # Each x lies above breakpoints[0]; at the last breakpoint it reads the last row.
+    return table[np.minimum(np.searchsorted(breakpoints, xs, side="right") - 1, len(table) - 1)]
 
 
 def segment_exponential(J: np.ndarray, q0: np.ndarray, dx: float) -> np.ndarray:
@@ -147,17 +151,21 @@ def segment_integral(A: np.ndarray, dx) -> np.ndarray:
     return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
 
 
-def _convolution(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndarray:
+def _convolution(A: np.ndarray | None, X: np.ndarray, B: np.ndarray | None, dx
+                 ) -> np.ndarray:
     """exp(-A dx) times product_integral(A, X, B, dx), from one exponential.
 
     The upper-right block of exp([[-A, X], [0, B]] dx); stacks broadcast.
+    A or B None is a zero generator.
     """
     X = np.asarray(X, dtype=complex)
     m, p = X.shape[-2:]
     block = np.zeros(X.shape[:-2] + (m + p, m + p), dtype=complex)
-    block[..., :m, :m] = -np.asarray(A)
+    if A is not None:
+        block[..., :m, :m] = -np.asarray(A)
     block[..., :m, m:] = X
-    block[..., m:, m:] = B
+    if B is not None:
+        block[..., m:, m:] = B
     return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
 
 
@@ -657,18 +665,16 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
     limit at ends[k] (``ends`` may be empty) and a[i] its balanced value at
     atoms[i].  Values are (n, m): m columns of representable functions, or
     (n, n) for the matrix states of fundamental matrices, or (n, d) for a
-    basis of d homogeneous solutions.
+    basis of d homogeneous solutions.  Representable functions do not flow:
+    their P holds the piece values, and A, y and z are None (zero, and
+    identities).
     """
     if isinstance(factor, list):
-        m = len(factor)
-        eye = np.eye(m, dtype=complex)
         values = np.stack([_pieces_at(f.breakpoints, f.piece_values, mids) for f in factor],
                           axis=-1)
-        balanced = np.array([[f.value(float(x), "balanced") for f in factor]
-                             for x in atoms]).reshape(-1, m, n)
-        return (values, np.zeros((mids.size, m, m), dtype=complex),
-                np.broadcast_to(eye, (starts.size, m, m)),
-                np.broadcast_to(eye, (ends.size, m, m)), np.swapaxes(balanced, 1, 2))
+        balanced = np.array([[f.value(x, "balanced") for f in factor]
+                             for x in atoms.tolist()]).reshape(-1, len(factor), n)
+        return values, None, None, None, np.swapaxes(balanced, 1, 2)
     K, L = starts.size, starts.size + ends.size
     left, right = factor.limits(np.concatenate([starts, ends, atoms]))
     return (np.eye(n, factor.generators.shape[-1], dtype=complex),
@@ -764,9 +770,27 @@ def _table_pairings(table: _PairingTable, u: PiecewiseSolution, v: PiecewiseSolu
     cu, au = values(u)
     cv, av = (cu, au) if v is u else values(v)
     pieces = _adjoint(table.lefts @ cu) @ table.kernel @ (table.rights @ cv)
-    out = np.zeros((table.intervals, 1, 1), dtype=complex)
-    np.add.at(out, table.piece_rows, pieces)
-    np.add.at(out, table.atom_rows, _adjoint(au) @ (table.matrices @ av))
+    return _interval_sums(table.intervals, table.piece_rows, pieces,
+                          table.atom_rows, _adjoint(au) @ (table.matrices @ av))
+
+
+def _interval_sums(count: int, piece_rows: np.ndarray, pieces: np.ndarray,
+                   atom_rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Each interval's sum of its pieces, then of its atoms; both row arrays are sorted.
+
+    The terms of one interval are a run of equal rows, so each array is
+    summed by one ``reduceat`` over its runs.  An interval with no piece and
+    no atom stays exactly zero.
+    """
+    out = np.zeros((count,) + pieces.shape[1:], dtype=complex)
+    for rows, terms in ((piece_rows, pieces), (atom_rows, atoms)):
+        if rows.size:
+            firsts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            sums = np.add.reduceat(terms, firsts)
+            if firsts.size == count:  # every interval has a term
+                out += sums
+            else:
+                out[rows[firsts]] += sums
     return out
 
 
@@ -781,7 +805,8 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     Atoms of w strictly inside an interval contribute with balanced values,
     atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
-    u's end state) and one stacked _convolution cover every interval.  Two
+    u's end state) and one stacked _convolution cover every interval; two
+    representable factors need no convolution, as neither flows.  Two
     homogeneous solutions of one build read all of that from the pairing
     table cached on the build's node states, built by the first such pairing
     against w over these edges; they add no exponential and no grid of their own.
@@ -799,12 +824,19 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     Pu, Au, yu, zu, au = _pairing_form(u, w.n, mids, positions, starts, ends)
     Pv, Av, yv, _, av = (Pu, Au, yu, zu, au) if v is u else \
         _pairing_form(v, w.n, mids, positions, starts, ends[:0])
-    kernel = _convolution(_adjoint(Au), _adjoint(Pu) @ w0 @ Pv, Av, ends - starts)
-    pieces = _adjoint(zu) @ kernel @ yv
-    out = np.zeros((edges.size - 1,) + pieces.shape[1:], dtype=complex)
-    np.add.at(out, np.searchsorted(edges, mids) - 1, pieces)
-    np.add.at(out, np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))
-    return out
+    pieces = _adjoint(Pu) @ w0 @ Pv
+    if Au is None and Av is None:
+        # Neither factor flows: each piece is X dx, with no exponential.
+        pieces = pieces * (ends - starts)[:, None, None]
+    else:
+        pieces = _convolution(None if Au is None else _adjoint(Au), pieces, Av,
+                              ends - starts)
+        if zu is not None:
+            pieces = _adjoint(zu) @ pieces
+        if yv is not None:
+            pieces = pieces @ yv
+    return _interval_sums(edges.size - 1, np.searchsorted(edges, mids) - 1, pieces,
+                          np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))
 
 
 def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,

@@ -27,6 +27,7 @@ DEGENERATE_NORM_TOL = 1e-10
 
 __all__ = [
     "L2Function",
+    "K0Basis",
     "K0Element",
     "OrthogonalityCertificate",
     "PairingReport",
@@ -77,8 +78,17 @@ class K0Element:
     degenerate: bool
 
 
+class K0Basis(list):
+    """The K0Elements of one window, with ``propagator_defect``, that of the
+    block system they come from (``BlockSystem.propagator_defect``)."""
+
+    def __init__(self, elements, propagator_defect: float):
+        super().__init__(elements)
+        self.propagator_defect = propagator_defect
+
+
 def kernel_K0(problem: Problem, window, extra_points=(),
-              tols: Tolerances = Tolerances()) -> list[K0Element]:
+              tols: Tolerances = Tolerances()) -> K0Basis:
     """All homogeneous balanced solutions on the window, with w-norms.
 
     Elements whose w-norm vanishes represent the zero class of the weighted
@@ -89,12 +99,13 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     bs = build_system(problem, window, extra_points, tols.sing)
     result = solve_system(bs, tols=tols)
     if not result.kernel_basis:
-        return []
+        return K0Basis([], result.propagator_defect)
     basis = _basis_states(bs, result.kernel_coefficients)
     gram = _pairings(problem.w, basis, basis, bs.partition.window)[0]
     squares = np.maximum(np.real(np.diagonal(gram)), 0.0).tolist()
-    return [K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
-            for sol, square in zip(result.kernel_basis, squares)]
+    return K0Basis([K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
+                    for sol, square in zip(result.kernel_basis, squares)],
+                   result.propagator_defect)
 
 
 @dataclass

@@ -71,6 +71,7 @@ class SolutionSet:
     particular: PiecewiseSolution | None
     kernel_coefficients: np.ndarray  # columns span the nullspace
     kernel_basis: list[PiecewiseSolution]
+    propagator_defect: float  # the system's BlockSystem.propagator_defect
 
     @property
     def kernel_dimension(self) -> int:
@@ -83,7 +84,8 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
 
     With no moment data the right-hand side is zero: the particular solution
     is the zero solution and the kernel basis spans all homogeneous balanced
-    solutions on the window.
+    solutions on the window.  ``propagator_defect`` says whether the
+    propagators the answer rests on are well conditioned.
     """
     if moments is None:
         rhs = np.zeros(bs.n * bs.N, dtype=complex)
@@ -103,7 +105,7 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
         f = moments.f if moments is not None else None
         particular = reconstruct(bs, coeffs, f)
     return SolutionSet(consistent, residual, bound, coeffs, particular,
-                       kernel_coeffs, kernel_basis)
+                       kernel_coeffs, kernel_basis, bs.propagator_defect)
 
 
 def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,

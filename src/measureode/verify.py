@@ -16,8 +16,9 @@ from functools import cache
 
 import numpy as np
 
-from .blocksystem import (MomentVectors, _dense_rank, build_system, moment_vectors,
-                          nullspace)
+# TOL_IDENTITY is imported to be re-exported.
+from .blocksystem import (TOL_IDENTITY, MomentVectors, _dense_rank, build_system,
+                          moment_vectors, nullspace)
 from .coefficients import SUITE_NAMES, Check, Problem, Tolerances
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
@@ -28,7 +29,6 @@ from .relations import (OrthogonalityCertificate, _norm_from_square, lagrange_ch
 from .solutions import (_basis_states, _lift_projected, compact_support_solutions,
                         functional_identity_defect, reconstruct, solve_system)
 
-TOL_IDENTITY = 1e-10     # exact matrix identities
 TOL_LIFT = 1e-9          # lifted-solution defects
 TOL_FUNCTIONAL = 1e-9    # functional identity, scaled by data size
 TOL_PAIRING = 1e-8       # integral pairings

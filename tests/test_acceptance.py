@@ -357,3 +357,19 @@ def test_criterion_11_cli_determinism(report, tmp_path):
     report(11, "reports are byte-deterministic and exit codes follow "
                 "the contract", ok,
             f"identical={identical}, exit codes {codes}")
+
+
+def test_the_propagator_row_passes_on_the_fuzz_set():
+    # The "propagator conditioned" row of kernel, solve and compact on every
+    # acceptance fuzz system: well below its tolerance, through both library
+    # routes that expose it.
+    from measureode.blocksystem import TOL_IDENTITY
+    worst = 0.0
+    for inst, bs in _fuzz_systems():
+        defect = solve_system(bs).propagator_defect
+        assert defect == bs.propagator_defect
+        worst = max(worst, defect)
+    assert worst <= 1e-14 < TOL_IDENTITY
+    inst, bs = _fuzz_systems()[0]
+    assert kernel_K0(inst.problem, inst.window, inst.extra_points).propagator_defect \
+        == bs.propagator_defect

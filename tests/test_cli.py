@@ -505,6 +505,43 @@ def test_a_non_finite_result_is_one_error_line_and_exit_one(mode, end, tmp_path,
     assert (code, out, err) == (1, "", "error: the result holds a non-finite number\n")
 
 
+def _conditioned_row(report) -> dict:
+    (row,) = [row for row in report["checks"] if row["name"] == "propagator conditioned"]
+    return row
+
+
+@pytest.mark.parametrize("end", [100.0, 400.0])
+@pytest.mark.parametrize("mode", ["kernel", "solve"])
+def test_an_ill_conditioned_propagator_fails_its_row_and_exits_one(mode, end, tmp_path,
+                                                                   capsys):
+    # The unpadded hyperbolic window: its propagators grow like e^x between
+    # partition points, so kernel reported dimension 4 (the truth is 2) and
+    # solve on (0, 400) a "consistent" residual of 1.7e125, both with exit 0.
+    path = data("instance_hyperbolic.json") if end == 100.0 \
+        else _stretched_hyperbolic(tmp_path, end)
+    code, out, _ = run_main([mode, "--input", path], capsys)
+    report = json.loads(out)
+    row = _conditioned_row(report)
+    assert code == 1 and report["passed"] is False
+    assert not row["pass"] and row["defect"] > 1e12 and row["tolerance"] == 1e-10
+    if end == 100.0:
+        assert row["defect"] == pytest.approx(6.9e12, rel=0.01)
+
+
+@pytest.mark.parametrize("instance", ["instance_a", "instance_b",
+                                      "instance_hyperbolic_padded"])
+@pytest.mark.parametrize("mode", ["kernel", "solve", "compact"])
+def test_a_well_conditioned_propagator_passes_its_row(mode, instance, capsys):
+    code, out, _ = run_main([mode, "--input", data(f"{instance}.json")], capsys)
+    report = json.loads(out)
+    row = _conditioned_row(report)
+    assert row["pass"] and row["defect"] <= 1e-14
+    # solve on instance_a is inconsistent; every other report passes.
+    assert code == (1 if (mode, instance) == ("solve", "instance_a") else 0)
+    assert [r["name"] for r in report["checks"] if not r["pass"]] == (
+        ["solve consistent"] if code else [])
+
+
 def test_verify_on_an_overflowing_window_lists_its_failing_rows(tmp_path, capsys):
     # Some rows there have a NaN tolerance as well as a NaN defect.
     code, out, _ = run_main(["verify", "--input", _stretched_hyperbolic(tmp_path, 800.0),

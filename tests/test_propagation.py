@@ -962,6 +962,78 @@ def test_pairings_and_moment_integrals_match_a_per_piece_reference():
     assert worst <= TOL_PAIRING_REF
 
 
+def _exponential_function_pairings(w, u, v, edges):
+    """``_pairings`` of two lists of representable functions the general way.
+
+    Each function is a state factor with a zero generator and identity end
+    states, so every piece is the block convolution with zero diagonal
+    blocks, one stacked exponential, and the terms are summed with
+    ``np.add.at``.
+    """
+    n, edges = w.n, np.asarray(edges, dtype=float)
+    starts, ends, mids, w0, positions, matrices = propagation._pairing_grid(
+        w, edges, [f.structure_points() for f in u + v])
+    Pu, _, _, _, au = propagation._pairing_form(u, n, mids, positions, starts, ends)
+    Pv, _, _, _, av = propagation._pairing_form(v, n, mids, positions, starts, ends)
+    zu, zv = (np.zeros((mids.size, len(f), len(f)), dtype=complex) for f in (u, v))
+    kernel = propagation._convolution(zu, Pu.conj().swapaxes(1, 2) @ w0 @ Pv, zv,
+                                      ends - starts)
+    out = np.zeros((edges.size - 1, len(u), len(v)), dtype=complex)
+    np.add.at(out, np.searchsorted(edges, mids) - 1, kernel)
+    np.add.at(out, np.searchsorted(edges, positions) - 1,
+              au.conj().swapaxes(1, 2) @ (matrices @ av))
+    return out
+
+
+def test_function_pairings_in_closed_form_match_the_exponential_path():
+    # Over the window (w-atoms strictly inside) and over the partition
+    # points (some w-atoms on the edges), for one function, two, and lists.
+    from test_acceptance import _fuzz_systems
+    rng = np.random.default_rng(53)
+    cases = [(inst.problem, bs.points) for inst, bs in _fuzz_systems()]
+    problem, _ = _dense_problem(rng)
+    cases.append((problem, np.array([-1.0, -0.3, 0.1, 1.0])))  # atoms at -0.3 and 0.1
+    worst, on_edges = 0.0, 0
+    for problem, points in cases:
+        window = (points[0], points[-1])
+        w = problem.w
+        f, g = (random_f(rng, problem, window) for _ in range(2))
+        on_edges += int(np.isin(w.atom_positions, points).sum())
+        for edges in (points[[0, -1]], points):
+            for u, v in (([f], [f]), ([f], [g]), ([f, g], [g]), ([g], [f, g])):
+                got = propagation._pairings(w, u[0] if len(u) == 1 else u,
+                                            v[0] if len(v) == 1 else v, edges)
+                want = _exponential_function_pairings(w, u, v, edges)
+                scale = max(float(np.abs(want).max()), np.finfo(float).tiny)  # w may vanish
+                worst = max(worst, float(np.abs(got - want).max()) / scale)
+    assert on_edges > 0
+    assert worst <= 1e-14
+
+
+def test_an_interval_with_no_piece_and_no_atom_sums_to_exactly_zero():
+    # A weight that vanishes on the middle interval and has no atom there:
+    # every pairing route leaves that row exactly zero and matches the
+    # per-piece reference on the others.
+    rng = np.random.default_rng(54)
+    problem, f = _dense_problem(rng)
+    edges = np.array([-1.0, -0.2, 0.3, 1.0])
+    w = MeasureMatrix(problem.interval, breakpoints=[-1.0, -0.2, 0.3, 1.0],
+                      densities=[np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)],
+                      atoms=[(-0.7, np.eye(2)), (-0.2, np.eye(2)), (0.45, np.eye(2))])
+    problem = Problem(problem.J, problem.q, w)
+    f = f.refined_against(w)
+    bs = build_system(problem, (-1.0, 1.0), (-0.2, 0.3))
+    assert np.array_equal(bs.points, edges)
+    solutions = _solutions_of(bs, f)
+    kernel = solutions[1]
+    for u, v in ((kernel, kernel), (solutions[0], f), (f, f)):
+        got = propagation._pairings(w, u, v, edges)[:, 0, 0]
+        assert got[1] == 0.0
+        for i in (0, 2):
+            assert _relative(got[i], _reference_pairing(problem, u, v, edges[i:i + 2])) \
+                <= TOL_PAIRING_REF
+
+
 def test_a_batched_basis_pairs_like_its_solutions_one_by_one():
     # The kernel basis as one factor with d columns: its Gram matrix and its
     # pairings with f must match w_pairing on the d reconstructed solutions,
@@ -1131,13 +1203,17 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(count_calls):
         n_homogeneous, states = calls(kernel._node_states)
         assert states.generators.shape[1:] == (2, 2) and states.rights.shape[1:] == (2, 1)
         n_kernel, _ = calls(lambda: w_pairing(problem.w, kernel, kernel, window))
+        g = random_f(np.random.default_rng(N), problem, window)
+        n_functions, _ = calls(lambda: (w_pairing(problem.w, f, g, window),
+                                        propagation._pairings(problem.w, [f, g], g, bs.points)))
         per_size.append(dict(assemble=n_assemble, moments=n_moments, states=n_states,
                              pairing=n_pairing, mixed=n_mixed, integral=n_integral,
                              orthogonal=n_orthogonal, homogeneous=n_homogeneous,
-                             kernel_pairing=n_kernel))
+                             kernel_pairing=n_kernel, functions=n_functions))
     # Each piece end's left limit comes from the same limits call as its start,
     # so a pairing exponentiates only the block convolution besides the flows
-    # to grid points off the factor's nodes (the w-breakpoints here).
+    # to grid points off the factor's nodes (the w-breakpoints here).  Two
+    # representable functions pair in closed form.
     assert per_size[0] == per_size[1] == dict(
         assemble=1, moments=2, states=1, pairing=1, mixed=1, integral=2,
-        orthogonal=2, homogeneous=0, kernel_pairing=2)
+        orthogonal=2, homogeneous=0, kernel_pairing=2, functions=0)

@@ -236,3 +236,40 @@ def test_the_call_shapes_the_benchmark_harness_uses():
                           np.random.default_rng([0, 1]), 64)
     assert len(rows) >= len(SUITE_NAMES) and all(row.passed for row in rows)
     assert untraced == rows
+
+
+def _borderline_family(eps: float, count: int = 40):
+    """random_instance draws with two singular q-atoms, every q-atom moved by
+    eps H / |H|_2 (H a fresh random Hermitian matrix per atom), so a singular
+    jump becomes a borderline regular one that the transfer steps through."""
+    from measureode import MeasureMatrix, Problem
+    from measureode.fuzz import hermitize, random_matrix
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        inst = random_instance(rng, singular_count=2)
+        problem, n = inst.problem, inst.problem.n
+        q = problem.q
+        atoms = []
+        for x, matrix in zip(q.atom_positions.tolist(), q.atom_matrices):
+            H = hermitize(random_matrix(rng, n))
+            atoms.append((x, matrix + eps * H / np.linalg.norm(H, 2)))
+        q = MeasureMatrix(q.interval, n=n, breakpoints=q.breakpoints,
+                          densities=list(q.densities), atoms=atoms)
+        yield inst, Problem(problem.J, q, problem.w)
+
+
+def test_the_propagator_row_fails_exactly_where_a_suite_row_fails():
+    # On the borderline family the "propagator conditioned" row of kernel,
+    # solve and compact is the only signal those modes have; it fires on
+    # every instance whose suites fail, and on no other.
+    from measureode.blocksystem import TOL_IDENTITY, build_system
+    fired = []
+    for index, (inst, problem) in enumerate(_borderline_family(1e-6)):
+        with np.errstate(all="ignore"):
+            bs = build_system(problem, inst.window, inst.extra_points)
+            rows = run_suites(problem, inst.window, inst.f, inst.extra_points,
+                              rng=np.random.default_rng(index))
+        failing = not all(row.passed for row in rows)
+        assert failing == (not bs.propagator_defect <= TOL_IDENTITY), index
+        fired.append(failing)
+    assert sum(fired) == 22
