@@ -19,8 +19,8 @@ from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, _pairings, w_pairing
-from .solutions import (_basis_states, _consistency_bound, _lift_projected, reconstruct,
-                        solve_system)
+from .solutions import (_adjoint_kernel_projection, _basis_states, _consistency_bound,
+                        _lift_projected, reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -125,7 +125,6 @@ class OrthogonalityCertificate:
     pairing: complex
     moment_pairing: complex
     projection_norm: float
-    residual: float
 
 
 def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
@@ -146,26 +145,21 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
 
 def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
                     tols: Tolerances = Tolerances()):
-    """t0_solve on an already built block system, from the moments of its rhs.
+    """t0_solve on ``bs``, from the moments of its rhs refined against the weight.
 
-    ``moments`` are the moment vectors on ``bs`` of the right-hand side
-    refined against the weight, as t0_solve computes them.
+    The rhs is solvable when the projection of its functional moment vector
+    onto ker B_m^* is within the consistency bound; only then is B_m solved.
     """
     problem = bs.problem
     f = moments.f
     target = moments.functional
-    gamma = bs.reduced_factors.solve(target, tols.rank)
-    residual = float(np.linalg.norm(bs.reduced_factors.apply(gamma) - target))
-
-    basis = bs.reduced_factors.adjoint_kernel(tols.rank)
-    kernel_vector = basis @ (basis.conj().T @ target)
+    kernel_vector = _adjoint_kernel_projection(bs, target, tols.rank)
     projection_norm = float(np.linalg.norm(kernel_vector))
 
-    if residual <= _consistency_bound(target, tols.solve):
-        n = bs.n
-        first = np.zeros(n, dtype=complex)
+    if projection_norm <= _consistency_bound(target, tols.solve):
+        gamma = bs.reduced_factors.solve(target, tols.rank)
         last = -np.linalg.solve(problem.J, moments.last_integral)
-        stacked = np.concatenate([first, gamma, last])
+        stacked = np.concatenate([np.zeros(bs.n, dtype=complex), gamma, last])
         return reconstruct(bs, stacked, f)
 
     stacked = _lift_projected(bs, kernel_vector[:, None], tols.solve)[:, 0]
@@ -173,7 +167,7 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
     pairing = w_pairing(problem.w, witness, f, bs.partition.window)
     moment_pairing = complex(np.vdot(kernel_vector, target))
     return OrthogonalityCertificate(kernel_vector, witness, pairing,
-                                    moment_pairing, projection_norm, residual)
+                                    moment_pairing, projection_norm)
 
 
 @dataclass

@@ -108,6 +108,12 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
                        kernel_coeffs, kernel_basis, bs.propagator_defect)
 
 
+def _adjoint_kernel_projection(bs: BlockSystem, v: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Orthogonal projection of v onto the computed ker(B_m^*)."""
+    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
+    return basis @ (basis.conj().T @ v)
+
+
 def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
                                  tol_rank: float) -> np.ndarray:
     """Orthogonal projection of uhat onto ker(B_m^*); NotInKernel if it is far."""
@@ -115,8 +121,7 @@ def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
     if uhat.size != bs.n * bs.N:
         raise DimensionMismatch(
             f"expected a vector of length {bs.n * bs.N}, got {uhat.size}")
-    basis = bs.reduced_factors.adjoint_kernel(tol_rank)
-    projected = basis @ (basis.conj().T @ uhat)
+    projected = _adjoint_kernel_projection(bs, uhat, tol_rank)
     distance = float(np.linalg.norm(uhat - projected))
     if distance > KERNEL_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(uhat))):
         raise NotInKernel(

@@ -26,8 +26,9 @@ from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
 from .relations import (OrthogonalityCertificate, _norm_from_square, lagrange_check,
                         t0_solve_system, weighted_norm)
-from .solutions import (_basis_states, _lift_projected, compact_support_solutions,
-                        functional_identity_defect, reconstruct, solve_system)
+from .solutions import (_basis_states, _consistency_bound, _lift_projected,
+                        compact_support_solutions, functional_identity_defect, reconstruct,
+                        solve_system)
 
 TOL_LIFT = 1e-9          # lifted-solution defects
 TOL_FUNCTIONAL = 1e-9    # functional identity, scaled by data size
@@ -226,8 +227,7 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
                       TOL_ENDPOINT, endpoint <= TOL_ENDPOINT))
 
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
-    proj = float(np.linalg.norm(basis.conj().T @ moments.functional)) \
-        if basis.shape[1] else 0.0
+    proj = float(np.linalg.norm(basis.conj().T @ moments.functional))
     rows.append(Check(f"{prefix} solvable means orthogonal [{tag}]", proj,
                       CERTIFICATE_TRIGGER, proj <= CERTIFICATE_TRIGGER))
 
@@ -268,8 +268,8 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
     moments_perp = moment_vectors(bs, f_perp.refined_against(w))
     result_perp = t0_solve_system(bs, moments_perp, tols)
     if isinstance(result_perp, OrthogonalityCertificate):
-        rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]",
-                          result_perp.residual, tol_solve, False))
+        rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]", result_perp.projection_norm,
+                          _consistency_bound(moments_perp.functional, tol_solve), False))
     else:
         rows.extend(_t0_result_rows(bs, moments_perp, result_perp, kernel, kernel_norms,
                                     "t0 orthogonal rhs", tag, tol_rank))

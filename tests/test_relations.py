@@ -1,5 +1,7 @@
 """Weighted pairings, homogeneous kernels, endpoint-vanishing solves."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from measureode import (
     MeasureMatrix,
     MissingRHS,
     OrthogonalityCertificate,
+    PiecewiseSolution,
     Problem,
+    Tolerances,
+    build_system,
     inner_product,
     kernel_K0,
     lagrange_check,
@@ -16,13 +21,21 @@ from measureode import (
     t0_solve,
     weighted_norm,
 )
-from measureode import solutions
+from measureode import blocksystem, fuzz, solutions
+from measureode.blocksystem import TOL_IDENTITY
+from measureode.errors import InconsistentLift, ParseError
+from measureode.fileio import load_problem
 from measureode.functions import L2Function
-from measureode.verify import orthogonal_rhs
+from measureode.relations import t0_solve_system
+from measureode.solutions import _consistency_bound
+from measureode.verify import TOL_ENDPOINT, orthogonal_rhs
 
-from conftest import INTERVAL, J2, SWAP2, block_system, two_atom_problem
+from conftest import INTERVAL, J2, SWAP2, block_system, minimum_norm_solve, two_atom_problem
+from test_acceptance import _fuzz_systems
+from test_cli import DATA
 
 TOL_PAIRING = 1e-8
+TOLS = Tolerances()
 
 
 def test_inner_product_against_hand_integral():
@@ -106,6 +119,82 @@ def test_t0_solve_solves_orthogonal_right_hand_sides(repeated_problem):
         pairing = abs(inner_product(repeated_problem.w, f, el.solution, INTERVAL))
         norm = weighted_norm(repeated_problem.w, f, INTERVAL) * el.w_norm
         assert pairing <= TOL_PAIRING * (1.0 + norm)
+
+
+def _t0_against_the_dense_solve(bs, f):
+    """t0 on bs for f, checked against the dense min-norm solve of B_m.
+
+    The dense residual ||B_m B_m^+ t - t|| decides solvability against the
+    same bound t0 uses; a certificate's projection norm is that residual.
+    Returns the t0 result, or None when the certificate's lift failed.
+    """
+    moments = moment_vectors(bs, f.refined_against(bs.problem.w))
+    target = moments.functional
+    residual = float(np.linalg.norm(bs.B_m @ minimum_norm_solve(bs.B_m, target) - target))
+    solvable = residual <= _consistency_bound(target, TOLS.solve)
+    try:
+        result = t0_solve_system(bs, moments)
+    except InconsistentLift:
+        # Only a certificate is lifted; the lift fails only where the
+        # propagators are flagged ill-conditioned.
+        assert not solvable and bs.propagator_defect > TOL_IDENTITY
+        return None
+    assert isinstance(result, OrthogonalityCertificate) != solvable
+    if not solvable:
+        assert result.projection_norm == pytest.approx(residual, rel=1e-12, abs=0.0)
+    return result
+
+
+def test_t0_decides_as_the_dense_solve_on_the_fuzz_systems():
+    outcomes = set()
+    for k, (inst, bs) in enumerate(_fuzz_systems()):
+        rng = np.random.default_rng(k)
+        for f in (fuzz.random_f(rng, inst.problem, inst.window),
+                  orthogonal_rhs(rng, bs, TOLS.rank)):
+            outcomes.add(type(_t0_against_the_dense_solve(bs, f)))
+    assert outcomes == {OrthogonalityCertificate, PiecewiseSolution}
+
+
+def test_t0_decides_as_the_dense_solve_on_every_data_file_with_a_rhs():
+    checked = []
+    for name in sorted(os.listdir(DATA)):
+        try:
+            parsed = load_problem(os.path.join(DATA, name))
+        except ParseError:
+            continue
+        if parsed.f is not None:
+            bs = build_system(parsed.problem, parsed.window, parsed.forced_points)
+            _t0_against_the_dense_solve(bs, parsed.f)
+            checked.append(name)
+    assert len(checked) >= 4
+
+
+@pytest.mark.parametrize("N", [20, 80, 160])
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_t0_decides_as_the_dense_solve_on_chains(N, mirrored):
+    inst = fuzz.random_chain(np.random.default_rng(3), N, 2, mirrored)
+    bs = block_system(inst.problem, inst.window, inst.extra_points)
+    assert isinstance(_t0_against_the_dense_solve(bs, inst.f), OrthogonalityCertificate)
+    f_perp = orthogonal_rhs(np.random.default_rng(4), bs, TOLS.rank)
+    assert isinstance(_t0_against_the_dense_solve(bs, f_perp), PiecewiseSolution)
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_t0_solves_B_m_only_for_a_returned_solution(count_calls, mirrored):
+    inst = fuzz.random_chain(np.random.default_rng(3), 80, 2, mirrored)
+    bs = block_system(inst.problem, inst.window, inst.extra_points)
+    f_perp = orthogonal_rhs(np.random.default_rng(4), bs, TOLS.rank)
+    solves = count_calls(blocksystem.Factorisation, "solve")
+    certificate = t0_solve(inst.problem, inst.window, inst.f)
+    assert isinstance(certificate, OrthogonalityCertificate)
+    assert solves.calls == 0
+    solution = t0_solve(inst.problem, inst.window, f_perp)
+    assert not isinstance(solution, OrthogonalityCertificate)
+    assert solves.calls == 1
+    lo, hi = inst.window
+    endpoint = np.linalg.norm(solution.evaluate(lo, "right")) \
+        + np.linalg.norm(solution.evaluate(hi, "left"))
+    assert endpoint <= TOL_ENDPOINT
 
 
 def test_lagrange_identity_for_inhomogeneous_pairs(repeated_problem):
