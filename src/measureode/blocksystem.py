@@ -19,7 +19,7 @@ from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member
 from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
-                          _pairings, _partition_states)
+                          _pairings, _partition_states, _singular)
 
 BORDERLINE_SING = 1e-6
 TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
@@ -35,26 +35,28 @@ class JumpReport:
     status: str  # "singular" | "borderline" | "regular"
 
 
+def _window_ends(window) -> tuple[float, float]:
+    """The window's ends as floats; EmptyWindow unless lo < hi."""
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise EmptyWindow(f"window ({lo}, {hi}) is empty")
+    return lo, hi
+
+
 def classify_jumps(problem: Problem, window,
                    tol_sing: float = DEFAULT_TOL_SING) -> list[JumpReport]:
-    """Classify every q-atom inside the open window by how singular it is."""
-    lo, hi = float(window[0]), float(window[1])
+    """Classify every q-atom inside the open window by the singular-jump test at
+    tol_sing ("singular") and at BORDERLINE_SING ("borderline")."""
+    lo, hi = _window_ends(window)
     a, b = problem.interval
-    if not (a <= lo < hi <= b):
+    if not (a <= lo and hi <= b):
         raise OutOfInterval(f"window ({lo}, {hi}) is not inside [{a}, {b}]")
-    reports = []
     positions, atoms = problem.q.atoms_between(lo, hi)
     sigmas = np.linalg.svd(problem.J + 0.5 * atoms, compute_uv=False)
-    for x, sigma in zip(positions, sigmas):
-        smin, smax = float(sigma[-1]), float(sigma[0])
-        if smin <= tol_sing * max(1.0, smax):
-            status = "singular"
-        elif smin <= BORDERLINE_SING * max(1.0, smax):
-            status = "borderline"
-        else:
-            status = "regular"
-        reports.append(JumpReport(float(x), smin, smax, status))
-    return reports
+    statuses = np.where(_singular(sigmas, tol_sing), "singular",
+                        np.where(_singular(sigmas, BORDERLINE_SING), "borderline", "regular"))
+    return [JumpReport(float(x), float(sigma[-1]), float(sigma[0]), str(status))
+            for x, sigma, status in zip(positions, sigmas, statuses)]
 
 
 def find_singular_points(problem: Problem, window,
@@ -108,9 +110,7 @@ def make_partition(window, singular_points, extra=()) -> Partition:
     the midpoint of the longer adjacent gap (ties resolve to the right gap);
     with none, padded points sit at the thirds of the window.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise EmptyWindow(f"window ({lo}, {hi}) is empty")
+    lo, hi = _window_ends(window)
     singular = sorted(float(x) for x in singular_points)
     chosen = dict.fromkeys(singular, True)
     for x in extra:
@@ -132,6 +132,14 @@ def make_partition(window, singular_points, extra=()) -> Partition:
     interior = np.array(sorted(chosen), dtype=float)
     flags = np.array([chosen[x] for x in sorted(chosen)], dtype=bool)
     return Partition((lo, hi), interior, flags)
+
+
+def _partition_step(problem: Problem, window, extra, tol_sing: float
+                    ) -> tuple[list[JumpReport], Partition]:
+    """The window's jump reports and the partition at its singular jumps plus ``extra``."""
+    reports = classify_jumps(problem, window, tol_sing)
+    singular = [r.position for r in reports if r.status == "singular"]
+    return reports, make_partition(window, singular, extra)
 
 
 def _dense_rank(matrix: np.ndarray, tol_rank: float) -> int:
@@ -418,21 +426,25 @@ class BlockSystem:
             np.searchsorted(self.states.nodes, partition.points[1:]) - 1]
 
     @cached_property
+    def _lower(self) -> np.ndarray:
+        """B's blocks b_plus^* U_j(x_{j+1}) on column block j; b_plus is on block j + 1."""
+        return _adjoint(self.b_plus) @ self.u_ends[:-1]
+
+    @cached_property
     def factors(self) -> Factorisation:
-        """Sweeps over B, from its blocks b_plus^* U_j(x_{j+1}) and b_plus."""
-        return Factorisation(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus)
+        """Sweeps over B, from its blocks."""
+        return Factorisation(self._lower, self.b_plus)
 
     @cached_property
     def reduced_factors(self) -> Factorisation:
         """Sweeps over B_m: B's blocks without the first and last column block."""
-        return Factorisation(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus,
-                             reduced=True)
+        return Factorisation(self._lower, self.b_plus, reduced=True)
 
     # Dense coupling matrices, built on demand for the identity suites and as
     # oracles; no solve or kernel reads them.
     @cached_property
     def B(self) -> np.ndarray:
-        return _bidiagonal(_adjoint(self.b_plus) @ self.u_ends[:-1], self.b_plus)
+        return _bidiagonal(self._lower, self.b_plus)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -482,8 +494,7 @@ def build_system(problem: Problem, window, extra=(),
 
     ``extra`` positions are added to the partition as in make_partition.
     """
-    singular = find_singular_points(problem, window, tol_sing)
-    return assemble(problem, make_partition(window, singular, extra), tol_sing)
+    return assemble(problem, _partition_step(problem, window, extra, tol_sing)[1], tol_sing)
 
 
 @dataclass(frozen=True)

@@ -92,16 +92,15 @@ def cmd_validate(parsed: ParsedProblem, args, tols):
 
 
 def cmd_analyze(parsed: ParsedProblem, args, tols):
-    from .blocksystem import classify_jumps, make_partition
-    jumps = classify_jumps(parsed.problem, parsed.window, tols.sing)
-    singular = [j.position for j in jumps if j.status == "singular"]
-    partition = make_partition(parsed.window, singular, parsed.forced_points)
+    from .blocksystem import _partition_step
+    jumps, partition = _partition_step(parsed.problem, parsed.window, parsed.forced_points,
+                                       tols.sing)
     results = {
         "jumps": [{"position": float(j.position),
                    "sigma_min": float(j.sigma_min),
                    "sigma_max": float(j.sigma_max),
                    "status": j.status} for j in jumps],
-        "singular_points": [float(x) for x in singular],
+        "singular_points": [float(x) for x in partition.interior[partition.singular]],
         "partition": _partition_json(partition),
         "warnings": [f"jump at {j.position} is near-singular "
                      f"(sigma_min={j.sigma_min:.3e})"
@@ -116,8 +115,7 @@ def cmd_solve(parsed: ParsedProblem, args, tols):
     from .blocksystem import build_system, moment_vectors
     from .solutions import solve_system
     bs = build_system(parsed.problem, parsed.window, parsed.forced_points, tols.sing)
-    f = parsed.f.refined_against(parsed.problem.w)
-    mv = moment_vectors(bs, f)
+    mv = moment_vectors(bs, parsed.f)
     outcome = solve_system(bs, mv, tols)
     grid = np.linspace(*parsed.window, args.samples)
     results = {

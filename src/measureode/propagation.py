@@ -137,18 +137,12 @@ def segment_exponential(J: np.ndarray, q0: np.ndarray, dx: float) -> np.ndarray:
 
 
 def segment_integral(A: np.ndarray, dx) -> np.ndarray:
-    """Integral of exp(A s) for s from 0 to dx, via one augmented exponential.
-
-    The block matrix [[A, I], [0, 0]] is exponentiated; its upper-right block
-    is the desired integral.  Exact up to the accuracy of expm itself.  A
-    stack A (K, m, m) with widths dx (K,) gives K integrals in one call.
+    """Integral of exp(A s) for s from 0 to dx: the upper-right block of
+    exp([[A, I], [0, 0]] dx), a block convolution.  Exact up to the accuracy of
+    expm itself.  A stack A (K, m, m) with widths dx (K,) gives K integrals in one call.
     """
     A = np.asarray(A, dtype=complex)
-    m = A.shape[-1]
-    block = np.zeros(A.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    block[..., :m, :m] = A
-    block[..., :m, m:] = np.eye(m)
-    return expm(block * np.asarray(dx, dtype=float)[..., None, None])[..., :m, m:]
+    return _convolution(-A, np.broadcast_to(np.eye(A.shape[-1]), A.shape), None, dx)
 
 
 def _convolution(A: np.ndarray | None, X: np.ndarray, B: np.ndarray | None, dx
@@ -179,6 +173,26 @@ def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndar
     return expm(A * t) @ _convolution(A, X, B, dx)
 
 
+def _singular(sigmas: np.ndarray, tol_sing: float) -> np.ndarray:
+    """The singular-jump test sigma_min <= tol_sing * max(1, sigma_max), on each
+    descending row of singular values of J + dq/2."""
+    return sigmas[..., -1] <= tol_sing * np.maximum(1.0, sigmas[..., 0])
+
+
+def _transfers(J: np.ndarray, dq: np.ndarray, tol_sing: float, positions) -> np.ndarray:
+    """(J + dq/2)^{-1} (J - dq/2) through each jump of a stack (K, n, n), from one
+    stacked svd and solve; SingularAtom at the first singular one, at positions[k]."""
+    b_plus = J + 0.5 * dq
+    sigmas = np.linalg.svd(b_plus, compute_uv=False)
+    singular = np.flatnonzero(_singular(sigmas, tol_sing))
+    if singular.size:
+        k = singular[0]
+        where = "" if positions[k] is None else f" at x={positions[k]}"
+        raise SingularAtom(f"jump{where} is singular (sigma_min={sigmas[k, -1]:.3e}); "
+                           "the point must become a partition point", positions[k])
+    return np.linalg.solve(b_plus, J - 0.5 * dq)
+
+
 def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_SING,
                   position: float | None = None) -> np.ndarray:
     """Transfer matrix (J + dq/2)^{-1} (J - dq/2) through a regular jump."""
@@ -186,15 +200,7 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
     dq = np.asarray(dq, dtype=complex)
     if J.shape != dq.shape:
         raise DimensionMismatch("jump matrix must match the system size")
-    b_plus = J + 0.5 * dq
-    b_minus = J - 0.5 * dq
-    sigma = np.linalg.svd(b_plus, compute_uv=False)
-    if sigma[-1] <= tol_sing * max(1.0, float(sigma[0])):
-        where = "" if position is None else f" at x={position}"
-        raise SingularAtom(
-            f"jump{where} is singular (sigma_min={sigma[-1]:.3e}); "
-            "the point must become a partition point", position)
-    return np.linalg.solve(b_plus, b_minus)
+    return _transfers(J, dq[None], tol_sing, [position])[0]
 
 
 # Off-node values come from a Taylor table, the truncated-Taylor action of
@@ -428,9 +434,14 @@ def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TO
     firsts = np.searchsorted(nodes, points).tolist()
     eye = np.eye(n, dtype=complex)
     starts = dict.fromkeys(firsts[:-1], eye)
-    atom_at = dict(zip(atom_pos.tolist(), atom_mats))
-    inner = {k: atom_transfer(J, atom_at[x], tol_sing, position=x)
-             for k, x in enumerate(nodes[:-1].tolist()) if x in atom_at and k not in starts}
+    # The atoms inside a subinterval: one stacked transfer through all of them.
+    inside = [k for k in np.flatnonzero(_member(nodes[:-1], atom_pos)).tolist()
+              if k not in starts]
+    inner = {}
+    if inside:
+        xs = nodes[inside]
+        inner = dict(zip(inside, _transfers(J, atom_mats[np.searchsorted(atom_pos, xs)],
+                                            tol_sing, xs.tolist())))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
     rights, lefts = _carry(generators, np.diff(nodes), starts,

@@ -18,9 +18,9 @@ from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vector
 from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
-from .propagation import PiecewiseSolution, _pairings, w_pairing
+from .propagation import PiecewiseSolution, _NodeStates, _pairings, w_pairing
 from .solutions import (_adjoint_kernel_projection, _basis_states, _consistency_bound,
-                        _lift_projected, reconstruct, solve_system)
+                        _lift_and_pair, reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -58,15 +58,17 @@ def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     on the build's node states, so the norms of a whole kernel basis take
     exponentials only for the first.
     """
-    return _norm_from_square(inner_product(w, u, u, window))
-
-
-def _norm_from_square(square) -> float:
-    """weighted_norm's rule: ValueError below -1e-12, clamp to zero above."""
-    value = float(np.real(square))
+    value = float(np.real(inner_product(w, u, u, window)))
     if value < -1e-12:
         raise ValueError(f"squared norm came out {value}, far below zero")
     return float(np.sqrt(max(value, 0.0)))
+
+
+def _basis_squares(bs: BlockSystem, basis: _NodeStates) -> np.ndarray:
+    """Squared w-norms over the window of a basis of homogeneous solutions (``_basis_states``):
+    the diagonal of one Gram pairing, clamped at zero."""
+    gram = _pairings(bs.problem.w, basis, basis, bs.partition.window)[0]
+    return np.maximum(np.real(np.diagonal(gram)), 0.0)
 
 
 @dataclass
@@ -92,17 +94,14 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     """All homogeneous balanced solutions on the window, with w-norms.
 
     Elements whose w-norm vanishes represent the zero class of the weighted
-    space and are flagged degenerate.  The squared norms are the diagonal of
-    one Gram pairing of the whole basis, a matrix-valued factor; negative
-    squares clamp to zero.
+    space and are flagged degenerate.  The squared norms come from one Gram
+    pairing of the whole basis, clamped at zero (``_basis_squares``).
     """
     bs = build_system(problem, window, extra_points, tols.sing)
     result = solve_system(bs, tols=tols)
     if not result.kernel_basis:
         return K0Basis([], result.propagator_defect)
-    basis = _basis_states(bs, result.kernel_coefficients)
-    gram = _pairings(problem.w, basis, basis, bs.partition.window)[0]
-    squares = np.maximum(np.real(np.diagonal(gram)), 0.0).tolist()
+    squares = _basis_squares(bs, _basis_states(bs, result.kernel_coefficients)).tolist()
     return K0Basis([K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
                     for sol, square in zip(result.kernel_basis, squares)],
                    result.propagator_defect)
@@ -139,33 +138,27 @@ def t0_solve(problem: Problem, window, f: L2Function, extra_points=(),
     if f is None:
         raise MissingRHS("the endpoint-vanishing solver needs a right-hand side")
     bs = build_system(problem, window, extra_points, tols.sing)
-    moments = moment_vectors(bs, f.refined_against(problem.w))
-    return t0_solve_system(bs, moments, tols)
+    return t0_solve_system(bs, moment_vectors(bs, f), tols)
 
 
 def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
                     tols: Tolerances = Tolerances()):
-    """t0_solve on ``bs``, from the moments of its rhs refined against the weight.
+    """t0_solve on ``bs``, from the moments of its rhs.
 
     The rhs is solvable when the projection of its functional moment vector
     onto ker B_m^* is within the consistency bound; only then is B_m solved.
     """
-    problem = bs.problem
-    f = moments.f
     target = moments.functional
     kernel_vector = _adjoint_kernel_projection(bs, target, tols.rank)
     projection_norm = float(np.linalg.norm(kernel_vector))
 
     if projection_norm <= _consistency_bound(target, tols.solve):
         gamma = bs.reduced_factors.solve(target, tols.rank)
-        last = -np.linalg.solve(problem.J, moments.last_integral)
+        last = -np.linalg.solve(bs.problem.J, moments.last_integral)
         stacked = np.concatenate([np.zeros(bs.n, dtype=complex), gamma, last])
-        return reconstruct(bs, stacked, f)
+        return reconstruct(bs, stacked, moments.f)
 
-    stacked = _lift_projected(bs, kernel_vector[:, None], tols.solve)[:, 0]
-    witness = reconstruct(bs, stacked)
-    pairing = w_pairing(problem.w, witness, f, bs.partition.window)
-    moment_pairing = complex(np.vdot(kernel_vector, target))
+    witness, pairing, moment_pairing = _lift_and_pair(bs, kernel_vector, moments, tols.solve)
     return OrthogonalityCertificate(kernel_vector, witness, pairing,
                                     moment_pairing, projection_norm)
 

@@ -176,6 +176,15 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     return c.reshape(n * (N + 1), -1)
 
 
+def _lift_and_pair(bs: BlockSystem, uhat: np.ndarray, moments: MomentVectors,
+                   tol_solve: float) -> tuple[PiecewiseSolution, complex, complex]:
+    """The solution u lifted from uhat, already in ker B_m^*, with its two pairings:
+    the integral of u^* w f over the window and uhat^* functional, equal in exact arithmetic."""
+    u = reconstruct(bs, _lift_projected(bs, uhat[:, None], tol_solve)[:, 0])
+    return (u, w_pairing(bs.problem.w, u, moments.f, bs.partition.window),
+            complex(np.vdot(uhat, moments.functional)))
+
+
 def _compact_lifts(bs: BlockSystem, tols: Tolerances = Tolerances()
                    ) -> list[tuple[PiecewiseSolution, float]]:
     """Solution lifted from each ker B^* vector, with its endpoint defect.
@@ -225,9 +234,5 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     mismatch between the two computations.
     """
     projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
-    stacked = _lift_projected(bs, projected[:, None], tols.solve)[:, 0]
-    u = reconstruct(bs, stacked)
-    lhs = complex(np.vdot(projected, moments.functional))
-    lo, hi = bs.partition.window
-    rhs = w_pairing(bs.problem.w, u, moments.f, (lo, hi))
-    return abs(lhs - rhs)
+    _, pairing, moment_pairing = _lift_and_pair(bs, projected, moments, tols.solve)
+    return abs(moment_pairing - pairing)

@@ -24,7 +24,7 @@ from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
-from .relations import (OrthogonalityCertificate, _norm_from_square, lagrange_check,
+from .relations import (OrthogonalityCertificate, _basis_squares, lagrange_check,
                         t0_solve_system, weighted_norm)
 from .solutions import (_basis_states, _consistency_bound, _lift_projected,
                         compact_support_solutions, functional_identity_defect, reconstruct,
@@ -47,6 +47,11 @@ def _rand_complex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+def _row(name: str, defect: float, tolerance: float) -> Check:
+    """A row that passes when the defect is at most the tolerance."""
+    return Check(name, defect, tolerance, defect <= tolerance)
+
+
 def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     n, N = bs.n, bs.N
     expected = np.zeros((n * (N + 1), n * (N + 1)), dtype=complex)
@@ -60,14 +65,9 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     adjoint = bs.B.conj().T
     dim_adj = adjoint.shape[1] - _dense_rank(adjoint, tol_rank)
     bookkeeping = abs(dim_ker - n - dim_adj) + max(0, n - dim_ker)
-    return [
-        Check(f"cbbc full [{tag}]", float(np.linalg.norm(full)),
-              TOL_IDENTITY, float(np.linalg.norm(full)) <= TOL_IDENTITY),
-        Check(f"cbbc reduced [{tag}]", float(np.linalg.norm(reduced)),
-              TOL_IDENTITY, float(np.linalg.norm(reduced)) <= TOL_IDENTITY),
-        Check(f"cbbc rank bookkeeping [{tag}]", float(bookkeeping), 0.0,
-              bookkeeping == 0),
-    ]
+    return [_row(f"cbbc full [{tag}]", float(np.linalg.norm(full)), TOL_IDENTITY),
+            _row(f"cbbc reduced [{tag}]", float(np.linalg.norm(reduced)), TOL_IDENTITY),
+            _row(f"cbbc rank bookkeeping [{tag}]", float(bookkeeping), 0.0)]
 
 
 def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
@@ -79,32 +79,23 @@ def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
     worst, transfer_worst = (
         float(np.max(np.linalg.norm(_adjoint(M) @ J @ M - J, axis=(1, 2)), initial=0.0))
         for M in (values, bs.transfers))
-    return [
-        Check(f"wronskian fundamental [{tag}]", worst, TOL_IDENTITY,
-              worst <= TOL_IDENTITY),
-        Check(f"wronskian transfer [{tag}]", transfer_worst, TOL_IDENTITY,
-              transfer_worst <= TOL_IDENTITY),
-    ]
+    return [_row(f"wronskian fundamental [{tag}]", worst, TOL_IDENTITY),
+            _row(f"wronskian transfer [{tag}]", transfer_worst, TOL_IDENTITY)]
 
 
 def suite_lift(bs, tag: str, tol_solve: float, tol_rank: float) -> list[Check]:
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     if basis.shape[1] == 0:
-        return [Check(f"lift [{tag}]", 0.0, TOL_LIFT, True)]
+        return [_row(f"lift [{tag}]", 0.0, TOL_LIFT)]
     # The basis columns already lie in ker B_m*: one batched lift, no projection.
     lifts = _lift_projected(bs, np.column_stack([basis, basis.sum(axis=1)]), tol_solve)
     lifts, combined = lifts[:, :-1], lifts[:, -1]
     annihilated = float(np.linalg.norm(bs.B @ lifts, axis=0).max())
     matched = float(np.linalg.norm(bs.C @ lifts - basis, axis=0).max())
     linearity = float(np.linalg.norm(combined - lifts.sum(axis=1)))
-    return [
-        Check(f"lift annihilated [{tag}]", annihilated, TOL_LIFT,
-              annihilated <= TOL_LIFT),
-        Check(f"lift matches balanced values [{tag}]", matched, TOL_LIFT,
-              matched <= TOL_LIFT),
-        Check(f"lift linearity [{tag}]", linearity, TOL_LIFT,
-              linearity <= TOL_LIFT),
-    ]
+    return [_row(f"lift annihilated [{tag}]", annihilated, TOL_LIFT),
+            _row(f"lift matches balanced values [{tag}]", matched, TOL_LIFT),
+            _row(f"lift linearity [{tag}]", linearity, TOL_LIFT)]
 
 
 def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
@@ -112,7 +103,7 @@ def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
                      moments: MomentVectors | None = None) -> list[Check]:
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     if basis.shape[1] == 0:
-        return [Check(f"functional identity [{tag}]", 0.0, TOL_FUNCTIONAL, True)]
+        return [_row(f"functional identity [{tag}]", 0.0, TOL_FUNCTIONAL)]
     uhat = basis @ _rand_complex(rng, basis.shape[1])
     if moments is None:
         moments = moment_vectors(bs, f)
@@ -120,8 +111,7 @@ def suite_functional(bs, f: L2Function, rng: np.random.Generator, tag: str,
                                         Tolerances(rank=tol_rank, solve=tol_solve))
     bound = TOL_FUNCTIONAL * (1.0 + _sup_norm(f)) \
         * (1.0 + float(np.linalg.norm(uhat)))
-    return [Check(f"functional identity [{tag}]", defect, bound,
-                  defect <= bound)]
+    return [_row(f"functional identity [{tag}]", defect, bound)]
 
 
 def _solution_with_rhs(bs, f: L2Function, rng: np.random.Generator,
@@ -151,17 +141,12 @@ def suite_lagrange(bs, f: L2Function, g: L2Function, rng: np.random.Generator,
     u, fu = _solution_with_rhs(bs, f, rng, tols, moments)
     v, gv = _solution_with_rhs(bs, g, rng, tols)
     report = lagrange_check(problem, window, (u, fu), (v, gv))
-    rows = [Check(f"lagrange pairing [{tag}]", report.defect, TOL_PAIRING,
-                  report.defect <= TOL_PAIRING)]
     compact = compact_support_solutions(bs, tols)
+    compact_defect = 0.0
     if compact:
-        creport = lagrange_check(problem, window, (compact[0], None), (v, gv))
-        rows.append(Check(f"lagrange compact support [{tag}]", creport.defect,
-                          TOL_PAIRING, creport.defect <= TOL_PAIRING))
-    else:
-        rows.append(Check(f"lagrange compact support [{tag}]", 0.0,
-                          TOL_PAIRING, True))
-    return rows
+        compact_defect = lagrange_check(problem, window, (compact[0], None), (v, gv)).defect
+    return [_row(f"lagrange pairing [{tag}]", report.defect, TOL_PAIRING),
+            _row(f"lagrange compact support [{tag}]", compact_defect, TOL_PAIRING)]
 
 
 def orthogonal_rhs(rng: np.random.Generator, bs,
@@ -212,8 +197,7 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
         bound = TOL_PAIRING * (1.0 + _sup_norm(f)) \
             * (1.0 + float(np.linalg.norm(result.kernel_vector)))
         two_route = abs(result.pairing - result.moment_pairing)
-        rows.append(Check(f"{prefix} certificate two-route [{tag}]", two_route,
-                          bound, two_route <= bound))
+        rows.append(_row(f"{prefix} certificate two-route [{tag}]", two_route, bound))
         if result.projection_norm > CERTIFICATE_TRIGGER:
             floor = 0.5 * result.projection_norm ** 2
             rows.append(Check(f"{prefix} certificate nonzero [{tag}]",
@@ -223,21 +207,18 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     solution = result
     endpoint = float(np.linalg.norm(solution.evaluate(lo, "right"))) \
         + float(np.linalg.norm(solution.evaluate(hi, "left")))
-    rows.append(Check(f"{prefix} endpoints vanish [{tag}]", endpoint,
-                      TOL_ENDPOINT, endpoint <= TOL_ENDPOINT))
+    rows.append(_row(f"{prefix} endpoints vanish [{tag}]", endpoint, TOL_ENDPOINT))
 
     basis = bs.reduced_factors.adjoint_kernel(tol_rank)
     proj = float(np.linalg.norm(basis.conj().T @ moments.functional))
-    rows.append(Check(f"{prefix} solvable means orthogonal [{tag}]", proj,
-                      CERTIFICATE_TRIGGER, proj <= CERTIFICATE_TRIGGER))
+    rows.append(_row(f"{prefix} solvable means orthogonal [{tag}]", proj, CERTIFICATE_TRIGGER))
 
     worst = 0.0
     if kernel.rights.shape[-1]:
         norm_f = weighted_norm(problem.w, f, window)
         pairings = np.abs(_pairings(problem.w, f, kernel, window)[0, 0])
         worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
-    rows.append(Check(f"{prefix} range orthogonal to kernel [{tag}]", worst,
-                      TOL_PAIRING, worst <= TOL_PAIRING))
+    rows.append(_row(f"{prefix} range orthogonal to kernel [{tag}]", worst, TOL_PAIRING))
     return rows
 
 
@@ -247,25 +228,22 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
     """Endpoint-vanishing solves for f and a random orthogonal rhs, on ``bs``.
 
     ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites
-    does; ``moments``, when given, are those of f refined against the weight.
-    The homogeneous basis is one factor for both results, and its Gram
-    pairing is made at most once.
+    does; ``moments``, when given, are f's.  The homogeneous basis is one
+    factor for both results, and its Gram pairing is made at most once.
     """
     tols = Tolerances(tol_sing, tol_rank, tol_solve)
-    w, window = bs.problem.w, bs.partition.window
     kernel = _basis_states(bs, bs.factors.kernel(tol_rank))
 
     @cache
     def kernel_norms() -> np.ndarray:
-        gram = _pairings(w, kernel, kernel, window)[0]
-        return np.array([_norm_from_square(square) for square in np.diagonal(gram)])
+        return np.sqrt(_basis_squares(bs, kernel))
 
     if moments is None:
-        moments = moment_vectors(bs, f.refined_against(w))
+        moments = moment_vectors(bs, f)
     result = t0_solve_system(bs, moments, tols)
     rows = _t0_result_rows(bs, moments, result, kernel, kernel_norms, "t0", tag, tol_rank)
     f_perp = orthogonal_rhs(rng, bs, tol_rank)
-    moments_perp = moment_vectors(bs, f_perp.refined_against(w))
+    moments_perp = moment_vectors(bs, f_perp)
     result_perp = t0_solve_system(bs, moments_perp, tols)
     if isinstance(result_perp, OrthogonalityCertificate):
         rows.append(Check(f"t0 orthogonal rhs solvable [{tag}]", result_perp.projection_norm,
@@ -303,7 +281,6 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
     if {"functional", "lagrange", "t0"} & set(selected):
         if f is None:
             f = random_f(rng, problem, window)
-        f = f.refined_against(problem.w)
         moments = moment_vectors(bs, f)
 
     rows: list[Check] = []
@@ -319,7 +296,7 @@ def run_suites(problem: Problem, window, f: L2Function | None = None,
                 rows.extend(suite_functional(bs, f, rng, tag, tols.solve, tols.rank,
                                              moments=moments))
             elif name == "lagrange":
-                g = random_f(rng, problem, window).refined_against(problem.w)
+                g = random_f(rng, problem, window)
                 rows.extend(suite_lagrange(bs, f, g, rng, tag, tols.solve, tols.rank,
                                            moments=moments))
             elif name == "t0":

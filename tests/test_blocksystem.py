@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from measureode import (
+    EmptyWindow,
     MeasureMatrix,
     OutOfInterval,
     Problem,
     SingularAtom,
     assemble,
+    atom_transfer,
+    build_system,
     classify_jumps,
     find_singular_points,
+    kernel_K0,
     make_partition,
     moment_vectors,
     nullspace,
+    run_suites,
+    t0_solve,
 )
+from measureode.coefficients import DEFAULT_TOL_SING
 from measureode.blocksystem import Partition
 from measureode.functions import L2Function
 from measureode.fuzz import random_chain, random_instance
@@ -59,7 +66,51 @@ def test_classify_jumps_respects_window():
         classify_jumps(problem, (-2.0, 1.0))
 
 
+@pytest.mark.parametrize("sigma_max", [0.5, 3.0])
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_singular_jump_test_is_one_rule_at_its_threshold(sigma_max, factor):
+    # J + dq/2 with sigma_min just below or above tol_sing * max(1, sigma_max):
+    # classification, the transfer and assembly across the jump must agree.
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    threshold = DEFAULT_TOL_SING * max(1.0, sigma_max)
+    b_plus = u @ np.diag([sigma_max, factor * threshold]) @ v.conj().T
+    dq = 2.0 * (b_plus - J2)
+    q = MeasureMatrix.from_atoms(INTERVAL, 2, [(0.25, dq)])
+    problem = Problem(J2, q, MeasureMatrix.zero(INTERVAL, 2))
+
+    (report,) = classify_jumps(problem, INTERVAL)
+    assert report.sigma_min / threshold == pytest.approx(factor, abs=1e-6)
+    singular = report.status == "singular"
+    assert singular == (factor < 1.0)
+    missing = make_partition(INTERVAL, [])  # thirds: 0.25 lies inside a subinterval
+    if singular:
+        with pytest.raises(SingularAtom):
+            atom_transfer(J2, q.jump(0.25))
+        with pytest.raises(SingularAtom):
+            assemble(problem, missing)
+    else:
+        atom_transfer(J2, q.jump(0.25))
+        assemble(problem, missing)
+
+
 # -- partitions ---------------------------------------------------------------
+
+@pytest.mark.parametrize("window", [(0.25, 0.25), (0.5, -0.5)])
+def test_empty_and_reversed_windows_raise_empty_window(mirror_problem, window):
+    f = L2Function.constant(INTERVAL, [1.0, 0.0])
+    with pytest.raises(EmptyWindow):
+        make_partition(window, [])
+    with pytest.raises(EmptyWindow):
+        build_system(mirror_problem, window)
+    with pytest.raises(EmptyWindow):
+        kernel_K0(mirror_problem, window)
+    with pytest.raises(EmptyWindow):
+        t0_solve(mirror_problem, window, f)
+    with pytest.raises(EmptyWindow):
+        run_suites(mirror_problem, window, f)
+
 
 def test_partition_pads_empty_to_thirds():
     part = make_partition((0.0, 3.0), [])

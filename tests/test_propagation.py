@@ -205,6 +205,28 @@ def test_fundamental_matrix_wronskian_identity():
         assert np.linalg.norm(T.conj().T @ J2 @ T - J2) <= TOL_IDENTITY
 
 
+def test_a_build_transfers_through_its_atoms_in_one_stacked_call(count_calls):
+    # Bitwise the per-atom transfer, from one call per build that crosses an
+    # atom inside a subinterval, and none from a build that crosses none.
+    from test_acceptance import _fuzz_systems
+    stacked = count_calls(propagation, "_transfers")
+    single = count_calls(propagation, "atom_transfer")
+    crossed = 0
+    for inst, bs in _fuzz_systems():
+        problem, points = inst.problem, bs.points
+        stacked.calls = 0
+        rebuilt = propagation._fundamental_matrices(problem, points)
+        nodes = rebuilt[0].partition_states.nodes
+        inside = [k for k, x in enumerate(nodes[:-1].tolist())
+                  if x in problem.q.atom_positions and x not in points]
+        assert stacked.calls == (1 if inside else 0)
+        for k in inside:
+            want = propagation.atom_transfer(problem.J, problem.q.jump(nodes[k]))
+            np.testing.assert_array_equal(rebuilt[0].partition_transfers[k], want)
+        crossed += len(inside)
+    assert single.calls == crossed > 0
+
+
 def test_fundamental_matrix_rejects_interior_singular_atom():
     q = MeasureMatrix.from_atoms((-1.0, 1.0), 2,
                                  [(0.0, np.array([[0.0, 2.0], [2.0, 0.0]]))])

@@ -197,6 +197,55 @@ def test_t0_solves_B_m_only_for_a_returned_solution(count_calls, mirrored):
     assert endpoint <= TOL_ENDPOINT
 
 
+def _unpinned_rhs(rng, problem, window):
+    """f from pieces, built without w: no w-atom value is pinned, and half the
+    time a piece ends at a w-atom, where the balanced value is an average."""
+    lo, hi = window
+    cuts = set(rng.choice(np.linspace(lo, hi, 17)[1:-1], size=int(rng.integers(0, 3)),
+                          replace=False).tolist())
+    positions, _ = problem.w.atoms_between(lo, hi)
+    if positions.size and rng.uniform() < 0.5:
+        cuts.add(float(rng.choice(positions)))
+    edges = [lo, *sorted(cuts), hi]
+    return L2Function.from_pieces(window, [
+        (edges[i], edges[i + 1], fuzz.random_vector(rng, problem.n))
+        for i in range(len(edges) - 1)])
+
+
+def test_refining_the_rhs_against_the_weight_changes_no_number():
+    # Moments, solutions and t0 cut at w's structure and read a w-atom's
+    # value in the balanced sense, so refining f first must not move a bit.
+    rng = np.random.default_rng(11)
+    refined = 0
+    for inst, bs in _fuzz_systems():
+        f = _unpinned_rhs(rng, inst.problem, inst.window)
+        g = f.refined_against(inst.problem.w)
+        refined += g is not f
+        mf, mg = moment_vectors(bs, f), moment_vectors(bs, g)
+        for name in ("jump_moments", "integrals", "last_integral", "rhs", "functional"):
+            assert np.array_equal(getattr(mf, name), getattr(mg, name)), name
+        coefficients = solve_system(bs, mf).coefficients
+        grid = np.linspace(*inst.window, 41)
+        assert np.array_equal(
+            solutions.reconstruct(bs, coefficients, f).evaluate_many(grid),
+            solutions.reconstruct(bs, coefficients, g).evaluate_many(grid))
+        try:
+            tf = t0_solve_system(bs, mf)
+        except InconsistentLift:
+            with pytest.raises(InconsistentLift):
+                t0_solve_system(bs, mg)
+            continue
+        tg = t0_solve_system(bs, mg)
+        assert type(tf) is type(tg)
+        if isinstance(tf, OrthogonalityCertificate):
+            assert np.array_equal(tf.kernel_vector, tg.kernel_vector)
+            assert (tf.pairing, tf.moment_pairing, tf.projection_norm) \
+                == (tg.pairing, tg.moment_pairing, tg.projection_norm)
+        else:
+            assert np.array_equal(tf.evaluate_many(grid), tg.evaluate_many(grid))
+    assert refined > len(_fuzz_systems()) // 2
+
+
 def test_lagrange_identity_for_inhomogeneous_pairs(repeated_problem):
     bs = block_system(repeated_problem)
     f = L2Function.from_pieces(INTERVAL, [(-1.0, 0.0, [1.0, 2.0]), (0.0, 1.0, [-1.0, 0.5])],

@@ -117,6 +117,7 @@ def test_non_finite_tolerances_become_failing_rows(tmp_path):
 
 
 def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
+    import measureode.relations as relations
     import measureode.verify as verify
     solves, bases, grams = [], [], []
     solve, build, pair = verify.solve_system, verify._basis_states, verify._pairings
@@ -124,8 +125,10 @@ def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
     monkeypatch.setattr(verify, "_basis_states",
                         lambda *a: bases.append(1) or build(*a))
-    monkeypatch.setattr(verify, "_pairings",
-                        lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
+    # The suite pairs f with the basis; the basis's w-norms pair it with itself.
+    for module in (verify, relations):
+        monkeypatch.setattr(module, "_pairings",
+                            lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
     rng = np.random.default_rng(5)
     inst = random_instance(rng)
     rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
