@@ -15,11 +15,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member
-from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
+from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member,
+                           _window_ends)
+from .errors import DimensionMismatch, OutOfInterval
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
-                          _pairings, _partition_states, _singular)
+                          _fundamentals, _NodeStates, _pairings, _singular)
 
 BORDERLINE_SING = 1e-6
 TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
@@ -33,14 +34,6 @@ class JumpReport:
     sigma_min: float
     sigma_max: float
     status: str  # "singular" | "borderline" | "regular"
-
-
-def _window_ends(window) -> tuple[float, float]:
-    """The window's ends as floats; EmptyWindow unless lo < hi."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise EmptyWindow(f"window ({lo}, {hi}) is empty")
-    return lo, hi
 
 
 def classify_jumps(problem: Problem, window,
@@ -393,8 +386,9 @@ class BlockSystem:
 
     ``states`` holds the read-only node states of the whole partition, one
     build stepped through every gap, and ``transfers`` the matrices that
-    carry them into each gap; each fundamental matrix's states and transfers
-    are views of those, and solutions, moment vectors and pairings read them.
+    carry them into each gap; solutions, moment vectors and pairings read
+    them, and the fundamental matrices U_0 .. U_N (``fundamentals``, built
+    on first read) are views of them.
     ``b_plus`` stacks J + dq/2 at the N interior points,
     ``u_ends`` the end values of the N + 1 fundamental matrices.  Block row
     j of the coupling matrix B is the jump rule at x_{j+1}: b_plus^* U_j(end)
@@ -405,11 +399,11 @@ class BlockSystem:
     O(N n^3); the dense B, C, B_m and C_m are built only on demand.
     """
 
-    def __init__(self, problem: Problem, partition: Partition,
-                 fundamentals: list[FundamentalMatrix]):
+    def __init__(self, problem: Problem, partition: Partition, states: _NodeStates,
+                 transfers: np.ndarray):
         self.problem = problem
         self.partition = partition
-        self.fundamentals = fundamentals
+        self.states, self.transfers = states, transfers
         interior = partition.interior
         n = problem.n
         N = partition.count
@@ -421,9 +415,12 @@ class BlockSystem:
         hit = _member(interior, q.atom_positions)
         jumps[hit] = q.atom_matrices[np.searchsorted(q.atom_positions, interior[hit])]
         self.b_plus = problem.J + 0.5 * jumps
-        self.states, self.transfers = _partition_states(fundamentals, partition.points)
-        self.u_ends = self.states.lefts[
-            np.searchsorted(self.states.nodes, partition.points[1:]) - 1]
+        self.u_ends = states.lefts[states.starts[1:] - 1]
+
+    @cached_property
+    def fundamentals(self) -> list[FundamentalMatrix]:
+        """U_0 .. U_N, views of ``states`` and ``transfers``."""
+        return _fundamentals(self.problem.J, self.states, self.transfers)
 
     @cached_property
     def _lower(self) -> np.ndarray:
@@ -478,14 +475,14 @@ class BlockSystem:
 
 def assemble(problem: Problem, partition: Partition,
              tol_sing: float = DEFAULT_TOL_SING) -> BlockSystem:
-    """Fundamental matrices per subinterval plus the coupling matrices.
+    """The partition's node states plus the coupling matrices.
 
     Every gap of every subinterval is exponentiated in one stacked call.
     Raises SingularAtom if a singular jump sits strictly inside a
     subinterval, i.e. the partition misses it.
     """
-    fundamentals = _fundamental_matrices(problem, partition.points, tol_sing)
-    return BlockSystem(problem, partition, fundamentals)
+    return BlockSystem(problem, partition,
+                       *_fundamental_matrices(problem, partition.points, tol_sing))
 
 
 def build_system(problem: Problem, window, extra=(),

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfInterval
+from .errors import DimensionMismatch, EmptyWindow, OutOfInterval
 
 # Default tolerance for the hypothesis-level checks in validate().
 DEFAULT_VALIDATE_TOL = 1e-10
@@ -75,6 +75,14 @@ def _member(values: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
         return np.zeros(values.shape, dtype=bool)
     k = np.minimum(np.searchsorted(sorted_values, values), sorted_values.size - 1)
     return sorted_values[k] == values
+
+
+def _window_ends(window) -> tuple[float, float]:
+    """The window's ends as floats; EmptyWindow unless lo < hi."""
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise EmptyWindow(f"window ({lo}, {hi}) is empty")
+    return lo, hi
 
 
 class MeasureMatrix:

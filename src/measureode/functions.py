@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .coefficients import _SIDES, MeasureMatrix, _member, _union
-from .errors import DimensionMismatch, NotRepresentable, OutOfInterval, WindowMismatch
+from .coefficients import _SIDES, MeasureMatrix, _member, _union, _window_ends
+from .errors import DimensionMismatch, NotRepresentable, OutOfInterval
 
 
 
@@ -53,10 +53,7 @@ class L2Function:
     """
 
     def __init__(self, window, breakpoints, values, atom_values=None):
-        lo, hi = float(window[0]), float(window[1])
-        if not lo < hi:
-            raise WindowMismatch(f"empty window ({lo}, {hi})")
-        self._window = (lo, hi)
+        self._window = lo, hi = _window_ends(window)
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or bp.size < 2 or bp[0] != lo or bp[-1] != hi:
             raise NotRepresentable("breakpoints must run from the window start to its end")

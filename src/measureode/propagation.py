@@ -17,11 +17,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 
 from .coefficients import (_SIDES, DEFAULT_TOL_SING, MeasureMatrix, Problem, _freeze,
-                           _member, _union)
+                           _member, _union, _window_ends)
 from .errors import (
     DimensionMismatch,
     NotRepresentable,
@@ -277,22 +278,27 @@ class _NodeStates:
     ``nodes`` holds the window ends and every point inside where the
     generator or the state jumps; ``generators[k]`` is the constant generator
     on (nodes[k], nodes[k+1]), ``rights[k]`` the right limit at nodes[k] and
-    ``lefts[k]`` the left limit at nodes[k+1].  A state is a matrix (a
-    fundamental matrix) or a column (a solution's augmented (u, 1)).  The
-    pairing table of a build's fundamental matrices (``pairing_table``) is
-    built on first use and belongs to these states alone: ``replace`` and
-    ``span`` start without it.
+    ``lefts[k]`` the left limit at nodes[k+1].  ``starts`` indexes the
+    nodes at the partition points: subinterval j is the run of gaps
+    starts[j] .. starts[j+1] - 1, and the state restarts at its first node
+    (from the identity for fundamental matrices, from c_j for a solution).
+    A state is a matrix (a fundamental matrix) or a column (a solution's
+    augmented (u, 1)).  The pairing table of a build's fundamental matrices
+    (``pairing_table``) is built on first use and belongs to these states
+    alone: ``replace`` and ``span`` start without it.
     """
 
     nodes: np.ndarray
     generators: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
+    starts: np.ndarray
 
-    def span(self, gaps: slice) -> "_NodeStates":
-        """The states of a run of consecutive gaps: views, not copies."""
-        return _NodeStates(self.nodes[gaps.start:gaps.stop + 1], self.generators[gaps],
-                           self.rights[gaps], self.lefts[gaps])
+    def span(self, first: int, stop: int) -> "_NodeStates":
+        """The states of gaps first .. stop - 1 as one subinterval: views, not copies."""
+        return _NodeStates(self.nodes[first:stop + 1], self.generators[first:stop],
+                           self.rights[first:stop], self.lefts[first:stop],
+                           _freeze(np.array([0, stop - first])))
 
     def generators_at(self, xs: np.ndarray) -> np.ndarray:
         """Generators of the gaps containing the points xs, all off the nodes."""
@@ -351,19 +357,16 @@ class FundamentalMatrix:
 
     Normalized to the identity as the right limit at the left endpoint; the
     value attributed to the right endpoint is the left limit there.  All jumps
-    strictly inside must be regular.  Its ``states`` and ``transfers`` are
-    views of its run ``gaps`` of the read-only states and transfers that one
-    build stepped for a whole partition.  ``evaluate`` reads a point off the
-    ends through the matrix's own ``_Sampler``, built on the first such read.
+    strictly inside must be regular.  ``states`` and ``transfers`` (one per
+    interior node) are views of the read-only states and transfers that one
+    build stepped for a whole partition (``_fundamentals``).  ``evaluate``
+    reads a point off the ends through the matrix's own ``_Sampler``, built
+    on the first such read.
     """
 
-    def __init__(self, J, partition_states: _NodeStates, partition_transfers, gaps: slice):
-        self.J, self.gaps = J, gaps
-        self.partition_states = partition_states
-        self.partition_transfers = partition_transfers
-        self.states = partition_states.span(gaps)
-        self.transfers = partition_transfers[gaps.start + 1:gaps.stop]  # at interior nodes
-        self.lo, self.hi = float(self.states.nodes[0]), float(self.states.nodes[-1])
+    def __init__(self, J, states: _NodeStates, transfers: np.ndarray):
+        self.J, self.states, self.transfers = J, states, transfers
+        self.lo, self.hi = float(states.nodes[0]), float(states.nodes[-1])
 
     @property
     def nodes(self) -> np.ndarray:
@@ -415,12 +418,12 @@ def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarr
 
 
 def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TOL_SING
-                          ) -> list[FundamentalMatrix]:
-    """Fundamental matrices on the subintervals between consecutive points.
+                          ) -> tuple[_NodeStates, np.ndarray]:
+    """Node states and transfers of the fundamental matrices between consecutive points.
 
-    One stacked expm steps every gap into one set of node states; transfers[k]
-    enters gap k (the identity where no atom is, and where a subinterval
-    restarts from the identity).
+    One stacked expm steps every gap into one set of node states, which
+    restart from the identity at each point; transfers[k] enters gap k (the
+    identity where no atom is, and where a subinterval restarts).
     """
     a, b = problem.interval
     J, q, n = problem.J, problem.q, problem.n
@@ -446,45 +449,35 @@ def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TO
     generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
     rights, lefts = _carry(generators, np.diff(nodes), starts,
                            lambda k, y: inner[k] @ y if k in inner else y)
-    states = _NodeStates(nodes, generators, rights, lefts)
+    states = _NodeStates(nodes, generators, rights, lefts, _freeze(np.array(firsts)))
     transfers = _freeze(np.array([inner.get(k, eye) for k in range(nodes.size - 1)]))
-    return [FundamentalMatrix(J, states, transfers, slice(first, stop))
-            for first, stop in zip(firsts[:-1], firsts[1:])]
+    return states, transfers
 
 
-def _partition_states(fundamentals, points) -> tuple[_NodeStates, np.ndarray]:
-    """Views of the states and transfers of fundamentals on (points[j], points[j+1]).
-
-    WindowMismatch unless they are consecutive subintervals of one build.
-    """
-    first = fundamentals[0]
-    # Subintervals of one build that span the points are consecutive gaps
-    # there, since the build's nodes increase strictly.
-    one_build = all(U.partition_states is first.partition_states for U in fundamentals)
-    if not one_build or [U.lo for U in fundamentals] != points[:-1].tolist() \
-            or [U.hi for U in fundamentals] != points[1:].tolist():
-        raise WindowMismatch("fundamental matrices must be consecutive subintervals "
-                             "of one build, spanning the partition")
-    gaps = slice(first.gaps.start, fundamentals[-1].gaps.stop)
-    return first.partition_states.span(gaps), first.partition_transfers[gaps]
+def _fundamentals(J: np.ndarray, states: _NodeStates, transfers: np.ndarray
+                  ) -> list[FundamentalMatrix]:
+    """The fundamental matrix on each subinterval of one build: views of its
+    states, and of its transfers at the subinterval's interior nodes."""
+    return [FundamentalMatrix(J, states.span(first, stop), transfers[first + 1:stop])
+            for first, stop in pairwise(states.starts.tolist())]
 
 
-def _homogeneous_states(states: _NodeStates, fundamentals, coefficients) -> _NodeStates:
+def _homogeneous_states(states: _NodeStates, coefficients) -> _NodeStates:
     """Node states of homogeneous solutions U_j c_j, one column per solution.
 
-    ``states`` are the node states of ``fundamentals``, consecutive
-    subintervals of one build (``_partition_states``); ``coefficients``
-    (N+1, n, d) holds the c_j of d solutions as columns.  No exponential: a
-    basis of d solutions is one matrix-valued factor with (n, d) states.
+    ``states`` are the node states of one build's fundamental matrices;
+    ``coefficients`` (N+1, n, d) holds the c_j of d solutions as columns.
+    No exponential: a basis of d solutions is one matrix-valued factor with
+    (n, d) states.
     """
-    c = np.repeat(coefficients, [U.nodes.size - 1 for U in fundamentals], axis=0)
+    c = np.repeat(coefficients, np.diff(states.starts), axis=0)
     return replace(states, rights=_freeze(states.rights @ c), lefts=_freeze(states.lefts @ c))
 
 
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
                        ) -> FundamentalMatrix:
     """Build the fundamental matrix on (lo, hi); SingularAtom if a jump inside is."""
-    return _fundamental_matrices(problem, sub, tol_sing)[0]
+    return _fundamentals(problem.J, *_fundamental_matrices(problem, sub, tol_sing))[0]
 
 
 def _check_rhs(f, lo: float, hi: float) -> None:
@@ -496,17 +489,15 @@ def _check_rhs(f, lo: float, hi: float) -> None:
 class PiecewiseSolution:
     """A balanced solution described per subinterval of a partition.
 
-    Stores the partition points, one fundamental matrix U_j per subinterval,
-    the read-only coefficient vectors c_j (the right limit at the
-    subinterval's start) as the rows of ``coefficients``, and the right-hand
-    side (None for homogeneous).  It keeps views of the node states of its
-    fundamental matrices, consecutive subintervals of one build.  A
-    homogeneous solution's node states are U_j(node+-) c_j, with no
-    exponential of their own, and two homogeneous solutions of one build pair
-    through the pairing table cached on its node states, from their
-    coefficient rows alone.  ``states``, when given, are the node states that
-    ``_partition_states`` checks out of ``fundamentals`` (a BlockSystem's
-    ``states``), so that check is not run again.
+    Reads one build's node states of the fundamental matrices U_j (a
+    BlockSystem's ``states``, or a FundamentalMatrix's) and stores the
+    read-only coefficient vectors c_j (the right limit at the subinterval's
+    start) as the rows of ``coefficients`` and the right-hand side (None for
+    homogeneous).  Its read-only partition points are the nodes at the
+    states' ``starts``.  A homogeneous solution's node states are
+    U_j(node+-) c_j, with no exponential of their own, and two homogeneous
+    solutions of the same states pair through the pairing table cached on
+    them, from their coefficient rows alone.
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
     (c_j, 1) across the gaps, and the jump rule (J + dq/2) u+ = (J - dq/2) u-
@@ -518,17 +509,13 @@ class PiecewiseSolution:
     evaluation raises.
     """
 
-    def __init__(self, problem: Problem, points, fundamentals, coefficients,
-                 rhs: L2Function | None = None, *, states: _NodeStates | None = None):
+    def __init__(self, problem: Problem, states: _NodeStates, coefficients,
+                 rhs: L2Function | None = None):
         self.problem = problem
-        self.points = np.asarray(points, dtype=float)
-        if self.points.ndim != 1 or self.points.size < 2:
-            raise DimensionMismatch("a solution needs at least one subinterval")
+        self._homogeneous = states
+        self.points = _freeze(states.nodes[states.starts])
         self.window = (float(self.points[0]), float(self.points[-1]))
         self.n = n = problem.n
-        self.fundamentals = list(fundamentals)
-        self._homogeneous = (states if states is not None
-                             else _partition_states(self.fundamentals, self.points)[0])
         if len(coefficients) != self.points.size - 1:
             raise DimensionMismatch("one coefficient vector per subinterval required")
         try:
@@ -556,8 +543,7 @@ class PiecewiseSolution:
         homogeneous = self._homogeneous
         f, problem, n = self.rhs, self.problem, self.n
         if f is None:
-            self._states = _homogeneous_states(homogeneous, self.fundamentals,
-                                               self.coefficients[..., None])
+            self._states = _homogeneous_states(homogeneous, self.coefficients[..., None])
             return self._states
         q, w = problem.q, problem.w
         _check_rhs(f, *self.window)
@@ -570,9 +556,10 @@ class PiecewiseSolution:
                  @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
         generators[:, :n, n:] = _solve_j(problem.J, loads)
         atoms = _member(nodes, q.atom_positions) | _member(nodes, w.atom_positions)
+        firsts = np.searchsorted(nodes, self.points)
         # At a partition point the coupling equation holds the jump.
-        starts = {int(k): np.append(c, 1.0)[:, None] for k, c in
-                  zip(np.searchsorted(nodes, self.points[:-1]), self.coefficients)}
+        starts = {k: np.append(c, 1.0)[:, None]
+                  for k, c in zip(firsts[:-1].tolist(), self.coefficients)}
 
         def jump(k, y):
             if not atoms[k]:
@@ -585,7 +572,7 @@ class PiecewiseSolution:
             return np.vstack([u[:, None], y[n:]])
 
         rights, lefts = _carry(generators, np.diff(nodes), starts, jump)
-        self._states = _NodeStates(nodes, _freeze(generators), rights, lefts)
+        self._states = _NodeStates(nodes, _freeze(generators), rights, lefts, _freeze(firsts))
         return self._states
 
     @cached_property
@@ -649,14 +636,13 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
         raise DimensionMismatch(f"initial value must have length {problem.n}")
     U = fundamental_matrix(problem, (lo, hi), tol_sing)
     side = "right" if x0 == lo else "left" if x0 == hi else "balanced"
-    particular = PiecewiseSolution(problem, [lo, hi], [U],
-                                   [np.zeros(problem.n, dtype=complex)], f)
+    particular = PiecewiseSolution(problem, U.states, [np.zeros(problem.n, dtype=complex)], f)
     try:
         c = np.linalg.solve(U.evaluate(x0, side), u0 - particular.evaluate(x0, side))
     except np.linalg.LinAlgError as exc:
         raise SingularInitialPoint(
             f"the fundamental matrix at x0={x0} is numerically singular") from exc
-    solution = PiecewiseSolution(problem, [lo, hi], [U], [c], f)
+    solution = PiecewiseSolution(problem, U.states, [c], f)
     miss = float(np.linalg.norm(solution.evaluate(x0, side) - u0))
     if miss > IVP_MATCH_TOL * (1.0 + float(np.linalg.norm(u0))):
         raise SingularInitialPoint(f"the fundamental matrix at x0={x0} is too "
@@ -758,13 +744,13 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges: np.ndarray) -> 
 
 
 def _shared_build(u, v, edges: np.ndarray) -> _NodeStates | None:
-    """The build's node states if u and v are homogeneous solutions of it covering edges."""
+    """The node states u and v read if both are homogeneous solutions of them covering edges."""
     lo, hi = edges[0], edges[-1]
     if not all(isinstance(f, PiecewiseSolution) and f.rhs is None and f.covers(lo, hi)
                for f in (u, v)):
         return None
-    states = u.fundamentals[0].partition_states
-    return states if v.fundamentals[0].partition_states is states else None
+    states = u._homogeneous
+    return states if v._homogeneous is states else None
 
 
 def _table_pairings(table: _PairingTable, u: PiecewiseSolution, v: PiecewiseSolution
@@ -874,9 +860,7 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     homogeneous solutions of one build pair from the pairing table cached
     on the build's node states (``_pairings``).
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise WindowMismatch(f"empty window ({lo}, {hi})")
+    lo, hi = _window_ends(window)
     for factor in (u, v):
         if not factor.covers(lo, hi):
             raise WindowMismatch(

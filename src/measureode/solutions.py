@@ -32,17 +32,12 @@ KERNEL_MEMBERSHIP_TOL = 1e-6
 
 def reconstruct(bs: BlockSystem, coefficients: np.ndarray,
                 f: L2Function | None = None) -> PiecewiseSolution:
-    """Balanced solution from one stacked coefficient vector (N+1 blocks).
-
-    It views ``bs.states``, which the block system already checked out of
-    its fundamental matrices.
-    """
+    """Balanced solution from one stacked coefficient vector (N+1 blocks), on ``bs.states``."""
     coefficients = np.asarray(coefficients, dtype=complex).reshape(-1)
     if coefficients.size != bs.n * (bs.N + 1):
         raise DimensionMismatch(
             f"expected {bs.n * (bs.N + 1)} stacked coefficients, got {coefficients.size}")
-    return PiecewiseSolution(bs.problem, bs.points, bs.fundamentals,
-                             coefficients.reshape(-1, bs.n), f, states=bs.states)
+    return PiecewiseSolution(bs.problem, bs.states, coefficients.reshape(-1, bs.n), f)
 
 
 def _basis_states(bs: BlockSystem, coefficients: np.ndarray) -> _NodeStates:
@@ -51,8 +46,7 @@ def _basis_states(bs: BlockSystem, coefficients: np.ndarray) -> _NodeStates:
     One matrix-valued pairing factor with a column per solution, in place
     of d reconstructed solutions.
     """
-    return _homogeneous_states(bs.states, bs.fundamentals,
-                               coefficients.reshape(bs.N + 1, bs.n, -1))
+    return _homogeneous_states(bs.states, coefficients.reshape(bs.N + 1, bs.n, -1))
 
 
 def _consistency_bound(rhs: np.ndarray, tol_solve: float) -> float:

@@ -24,6 +24,7 @@ from measureode import (
 from measureode.coefficients import DEFAULT_TOL_SING
 from measureode.blocksystem import Partition
 from measureode.functions import L2Function
+from measureode.propagation import w_pairing
 from measureode.fuzz import random_chain, random_instance
 
 from conftest import J2, SWAP2, INTERVAL, block_system, two_atom_problem
@@ -110,6 +111,10 @@ def test_empty_and_reversed_windows_raise_empty_window(mirror_problem, window):
         t0_solve(mirror_problem, window, f)
     with pytest.raises(EmptyWindow):
         run_suites(mirror_problem, window, f)
+    with pytest.raises(EmptyWindow):
+        L2Function(window, window, [[1.0, 0.0]])
+    with pytest.raises(EmptyWindow):
+        w_pairing(mirror_problem.w, f, f, window)
 
 
 def test_partition_pads_empty_to_thirds():

@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import quad_vec
 
 from measureode import (
+    DimensionMismatch,
     FundamentalMatrix,
     MeasureMatrix,
     OutOfInterval,
@@ -30,7 +31,6 @@ from measureode import (
     product_integral,
     solve_ivp_regular,
     weighted_norm,
-    WindowMismatch,
 )
 from measureode import build_system, propagation
 from measureode.blocksystem import moment_vectors
@@ -173,7 +173,6 @@ def test_atom_transfer_singular_jump_raises():
 
 
 def test_atom_transfer_shape_mismatch():
-    from measureode import DimensionMismatch
     with pytest.raises(DimensionMismatch):
         atom_transfer(J2, np.eye(3, dtype=complex))
 
@@ -215,14 +214,14 @@ def test_a_build_transfers_through_its_atoms_in_one_stacked_call(count_calls):
     for inst, bs in _fuzz_systems():
         problem, points = inst.problem, bs.points
         stacked.calls = 0
-        rebuilt = propagation._fundamental_matrices(problem, points)
-        nodes = rebuilt[0].partition_states.nodes
+        states, transfers = propagation._fundamental_matrices(problem, points)
+        nodes = states.nodes
         inside = [k for k, x in enumerate(nodes[:-1].tolist())
                   if x in problem.q.atom_positions and x not in points]
         assert stacked.calls == (1 if inside else 0)
         for k in inside:
             want = propagation.atom_transfer(problem.J, problem.q.jump(nodes[k]))
-            np.testing.assert_array_equal(rebuilt[0].partition_transfers[k], want)
+            np.testing.assert_array_equal(transfers[k], want)
         crossed += len(inside)
     assert single.calls == crossed > 0
 
@@ -377,9 +376,9 @@ def test_w_pairing_conjugate_linearity():
 TOL_ORACLE = 1e-12  # relative to max(1, |u|)
 
 
-def _oracle_limit(sol, j, x, side):
+def _oracle_limit(sol, fundamentals, j, x, side):
     """U(x)(c + J^{-1} int U^* w f) on subinterval j, plus the w-atom shift on the right."""
-    U, J, w, f = sol.fundamentals[j], sol.problem.J, sol.problem.w, sol.rhs
+    U, J, w, f = fundamentals[j], sol.problem.J, sol.problem.w, sol.rhs
     v = sol.coefficients[j] + np.linalg.solve(J, inhomogeneous_integral(U, w, f, x))
     if side == "right" and f is not None and x > U.lo:
         atom = U.evaluate(x, "balanced").conj().T @ (w.jump(x) @ f.value(x, "balanced"))
@@ -387,14 +386,17 @@ def _oracle_limit(sol, j, x, side):
     return U.evaluate(x, side) @ v
 
 
-def _oracle(sol, x):
-    """Oracle values at x by side; a side the window lacks is left out."""
+def _oracle(sol, fundamentals, x):
+    """Oracle values at x by side, from the fundamental matrices of the solution's
+    build; a side the window lacks is left out."""
     pts = sol.points
     out = {}
     if x > pts[0]:
-        out["left"] = _oracle_limit(sol, int(np.searchsorted(pts, x)) - 1, x, "left")
+        out["left"] = _oracle_limit(sol, fundamentals, int(np.searchsorted(pts, x)) - 1, x,
+                                    "left")
     if x < pts[-1]:
-        out["right"] = _oracle_limit(sol, int(np.searchsorted(pts, x, "right")) - 1, x, "right")
+        out["right"] = _oracle_limit(sol, fundamentals,
+                                     int(np.searchsorted(pts, x, "right")) - 1, x, "right")
     sides = list(out.values())
     out["balanced"] = 0.5 * (sides[0] + sides[-1])
     return out
@@ -408,11 +410,11 @@ def _nodes(sol):
     return nodes[(nodes >= lo) & (nodes <= hi)]
 
 
-def _worst_oracle_defect(sol):
+def _worst_oracle_defect(sol, fundamentals):
     nodes = _nodes(sol)
     worst = 0.0
     for x in np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]):
-        for side, want in _oracle(sol, float(x)).items():
+        for side, want in _oracle(sol, fundamentals, float(x)).items():
             got = sol.evaluate(float(x), side)
             scale = max(1.0, float(np.max(np.abs(want))))
             worst = max(worst, float(np.max(np.abs(got - want))) / scale)
@@ -455,31 +457,31 @@ def test_solution_values_match_the_closed_form_oracle():
     for inst, bs in _fuzz_systems():
         f = random_f(rng, inst.problem, inst.window)
         for sol in _solutions_of(bs, f):
-            worst = max(worst, _worst_oracle_defect(sol))
+            worst = max(worst, _worst_oracle_defect(sol, bs.fundamentals))
     problem, f = _dense_problem(rng)
     for extra in ((), (0.1,)):
         bs = build_system(problem, (-1.0, 1.0), extra)
         for sol in _solutions_of(bs, f):
-            worst = max(worst, _worst_oracle_defect(sol))
+            worst = max(worst, _worst_oracle_defect(sol, bs.fundamentals))
     for pairs in (2, 10):
         problem, window = mirrored_chain(pairs=pairs)
         bs = build_system(problem, window)
         compact = compact_support_solutions(bs)
         assert len(compact) == pairs
         for sol in compact:
-            worst = max(worst, _worst_oracle_defect(sol))
-            _assert_zero_outside_support(sol)
+            worst = max(worst, _worst_oracle_defect(sol, bs.fundamentals))
+            _assert_zero_outside_support(sol, bs.fundamentals)
         for sol in _solutions_of(bs, random_f(rng, problem, window)):
-            worst = max(worst, _worst_oracle_defect(sol))
+            worst = max(worst, _worst_oracle_defect(sol, bs.fundamentals))
     assert worst <= TOL_ORACLE
 
 
-def _assert_zero_outside_support(sol):
+def _assert_zero_outside_support(sol, fundamentals):
     """Exact zeros off [p_1, p_{N-1}], and the outer limits at its two ends."""
     lo, hi = sol.points[1], sol.points[-2]
     nodes = _nodes(sol)
     for x in np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1])]):
-        for side in _oracle(sol, float(x)):
+        for side in _oracle(sol, fundamentals, float(x)):
             if x < lo or x > hi or (x, side) in ((lo, "left"), (hi, "right")):
                 assert not sol.evaluate(float(x), side).any()
 
@@ -646,8 +648,7 @@ def test_reads_at_the_window_ends_build_no_sampler(count_calls):
         assert "_sampler" not in vars(factor)
     # A homogeneous solution's states are the build's times its coefficients.
     kernel = solutions[1]
-    fresh = PiecewiseSolution(kernel.problem, kernel.points, kernel.fundamentals,
-                              kernel.coefficients)
+    fresh = PiecewiseSolution(kernel.problem, bs.states, kernel.coefficients)
     for x, side in ((fresh.window[0], "right"), (fresh.window[1], "left")):
         assert np.array_equal(fresh.evaluate(x, side), kernel.evaluate(x, side))
     assert "_sampler" not in vars(fresh)
@@ -747,10 +748,10 @@ def test_the_taylor_table_lives_and_dies_with_its_states():
     # It belongs to its factor alone: no states hold it, so a span or a
     # replaced copy of them starts without one, as does a second matrix on
     # the same states.
-    for states in (U.states, U.partition_states, U.partition_states.span(U.gaps),
+    for states in (U.states, U.states.span(0, U.nodes.size - 1),
                    dataclasses.replace(U.states), solution._node_states()):
         assert not any(isinstance(v, propagation._Sampler) for v in vars(states).values())
-    twin = FundamentalMatrix(U.J, U.partition_states, U.partition_transfers, U.gaps)
+    twin = FundamentalMatrix(U.J, U.states, U.transfers)
     assert "_sampler" not in vars(twin)
     samplers = [weakref.ref(f._sampler) for f in (U, solution)]
     owners = [weakref.ref(U), weakref.ref(solution), weakref.ref(solution._node_states())]
@@ -763,17 +764,20 @@ def test_the_taylor_table_lives_and_dies_with_its_states():
 
 
 def test_solution_fundamentals_must_span_their_subintervals():
+    # A solution's points are the nodes where its states restart, so it
+    # spans them by construction; it takes one coefficient vector of length
+    # n per subinterval there.
     problem = _density_problem()
     U = fundamental_matrix(problem, (-1.0, 0.5))
-    with pytest.raises(WindowMismatch):
-        PiecewiseSolution(problem, [-1.0, 1.0], [U], [[1.0, 0.0]])
-    # Consecutive subintervals, but from two builds: no shared states to view.
-    left, right = (fundamental_matrix(problem, sub) for sub in ((-1.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(WindowMismatch):
-        PiecewiseSolution(problem, [-1.0, 0.0, 1.0], [left, right], [[1.0, 0.0]] * 2)
     bs = build_system(problem, (-1.0, 1.0))
-    with pytest.raises(WindowMismatch):
-        PiecewiseSolution(problem, bs.points[:3], bs.fundamentals[::2], [[1.0, 0.0]] * 2)
+    for states, points in ((U.states, [-1.0, 0.5]), (bs.states, bs.points)):
+        count = len(points) - 1
+        np.testing.assert_array_equal(PiecewiseSolution(problem, states, [[1.0, 0.0]] * count)
+                                      .points, points)
+        for wrong in ([[1.0, 0.0]] * (count - 1), [[1.0, 0.0]] * (count + 1),
+                      [[1.0, 0.0, 0.0]] * count):
+            with pytest.raises(DimensionMismatch):
+                PiecewiseSolution(problem, states, wrong)
 
 
 def test_fundamentals_and_solutions_view_the_partition_states():
@@ -781,22 +785,43 @@ def test_fundamentals_and_solutions_view_the_partition_states():
     bs = build_system(problem, window)
     names = [field.name for field in dataclasses.fields(bs.states)]
     assert all(not getattr(bs.states, name).flags.writeable for name in names)
-    for U in bs.fundamentals:
-        for name in names:
+    assert not bs.transfers.flags.writeable
+    starts = bs.states.starts.tolist()
+    for U, first, stop in zip(bs.fundamentals, starts, starts[1:]):
+        for name in ("nodes", "generators", "rights", "lefts"):
             assert np.shares_memory(getattr(U.states, name), getattr(bs.states, name))
-        assert np.shares_memory(U.transfers, bs.transfers)
+        assert U.states.starts.tolist() == [0, stop - first]
+        assert U.transfers.size and np.shares_memory(U.transfers, bs.transfers)
     kernel = solve_system(bs).kernel_basis[0]
     assert kernel._node_states().generators is kernel._homogeneous.generators
     particular = solve_system(bs, moment_vectors(bs, f)).particular
     for sol in (kernel, particular):
-        assert np.shares_memory(sol._homogeneous.generators, bs.states.generators)
-        assert np.shares_memory(sol._homogeneous.rights, bs.states.rights)
+        assert sol._homogeneous is bs.states
+
+
+def test_assemble_builds_no_fundamental_matrix_until_they_are_read(count_calls):
+    problem, window, _ = _chain(4)
+    built = count_calls(propagation, "FundamentalMatrix")
+    bs = build_system(problem, window)
+    solve_system(bs)
+    assert built.calls == 0
+    assert len(bs.fundamentals) == bs.N + 1 and built.calls == bs.N + 1
+    assert bs.fundamentals is bs.fundamentals and built.calls == bs.N + 1
 
 
 def test_solution_coefficients_are_read_only():
     sol = solve_ivp_regular(_density_problem(), (-1.0, 1.0), -1.0, [1.0, 0.0])
     with pytest.raises(ValueError):
         sol.coefficients[0][0] = 2.0
+    # So are its points: a write would move every later pairing of it.
+    inst = random_chain(np.random.default_rng(3), 4, 2, True)
+    sol = solve_system(build_system(inst.problem, inst.window)).kernel_basis[0]
+    norm = weighted_norm(inst.problem.w, sol, inst.window)
+    for points in (sol.points, solve_ivp_regular(_density_problem(), (-1.0, 1.0), -1.0,
+                                                 [1.0, 0.0]).points):
+        with pytest.raises(ValueError):
+            points[-2] += 0.25
+    assert weighted_norm(inst.problem.w, sol, inst.window) == norm
 
 
 def test_fundamental_matrix_values_are_read_only():
@@ -1135,7 +1160,7 @@ def test_homogeneous_pairings_from_the_table_match_the_general_path():
                     got = propagation._pairings(w, u, v, edges)[:, 0, 0]
                     worst = max(worst, np.abs(got - want[i, j]).max()
                                 / max(1.0, norms[i] * norms[j]))
-            cache = bs.fundamentals[0].partition_states._pairing_cache
+            cache = bs.states._pairing_cache
             assert list(cache) == [(w, tuple(edges))]
     assert len(systems) == 240
     assert worst <= 1e-12
@@ -1161,10 +1186,10 @@ def test_the_pairing_table_lives_and_dies_with_its_build():
     basis = solve_system(bs).kernel_basis
     for u in basis:
         weighted_norm(inst.problem.w, u, inst.window)
-    states = bs.fundamentals[0].partition_states
+    states = bs.states
     (table,) = states._pairing_cache.values()
     # Spans of the build's states carry no table of their own.
-    assert "_pairing_cache" not in vars(bs.states)
+    assert all("_pairing_cache" not in vars(U.states) for U in bs.fundamentals)
     refs = [weakref.ref(states), weakref.ref(table)]
     del bs, basis, u, states, table
     gc.collect()

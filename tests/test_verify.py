@@ -241,6 +241,64 @@ def test_the_call_shapes_the_benchmark_harness_uses():
     assert untraced == rows
 
 
+def test_the_call_shapes_the_partition_and_sampling_benchmarks_use():
+    # The large-partition and dense-sampling workloads, and the exit code
+    # that the cli-small workload expects of ``solve``, call the library in
+    # these shapes, on mirrored chains (dim ker B* = N / 2) and on random ones
+    # (trivial ker B*, so a particular solution exists to sample).
+    from measureode import (OrthogonalityCertificate, PiecewiseSolution, assemble,
+                            classify_jumps, compact_support_solutions, find_singular_points,
+                            fundamental_matrix, lift_kernel_vector, make_partition,
+                            moment_vectors, nullspace, t0_solve)
+    from measureode import fuzz
+    from measureode.blocksystem import DEFAULT_TOL_SING
+    for mirrored in (True, False):
+        inst = fuzz.random_chain(np.random.default_rng(3), 4, 2, mirrored)
+        problem, window, f = inst.problem, inst.window, inst.f
+        adjoint_dim = 2 if mirrored else 0
+        reports = classify_jumps(problem, window)
+        partition = make_partition(window, [r.position for r in reports
+                                            if r.status == "singular"])
+        bs = assemble(problem, partition)
+        solved = solve_system(bs, moment_vectors(bs, f))
+        adjoint = nullspace(bs.B.conj().T)
+        assert adjoint.shape[1] == adjoint_dim
+        assert solved.kernel_dimension == 2 + adjoint_dim
+        assert len(compact_support_solutions(bs)) == adjoint_dim
+        if adjoint_dim:
+            lifted = lift_kernel_vector(bs, adjoint[:, 0])
+            assert np.linalg.norm(bs.B @ lifted) <= 1e-7
+        assert isinstance(t0_solve(problem, window, f),
+                          (PiecewiseSolution, OrthogonalityCertificate))
+        norms = [weighted_norm(problem.w, u, window) for u in solved.kernel_basis]
+        assert np.isfinite(norms).all() and min(norms) >= 0.0
+
+        elements = kernel_K0(problem, window)
+        assert len(elements) == solved.kernel_dimension
+        sampled = [(e.solution, e.w_norm) for e in elements]
+        assert solved.consistent == (not mirrored)
+        if solved.consistent:
+            particular = solved.particular
+            sampled.append((particular, weighted_norm(problem.w, particular, window)))
+        lo, hi = window
+        grid = lo + (np.arange(40) + 0.5) * (hi - lo) / 40
+        for solution, norm in sampled:
+            samples = np.array([solution.evaluate(float(x)) for x in grid])
+            assert np.isfinite(samples).all()
+            pairing = w_pairing(problem.w, solution, solution, window)
+            assert abs(pairing) == pytest.approx(norm ** 2, rel=1e-9, abs=1e-12)
+        pts = partition.points
+        for j in range(pts.size - 1):
+            U = fundamental_matrix(problem, (float(pts[j]), float(pts[j + 1])))
+            assert np.isfinite(U.evaluate(0.5 * (U.lo + U.hi))).all()
+
+        singular = find_singular_points(problem, window)
+        bs = assemble(problem, make_partition(window, singular, inst.extra_points),
+                      DEFAULT_TOL_SING)
+        g = f.refined_against(problem.w)
+        assert solve_system(bs, moment_vectors(bs, g)).consistent == (not mirrored)
+
+
 def _borderline_family(eps: float, count: int = 40):
     """random_instance draws with two singular q-atoms, every q-atom moved by
     eps H / |H|_2 (H a fresh random Hermitian matrix per atom), so a singular
