@@ -20,7 +20,7 @@ from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member,
 from .errors import DimensionMismatch, OutOfInterval
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
-                          _fundamentals, _NodeStates, _pairings, _singular)
+                          _fundamentals, _NodeStates, _singular)
 
 BORDERLINE_SING = 1e-6
 TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
@@ -514,7 +514,13 @@ class MomentVectors:
 
 
 def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
-    """Compute all moments of f that the coupling equation needs."""
+    """Compute all moments of f that the coupling equation needs.
+
+    The integrals sum f's rhs table on ``bs.states`` per subinterval; the
+    table is built here on first use and kept on the states, so later
+    pairings of the build's homogeneous solutions with f read it too
+    (``propagation._rhs_pairings``).
+    """
     problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
     _check_rhs(f, pts[0], pts[-1])
@@ -525,9 +531,9 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         jump_moments[j] = w.jump(x) @ f.value(x, "balanced")
     jump_moments = jump_moments.reshape(-1)
     # Open subintervals: the w-atoms at the partition points are the jump moments.
-    integrals = _pairings(w, bs.states, f, pts)[..., 0]
+    integrals = bs.states.rhs_table(w, f).integrals()[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
-    coupled = _adjoint(bs.b_plus) @ (bs.u_ends[:N] @ solved[:N, :, None])
+    coupled = bs._lower @ solved[:N, :, None]
     rhs = jump_moments - coupled.reshape(-1)
     functional = rhs.copy()
     functional[-n:] += bs.b_plus[-1] @ solved[N]

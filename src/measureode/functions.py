@@ -166,6 +166,11 @@ class L2Function:
     def atom_positions(self) -> np.ndarray:
         return self._atom_positions
 
+    @property
+    def atom_values(self) -> np.ndarray:
+        """The stored atom values (len(atom_positions), n), read-only."""
+        return self._atom_values
+
     def atom_value_map(self) -> dict[float, np.ndarray]:
         return {float(x): self._atom_values[i]
                 for i, x in enumerate(self._atom_positions)}

@@ -15,7 +15,7 @@ it is read from a Taylor table kept by the factor it belongs to.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
@@ -283,9 +283,10 @@ class _NodeStates:
     starts[j] .. starts[j+1] - 1, and the state restarts at its first node
     (from the identity for fundamental matrices, from c_j for a solution).
     A state is a matrix (a fundamental matrix) or a column (a solution's
-    augmented (u, 1)).  The pairing table of a build's fundamental matrices
-    (``pairing_table``) is built on first use and belongs to these states
-    alone: ``replace`` and ``span`` start without it.
+    augmented (u, 1)).  The tables of a build's fundamental matrices, the
+    pairing table (``pairing_table``) and a rhs table per right-hand side
+    (``rhs_table``), are built on first use and belong to these states
+    alone: ``replace`` and ``span`` start without them.
     """
 
     nodes: np.ndarray
@@ -331,10 +332,31 @@ class _NodeStates:
             cache[key] = _pairing_table(self, w, edges)
         return cache[key]
 
+    @cached_property
+    def _rhs_cache(self) -> dict:
+        """The rhs tables built on these states, keyed by (w, f), oldest first."""
+        return {}
+
+    def rhs_table(self, w: MeasureMatrix, f: L2Function) -> _RhsTable:
+        """The rhs table of f against w over the window of these fundamental-matrix states.
+
+        Built on first use.  w and f are keys by identity, so two equal but
+        distinct f never share a table; the last ``_RHS_TABLES`` tables are
+        kept, and freed with the states.
+        """
+        cache = self._rhs_cache
+        key = (w, f)
+        if key not in cache:
+            if len(cache) >= _RHS_TABLES:
+                del cache[next(iter(cache))]
+            cache[key] = _rhs_table(self, w, f)
+        return cache[key]
+
     def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right limits at each point of xs; at the window ends the one limit there.
 
-        Off the nodes both limits are the same state, from one stacked flow.
+        Off the nodes both limits are the same state, from one stacked flow
+        in which each distinct point flows once.
         """
         nodes, gaps = self.nodes, self.generators.shape[0]
         i = np.searchsorted(nodes, xs)
@@ -346,9 +368,17 @@ class _NodeStates:
         right = np.empty_like(left)
         left[on] = np.where((j == 0)[:, None, None], rights, lefts)
         right[on] = np.where((j == gaps)[:, None, None], lefts, rights)
-        off = ~on
-        if off.any():
-            left[off] = right[off] = self.flow(i[off] - 1, xs[off])
+        off = np.flatnonzero(~on)
+        if off.size:
+            # The sort and neighbour test of ``_union``: flow the first of each
+            # run of equal points, then scatter back.
+            order = off[np.argsort(xs[off], kind="stable")]
+            x = xs[order]
+            first = np.concatenate(([True], x[1:] != x[:-1]))
+            flowed = self.flow(i[order[first]] - 1, x[first])
+            if not first.all():
+                flowed = flowed[np.cumsum(first) - 1]
+            left[order] = right[order] = flowed
         return left, right
 
 
@@ -462,7 +492,17 @@ def _fundamentals(J: np.ndarray, states: _NodeStates, transfers: np.ndarray
             for first, stop in pairwise(states.starts.tolist())]
 
 
-def _homogeneous_states(states: _NodeStates, coefficients) -> _NodeStates:
+@dataclass(frozen=True, eq=False)
+class _HomogeneousStates(_NodeStates):
+    """Node states of homogeneous solutions U_j c_j of one build, which keep
+    the build's states as ``build`` and the rows c_j (N+1, n, d) as
+    ``coefficients``."""
+
+    build: _NodeStates
+    coefficients: np.ndarray
+
+
+def _homogeneous_states(states: _NodeStates, coefficients) -> _HomogeneousStates:
     """Node states of homogeneous solutions U_j c_j, one column per solution.
 
     ``states`` are the node states of one build's fundamental matrices;
@@ -471,7 +511,8 @@ def _homogeneous_states(states: _NodeStates, coefficients) -> _NodeStates:
     (n, d) states.
     """
     c = np.repeat(coefficients, np.diff(states.starts), axis=0)
-    return replace(states, rights=_freeze(states.rights @ c), lefts=_freeze(states.lefts @ c))
+    return _HomogeneousStates(states.nodes, states.generators, _freeze(states.rights @ c),
+                              _freeze(states.lefts @ c), states.starts, states, coefficients)
 
 
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
@@ -657,26 +698,45 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
                   starts: np.ndarray, ends: np.ndarray):
     """A factor on the pieces of a pairing grid and at the w-atoms.
 
-    Returns (P, A, y, z, a): on the piece from starts[k] the factor's value is
-    P exp(A[k] s) y[k] (P one matrix, or one per piece), z[k] is its left
-    limit at ends[k] (``ends`` may be empty) and a[i] its balanced value at
-    atoms[i].  Values are (n, m): m columns of representable functions, or
-    (n, n) for the matrix states of fundamental matrices, or (n, d) for a
-    basis of d homogeneous solutions.  Representable functions do not flow:
-    their P holds the piece values, and A, y and z are None (zero, and
-    identities).
+    Returns (P, A, y, z, a_left, a_right): on the piece from starts[k] the
+    factor's value is P exp(A[k] s) y[k] (P one matrix, or one per piece),
+    z[k] is its left limit at ends[k] (``ends`` may be empty), and
+    a_left[i] and a_right[i] are its two limits at atoms[i], whose mean is
+    the balanced value.  Values are (n, m): m columns of representable
+    functions, or (n, n) for the matrix states of fundamental matrices, or
+    (n, d) for a basis of d homogeneous solutions.  Representable functions
+    do not flow: their P holds the piece values, A, y and z are None (zero,
+    and identities), and both atom limits are the balanced value.
     """
     if isinstance(factor, list):
         values = np.stack([_pieces_at(f.breakpoints, f.piece_values, mids) for f in factor],
                           axis=-1)
         balanced = np.array([[f.value(x, "balanced") for f in factor]
                              for x in atoms.tolist()]).reshape(-1, len(factor), n)
-        return values, None, None, None, np.swapaxes(balanced, 1, 2)
+        balanced = np.swapaxes(balanced, 1, 2)
+        return values, None, None, None, balanced, balanced
     K, L = starts.size, starts.size + ends.size
     left, right = factor.limits(np.concatenate([starts, ends, atoms]))
     return (np.eye(n, factor.generators.shape[-1], dtype=complex),
-            factor.generators_at(mids), right[:K], left[K:L],
-            0.5 * (left[L:, :n] + right[L:, :n]))
+            factor.generators_at(mids), right[:K], left[K:L], left[L:, :n], right[L:, :n])
+
+
+def _piece_terms(u_form: tuple, v_form: tuple, w0: np.ndarray, widths: np.ndarray
+                 ) -> np.ndarray:
+    """The integral of u^* w v over each piece, from the two ``_pairing_form`` results.
+
+    u's end state z_u replaces the left factor exp(A_u dx) of
+    ``product_integral``, as y_u^* exp(A_u^* dx) is u's end state.
+    """
+    (Pu, Au, _, zu, _, _), (Pv, Av, yv, _, _, _) = u_form, v_form
+    pieces = _adjoint(Pu) @ w0 @ Pv
+    if Au is None and Av is None:
+        # Neither factor flows: each piece is X dx, with no exponential.
+        return pieces * widths[:, None, None]
+    pieces = _convolution(None if Au is None else _adjoint(Au), pieces, Av, widths)
+    if zu is not None:
+        pieces = _adjoint(zu) @ pieces
+    return pieces if yv is None else pieces @ yv
 
 
 def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
@@ -703,28 +763,38 @@ def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
 class _PairingTable:
     """What a pairing of homogeneous solutions of one build takes from the build alone.
 
-    On piece k of the pairing grid, around ``mids[k]``: ``kernel[k]`` is the
-    block convolution of w's density between the build's generators,
-    ``rights[k]`` the fundamental matrix's right limit at the piece start and
-    ``lefts[k]`` its left limit at the piece end.  At the w-atom
-    ``positions[i]``: ``atom_lefts[i]`` and ``atom_rights[i]`` are the two
-    limits and ``matrices[i]`` the atom.  ``piece_rows`` and ``atom_rows``
+    On piece k of the pairing grid: ``kernel[k]`` is the block convolution
+    of w's density between the build's generators, ``rights[k]`` the
+    fundamental matrix's right limit at the piece start and ``lefts[k]``
+    its left limit at the piece end.  At w-atom i: ``atom_lefts[i]`` and
+    ``atom_rights[i]`` are the two limits and ``matrices[i]`` the atom.  ``piece_rows`` and ``atom_rows``
     give the edge interval each term adds to.  A solution with coefficient
     rows c_j takes U c at each point from the row of the subinterval that
-    holds it, the left and right one at a partition point.
+    holds it: ``rows[k]`` for piece k, and ``atom_left_rows[i]`` and
+    ``atom_right_rows[i]`` for the two limits at atom i, which differ at a
+    partition point.
     """
 
-    mids: np.ndarray
     kernel: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
     piece_rows: np.ndarray
-    positions: np.ndarray
+    rows: np.ndarray
     atom_lefts: np.ndarray
     atom_rights: np.ndarray
     matrices: np.ndarray
     atom_rows: np.ndarray
+    atom_left_rows: np.ndarray
+    atom_right_rows: np.ndarray
     intervals: int
+
+
+def _subinterval_rows(states: _NodeStates, mids: np.ndarray, positions: np.ndarray):
+    """The subinterval (coefficient row) of each piece midpoint, and the ones left
+    and right of each atom position, among the partition points of ``states``."""
+    points = states.nodes[states.starts]
+    return (points.searchsorted(mids) - 1, points.searchsorted(positions) - 1,
+            points.searchsorted(positions, "right") - 1)
 
 
 def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges: np.ndarray) -> _PairingTable:
@@ -737,10 +807,84 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges: np.ndarray) -> 
     K, L = starts.size, starts.size + ends.size
     left, right = states.limits(np.concatenate([starts, ends, positions]))
     A = states.generators_at(mids)
-    arrays = (mids, _convolution(_adjoint(A), w0, A, ends - starts), right[:K], left[K:L],
-              np.searchsorted(edges, mids) - 1, positions, left[L:], right[L:], matrices,
-              np.searchsorted(edges, positions) - 1)
+    rows, atom_left_rows, atom_right_rows = _subinterval_rows(states, mids, positions)
+    arrays = (_convolution(_adjoint(A), w0, A, ends - starts), right[:K], left[K:L],
+              np.searchsorted(edges, mids) - 1, rows, left[L:], right[L:], matrices,
+              np.searchsorted(edges, positions) - 1, atom_left_rows, atom_right_rows)
     return _PairingTable(*map(_freeze, arrays), edges.size - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _RhsTable:
+    """What a pairing of a build's homogeneous solutions with one rhs f over the
+    build's window takes from the build and f alone.
+
+    The grid cuts at the build's nodes and at w's and f's structure.
+    ``pieces[k]`` (n, 1) is the integral of U^* w f over kept piece k, U the
+    fundamental matrix of subinterval ``rows[k]``.  At each w-atom strictly
+    inside the window, ``atom_lefts`` and ``atom_rights`` hold U's two
+    limits, ``loads`` dw f(x), and ``atom_left_rows`` and
+    ``atom_right_rows`` the subintervals of the two limits, which differ
+    only at a partition point.  ``square`` is the integral of f^* w f over
+    the window, with its atoms, and ``intervals`` the number of subintervals.
+    """
+
+    pieces: np.ndarray
+    atom_lefts: np.ndarray
+    atom_rights: np.ndarray
+    loads: np.ndarray
+    rows: np.ndarray
+    atom_left_rows: np.ndarray
+    atom_right_rows: np.ndarray
+    square: float
+    intervals: int
+
+    def integrals(self) -> np.ndarray:
+        """The integral of U_j^* w f over each open subinterval j, (N+1, n, 1).
+
+        The atoms at the partition points are left out; those inside add
+        the balanced value of U.
+        """
+        inside = self.atom_left_rows == self.atom_right_rows
+        atoms = _adjoint(0.5 * (self.atom_lefts[inside] + self.atom_rights[inside])) \
+            @ self.loads[inside]
+        return _interval_sums(self.intervals, self.rows, self.pieces,
+                              self.atom_left_rows[inside], atoms)
+
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, terms): every term of a window pairing, c_{rows[t]}^* terms[t] summed.
+
+        The pieces, then half of each atom limit's U^* dw f.
+        """
+        half = 0.5 * self.loads
+        return (np.concatenate([self.rows, self.atom_left_rows, self.atom_right_rows]),
+                np.concatenate([self.pieces, _adjoint(self.atom_lefts) @ half,
+                                _adjoint(self.atom_rights) @ half]))
+
+
+# A build keeps the rhs tables of this many right-hand sides.
+_RHS_TABLES = 4
+
+
+def _rhs_table(states: _NodeStates, w: MeasureMatrix, f: L2Function) -> _RhsTable:
+    """The rhs table of f against w over the window of a build's fundamental-matrix states.
+
+    The grid, ``limits`` call and stacked _convolution of the general
+    ``_pairings(w, states, f, edges)`` for edges from the build's partition
+    points, whose pieces it returns bit for bit.
+    """
+    edges = states.nodes[[0, -1]]
+    starts, ends, mids, w0, positions, matrices = _pairing_grid(
+        w, edges, [states.nodes, f.structure_points()])
+    widths = ends - starts
+    U = _pairing_form(states, w.n, mids, positions, starts, ends)
+    F = _pairing_form([f], w.n, mids, positions, starts, ends[:0])
+    loads = matrices @ F[4]
+    square = _piece_terms(F, F, w0, widths).sum() + (_adjoint(F[4]) @ loads).sum()
+    arrays = (_piece_terms(U, F, w0, widths), U[4], U[5], loads,
+              *_subinterval_rows(states, mids, positions))
+    return _RhsTable(*map(_freeze, arrays), float(np.real(square)), states.starts.size - 1)
 
 
 def _shared_build(u, v, edges: np.ndarray) -> _NodeStates | None:
@@ -758,17 +902,48 @@ def _table_pairings(table: _PairingTable, u: PiecewiseSolution, v: PiecewiseSolu
     """``_pairings`` of two homogeneous solutions from their build's pairing table."""
     def values(sol):
         # U c at each piece end and the balanced U c at each atom.
-        c, points = sol.coefficients[..., None], sol.points
-        rows = c[points.searchsorted(table.mids) - 1]
-        atoms = 0.5 * (table.atom_lefts @ c[points.searchsorted(table.positions) - 1]
-                       + table.atom_rights @ c[points.searchsorted(table.positions, "right") - 1])
-        return rows, atoms
+        c = sol.coefficients[..., None]
+        atoms = 0.5 * (table.atom_lefts @ c[table.atom_left_rows]
+                       + table.atom_rights @ c[table.atom_right_rows])
+        return c[table.rows], atoms
 
     cu, au = values(u)
     cv, av = (cu, au) if v is u else values(v)
     pieces = _adjoint(table.lefts @ cu) @ table.kernel @ (table.rights @ cv)
     return _interval_sums(table.intervals, table.piece_rows, pieces,
                           table.atom_rows, _adjoint(au) @ (table.matrices @ av))
+
+
+def _rhs_pairings(w: MeasureMatrix, u, v, edges: np.ndarray) -> np.ndarray | None:
+    """``_pairings`` over a build's window of a homogeneous factor and a rhs f
+    tabled on the build (``rhs_table``), in either order; None for any other pair.
+
+    A homogeneous factor is a solution without rhs, whose coefficient rows
+    are c, or a basis from ``_homogeneous_states``, whose c has a column per
+    solution.  The integral of (U c)^* w f is the sum of c^* times the
+    table's terms: one gather of coefficient rows and one stacked matmul,
+    with no grid and no exponential.  In the order f, u the result is its
+    conjugate transpose.
+    """
+    for h, f in ((u, v), (v, u)):
+        if isinstance(h, PiecewiseSolution) and h.rhs is None:
+            states, c = h._homogeneous, h.coefficients[..., None]
+        elif isinstance(h, _HomogeneousStates):
+            states, c = h.build, h.coefficients
+        else:
+            continue
+        nodes = states.nodes
+        if not (isinstance(f, L2Function) and edges.size == 2
+                and edges[0] == nodes[0] and edges[1] == nodes[-1]):
+            continue
+        # Only a table already built is read: the lookup builds no cache.
+        table = vars(states).get("_rhs_cache", {}).get((w, f))
+        if table is None:
+            continue
+        rows, terms = table.terms
+        sums = (_adjoint(c[rows]) @ terms).sum(axis=0)[None]
+        return sums if h is u else _adjoint(sums)
+    return None
 
 
 def _interval_sums(count: int, piece_rows: np.ndarray, pieces: np.ndarray,
@@ -803,36 +978,32 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
     u's end state) and one stacked _convolution cover every interval; two
-    representable factors need no convolution, as neither flows.  Two
-    homogeneous solutions of one build read all of that from the pairing
-    table cached on the build's node states, built by the first such pairing
-    against w over these edges; they add no exponential and no grid of their own.
+    representable factors need no convolution, as neither flows.  A build's
+    node states keep one table per partner, read with no exponential and no
+    grid of their own: two homogeneous solutions of the build read the
+    pairing table, built by their first pairing against w over these edges,
+    and a homogeneous solution or basis of the build pairs over its window
+    with a rhs f from f's rhs table, built by ``moment_vectors``
+    (``_rhs_pairings``).
     """
     edges = np.asarray(edges, dtype=float)
     build = _shared_build(u, v, edges)
     if build is not None:
         return _table_pairings(build.pairing_table(w, edges), u, v)
+    tabled = _rhs_pairings(w, u, v, edges)
+    if tabled is not None:
+        return tabled
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
             else [f] if isinstance(f, L2Function) else f for f in (u, v))
     starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [
         f.nodes if isinstance(f, _NodeStates) else g.structure_points()
         for f in (u, v) for g in (f if isinstance(f, list) else [f])])
 
-    Pu, Au, yu, zu, au = _pairing_form(u, w.n, mids, positions, starts, ends)
-    Pv, Av, yv, _, av = (Pu, Au, yu, zu, au) if v is u else \
-        _pairing_form(v, w.n, mids, positions, starts, ends[:0])
-    pieces = _adjoint(Pu) @ w0 @ Pv
-    if Au is None and Av is None:
-        # Neither factor flows: each piece is X dx, with no exponential.
-        pieces = pieces * (ends - starts)[:, None, None]
-    else:
-        pieces = _convolution(None if Au is None else _adjoint(Au), pieces, Av,
-                              ends - starts)
-        if zu is not None:
-            pieces = _adjoint(zu) @ pieces
-        if yv is not None:
-            pieces = pieces @ yv
-    return _interval_sums(edges.size - 1, np.searchsorted(edges, mids) - 1, pieces,
+    u_form = _pairing_form(u, w.n, mids, positions, starts, ends)
+    v_form = u_form if v is u else _pairing_form(v, w.n, mids, positions, starts, ends[:0])
+    au, av = (0.5 * (form[4] + form[5]) for form in (u_form, v_form))
+    return _interval_sums(edges.size - 1, np.searchsorted(edges, mids) - 1,
+                          _piece_terms(u_form, v_form, w0, ends - starts),
                           np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))
 
 
@@ -858,7 +1029,9 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     Both factors may be balanced solutions or representable functions; atoms
     of w strictly inside the window contribute with balanced values.  Two
     homogeneous solutions of one build pair from the pairing table cached
-    on the build's node states (``_pairings``).
+    on the build's node states, and a homogeneous solution of a build pairs
+    with a rhs whose moments were computed on it from the rhs table cached
+    there, in either order (``_pairings``).
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):

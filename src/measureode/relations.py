@@ -58,7 +58,11 @@ def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     on the build's node states, so the norms of a whole kernel basis take
     exponentials only for the first.
     """
-    value = float(np.real(inner_product(w, u, u, window)))
+    return _norm_from_square(float(np.real(inner_product(w, u, u, window))))
+
+
+def _norm_from_square(value: float) -> float:
+    """A w-norm from its square; tiny negative squares clamp to zero."""
     if value < -1e-12:
         raise ValueError(f"squared norm came out {value}, far below zero")
     return float(np.sqrt(max(value, 0.0)))

@@ -142,7 +142,7 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     """Lift of each column of uhat (nN, K), already in ker B_m^*: (n(N+1), K).
 
     Overlap and post-checks (B c = 0, C c = uhat) are bounded per column and
-    computed block by block from ``b_plus`` and ``u_ends``.
+    computed block by block from ``b_plus``, ``u_ends`` and B's blocks ``_lower``.
     """
     J = bs.problem.J
     n, N = bs.n, bs.N
@@ -150,8 +150,8 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
     blocks = uhat.reshape(N, n, -1)
     # Strip-first formula: coefficients c_1 .. c_N.
     top = -np.linalg.solve(J, b_plus_adj) @ blocks
-    # Strip-last formula: coefficients c_0 .. c_{N-1}.
-    bottom = np.linalg.solve(J, _adjoint(bs.u_ends[:-1]) @ bs.b_plus) @ blocks
+    # Strip-last formula: coefficients c_0 .. c_{N-1}, from the adjoint of B's blocks.
+    bottom = np.linalg.solve(J, _adjoint(bs._lower)) @ blocks
 
     scale = np.maximum(1.0, np.linalg.norm(uhat, axis=0))
     overlap = np.linalg.norm(top[:-1] - bottom[1:], axis=1).max(axis=0)

@@ -24,8 +24,8 @@ from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
 from .propagation import _adjoint, _pairings
-from .relations import (OrthogonalityCertificate, _basis_squares, lagrange_check,
-                        t0_solve_system, weighted_norm)
+from .relations import (OrthogonalityCertificate, _basis_squares, _norm_from_square,
+                        lagrange_check, t0_solve_system)
 from .solutions import (_basis_states, _consistency_bound, _lift_projected,
                         compact_support_solutions, functional_identity_defect, reconstruct,
                         solve_system)
@@ -38,9 +38,9 @@ CERTIFICATE_TRIGGER = 1e-6
 
 
 def _sup_norm(f: L2Function) -> float:
-    norms = [float(np.linalg.norm(v)) for v in f.piece_values]
-    norms += [float(np.linalg.norm(v)) for v in f.atom_value_map().values()]
-    return max(norms, default=0.0)
+    """The largest norm of f's piece values and atom values."""
+    values = np.concatenate([f.piece_values, f.atom_values])
+    return float(np.linalg.norm(values, axis=-1).max())
 
 
 def _rand_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -185,8 +185,10 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     ``kernel`` holds the node states of every homogeneous solution on the
     window as the columns of one matrix-valued factor (``_basis_states``),
     and ``kernel_norms()`` their w-norms.  A solution's "range orthogonal to
-    kernel" row pairs f with all columns in one call; the norms are asked
-    for only then, so a certificate costs no Gram pairing.
+    kernel" row pairs f with all columns in one call and reads f's w-norm,
+    both from f's rhs table on ``bs.states`` (built by ``moment_vectors``);
+    the kernel norms are asked for only then, so a certificate costs no
+    Gram pairing.
     """
     problem = bs.problem
     f = moments.f
@@ -215,7 +217,7 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
 
     worst = 0.0
     if kernel.rights.shape[-1]:
-        norm_f = weighted_norm(problem.w, f, window)
+        norm_f = _norm_from_square(bs.states.rhs_table(problem.w, f).square)
         pairings = np.abs(_pairings(problem.w, f, kernel, window)[0, 0])
         worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
     rows.append(_row(f"{prefix} range orthogonal to kernel [{tag}]", worst, TOL_PAIRING))

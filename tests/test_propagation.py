@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import os
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1020,8 +1021,8 @@ def _exponential_function_pairings(w, u, v, edges):
     n, edges = w.n, np.asarray(edges, dtype=float)
     starts, ends, mids, w0, positions, matrices = propagation._pairing_grid(
         w, edges, [f.structure_points() for f in u + v])
-    Pu, _, _, _, au = propagation._pairing_form(u, n, mids, positions, starts, ends)
-    Pv, _, _, _, av = propagation._pairing_form(v, n, mids, positions, starts, ends)
+    Pu, _, _, _, au, _ = propagation._pairing_form(u, n, mids, positions, starts, ends)
+    Pv, _, _, _, av, _ = propagation._pairing_form(v, n, mids, positions, starts, ends)
     zu, zv = (np.zeros((mids.size, len(f), len(f)), dtype=complex) for f in (u, v))
     kernel = propagation._convolution(zu, Pu.conj().swapaxes(1, 2) @ w0 @ Pv, zv,
                                       ends - starts)
@@ -1194,6 +1195,147 @@ def test_the_pairing_table_lives_and_dies_with_its_build():
     del bs, basis, u, states, table
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def _padded_hyperbolic_system():
+    parsed = load_problem(os.path.join(os.path.dirname(__file__), "data",
+                                       "instance_hyperbolic_padded.json"))
+    inst = SimpleNamespace(problem=parsed.problem, window=parsed.window)
+    return inst, build_system(parsed.problem, parsed.window, parsed.forced_points)
+
+
+def _untabled_copy(f):
+    """An L2Function equal to f but a distinct object, so no build has its table."""
+    return L2Function(f.window, f.breakpoints, f.piece_values,
+                      dict(zip(f.atom_positions.tolist(), f.atom_values)))
+
+
+def _homogeneous_factors(bs):
+    """A reconstructed, a lifted and a compact solution of bs where it has them,
+    and its kernel basis as one factor (``_basis_states``)."""
+    from measureode.solutions import _basis_states, _lift_projected
+    kernel = bs.factors.kernel()
+    factors = [reconstruct(bs, kernel[:, 0]), _basis_states(bs, kernel)]
+    adjoint = bs.reduced_factors.adjoint_kernel()
+    if adjoint.shape[1]:
+        factors.append(reconstruct(bs, _lift_projected(bs, adjoint[:, :1], 1e-8)[:, 0]))
+    factors += compact_support_solutions(bs)[:1]
+    return factors
+
+
+def test_rhs_table_pairings_match_the_general_path():
+    # Each homogeneous factor against a tabled f, in both orders, against the
+    # general path on an equal but untabled copy of f.  The scale is the
+    # Cauchy-Schwarz bound |<u, f>| <= |u|_w |f|_w of each column.
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import _mirrored_family
+    rng = np.random.default_rng(54)
+    systems = _fuzz_systems() + _mirrored_family() + [_padded_hyperbolic_system()]
+    worst, kinds, widest = 0.0, set(), 0
+    for inst, bs in systems:
+        w, window = inst.problem.w, bs.partition.window
+        f = random_f(rng, inst.problem, window)
+        moment_vectors(bs, f)
+        copy = _untabled_copy(f)
+        f_norm = weighted_norm(w, f, window)
+        factors = _homogeneous_factors(bs)
+        widest = max(widest, len(factors))
+        for u in factors:
+            kinds.add(type(u).__name__)
+            assert propagation._rhs_pairings(w, u, f, np.array(window)) is not None
+            assert propagation._rhs_pairings(w, u, copy, np.array(window)) is None
+            u_norms = np.sqrt(np.abs(np.diagonal(
+                propagation._pairings(w, u, u, window)[0])))
+            scale = np.maximum(u_norms * f_norm, np.finfo(float).tiny)
+            got = propagation._pairings(w, u, f, window)[0, :, 0]
+            want = propagation._pairings(w, u, copy, window)[0, :, 0]
+            got_f_first = propagation._pairings(w, f, u, window)[0, 0]
+            want_f_first = propagation._pairings(w, copy, u, window)[0, 0]
+            worst = max(worst, float(np.max(np.abs(got - want) / scale)),
+                        float(np.max(np.abs(got_f_first - want_f_first) / scale)),
+                        float(np.max(np.abs(got_f_first - got.conj()) / scale)))
+    # Some system has all four factors: a lifted and a compact solution too.
+    assert kinds == {"PiecewiseSolution", "_HomogeneousStates"} and widest == 4
+    assert worst <= 1e-13
+
+
+def test_moment_vectors_equal_a_direct_pairing_of_the_fundamental_matrices():
+    # moment_vectors sums f's rhs table per subinterval; the general path on
+    # the build's own states over the partition points gives the same arrays
+    # bit for bit, w-atoms on partition points (jump moments) left out.
+    from test_acceptance import _fuzz_systems
+    from test_block_factors import _mirrored_family
+    rng = np.random.default_rng(55)
+    systems = _fuzz_systems() + _mirrored_family() + [_padded_hyperbolic_system()]
+    problem, _ = _dense_problem(rng)
+    systems.append((SimpleNamespace(problem=problem, window=(-1.0, 1.0)),
+                    build_system(problem, (-1.0, 1.0), (-0.3, 0.1))))
+    on_points = 0
+    for inst, bs in systems:
+        f = random_f(rng, inst.problem, bs.partition.window)
+        mv = moment_vectors(bs, f)
+        direct = propagation._pairings(inst.problem.w, bs.states, f, bs.points)[..., 0]
+        assert np.array_equal(mv.integrals, direct[:-1].reshape(-1))
+        assert np.array_equal(mv.last_integral, direct[-1])
+        on_points += int(np.isin(inst.problem.w.atom_positions, bs.points[1:-1]).sum())
+    assert on_points > 0
+
+
+def test_the_rhs_table_lives_and_dies_with_its_build():
+    inst = random_chain(np.random.default_rng(56), 6, mirrored=True)
+    bs = build_system(inst.problem, inst.window)
+    w, window = inst.problem.w, np.array(inst.window)
+    f = random_f(np.random.default_rng(57), inst.problem, inst.window)
+    copy = _untabled_copy(f)
+    u = compact_support_solutions(bs)[0]
+    moment_vectors(bs, f)
+    moment_vectors(bs, f)
+    states = bs.states
+    (table,) = states._rhs_cache.values()
+    assert states.rhs_table(w, f) is table
+    # An equal but distinct f pairs the general way until its own table is built.
+    assert propagation._rhs_pairings(w, u, f, window) is not None
+    assert propagation._rhs_pairings(w, u, copy, window) is None
+    moment_vectors(bs, copy)
+    assert len(states._rhs_cache) == 2 and states.rhs_table(w, copy) is not table
+    # A homogeneous solution on a span of the build's states finds no table,
+    # and the lookup leaves no cache on the span.
+    U = bs.fundamentals[1]
+    span_solution = PiecewiseSolution(inst.problem, U.states, [np.ones(2)])
+    w_pairing(w, span_solution, f, U.interval)
+    assert all("_rhs_cache" not in vars(V.states) for V in bs.fundamentals)
+    refs = [weakref.ref(states), weakref.ref(table)]
+    del bs, u, states, table, U, span_solution
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_build_keeps_the_rhs_tables_of_its_last_right_hand_sides():
+    inst = random_chain(np.random.default_rng(58), 4)
+    bs = build_system(inst.problem, inst.window)
+    rng = np.random.default_rng(59)
+    fs = [random_f(rng, inst.problem, inst.window) for _ in range(propagation._RHS_TABLES + 1)]
+    for f in fs:
+        moment_vectors(bs, f)
+    assert [key[1] for key in bs.states._rhs_cache] == fs[1:]
+
+
+def test_limits_flow_each_distinct_point_once(monkeypatch):
+    # Repeated off-node points share one flow, and every point reads the
+    # state that flowing all of them in one stack gives, bit for bit.
+    inst = random_chain(np.random.default_rng(60), 5, mirrored=False)
+    states = build_system(inst.problem, inst.window).states
+    xs = np.random.default_rng(61).uniform(*inst.window, 7)
+    repeated = np.concatenate([xs, states.nodes[2:4], xs[::-1], xs[:3]])
+    i = np.searchsorted(states.nodes, repeated)
+    off = states.nodes[np.minimum(i, states.generators.shape[0])] != repeated
+    every = states.flow(i[off] - 1, repeated[off])
+    sizes, flow = [], type(states).flow
+    monkeypatch.setattr(type(states), "flow",
+                        lambda self, k, x: sizes.append(x.size) or flow(self, k, x))
+    left, right = states.limits(repeated)
+    assert off.sum() == 17 and sizes == [7]
+    assert np.array_equal(left[off], every) and np.array_equal(right[off], every)
 
 
 # -- one stacked exponential call per routine ------------------------------------

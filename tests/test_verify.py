@@ -334,3 +334,41 @@ def test_the_propagator_row_fails_exactly_where_a_suite_row_fails():
         assert failing == (not bs.propagator_defect <= TOL_IDENTITY), index
         fired.append(failing)
     assert sum(fired) == 22
+
+
+def test_pairings_with_a_tabled_rhs_take_no_exponential_and_no_grid(count_calls):
+    # Once moment_vectors(bs, f) has built f's rhs table, the functional
+    # identity, a t0 certificate and the rows of a t0 result (certificate or
+    # solution) pair f from it.  A solution's own states are stepped and the
+    # kernel's w-norms are made before counting: neither pairs with f.
+    from measureode import propagation
+    from measureode.blocksystem import moment_vectors
+    from measureode.fuzz import random_f
+    from measureode.relations import OrthogonalityCertificate, t0_solve_system
+    from measureode.solutions import _basis_states, functional_identity_defect
+    from measureode.verify import _t0_result_rows
+    from test_block_factors import _mirrored_family
+    rng = np.random.default_rng(62)
+    expm = count_calls(propagation, "expm")
+    grid = count_calls(propagation, "_pairing_grid")
+    kinds = []
+    for inst, bs in _mirrored_family()[:12]:
+        kernel = _basis_states(bs, bs.factors.kernel())
+        norms = np.ones(kernel.coefficients.shape[-1])
+        adjoint = bs.reduced_factors.adjoint_kernel()
+        for f in (random_f(rng, inst.problem, bs.partition.window),
+                  orthogonal_rhs(rng, bs, 1e-10)):
+            moments = moment_vectors(bs, f)
+            result = t0_solve_system(bs, moments)
+            if not isinstance(result, OrthogonalityCertificate):
+                result._node_states()
+            expm.calls = grid.calls = 0
+            defect = functional_identity_defect(bs, moments, adjoint @ rng.standard_normal(
+                adjoint.shape[1]))
+            again = t0_solve_system(bs, moments)
+            rows = _t0_result_rows(bs, moments, result, kernel, lambda: norms, "t0", "x", 1e-10)
+            assert (expm.calls, grid.calls) == (0, 0)
+            assert defect <= 1e-9 and all(row.passed for row in rows)
+            assert type(again) is type(result)
+            kinds.append(type(result).__name__)
+    assert {"OrthogonalityCertificate", "PiecewiseSolution"} <= set(kinds)
