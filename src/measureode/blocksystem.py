@@ -386,7 +386,8 @@ class BlockSystem:
 
     ``states`` holds the read-only node states of the whole partition, one
     build stepped through every gap, and ``transfers`` the matrices that
-    carry them into each gap; solutions, moment vectors and pairings read
+    carry them through each atom strictly inside a subinterval, at the
+    nodes ``transfer_nodes``; solutions, moment vectors and pairings read
     them, and the fundamental matrices U_0 .. U_N (``fundamentals``, built
     on first read) are views of them.
     ``b_plus`` stacks J + dq/2 at the N interior points,
@@ -400,10 +401,10 @@ class BlockSystem:
     """
 
     def __init__(self, problem: Problem, partition: Partition, states: _NodeStates,
-                 transfers: np.ndarray):
+                 transfers: np.ndarray, transfer_nodes: np.ndarray):
         self.problem = problem
         self.partition = partition
-        self.states, self.transfers = states, transfers
+        self.states, self.transfers, self.transfer_nodes = states, transfers, transfer_nodes
         interior = partition.interior
         n = problem.n
         N = partition.count
@@ -420,7 +421,7 @@ class BlockSystem:
     @cached_property
     def fundamentals(self) -> list[FundamentalMatrix]:
         """U_0 .. U_N, views of ``states`` and ``transfers``."""
-        return _fundamentals(self.problem.J, self.states, self.transfers)
+        return _fundamentals(self.problem.J, self.states, self.transfers, self.transfer_nodes)
 
     @cached_property
     def _lower(self) -> np.ndarray:
@@ -516,10 +517,10 @@ class MomentVectors:
 def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
     """Compute all moments of f that the coupling equation needs.
 
-    The integrals sum f's rhs table on ``bs.states`` per subinterval; the
-    table is built here on first use and kept on the states, so later
+    The integrals sum f's pairing table on ``bs.states`` per subinterval;
+    the table is built here on first use and kept on the states, so later
     pairings of the build's homogeneous solutions with f read it too
-    (``propagation._rhs_pairings``).
+    (``propagation._table_pairings``).
     """
     problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
@@ -531,7 +532,7 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         jump_moments[j] = w.jump(x) @ f.value(x, "balanced")
     jump_moments = jump_moments.reshape(-1)
     # Open subintervals: the w-atoms at the partition points are the jump moments.
-    integrals = bs.states.rhs_table(w, f).integrals()[..., 0]
+    integrals = bs.states.table(w, pts[[0, -1]], f).integrals(N + 1)[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
     coupled = bs._lower @ solved[:N, :, None]
     rhs = jump_moments - coupled.reshape(-1)

@@ -283,10 +283,10 @@ class _NodeStates:
     starts[j] .. starts[j+1] - 1, and the state restarts at its first node
     (from the identity for fundamental matrices, from c_j for a solution).
     A state is a matrix (a fundamental matrix) or a column (a solution's
-    augmented (u, 1)).  The tables of a build's fundamental matrices, the
-    pairing table (``pairing_table``) and a rhs table per right-hand side
-    (``rhs_table``), are built on first use and belong to these states
-    alone: ``replace`` and ``span`` start without them.
+    augmented (u, 1)).  The pairing tables of a build's fundamental
+    matrices, one per weight, edges and partner (``table``), are built on
+    first use and belong to these states alone: ``replace`` and ``span``
+    start without them.
     """
 
     nodes: np.ndarray
@@ -315,41 +315,27 @@ class _NodeStates:
         return expm(self.generators[k] * dx[:, None, None]) @ self.rights[k]
 
     @cached_property
-    def _pairing_cache(self) -> dict:
-        """The last pairing table built on these states, keyed by (w, edges)."""
+    def _tables(self) -> dict:
+        """The pairing tables built on these states, oldest first, keyed by (w, edges, f)."""
         return {}
 
-    def pairing_table(self, w: MeasureMatrix, edges: np.ndarray) -> "_PairingTable":
-        """The pairing table of these fundamental-matrix states over edges against w.
+    def table(self, w: MeasureMatrix, edges, f: L2Function | None = None,
+              integrals: np.ndarray | None = None) -> _PairingTable:
+        """The pairing table over edges against w of these fundamental-matrix states
+        and a partner: the states themselves (f None) or a rhs f.
 
-        Kept until a pairing asks for another weight object or other edges,
-        and freed with the states.
+        Built on first use by ``_pairing_table``, or for an f whose w-atom
+        terms all vanish from ``integrals`` (``_subinterval_table``).  w and
+        f are keys by identity, so two equal but distinct f never share a
+        table; the last four tables are kept, and freed with the states.
         """
-        cache = self._pairing_cache
-        key = (w, tuple(edges.tolist()))
+        cache = self._tables
+        key = _table_key(w, edges, f)
         if key not in cache:
-            cache.clear()
-            cache[key] = _pairing_table(self, w, edges)
-        return cache[key]
-
-    @cached_property
-    def _rhs_cache(self) -> dict:
-        """The rhs tables built on these states, keyed by (w, f), oldest first."""
-        return {}
-
-    def rhs_table(self, w: MeasureMatrix, f: L2Function) -> _RhsTable:
-        """The rhs table of f against w over the window of these fundamental-matrix states.
-
-        Built on first use.  w and f are keys by identity, so two equal but
-        distinct f never share a table; the last ``_RHS_TABLES`` tables are
-        kept, and freed with the states.
-        """
-        cache = self._rhs_cache
-        key = (w, f)
-        if key not in cache:
-            if len(cache) >= _RHS_TABLES:
+            if len(cache) == 4:
                 del cache[next(iter(cache))]
-            cache[key] = _rhs_table(self, w, f)
+            cache[key] = (_pairing_table(self, w, edges, f) if integrals is None
+                          else _subinterval_table(w, edges, f, integrals))
         return cache[key]
 
     def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,8 +374,8 @@ class FundamentalMatrix:
     Normalized to the identity as the right limit at the left endpoint; the
     value attributed to the right endpoint is the left limit there.  All jumps
     strictly inside must be regular.  ``states`` and ``transfers`` (one per
-    interior node) are views of the read-only states and transfers that one
-    build stepped for a whole partition (``_fundamentals``).  ``evaluate``
+    atom inside, in order) are views of the read-only states and transfers
+    that one build stepped for a whole partition (``_fundamentals``).  ``evaluate``
     reads a point off the ends through the matrix's own ``_Sampler``, built
     on the first such read.
     """
@@ -448,12 +434,13 @@ def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarr
 
 
 def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TOL_SING
-                          ) -> tuple[_NodeStates, np.ndarray]:
-    """Node states and transfers of the fundamental matrices between consecutive points.
+                          ) -> tuple[_NodeStates, np.ndarray, np.ndarray]:
+    """Node states and atom transfers of the fundamental matrices between consecutive points.
 
     One stacked expm steps every gap into one set of node states, which
-    restart from the identity at each point; transfers[k] enters gap k (the
-    identity where no atom is, and where a subinterval restarts).
+    restart from the identity at each point.  Returns (states, transfers,
+    inner): transfers[i] carries the states through the atom at node
+    inner[i], for each atom strictly inside a subinterval, in order.
     """
     a, b = problem.interval
     J, q, n = problem.J, problem.q, problem.n
@@ -470,26 +457,28 @@ def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TO
     # The atoms inside a subinterval: one stacked transfer through all of them.
     inside = [k for k in np.flatnonzero(_member(nodes[:-1], atom_pos)).tolist()
               if k not in starts]
-    inner = {}
+    transfers = np.empty((0, n, n), dtype=complex)
     if inside:
         xs = nodes[inside]
-        inner = dict(zip(inside, _transfers(J, atom_mats[np.searchsorted(atom_pos, xs)],
-                                            tol_sing, xs.tolist())))
+        transfers = _transfers(J, atom_mats[np.searchsorted(atom_pos, xs)], tol_sing,
+                               xs.tolist())
+    inner = dict(zip(inside, transfers))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
     generators = _freeze(-_solve_j(J, _pieces_at(q.breakpoints, q.densities, mids)))
     rights, lefts = _carry(generators, np.diff(nodes), starts,
                            lambda k, y: inner[k] @ y if k in inner else y)
     states = _NodeStates(nodes, generators, rights, lefts, _freeze(np.array(firsts)))
-    transfers = _freeze(np.array([inner.get(k, eye) for k in range(nodes.size - 1)]))
-    return states, transfers
+    return states, _freeze(transfers), _freeze(np.array(inside, dtype=int))
 
 
-def _fundamentals(J: np.ndarray, states: _NodeStates, transfers: np.ndarray
-                  ) -> list[FundamentalMatrix]:
+def _fundamentals(J: np.ndarray, states: _NodeStates, transfers: np.ndarray,
+                  inner: np.ndarray) -> list[FundamentalMatrix]:
     """The fundamental matrix on each subinterval of one build: views of its
-    states, and of its transfers at the subinterval's interior nodes."""
-    return [FundamentalMatrix(J, states.span(first, stop), transfers[first + 1:stop])
-            for first, stop in pairwise(states.starts.tolist())]
+    states, and of the transfers through its atoms (at nodes ``inner``)."""
+    cuts = np.searchsorted(inner, states.starts).tolist()
+    return [FundamentalMatrix(J, states.span(first, stop), transfers[a:b])
+            for (first, stop), (a, b) in zip(pairwise(states.starts.tolist()),
+                                              pairwise(cuts))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,7 +526,7 @@ class PiecewiseSolution:
     homogeneous).  Its read-only partition points are the nodes at the
     states' ``starts``.  A homogeneous solution's node states are
     U_j(node+-) c_j, with no exponential of their own, and two homogeneous
-    solutions of the same states pair through the pairing table cached on
+    solutions of the same states pair through a pairing table cached on
     them, from their coefficient rows alone.
     With a rhs the nodes include where w or f change; exponentials of
     [[-J^{-1} q0, J^{-1} w0 f0], [0, 0]], one stacked call, carry (u, 1) from
@@ -761,32 +750,47 @@ def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
 
 @dataclass(frozen=True, eq=False)
 class _PairingTable:
-    """What a pairing of homogeneous solutions of one build takes from the build alone.
+    """What a pairing of a build's homogeneous factors with one partner over
+    given edges against w takes from the build and the partner alone.
 
-    On piece k of the pairing grid: ``kernel[k]`` is the block convolution
-    of w's density between the build's generators, ``rights[k]`` the
-    fundamental matrix's right limit at the piece start and ``lefts[k]``
-    its left limit at the piece end.  At w-atom i: ``atom_lefts[i]`` and
-    ``atom_rights[i]`` are the two limits and ``matrices[i]`` the atom.  ``piece_rows`` and ``atom_rows``
-    give the edge interval each term adds to.  A solution with coefficient
-    rows c_j takes U c at each point from the row of the subinterval that
-    holds it: ``rows[k]`` for piece k, and ``atom_left_rows[i]`` and
-    ``atom_right_rows[i]`` for the two limits at atom i, which differ at a
-    partition point.
+    The partner is the build itself or a rhs f.  A homogeneous factor with
+    coefficient rows c (N+1, n, d) pairs with one with rows c' as the sum
+    over terms t of c[left_rows[t]]^* terms[t] c'[right_rows[t]], and with f
+    as the sum of c[left_rows[t]]^* terms[t] (f is one row of ones, so its
+    right rows are 0); term t adds to interval ``rows[t]``.  The terms come
+    in three runs, each in grid order: the pieces, the integral of U^* w V
+    over each; from ``atoms`` on, one balanced term per w-atom whose two
+    limits lie in one subinterval; from ``splits`` on, at a w-atom on a
+    partition point, the product of each half limit of U with each of V
+    (V one term for f: its value there).  ``square`` is the integral of
+    f^* w f over the edges, with its atoms (None for the build itself).
     """
 
-    kernel: np.ndarray
-    rights: np.ndarray
-    lefts: np.ndarray
-    piece_rows: np.ndarray
+    terms: np.ndarray
+    left_rows: np.ndarray
+    right_rows: np.ndarray
     rows: np.ndarray
-    atom_lefts: np.ndarray
-    atom_rights: np.ndarray
-    matrices: np.ndarray
-    atom_rows: np.ndarray
-    atom_left_rows: np.ndarray
-    atom_right_rows: np.ndarray
+    atoms: int
+    splits: int
     intervals: int
+    square: float | None
+
+    def runs(self, rows: np.ndarray, terms: np.ndarray) -> list:
+        """(rows, terms) of each of the three runs, for ``_interval_sums``."""
+        cuts = (0, self.atoms, self.splits, None)
+        return [(rows[a:b], terms[a:b]) for a, b in pairwise(cuts)]
+
+    def integrals(self, count: int) -> np.ndarray:
+        """The integral of U_j^* w f over each open subinterval j of ``count``, (count, n, 1).
+
+        The pieces and the balanced atom terms summed by subinterval; the
+        split terms, at the partition points, are left to the jump moments.
+        """
+        return _interval_sums(count, *self.runs(self.left_rows, self.terms)[:2])
+
+
+def _table_key(w: MeasureMatrix, edges, f: L2Function | None) -> tuple:
+    return (w, tuple(np.asarray(edges, dtype=float).tolist()), f)
 
 
 def _subinterval_rows(states: _NodeStates, mids: np.ndarray, positions: np.ndarray):
@@ -797,165 +801,122 @@ def _subinterval_rows(states: _NodeStates, mids: np.ndarray, positions: np.ndarr
             points.searchsorted(positions, "right") - 1)
 
 
-def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges: np.ndarray) -> _PairingTable:
-    """The pairing table over edges against w of a build's fundamental-matrix states.
+def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
+                   f: L2Function | None = None) -> _PairingTable:
+    """The pairing table over edges against w of a build's fundamental-matrix
+    states and a partner: the states themselves (f None) or f.
 
-    One ``limits`` call and one stacked _convolution, as a general pairing of
-    two of the build's homogeneous solutions takes, on the same grid.
+    The grid, ``limits`` call and stacked _convolution of one general
+    pairing of the two partners.  With f over the window, the pieces and
+    balanced atom terms are those of the general ``_pairings(w, states, f,
+    edges)`` for edges from the build's partition points, bit for bit.
     """
-    starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [states.nodes])
-    K, L = starts.size, starts.size + ends.size
-    left, right = states.limits(np.concatenate([starts, ends, positions]))
-    A = states.generators_at(mids)
-    rows, atom_left_rows, atom_right_rows = _subinterval_rows(states, mids, positions)
-    arrays = (_convolution(_adjoint(A), w0, A, ends - starts), right[:K], left[K:L],
-              np.searchsorted(edges, mids) - 1, rows, left[L:], right[L:], matrices,
-              np.searchsorted(edges, positions) - 1, atom_left_rows, atom_right_rows)
-    return _PairingTable(*map(_freeze, arrays), edges.size - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class _RhsTable:
-    """What a pairing of a build's homogeneous solutions with one rhs f over the
-    build's window takes from the build and f alone.
-
-    The grid cuts at the build's nodes and at w's and f's structure.
-    ``pieces[k]`` (n, 1) is the integral of U^* w f over kept piece k, U the
-    fundamental matrix of subinterval ``rows[k]``.  At each w-atom strictly
-    inside the window, ``atom_lefts`` and ``atom_rights`` hold U's two
-    limits, ``loads`` dw f(x), and ``atom_left_rows`` and
-    ``atom_right_rows`` the subintervals of the two limits, which differ
-    only at a partition point.  ``square`` is the integral of f^* w f over
-    the window, with its atoms, and ``intervals`` the number of subintervals.
-    """
-
-    pieces: np.ndarray
-    atom_lefts: np.ndarray
-    atom_rights: np.ndarray
-    loads: np.ndarray
-    rows: np.ndarray
-    atom_left_rows: np.ndarray
-    atom_right_rows: np.ndarray
-    square: float
-    intervals: int
-
-    def integrals(self) -> np.ndarray:
-        """The integral of U_j^* w f over each open subinterval j, (N+1, n, 1).
-
-        The atoms at the partition points are left out; those inside add
-        the balanced value of U.
-        """
-        inside = self.atom_left_rows == self.atom_right_rows
-        atoms = _adjoint(0.5 * (self.atom_lefts[inside] + self.atom_rights[inside])) \
-            @ self.loads[inside]
-        return _interval_sums(self.intervals, self.rows, self.pieces,
-                              self.atom_left_rows[inside], atoms)
-
-    @cached_property
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, terms): every term of a window pairing, c_{rows[t]}^* terms[t] summed.
-
-        The pieces, then half of each atom limit's U^* dw f.
-        """
-        half = 0.5 * self.loads
-        return (np.concatenate([self.rows, self.atom_left_rows, self.atom_right_rows]),
-                np.concatenate([self.pieces, _adjoint(self.atom_lefts) @ half,
-                                _adjoint(self.atom_rights) @ half]))
-
-
-# A build keeps the rhs tables of this many right-hand sides.
-_RHS_TABLES = 4
-
-
-def _rhs_table(states: _NodeStates, w: MeasureMatrix, f: L2Function) -> _RhsTable:
-    """The rhs table of f against w over the window of a build's fundamental-matrix states.
-
-    The grid, ``limits`` call and stacked _convolution of the general
-    ``_pairings(w, states, f, edges)`` for edges from the build's partition
-    points, whose pieces it returns bit for bit.
-    """
-    edges = states.nodes[[0, -1]]
-    starts, ends, mids, w0, positions, matrices = _pairing_grid(
-        w, edges, [states.nodes, f.structure_points()])
+    edges = np.asarray(edges, dtype=float)
+    structure = [states.nodes] + ([] if f is None else [f.structure_points()])
+    starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, structure)
     widths = ends - starts
     U = _pairing_form(states, w.n, mids, positions, starts, ends)
-    F = _pairing_form([f], w.n, mids, positions, starts, ends[:0])
-    loads = matrices @ F[4]
-    square = _piece_terms(F, F, w0, widths).sum() + (_adjoint(F[4]) @ loads).sum()
-    arrays = (_piece_terms(U, F, w0, widths), U[4], U[5], loads,
-              *_subinterval_rows(states, mids, positions))
-    return _RhsTable(*map(_freeze, arrays), float(np.real(square)), states.starts.size - 1)
+    rows, lefts, rights = _subinterval_rows(states, mids, positions)
+    one, split = lefts == rights, lefts != rights
+    # At a split atom: U's two half limits, each on its own row, and V's
+    # (one term for f, its value), on axes 1 and 2 of the products.
+    halves = 0.5 * np.stack([U[4][split], U[5][split]], axis=1)
+    half_rows = np.stack([lefts[split], rights[split]], axis=1)
+    if f is None:
+        V, partner_rows, partner, partner_split = U, (rows, lefts[one]), halves, half_rows
+    else:
+        V = _pairing_form([f], w.n, mids, positions, starts, ends[:0])
+        partner_rows = (0 * rows, 0 * lefts[one])
+        partner, partner_split = V[4][split][:, None], 0 * half_rows[:, :1]
+    balanced = _adjoint(0.5 * (U[4][one] + U[5][one])) \
+        @ (matrices[one] @ (0.5 * (V[4][one] + V[5][one])))
+    products = _adjoint(halves)[:, :, None] @ (matrices[split][:, None, None] @ partner[:, None])
+    # Each split atom's products are consecutive, so every run stays in grid order.
+    shape = products.shape[:3]
+    split_left = np.broadcast_to(half_rows[:, :, None], shape).reshape(-1)
+    split_right = np.broadcast_to(partner_split[:, None], shape).reshape(-1)
+    atom_intervals = np.searchsorted(edges, positions) - 1
+    square = None
+    if f is not None:
+        square = float(np.real(_piece_terms(V, V, w0, widths).sum()
+                               + (_adjoint(V[4]) @ (matrices @ V[4])).sum()))
+    return _PairingTable(
+        _freeze(np.concatenate([_piece_terms(U, V, w0, widths), balanced,
+                                products.reshape((-1,) + balanced.shape[1:])])),
+        _freeze(np.concatenate([rows, lefts[one], split_left])),
+        _freeze(np.concatenate([*partner_rows, split_right])),
+        _freeze(np.concatenate([np.searchsorted(edges, mids) - 1, atom_intervals[one],
+                                np.repeat(atom_intervals[split], shape[1] * shape[2])])),
+        mids.size, mids.size + balanced.shape[0], edges.size - 1, square)
 
 
-def _shared_build(u, v, edges: np.ndarray) -> _NodeStates | None:
-    """The node states u and v read if both are homogeneous solutions of them covering edges."""
-    lo, hi = edges[0], edges[-1]
-    if not all(isinstance(f, PiecewiseSolution) and f.rhs is None and f.covers(lo, hi)
-               for f in (u, v)):
-        return None
-    states = u._homogeneous
-    return states if v._homogeneous is states else None
+def _subinterval_table(w: MeasureMatrix, edges, f: L2Function, integrals: np.ndarray
+                       ) -> _PairingTable:
+    """The pairing table over a build's window of an f whose w-atom terms all
+    vanish, from ``integrals`` (N+1, n, 1), the integral of U_j^* w f over
+    each subinterval j: one term per subinterval, and no grid.  ``square``
+    is the closed-form pairing of f with itself."""
+    count = len(integrals)
+    zeros = np.zeros(count, dtype=int)
+    square = float(np.real(_pairings(w, f, f, edges)[0, 0, 0]))
+    return _PairingTable(_freeze(np.array(integrals)), _freeze(np.arange(count)),
+                         _freeze(zeros), _freeze(zeros), count, count, 1, square)
 
 
-def _table_pairings(table: _PairingTable, u: PiecewiseSolution, v: PiecewiseSolution
-                    ) -> np.ndarray:
-    """``_pairings`` of two homogeneous solutions from their build's pairing table."""
-    def values(sol):
-        # U c at each piece end and the balanced U c at each atom.
-        c = sol.coefficients[..., None]
-        atoms = 0.5 * (table.atom_lefts @ c[table.atom_left_rows]
-                       + table.atom_rights @ c[table.atom_right_rows])
-        return c[table.rows], atoms
-
-    cu, au = values(u)
-    cv, av = (cu, au) if v is u else values(v)
-    pieces = _adjoint(table.lefts @ cu) @ table.kernel @ (table.rights @ cv)
-    return _interval_sums(table.intervals, table.piece_rows, pieces,
-                          table.atom_rows, _adjoint(au) @ (table.matrices @ av))
-
-
-def _rhs_pairings(w: MeasureMatrix, u, v, edges: np.ndarray) -> np.ndarray | None:
-    """``_pairings`` over a build's window of a homogeneous factor and a rhs f
-    tabled on the build (``rhs_table``), in either order; None for any other pair.
-
-    A homogeneous factor is a solution without rhs, whose coefficient rows
-    are c, or a basis from ``_homogeneous_states``, whose c has a column per
-    solution.  The integral of (U c)^* w f is the sum of c^* times the
-    table's terms: one gather of coefficient rows and one stacked matmul,
-    with no grid and no exponential.  In the order f, u the result is its
-    conjugate transpose.
-    """
-    for h, f in ((u, v), (v, u)):
-        if isinstance(h, PiecewiseSolution) and h.rhs is None:
-            states, c = h._homogeneous, h.coefficients[..., None]
-        elif isinstance(h, _HomogeneousStates):
-            states, c = h.build, h.coefficients
-        else:
-            continue
-        nodes = states.nodes
-        if not (isinstance(f, L2Function) and edges.size == 2
-                and edges[0] == nodes[0] and edges[1] == nodes[-1]):
-            continue
-        # Only a table already built is read: the lookup builds no cache.
-        table = vars(states).get("_rhs_cache", {}).get((w, f))
-        if table is None:
-            continue
-        rows, terms = table.terms
-        sums = (_adjoint(c[rows]) @ terms).sum(axis=0)[None]
-        return sums if h is u else _adjoint(sums)
+def _homogeneous(factor):
+    """(build states, coefficient rows (N+1, n, d)) of a homogeneous factor of
+    a build, a solution without rhs or a basis from ``_homogeneous_states``;
+    None for any other factor."""
+    if isinstance(factor, PiecewiseSolution) and factor.rhs is None:
+        return factor._homogeneous, factor.coefficients[..., None]
+    if isinstance(factor, _HomogeneousStates):
+        return factor.build, factor.coefficients
     return None
 
 
-def _interval_sums(count: int, piece_rows: np.ndarray, pieces: np.ndarray,
-                   atom_rows: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """Each interval's sum of its pieces, then of its atoms; both row arrays are sorted.
+def _table_pairings(w: MeasureMatrix, u, v, edges: np.ndarray) -> np.ndarray | None:
+    """``_pairings`` from a pairing table of one build; None for a pair no table serves.
 
-    The terms of one interval are a run of equal rows, so each array is
-    summed by one ``reduceat`` over its runs.  An interval with no piece and
-    no atom stays exactly zero.
+    Two homogeneous factors of one build covering the edges read (and on
+    first use build) its table; a homogeneous factor and an f in either
+    order read f's table over the build's window, if one was built (a
+    lookup builds none).  One gather of coefficient rows and one stacked
+    product, with no grid and no exponential; in the order f, u the result
+    is the conjugate transpose.
     """
-    out = np.zeros((count,) + pieces.shape[1:], dtype=complex)
-    for rows, terms in ((piece_rows, pieces), (atom_rows, atoms)):
+    hu, hv = _homogeneous(u), _homogeneous(v)
+    if hu is not None and hv is not None:
+        build = hu[0]
+        if hv[0] is not build or not build.nodes[0] <= edges[0] <= edges[-1] <= build.nodes[-1]:
+            return None
+        return _contract(build.table(w, edges), hu[1], hv[1])
+    for h, f in ((hu, v), (hv, u)):
+        if h is None or not isinstance(f, L2Function):
+            continue
+        table = vars(h[0]).get("_tables", {}).get(_table_key(w, edges, f))
+        if table is None:
+            return None
+        sums = _contract(table, h[1], np.ones((1, 1, 1)))
+        return sums if h is hu else _adjoint(sums)
+    return None
+
+
+def _contract(table: _PairingTable, c: np.ndarray, c_partner: np.ndarray) -> np.ndarray:
+    """Each interval's pairing of the factors with coefficient rows c and
+    c_partner, from the table: the gather-and-contract every table read is."""
+    terms = _adjoint(c[table.left_rows]) @ table.terms @ c_partner[table.right_rows]
+    return _interval_sums(table.intervals, *table.runs(table.rows, terms))
+
+
+def _interval_sums(count: int, *runs) -> np.ndarray:
+    """Each interval's sum of the terms of each (rows, terms) run in turn;
+    every run's rows are sorted.
+
+    The terms of one interval are a run of equal rows, so each run is
+    summed by one ``reduceat``.  An interval with no term stays exactly zero.
+    """
+    out = np.zeros((count,) + runs[0][1].shape[1:], dtype=complex)
+    for rows, terms in runs:
         if rows.size:
             firsts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
             sums = np.add.reduceat(terms, firsts)
@@ -978,19 +939,12 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
     u's end state) and one stacked _convolution cover every interval; two
-    representable factors need no convolution, as neither flows.  A build's
-    node states keep one table per partner, read with no exponential and no
-    grid of their own: two homogeneous solutions of the build read the
-    pairing table, built by their first pairing against w over these edges,
-    and a homogeneous solution or basis of the build pairs over its window
-    with a rhs f from f's rhs table, built by ``moment_vectors``
-    (``_rhs_pairings``).
+    representable factors need no convolution, as neither flows.  Pairings
+    that a build's pairing table serves read it instead, with no
+    exponential and no grid of their own (``_table_pairings``).
     """
     edges = np.asarray(edges, dtype=float)
-    build = _shared_build(u, v, edges)
-    if build is not None:
-        return _table_pairings(build.pairing_table(w, edges), u, v)
-    tabled = _rhs_pairings(w, u, v, edges)
+    tabled = _table_pairings(w, u, v, edges)
     if tabled is not None:
         return tabled
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
@@ -1002,9 +956,11 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     u_form = _pairing_form(u, w.n, mids, positions, starts, ends)
     v_form = u_form if v is u else _pairing_form(v, w.n, mids, positions, starts, ends[:0])
     au, av = (0.5 * (form[4] + form[5]) for form in (u_form, v_form))
-    return _interval_sums(edges.size - 1, np.searchsorted(edges, mids) - 1,
-                          _piece_terms(u_form, v_form, w0, ends - starts),
-                          np.searchsorted(edges, positions) - 1, _adjoint(au) @ (matrices @ av))
+    return _interval_sums(edges.size - 1,
+                          (np.searchsorted(edges, mids) - 1,
+                           _piece_terms(u_form, v_form, w0, ends - starts)),
+                          (np.searchsorted(edges, positions) - 1,
+                           _adjoint(au) @ (matrices @ av)))
 
 
 def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
@@ -1028,10 +984,10 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
 
     Both factors may be balanced solutions or representable functions; atoms
     of w strictly inside the window contribute with balanced values.  Two
-    homogeneous solutions of one build pair from the pairing table cached
-    on the build's node states, and a homogeneous solution of a build pairs
-    with a rhs whose moments were computed on it from the rhs table cached
-    there, in either order (``_pairings``).
+    homogeneous solutions of one build pair from the build's table with
+    itself, cached on its node states, and a homogeneous solution of a
+    build pairs with a rhs whose moments were computed on it from that
+    rhs's table there, in either order (``_table_pairings``).
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):

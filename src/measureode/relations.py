@@ -18,9 +18,9 @@ from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vector
 from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
-from .propagation import PiecewiseSolution, _NodeStates, _pairings, w_pairing
-from .solutions import (_adjoint_kernel_projection, _basis_states, _consistency_bound,
-                        _lift_and_pair, reconstruct, solve_system)
+from .propagation import PiecewiseSolution, w_pairing
+from .solutions import (_adjoint_kernel_projection, _consistency_bound, _lift_and_pair,
+                        reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -54,9 +54,9 @@ def inner_product(w: MeasureMatrix, u, v, window=None) -> complex:
 def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     """Norm induced by the weight; tiny negative squares clamp to zero.
 
-    A homogeneous solution of a block system reads the pairing table cached
-    on the build's node states, so the norms of a whole kernel basis take
-    exponentials only for the first.
+    A homogeneous solution of a block system reads the pairing table of the
+    build with itself, cached on the build's node states, so the norms of a
+    whole kernel basis take exponentials only for the first.
     """
     return _norm_from_square(float(np.real(inner_product(w, u, u, window))))
 
@@ -68,11 +68,20 @@ def _norm_from_square(value: float) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def _basis_squares(bs: BlockSystem, basis: _NodeStates) -> np.ndarray:
-    """Squared w-norms over the window of a basis of homogeneous solutions (``_basis_states``):
-    the diagonal of one Gram pairing, clamped at zero."""
-    gram = _pairings(bs.problem.w, basis, basis, bs.partition.window)[0]
-    return np.maximum(np.real(np.diagonal(gram)), 0.0)
+def _basis_squares(bs: BlockSystem, coefficients: np.ndarray) -> np.ndarray:
+    """Squared w-norms over the window of the homogeneous solutions whose
+    coefficient rows are the columns of ``coefficients`` (n(N+1), d) or
+    (N+1, n, d), clamped at zero.
+
+    The diagonal of their Gram pairing, the sum over the terms t of the
+    build's pairing table of diag(c[r_t]^* T_t c[r'_t]), in one einsum: the
+    d x d Gram is never formed.
+    """
+    table = bs.states.table(bs.problem.w, bs.partition.window)
+    c = coefficients.reshape(bs.N + 1, bs.n, -1)
+    squares = np.einsum("tak,tab,tbk->k", c.conj()[table.left_rows], table.terms,
+                        c[table.right_rows])
+    return np.maximum(np.real(squares), 0.0)
 
 
 @dataclass
@@ -98,14 +107,15 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     """All homogeneous balanced solutions on the window, with w-norms.
 
     Elements whose w-norm vanishes represent the zero class of the weighted
-    space and are flagged degenerate.  The squared norms come from one Gram
-    pairing of the whole basis, clamped at zero (``_basis_squares``).
+    space and are flagged degenerate.  The squared norms are the diagonal
+    of the basis's Gram pairing, read from the build's pairing table and
+    clamped at zero (``_basis_squares``).
     """
     bs = build_system(problem, window, extra_points, tols.sing)
     result = solve_system(bs, tols=tols)
     if not result.kernel_basis:
         return K0Basis([], result.propagator_defect)
-    squares = _basis_squares(bs, _basis_states(bs, result.kernel_coefficients)).tolist()
+    squares = _basis_squares(bs, result.kernel_coefficients).tolist()
     return K0Basis([K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
                     for sol, square in zip(result.kernel_basis, squares)],
                    result.propagator_defect)

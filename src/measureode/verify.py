@@ -159,7 +159,9 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     a component.  On subinterval i a homogeneous solution is U_i c_i, so its
     pairing with the indicator of (i, c) is c_i^* times the integral of
     U_i^* w e_c there: one pairing of the fundamental matrices with the n
-    indicator columns gives them all.
+    indicator columns gives them all.  The same integrals times the piece
+    values give the function's pairing table on ``bs.states``, one term per
+    subinterval, so its moment vectors take no grid and no exponential.
     """
     problem, window, edges, n = bs.problem, bs.partition.window, bs.points, bs.n
     pieces = len(edges) - 1
@@ -174,8 +176,10 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     span = nullspace(gram, tol_rank)
     coeffs = span @ _rand_complex(rng, span.shape[1]) if span.shape[1] else \
         np.zeros(pieces * n, dtype=complex)
-    values = [coeffs[i * n:(i + 1) * n] for i in range(pieces)]
-    return L2Function(window, edges, values, zero_atoms)
+    values = coeffs.reshape(pieces, n)
+    f_perp = L2Function(window, edges, values, zero_atoms)
+    bs.states.table(problem.w, window, f_perp, moments @ values[..., None])
+    return f_perp
 
 
 def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
@@ -186,9 +190,9 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     window as the columns of one matrix-valued factor (``_basis_states``),
     and ``kernel_norms()`` their w-norms.  A solution's "range orthogonal to
     kernel" row pairs f with all columns in one call and reads f's w-norm,
-    both from f's rhs table on ``bs.states`` (built by ``moment_vectors``);
-    the kernel norms are asked for only then, so a certificate costs no
-    Gram pairing.
+    both from f's pairing table on ``bs.states`` (built by
+    ``moment_vectors``, or by ``orthogonal_rhs``); the kernel norms are
+    asked for only then, so a certificate costs no w-norm.
     """
     problem = bs.problem
     f = moments.f
@@ -217,7 +221,7 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
 
     worst = 0.0
     if kernel.rights.shape[-1]:
-        norm_f = _norm_from_square(bs.states.rhs_table(problem.w, f).square)
+        norm_f = _norm_from_square(bs.states.table(problem.w, window, f).square)
         pairings = np.abs(_pairings(problem.w, f, kernel, window)[0, 0])
         worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
     rows.append(_row(f"{prefix} range orthogonal to kernel [{tag}]", worst, TOL_PAIRING))
@@ -231,14 +235,14 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
 
     ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites
     does; ``moments``, when given, are f's.  The homogeneous basis is one
-    factor for both results, and its Gram pairing is made at most once.
+    factor for both results, and its w-norms are read at most once.
     """
     tols = Tolerances(tol_sing, tol_rank, tol_solve)
     kernel = _basis_states(bs, bs.factors.kernel(tol_rank))
 
     @cache
     def kernel_norms() -> np.ndarray:
-        return np.sqrt(_basis_squares(bs, kernel))
+        return np.sqrt(_basis_squares(bs, kernel.coefficients))
 
     if moments is None:
         moments = moment_vectors(bs, f)

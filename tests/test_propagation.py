@@ -201,6 +201,8 @@ def test_fundamental_matrix_wronskian_identity():
         V = U.evaluate(float(x), "left")
         worst = max(worst, float(np.linalg.norm(V.conj().T @ J2 @ V - J2)))
     assert worst <= TOL_IDENTITY
+    # One transfer, through the one atom inside.
+    assert len(U.transfers) == 1
     for T in U.transfers:
         assert np.linalg.norm(T.conj().T @ J2 @ T - J2) <= TOL_IDENTITY
 
@@ -215,14 +217,16 @@ def test_a_build_transfers_through_its_atoms_in_one_stacked_call(count_calls):
     for inst, bs in _fuzz_systems():
         problem, points = inst.problem, bs.points
         stacked.calls = 0
-        states, transfers = propagation._fundamental_matrices(problem, points)
+        states, transfers, inner = propagation._fundamental_matrices(problem, points)
         nodes = states.nodes
         inside = [k for k, x in enumerate(nodes[:-1].tolist())
                   if x in problem.q.atom_positions and x not in points]
         assert stacked.calls == (1 if inside else 0)
-        for k in inside:
+        # Only the atoms inside a subinterval have a transfer, in node order.
+        assert inner.tolist() == inside and len(transfers) == len(inside)
+        for k, transfer in zip(inside, transfers):
             want = propagation.atom_transfer(problem.J, problem.q.jump(nodes[k]))
-            np.testing.assert_array_equal(transfers[k], want)
+            np.testing.assert_array_equal(transfer, want)
         crossed += len(inside)
     assert single.calls == crossed > 0
 
@@ -792,7 +796,27 @@ def test_fundamentals_and_solutions_view_the_partition_states():
         for name in ("nodes", "generators", "rights", "lefts"):
             assert np.shares_memory(getattr(U.states, name), getattr(bs.states, name))
         assert U.states.starts.tolist() == [0, stop - first]
-        assert U.transfers.size and np.shares_memory(U.transfers, bs.transfers)
+    # Every atom of the chain is a partition point: no transfer.
+    assert bs.transfers.shape == (0, 2, 2)
+    # With regular atoms inside two of three subintervals, each fundamental
+    # matrix views the transfers through its own atoms.
+    q = MeasureMatrix((-1.0, 1.0), breakpoints=[-1.0, 0.2, 1.0],
+                      densities=[np.diag([0.4, -0.2]), np.array([[0.0, 0.3], [0.3, 0.0]])],
+                      atoms=[(-0.3, np.diag([0.5, 0.5])), (0.6, np.diag([0.2, -0.1])),
+                             (0.8, np.diag([0.1, 0.3]))])
+    atoms = build_system(Problem(J2, q, MeasureMatrix.zero((-1.0, 1.0), 2)), (-1.0, 1.0),
+                         (0.0, 0.5))
+    assert not atoms.transfers.flags.writeable and len(atoms.transfers) == 3
+    counts = []
+    for U in atoms.fundamentals:
+        counts.append(len(U.transfers))
+        if len(U.transfers):
+            assert np.shares_memory(U.transfers, atoms.transfers)
+        for T, x in zip(U.transfers, q.atom_positions[(q.atom_positions > U.lo)
+                                                      & (q.atom_positions < U.hi)]):
+            assert atoms.states.nodes[atoms.transfer_nodes].tolist().count(x) == 1
+            np.testing.assert_array_equal(T, atom_transfer(J2, q.jump(x)))
+    assert counts == [1, 0, 2]
     kernel = solve_system(bs).kernel_basis[0]
     assert kernel._node_states().generators is kernel._homogeneous.generators
     particular = solve_system(bs, moment_vectors(bs, f)).particular
@@ -1115,6 +1139,12 @@ def test_a_batched_basis_pairs_like_its_solutions_one_by_one():
     assert worst <= 1e-12
 
 
+def _plain(states):
+    """A copy of node states as plain ``_NodeStates``: no pairing table serves them."""
+    return propagation._NodeStates(states.nodes, states.generators, states.rights,
+                                   states.lefts, states.starts)
+
+
 def _other_weight(rng, problem, bs):
     """A weight with atoms on every interior partition point and between them,
     its own pieces inside the window, and one piece where its density is zero."""
@@ -1132,9 +1162,10 @@ def test_homogeneous_pairings_from_the_table_match_the_general_path():
     # Every ordered pair of each kernel basis: against the problem's weight
     # over the window, then against another weight over a sub-window and over
     # several intervals (one edge on its w-atom at a partition point).  The
-    # general path pairs the solutions' own node states, with no table; each
-    # case changes the weight or the edges, so a stale table would show.  The
-    # general path runs once per unordered pair; the exact pairing is Hermitian.
+    # general path pairs plain copies of the solutions' own node states,
+    # which no table serves; each case changes the weight or the edges, so a
+    # stale table would show, and each gets its own table.  The general path
+    # runs once per unordered pair; the exact pairing is Hermitian.
     from test_acceptance import _fuzz_systems
     from test_block_factors import _mirrored_family
     rng = np.random.default_rng(51)
@@ -1147,7 +1178,7 @@ def test_homogeneous_pairings_from_the_table_match_the_general_path():
         cases = [(problem.w, [lo, hi]), (other, [a, b]),
                  (other, np.unique([lo, bs.points[1], b, hi]))]
         solutions = [reconstruct(bs, column) for column in bs.factors.kernel().T]
-        states = [u._node_states() for u in solutions]
+        states = [_plain(u._node_states()) for u in solutions]
         d = len(solutions)
         for w, edges in cases:
             want = np.empty((d, d, len(edges) - 1), dtype=complex)
@@ -1161,8 +1192,9 @@ def test_homogeneous_pairings_from_the_table_match_the_general_path():
                     got = propagation._pairings(w, u, v, edges)[:, 0, 0]
                     worst = max(worst, np.abs(got - want[i, j]).max()
                                 / max(1.0, norms[i] * norms[j]))
-            cache = bs.states._pairing_cache
-            assert list(cache) == [(w, tuple(edges))]
+            cache = bs.states._tables
+            table = cache[(w, tuple(edges), None)]
+            assert table.intervals == len(edges) - 1 and len(cache) <= 4
     assert len(systems) == 240
     assert worst <= 1e-12
 
@@ -1188,9 +1220,9 @@ def test_the_pairing_table_lives_and_dies_with_its_build():
     for u in basis:
         weighted_norm(inst.problem.w, u, inst.window)
     states = bs.states
-    (table,) = states._pairing_cache.values()
+    (table,) = states._tables.values()
     # Spans of the build's states carry no table of their own.
-    assert all("_pairing_cache" not in vars(U.states) for U in bs.fundamentals)
+    assert all("_tables" not in vars(U.states) for U in bs.fundamentals)
     refs = [weakref.ref(states), weakref.ref(table)]
     del bs, basis, u, states, table
     gc.collect()
@@ -1242,8 +1274,8 @@ def test_rhs_table_pairings_match_the_general_path():
         widest = max(widest, len(factors))
         for u in factors:
             kinds.add(type(u).__name__)
-            assert propagation._rhs_pairings(w, u, f, np.array(window)) is not None
-            assert propagation._rhs_pairings(w, u, copy, np.array(window)) is None
+            assert propagation._table_pairings(w, u, f, np.array(window)) is not None
+            assert propagation._table_pairings(w, u, copy, np.array(window)) is None
             u_norms = np.sqrt(np.abs(np.diagonal(
                 propagation._pairings(w, u, u, window)[0])))
             scale = np.maximum(u_norms * f_norm, np.finfo(float).tiny)
@@ -1291,19 +1323,20 @@ def test_the_rhs_table_lives_and_dies_with_its_build():
     moment_vectors(bs, f)
     moment_vectors(bs, f)
     states = bs.states
-    (table,) = states._rhs_cache.values()
-    assert states.rhs_table(w, f) is table
+    (table,) = states._tables.values()
+    assert states.table(w, window, f) is table
     # An equal but distinct f pairs the general way until its own table is built.
-    assert propagation._rhs_pairings(w, u, f, window) is not None
-    assert propagation._rhs_pairings(w, u, copy, window) is None
+    assert propagation._table_pairings(w, u, f, window) is not None
+    assert propagation._table_pairings(w, u, copy, window) is None
     moment_vectors(bs, copy)
-    assert len(states._rhs_cache) == 2 and states.rhs_table(w, copy) is not table
+    assert [key[2] for key in states._tables] == [f, copy]
+    assert states.table(w, window, copy) is not table
     # A homogeneous solution on a span of the build's states finds no table,
     # and the lookup leaves no cache on the span.
     U = bs.fundamentals[1]
     span_solution = PiecewiseSolution(inst.problem, U.states, [np.ones(2)])
     w_pairing(w, span_solution, f, U.interval)
-    assert all("_rhs_cache" not in vars(V.states) for V in bs.fundamentals)
+    assert all("_tables" not in vars(V.states) for V in bs.fundamentals)
     refs = [weakref.ref(states), weakref.ref(table)]
     del bs, u, states, table, U, span_solution
     gc.collect()
@@ -1314,10 +1347,11 @@ def test_a_build_keeps_the_rhs_tables_of_its_last_right_hand_sides():
     inst = random_chain(np.random.default_rng(58), 4)
     bs = build_system(inst.problem, inst.window)
     rng = np.random.default_rng(59)
-    fs = [random_f(rng, inst.problem, inst.window) for _ in range(propagation._RHS_TABLES + 1)]
+    fs = [random_f(rng, inst.problem, inst.window) for _ in range(5)]
     for f in fs:
         moment_vectors(bs, f)
-    assert [key[1] for key in bs.states._rhs_cache] == fs[1:]
+    # Four tables are kept, the oldest dropped first.
+    assert [key[2] for key in bs.states._tables] == fs[1:]
 
 
 def test_limits_flow_each_distinct_point_once(monkeypatch):

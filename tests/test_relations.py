@@ -74,6 +74,78 @@ def test_kernel_K0_with_zero_weight_is_all_degenerate():
     assert all(el.w_norm == 0.0 for el in elements)
 
 
+def test_basis_w_norms_are_the_diagonal_of_a_general_gram_pairing():
+    # The diagonal read of the build's pairing table against the Gram
+    # pairing of the basis's node states on the general path: plain copies
+    # of the states, which no table serves.
+    from measureode import propagation
+    from measureode.relations import _basis_squares
+    from measureode.solutions import _basis_states
+    from test_block_factors import _mirrored_family
+    from test_propagation import _plain
+    systems = _fuzz_systems() + _mirrored_family()
+    worst = 0.0
+    for inst, bs in systems:
+        kernel = bs.factors.kernel()
+        plain = _plain(_basis_states(bs, kernel))
+        gram = propagation._pairings(inst.problem.w, plain, plain, bs.partition.window)[0]
+        want = np.maximum(np.real(np.diagonal(gram)), 0.0)
+        got = _basis_squares(bs, kernel)
+        worst = max(worst, float(np.max(np.abs(got - want)
+                                        / np.maximum(want, np.finfo(float).tiny))))
+    assert len(systems) == 240
+    assert worst <= 1e-13
+
+
+def test_kernel_K0_forms_no_gram_matrix():
+    # Mirrored N = 400 chain, d = 202: a Gram pairing of the basis takes
+    # hundreds of MB; the table and its diagonal read take a few.
+    import tracemalloc
+    inst = fuzz.random_chain(np.random.default_rng(3), 400, 2, True)
+    tracemalloc.start()
+    try:
+        elements = kernel_K0(inst.problem, inst.window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 202
+    assert peak < 32e6
+
+
+def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeypatch):
+    # Each pairing grid is recorded with its caller and the caller's caller.
+    # After moment_vectors has built f's table, kernel_K0 takes one grid, for
+    # the table of its build with itself, and suite_t0 one for that table,
+    # one for orthogonal_rhs's pairing of the fundamental matrices with the
+    # indicators, and one for the closed-form w-norm of f_perp, whose table
+    # comes from that pairing: its moment vectors and pairings take none.
+    import sys
+    from measureode import propagation
+    from measureode.verify import suite_t0
+    grid, callers = propagation._pairing_grid, []
+
+    def recorded(*args):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return grid(*args)
+
+    monkeypatch.setattr(propagation, "_pairing_grid", recorded)
+    rng = np.random.default_rng(63)
+    inst = fuzz.random_chain(rng, 8, 2, True)
+    bs = build_system(inst.problem, inst.window)
+    moments = moment_vectors(bs, fuzz.random_f(rng, inst.problem, inst.window))
+    assert callers == [("_pairing_table", "table")]
+    callers.clear()
+    kernel_K0(inst.problem, inst.window)
+    assert callers == [("_pairing_table", "table")]
+    callers.clear()
+    rows = suite_t0(bs, moments.f, (), rng, "x", TOLS.sing, TOLS.rank, TOLS.solve,
+                    moments=moments)
+    assert any(row.name.startswith("t0 orthogonal rhs range orthogonal") for row in rows)
+    assert sorted(callers) == [("_pairing_table", "table"), ("_pairings", "_subinterval_table"),
+                               ("_pairings", "orthogonal_rhs")]
+
+
 def test_t0_solve_requires_a_right_hand_side(mirror_problem):
     with pytest.raises(MissingRHS):
         t0_solve(mirror_problem, INTERVAL, None)

@@ -117,28 +117,30 @@ def test_non_finite_tolerances_become_failing_rows(tmp_path):
 
 
 def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
-    import measureode.relations as relations
     import measureode.verify as verify
-    solves, bases, grams = [], [], []
+    solves, bases, grams, squares = [], [], [], []
     solve, build, pair = verify.solve_system, verify._basis_states, verify._pairings
+    basis_squares = verify._basis_squares
     monkeypatch.setattr(verify, "solve_system",
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
     monkeypatch.setattr(verify, "_basis_states",
                         lambda *a: bases.append(1) or build(*a))
-    # The suite pairs f with the basis; the basis's w-norms pair it with itself.
-    for module in (verify, relations):
-        monkeypatch.setattr(module, "_pairings",
-                            lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
+    # The suite pairs f with the basis; the basis's w-norms are the diagonal
+    # of its Gram pairing, read from the build's table without a pairing.
+    monkeypatch.setattr(verify, "_pairings",
+                        lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
+    monkeypatch.setattr(verify, "_basis_squares",
+                        lambda *a: squares.append(1) or basis_squares(*a))
     rng = np.random.default_rng(5)
     inst = random_instance(rng)
     rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
                       checks=("t0",), rng=rng)
     assert sum("range orthogonal" in r.name for r in rows) == 2
     # one set of basis states shared by both result checks, no reconstructed
-    # solutions, and one Gram pairing for both results' norms
+    # solutions, no Gram pairing, and one read of the norms for both results
     assert solves == []
     assert len(bases) == 1
-    assert sum(grams) == 1
+    assert sum(grams) == 0 and len(squares) == 1
 
 
 def test_run_suites_computes_each_rhs_s_moment_vectors_once(monkeypatch):
@@ -337,7 +339,7 @@ def test_the_propagator_row_fails_exactly_where_a_suite_row_fails():
 
 
 def test_pairings_with_a_tabled_rhs_take_no_exponential_and_no_grid(count_calls):
-    # Once moment_vectors(bs, f) has built f's rhs table, the functional
+    # Once moment_vectors(bs, f) has built f's pairing table, the functional
     # identity, a t0 certificate and the rows of a t0 result (certificate or
     # solution) pair f from it.  A solution's own states are stepped and the
     # kernel's w-norms are made before counting: neither pairs with f.
