@@ -319,23 +319,24 @@ class _NodeStates:
         """The pairing tables built on these states, oldest first, keyed by (w, edges, f)."""
         return {}
 
-    def table(self, w: MeasureMatrix, edges, f: L2Function | None = None,
-              integrals: np.ndarray | None = None) -> _PairingTable:
+    def table(self, w: MeasureMatrix, edges, f: L2Function | None = None) -> _PairingTable:
         """The pairing table over edges against w of these fundamental-matrix states
         and a partner: the states themselves (f None) or a rhs f.
 
-        Built on first use by ``_pairing_table``, or for an f whose w-atom
-        terms all vanish from ``integrals`` (``_subinterval_table``).  w and
-        f are keys by identity, so two equal but distinct f never share a
-        table; the last four tables are kept, and freed with the states.
+        Built on first use by ``_pairing_table``.  w and f are keys by
+        identity, so two equal but distinct f never share a table.  One
+        table with the states themselves is kept, replaced when a pairing
+        asks for another weight or other edges, beside the last four f
+        tables; all are freed with the states.
         """
         cache = self._tables
         key = _table_key(w, edges, f)
         if key not in cache:
-            if len(cache) == 4:
-                del cache[next(iter(cache))]
-            cache[key] = (_pairing_table(self, w, edges, f) if integrals is None
-                          else _subinterval_table(w, edges, f, integrals))
+            # Each partner kind evicts only its own kind, oldest first.
+            kind = [k for k in cache if (k[2] is None) == (f is None)]
+            if len(kind) == (1 if f is None else 4):
+                del cache[kind[0]]
+            cache[key] = _pairing_table(self, w, edges, f)
         return cache[key]
 
     def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -850,19 +851,6 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
         mids.size, mids.size + balanced.shape[0], edges.size - 1, square)
 
 
-def _subinterval_table(w: MeasureMatrix, edges, f: L2Function, integrals: np.ndarray
-                       ) -> _PairingTable:
-    """The pairing table over a build's window of an f whose w-atom terms all
-    vanish, from ``integrals`` (N+1, n, 1), the integral of U_j^* w f over
-    each subinterval j: one term per subinterval, and no grid.  ``square``
-    is the closed-form pairing of f with itself."""
-    count = len(integrals)
-    zeros = np.zeros(count, dtype=int)
-    square = float(np.real(_pairings(w, f, f, edges)[0, 0, 0]))
-    return _PairingTable(_freeze(np.array(integrals)), _freeze(np.arange(count)),
-                         _freeze(zeros), _freeze(zeros), count, count, 1, square)
-
-
 def _homogeneous(factor):
     """(build states, coefficient rows (N+1, n, d)) of a homogeneous factor of
     a build, a solution without rhs or a basis from ``_homogeneous_states``;
@@ -906,6 +894,15 @@ def _contract(table: _PairingTable, c: np.ndarray, c_partner: np.ndarray) -> np.
     c_partner, from the table: the gather-and-contract every table read is."""
     terms = _adjoint(c[table.left_rows]) @ table.terms @ c_partner[table.right_rows]
     return _interval_sums(table.intervals, *table.runs(table.rows, terms))
+
+
+def _squares(table: _PairingTable, c: np.ndarray) -> np.ndarray:
+    """The diagonal of the pairing of the factor with coefficient rows c
+    (N+1, n, d) with itself, summed over the intervals, (d,): the sum over
+    terms t of diag(c[r_t]^* T_t c[r'_t]), in one einsum, with no d x d
+    product."""
+    return np.einsum("tak,tab,tbk->k", c.conj()[table.left_rows], table.terms,
+                     c[table.right_rows])
 
 
 def _interval_sums(count: int, *runs) -> np.ndarray:

@@ -18,7 +18,7 @@ from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vector
 from .coefficients import MeasureMatrix, Problem, Tolerances
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
-from .propagation import PiecewiseSolution, w_pairing
+from .propagation import PiecewiseSolution, _squares, w_pairing
 from .solutions import (_adjoint_kernel_projection, _consistency_bound, _lift_and_pair,
                         reconstruct, solve_system)
 
@@ -73,14 +73,11 @@ def _basis_squares(bs: BlockSystem, coefficients: np.ndarray) -> np.ndarray:
     coefficient rows are the columns of ``coefficients`` (n(N+1), d) or
     (N+1, n, d), clamped at zero.
 
-    The diagonal of their Gram pairing, the sum over the terms t of the
-    build's pairing table of diag(c[r_t]^* T_t c[r'_t]), in one einsum: the
-    d x d Gram is never formed.
+    The diagonal of their Gram pairing, read from the build's pairing table
+    with itself (``_squares``): the d x d Gram is never formed.
     """
     table = bs.states.table(bs.problem.w, bs.partition.window)
-    c = coefficients.reshape(bs.N + 1, bs.n, -1)
-    squares = np.einsum("tak,tab,tbk->k", c.conj()[table.left_rows], table.terms,
-                        c[table.right_rows])
+    squares = _squares(table, coefficients.reshape(bs.N + 1, bs.n, -1))
     return np.maximum(np.real(squares), 0.0)
 
 

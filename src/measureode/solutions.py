@@ -23,8 +23,7 @@ from .errors import (
     NotInKernel,
 )
 from .functions import L2Function
-from .propagation import (PiecewiseSolution, _adjoint, _homogeneous_states, _NodeStates,
-                          w_pairing)
+from .propagation import PiecewiseSolution, _adjoint, w_pairing
 
 # How far a claimed kernel vector may sit from the computed kernel.
 KERNEL_MEMBERSHIP_TOL = 1e-6
@@ -38,15 +37,6 @@ def reconstruct(bs: BlockSystem, coefficients: np.ndarray,
         raise DimensionMismatch(
             f"expected {bs.n * (bs.N + 1)} stacked coefficients, got {coefficients.size}")
     return PiecewiseSolution(bs.problem, bs.states, coefficients.reshape(-1, bs.n), f)
-
-
-def _basis_states(bs: BlockSystem, coefficients: np.ndarray) -> _NodeStates:
-    """Node states of the homogeneous solutions with stacked coefficients (n(N+1), d).
-
-    One matrix-valued pairing factor with a column per solution, in place
-    of d reconstructed solutions.
-    """
-    return _homogeneous_states(bs.states, coefficients.reshape(bs.N + 1, bs.n, -1))
 
 
 def _consistency_bound(rhs: np.ndarray, tol_solve: float) -> float:

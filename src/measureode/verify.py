@@ -23,12 +23,11 @@ from .coefficients import SUITE_NAMES, Check, Problem, Tolerances
 from .errors import InconsistentLift, LiftEndpointNonzero, NotInKernel
 from .functions import L2Function
 from .fuzz import random_f, random_instance
-from .propagation import _adjoint, _pairings
+from .propagation import _adjoint, _contract, _pairings
 from .relations import (OrthogonalityCertificate, _basis_squares, _norm_from_square,
                         lagrange_check, t0_solve_system)
-from .solutions import (_basis_states, _consistency_bound, _lift_projected,
-                        compact_support_solutions, functional_identity_defect, reconstruct,
-                        solve_system)
+from .solutions import (_consistency_bound, _lift_projected, compact_support_solutions,
+                        functional_identity_defect, reconstruct, solve_system)
 
 TOL_LIFT = 1e-9          # lifted-solution defects
 TOL_FUNCTIONAL = 1e-9    # functional identity, scaled by data size
@@ -159,9 +158,7 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     a component.  On subinterval i a homogeneous solution is U_i c_i, so its
     pairing with the indicator of (i, c) is c_i^* times the integral of
     U_i^* w e_c there: one pairing of the fundamental matrices with the n
-    indicator columns gives them all.  The same integrals times the piece
-    values give the function's pairing table on ``bs.states``, one term per
-    subinterval, so its moment vectors take no grid and no exponential.
+    indicator columns gives them all.
     """
     problem, window, edges, n = bs.problem, bs.partition.window, bs.points, bs.n
     pieces = len(edges) - 1
@@ -176,22 +173,18 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     span = nullspace(gram, tol_rank)
     coeffs = span @ _rand_complex(rng, span.shape[1]) if span.shape[1] else \
         np.zeros(pieces * n, dtype=complex)
-    values = coeffs.reshape(pieces, n)
-    f_perp = L2Function(window, edges, values, zero_atoms)
-    bs.states.table(problem.w, window, f_perp, moments @ values[..., None])
-    return f_perp
+    return L2Function(window, edges, coeffs.reshape(pieces, n), zero_atoms)
 
 
 def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
                     prefix: str, tag: str, tol_rank: float) -> list[Check]:
     """Rows for one t0 result: a certificate's two checks, or a solution's three.
 
-    ``kernel`` holds the node states of every homogeneous solution on the
-    window as the columns of one matrix-valued factor (``_basis_states``),
-    and ``kernel_norms()`` their w-norms.  A solution's "range orthogonal to
-    kernel" row pairs f with all columns in one call and reads f's w-norm,
-    both from f's pairing table on ``bs.states`` (built by
-    ``moment_vectors``, or by ``orthogonal_rhs``); the kernel norms are
+    ``kernel`` holds the coefficient rows (N+1, n, d) of every homogeneous
+    solution on the window as columns, and ``kernel_norms()`` their w-norms.
+    A solution's "range orthogonal to kernel" row pairs all columns with f
+    in one contraction of f's pairing table on ``bs.states`` (built by
+    ``moment_vectors``), and reads f's w-norm there; the kernel norms are
     asked for only then, so a certificate costs no w-norm.
     """
     problem = bs.problem
@@ -220,9 +213,10 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     rows.append(_row(f"{prefix} solvable means orthogonal [{tag}]", proj, CERTIFICATE_TRIGGER))
 
     worst = 0.0
-    if kernel.rights.shape[-1]:
-        norm_f = _norm_from_square(bs.states.table(problem.w, window, f).square)
-        pairings = np.abs(_pairings(problem.w, f, kernel, window)[0, 0])
+    if kernel.shape[-1]:
+        table = bs.states.table(problem.w, window, f)
+        norm_f = _norm_from_square(table.square)
+        pairings = np.abs(_contract(table, kernel, np.ones((1, 1, 1)))[0, :, 0])
         worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
     rows.append(_row(f"{prefix} range orthogonal to kernel [{tag}]", worst, TOL_PAIRING))
     return rows
@@ -235,14 +229,15 @@ def suite_t0(bs, f: L2Function, extra_points, rng: np.random.Generator,
 
     ``bs`` must be built from ``extra_points`` and ``tol_sing``, as run_suites
     does; ``moments``, when given, are f's.  The homogeneous basis is one
-    factor for both results, and its w-norms are read at most once.
+    set of coefficient rows for both results, and its w-norms are read at
+    most once.
     """
     tols = Tolerances(tol_sing, tol_rank, tol_solve)
-    kernel = _basis_states(bs, bs.factors.kernel(tol_rank))
+    kernel = bs.factors.kernel(tol_rank).reshape(bs.N + 1, bs.n, -1)
 
     @cache
     def kernel_norms() -> np.ndarray:
-        return np.sqrt(_basis_squares(bs, kernel.coefficients))
+        return np.sqrt(_basis_squares(bs, kernel))
 
     if moments is None:
         moments = moment_vectors(bs, f)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from measureode import DimensionMismatch, MeasureMatrix, Problem, build_system
+from measureode import DimensionMismatch, MeasureMatrix, Problem, build_system, propagation
 from measureode.coefficients import DEFAULT_TOL_RANK
 from measureode.functions import L2Function
 
@@ -31,6 +31,12 @@ def two_atom_problem(left, right, w_atoms=((0.0, np.eye(2)),)):
 
 def block_system(problem, window=INTERVAL, extra=()):
     return build_system(problem, window, extra)
+
+
+def basis_states(bs, coefficients):
+    """Node states of the homogeneous solutions of bs with stacked coefficients
+    (n(N+1), d): one matrix-valued pairing factor with a column per solution."""
+    return propagation._homogeneous_states(bs.states, coefficients.reshape(bs.N + 1, bs.n, -1))
 
 
 def minimum_norm_solve(matrix, rhs, tol_rank=DEFAULT_TOL_RANK):

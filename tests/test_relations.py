@@ -30,7 +30,8 @@ from measureode.relations import t0_solve_system
 from measureode.solutions import _consistency_bound
 from measureode.verify import TOL_ENDPOINT, orthogonal_rhs
 
-from conftest import INTERVAL, J2, SWAP2, block_system, minimum_norm_solve, two_atom_problem
+from conftest import (INTERVAL, J2, SWAP2, basis_states, block_system, minimum_norm_solve,
+                      two_atom_problem)
 from test_acceptance import _fuzz_systems
 from test_cli import DATA
 
@@ -80,14 +81,13 @@ def test_basis_w_norms_are_the_diagonal_of_a_general_gram_pairing():
     # of the states, which no table serves.
     from measureode import propagation
     from measureode.relations import _basis_squares
-    from measureode.solutions import _basis_states
     from test_block_factors import _mirrored_family
     from test_propagation import _plain
     systems = _fuzz_systems() + _mirrored_family()
     worst = 0.0
     for inst, bs in systems:
         kernel = bs.factors.kernel()
-        plain = _plain(_basis_states(bs, kernel))
+        plain = _plain(basis_states(bs, kernel))
         gram = propagation._pairings(inst.problem.w, plain, plain, bs.partition.window)[0]
         want = np.maximum(np.real(np.diagonal(gram)), 0.0)
         got = _basis_squares(bs, kernel)
@@ -117,8 +117,8 @@ def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeyp
     # After moment_vectors has built f's table, kernel_K0 takes one grid, for
     # the table of its build with itself, and suite_t0 one for that table,
     # one for orthogonal_rhs's pairing of the fundamental matrices with the
-    # indicators, and one for the closed-form w-norm of f_perp, whose table
-    # comes from that pairing: its moment vectors and pairings take none.
+    # indicators, and one for f_perp's table, built by its moment vectors:
+    # f_perp's w-norm and its pairings with the basis take none.
     import sys
     from measureode import propagation
     from measureode.verify import suite_t0
@@ -142,7 +142,7 @@ def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeyp
     rows = suite_t0(bs, moments.f, (), rng, "x", TOLS.sing, TOLS.rank, TOLS.solve,
                     moments=moments)
     assert any(row.name.startswith("t0 orthogonal rhs range orthogonal") for row in rows)
-    assert sorted(callers) == [("_pairing_table", "table"), ("_pairings", "_subinterval_table"),
+    assert sorted(callers) == [("_pairing_table", "table"), ("_pairing_table", "table"),
                                ("_pairings", "orthogonal_rhs")]
 
 

@@ -117,16 +117,18 @@ def test_non_finite_tolerances_become_failing_rows(tmp_path):
 
 
 def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
+    import measureode.propagation as propagation
     import measureode.verify as verify
     solves, bases, grams, squares = [], [], [], []
-    solve, build, pair = verify.solve_system, verify._basis_states, verify._pairings
+    solve, states, pair = verify.solve_system, propagation._homogeneous_states, verify._pairings
     basis_squares = verify._basis_squares
     monkeypatch.setattr(verify, "solve_system",
                         lambda *a, **k: solves.append(1) or solve(*a, **k))
-    monkeypatch.setattr(verify, "_basis_states",
-                        lambda *a: bases.append(1) or build(*a))
-    # The suite pairs f with the basis; the basis's w-norms are the diagonal
-    # of its Gram pairing, read from the build's table without a pairing.
+    monkeypatch.setattr(propagation, "_homogeneous_states",
+                        lambda *a: bases.append(1) or states(*a))
+    # The suite pairs f with the basis from f's table; the basis's w-norms
+    # are the diagonal of its Gram pairing, read from the build's table
+    # without a pairing.
     monkeypatch.setattr(verify, "_pairings",
                         lambda w, u, v, edges: grams.append(u is v) or pair(w, u, v, edges))
     monkeypatch.setattr(verify, "_basis_squares",
@@ -136,10 +138,11 @@ def test_suite_t0_builds_the_homogeneous_basis_once_per_rhs(monkeypatch):
     rows = run_suites(inst.problem, inst.window, inst.f, inst.extra_points,
                       checks=("t0",), rng=rng)
     assert sum("range orthogonal" in r.name for r in rows) == 2
-    # one set of basis states shared by both result checks, no reconstructed
-    # solutions, no Gram pairing, and one read of the norms for both results
+    # one set of coefficient rows shared by both result checks, no node
+    # states of the basis, no reconstructed solutions, no Gram pairing, and
+    # one read of the norms for both results
     assert solves == []
-    assert len(bases) == 1
+    assert bases == []
     assert sum(grams) == 0 and len(squares) == 1
 
 
@@ -347,7 +350,7 @@ def test_pairings_with_a_tabled_rhs_take_no_exponential_and_no_grid(count_calls)
     from measureode.blocksystem import moment_vectors
     from measureode.fuzz import random_f
     from measureode.relations import OrthogonalityCertificate, t0_solve_system
-    from measureode.solutions import _basis_states, functional_identity_defect
+    from measureode.solutions import functional_identity_defect
     from measureode.verify import _t0_result_rows
     from test_block_factors import _mirrored_family
     rng = np.random.default_rng(62)
@@ -355,8 +358,8 @@ def test_pairings_with_a_tabled_rhs_take_no_exponential_and_no_grid(count_calls)
     grid = count_calls(propagation, "_pairing_grid")
     kinds = []
     for inst, bs in _mirrored_family()[:12]:
-        kernel = _basis_states(bs, bs.factors.kernel())
-        norms = np.ones(kernel.coefficients.shape[-1])
+        kernel = bs.factors.kernel().reshape(bs.N + 1, bs.n, -1)
+        norms = np.ones(kernel.shape[-1])
         adjoint = bs.reduced_factors.adjoint_kernel()
         for f in (random_f(rng, inst.problem, bs.partition.window),
                   orthogonal_rhs(rng, bs, 1e-10)):
