@@ -49,6 +49,17 @@ def _as_square(matrix, n: int | None, what: str) -> np.ndarray:
     return m
 
 
+def _as_squares(matrices, n: int, what: str) -> np.ndarray:
+    """``_as_square`` of each matrix, stacked (K, n, n) in one pass; one by one if that fails."""
+    try:
+        stack = np.array(matrices, dtype=complex)
+        if stack.shape[1:] == (n, n) and np.isfinite(stack.view(float)).all():
+            return stack
+    except (ValueError, TypeError):
+        pass
+    return np.stack([_as_square(m, n, what) for m in matrices])
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -132,14 +143,14 @@ class MeasureMatrix:
             raise ValueError("breakpoints must be strictly increasing")
         if densities is None or len(densities) != bp.size - 1:
             raise DimensionMismatch("need one density per gap between breakpoints")
-        dens = np.stack([_as_square(d, self._n, "density") for d in densities])
+        dens = _as_squares(densities, self._n, "density")
 
         positions = np.asarray([x for x, _ in atoms], dtype=float)
         if positions.size and not np.all(np.diff(positions) > 0):
             raise ValueError("atom positions must be strictly increasing and distinct")
         if positions.size and (positions[0] <= a or positions[-1] >= b):
             raise OutOfInterval("atom positions must lie strictly inside the interval")
-        mats = np.stack([_as_square(m, self._n, "atom matrix") for _, m in atoms]) \
+        mats = _as_squares([m for _, m in atoms], self._n, "atom matrix") \
             if atoms else np.zeros((0, self._n, self._n), dtype=complex)
 
         self._breakpoints = _freeze(bp)

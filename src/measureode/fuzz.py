@@ -31,7 +31,7 @@ def hermitize(matrix: np.ndarray) -> np.ndarray:
 
 def _clip_norm(matrix: np.ndarray, bound: float) -> np.ndarray:
     """Rescale so the spectral norm does not exceed ``bound``."""
-    top = float(np.linalg.norm(matrix, 2))
+    top = float(np.linalg.svd(matrix, compute_uv=False)[0])
     if top <= bound:
         return matrix
     return matrix * (bound / top)

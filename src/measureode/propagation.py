@@ -212,8 +212,10 @@ def atom_transfer(J: np.ndarray, dq: np.ndarray, tol_sing: float = DEFAULT_TOL_S
 # at most theta^(P+1) e^theta / (P+1)! ||Y(xi)||_1 = 2.2e-17 ||Y(xi)||_1.
 _TAYLOR_THETA = 1.0
 _TAYLOR_DEGREE = 18
-# Real, as the terms are read through their real view.
+# Real, as the terms are read through their real view; a read views its dot
+# back as _COMPLEX, a dtype built once instead of converted on every read.
 _TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=float)
+_COMPLEX = np.dtype(complex)
 
 
 class _Sampler:
@@ -223,9 +225,10 @@ class _Sampler:
     whole fundamental matrix.  ``starts`` and ``widths`` (tuples of floats)
     are the Taylor table's sub-gaps, gap k of width h_k split into max(1,
     ceil(||G_k||_1 h_k / theta)); ``nodes[s]`` is the interior node at
-    starts[s], else 0.  ``terms[s, j]``, the real view of the values of
-    (delta_s G)^j Y(starts[s]) / j!, is power-major and contiguous; ``lefts``
-    and ``rights`` hold the values of the node limits.
+    starts[s], else 0.  ``terms[s]``, the real view of the values of
+    (delta_s G)^j Y(starts[s]) / j!, is sub-gap s's contiguous row, which the
+    factor's ``evaluate`` dots with r^j (r in [0, 1)); ``lefts`` and
+    ``rights`` hold the values of the node limits.
     """
 
     def __init__(self, states: _NodeStates, n: int):
@@ -246,24 +249,18 @@ class _Sampler:
             terms.append(steps @ terms[-1] / j)
         self.starts, self.widths = tuple(starts.tolist()), tuple(delta.tolist())
         self.nodes = tuple(np.where(offset == 0, gap, 0).tolist())
-        self.terms = _freeze(np.ascontiguousarray(_head(np.stack(terms, axis=1), n)).view(float))
+        rows = np.ascontiguousarray(_head(np.stack(terms, axis=1), n)).view(float)
+        self.terms = tuple(_freeze(rows))
         self.lefts, self.rights = _head(states.lefts, n), _head(states.rights, n)
 
-    def at(self, x: float, side: str) -> np.ndarray:
-        """Values at a float x strictly inside the window, after one ``bisect``.
-
-        A stored limit at an interior node, else one real power vector (r in
-        [0, 1)) and one real dot.
-        """
-        s = bisect_right(self.starts, x) - 1
-        start, i = self.starts[s], self.nodes[s]
-        if i and x == start:
-            if side == "left":
-                return self.lefts[i - 1]
-            if side == "right":
-                return self.rights[i]
-            return 0.5 * (self.lefts[i - 1] + self.rights[i])
-        return (((x - start) / self.widths[s]) ** _TAYLOR_POWERS).dot(self.terms[s]).view(complex)
+    def limit(self, s: int, side: str) -> np.ndarray:
+        """The stored limit on one side of the interior node at starts[s]."""
+        i = self.nodes[s]
+        if side == "left":
+            return self.lefts[i - 1]
+        if side == "right":
+            return self.rights[i]
+        return 0.5 * (self.lefts[i - 1] + self.rights[i])
 
 
 def _head(states: np.ndarray, n: int) -> np.ndarray:
@@ -406,13 +403,17 @@ class FundamentalMatrix:
         x = float(x)
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
+        if self.lo < x < self.hi:
+            t = self._sampler
+            s = bisect_right(t.starts, x) - 1
+            start = t.starts[s]
+            if x == start and t.nodes[s]:
+                return t.limit(s, side).reshape(self.J.shape)
+            return (((x - start) / t.widths[s]) ** _TAYLOR_POWERS).dot(t.terms[s]).view(
+                _COMPLEX).reshape(self.J.shape)
         if not (self.lo <= x <= self.hi):
             raise OutOfInterval(f"{x} is outside [{self.lo}, {self.hi}]")
-        if x == self.lo:
-            return self.states.rights[0]
-        if x == self.hi:
-            return self.states.lefts[-1]
-        return self._sampler.at(x, side).reshape(self.J.shape)
+        return self.states.rights[0] if x == self.lo else self.states.lefts[-1]
 
     def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
         return self.evaluate(x, side)
@@ -424,14 +425,12 @@ def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarr
     One stacked expm steps every gap.  Gap k starts from starts[k] where that
     is given, else from jump(k, y), y being the left limit that ends gap k - 1.
     """
-    steps = expm(generators * widths[:, None, None])
-    rights = np.empty(steps.shape[:1] + starts[0].shape, dtype=complex)
-    lefts = np.empty_like(rights)
-    for k, step in enumerate(steps):
+    rights, lefts = [], []
+    for k, step in enumerate(expm(generators * widths[:, None, None])):
         y = starts[k] if k in starts else jump(k, y)
-        rights[k] = y
-        y = lefts[k] = step @ y
-    return _freeze(rights), _freeze(lefts)
+        rights.append(y)
+        lefts.append(y := step @ y)
+    return _freeze(np.array(rights)), _freeze(np.array(lefts))
 
 
 def _fundamental_matrices(problem: Problem, points, tol_sing: float = DEFAULT_TOL_SING
@@ -576,7 +575,7 @@ class PiecewiseSolution:
         if f is None:
             self._states = _homogeneous_states(homogeneous, self.coefficients[..., None])
             return self._states
-        q, w = problem.q, problem.w
+        J, q, w = problem.J, problem.q, problem.w
         _check_rhs(f, *self.window)
         nodes = self.structure_points()
         nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
@@ -585,22 +584,25 @@ class PiecewiseSolution:
         generators[:, :n, :n] = homogeneous.generators_at(mids)
         loads = (_pieces_at(w.breakpoints, w.densities, mids)
                  @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
-        generators[:, :n, n:] = _solve_j(problem.J, loads)
-        atoms = _member(nodes, q.atom_positions) | _member(nodes, w.atom_positions)
+        generators[:, :n, n:] = _solve_j(J, loads)
         firsts = np.searchsorted(nodes, self.points)
         # At a partition point the coupling equation holds the jump.
         starts = {k: np.append(c, 1.0)[:, None]
                   for k, c in zip(firsts[:-1].tolist(), self.coefficients)}
+        # The jump data at each atom node, looked up once: (J + dq/2, J - dq/2, dw f).
+        jumps, atoms = {}, _member(nodes, q.atom_positions) | _member(nodes, w.atom_positions)
+        atoms[firsts] = False
+        for k, x in zip(np.flatnonzero(atoms).tolist(), nodes[atoms].tolist()):
+            dq, load = q.jump(x), w.jump(x) @ f.value(x, "balanced")
+            if dq.any() or load.any():
+                jumps[k] = (J + 0.5 * dq, J - 0.5 * dq, load)
 
         def jump(k, y):
-            if not atoms[k]:
+            if k not in jumps:
                 return y
-            x = float(nodes[k])
-            load = w.jump(x) @ f.value(x, "balanced")
-            if not (q.jump(x).any() or load.any()):
-                return y
-            u = np.linalg.solve(problem.b_plus(x), problem.b_minus(x) @ y[:n, 0] + load)
-            return np.vstack([u[:, None], y[n:]])
+            b_plus, b_minus, load = jumps[k]
+            return np.concatenate([np.linalg.solve(b_plus, b_minus @ y[:n, 0] + load)[:, None],
+                                   y[n:]])
 
         rights, lefts = _carry(generators, np.diff(nodes), starts, jump)
         self._states = _NodeStates(nodes, _freeze(generators), rights, lefts, _freeze(firsts))
@@ -615,17 +617,22 @@ class PiecewiseSolution:
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
         lo, hi = self.window
+        if lo < x < hi:
+            t = self._sampler
+            s = bisect_right(t.starts, x) - 1
+            start = t.starts[s]
+            if x == start and t.nodes[s]:
+                return t.limit(s, side)
+            return (((x - start) / t.widths[s]) ** _TAYLOR_POWERS).dot(t.terms[s]).view(_COMPLEX)
         if not (lo <= x <= hi):
             raise OutOfInterval(f"{x} is outside the solution window [{lo}, {hi}]")
         if x == lo:
             if side == "left":
                 raise OutOfInterval("no left limit at the window start")
             return self._node_states().rights[0, :self.n, 0]
-        if x == hi:
-            if side == "right":
-                raise OutOfInterval("no right limit at the window end")
-            return self._node_states().lefts[-1, :self.n, 0]
-        return self._sampler.at(x, side)
+        if side == "right":
+            raise OutOfInterval("no right limit at the window end")
+        return self._node_states().lefts[-1, :self.n, 0]
 
     def evaluate_many(self, xs) -> np.ndarray:
         """Balanced values (len(xs), n) at every point of xs.
@@ -817,38 +824,37 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
     starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, structure)
     widths = ends - starts
     U = _pairing_form(states, w.n, mids, positions, starts, ends)
+    V = U if f is None else _pairing_form([f], w.n, mids, positions, starts, ends[:0])
     rows, lefts, rights = _subinterval_rows(states, mids, positions)
-    one, split = lefts == rights, lefts != rights
-    # At a split atom: U's two half limits, each on its own row, and V's
-    # (one term for f, its value), on axes 1 and 2 of the products.
-    halves = 0.5 * np.stack([U[4][split], U[5][split]], axis=1)
-    half_rows = np.stack([lefts[split], rights[split]], axis=1)
-    if f is None:
-        V, partner_rows, partner, partner_split = U, (rows, lefts[one]), halves, half_rows
-    else:
-        V = _pairing_form([f], w.n, mids, positions, starts, ends[:0])
-        partner_rows = (0 * rows, 0 * lefts[one])
-        partner, partner_split = V[4][split][:, None], 0 * half_rows[:, :1]
-    balanced = _adjoint(0.5 * (U[4][one] + U[5][one])) \
-        @ (matrices[one] @ (0.5 * (V[4][one] + V[5][one])))
-    products = _adjoint(halves)[:, :, None] @ (matrices[split][:, None, None] @ partner[:, None])
-    # Each split atom's products are consecutive, so every run stays in grid order.
-    shape = products.shape[:3]
-    split_left = np.broadcast_to(half_rows[:, :, None], shape).reshape(-1)
-    split_right = np.broadcast_to(partner_split[:, None], shape).reshape(-1)
     atom_intervals = np.searchsorted(edges, positions) - 1
+    # (terms, left rows, right rows, intervals) of each run; f's rows are all 0.
+    self_rows = 1 if f is None else 0
+    runs = [(_piece_terms(U, V, w0, widths), rows, self_rows * rows,
+             np.searchsorted(edges, mids) - 1)]
+    one, split = lefts == rights, lefts != rights
+    if one.any():
+        runs.append((_adjoint(0.5 * (U[4][one] + U[5][one]))
+                     @ (matrices[one] @ (0.5 * (V[4][one] + V[5][one]))),
+                     lefts[one], self_rows * lefts[one], atom_intervals[one]))
+    if split.any():
+        # U's two half limits, each on its own row, and V's (f's value), on axes
+        # 1 and 2; each atom's products are consecutive, so the run keeps grid order.
+        halves = 0.5 * np.stack([U[4][split], U[5][split]], axis=1)
+        half_rows = np.stack([lefts[split], rights[split]], axis=1)
+        partner, partner_rows = (halves, half_rows) if f is None \
+            else (V[4][split][:, None], 0 * half_rows[:, :1])
+        terms = _adjoint(halves)[:, :, None] @ (matrices[split][:, None, None] @ partner[:, None])
+        shape = terms.shape[:3]
+        runs.append((terms.reshape((-1,) + terms.shape[3:]),
+                     np.broadcast_to(half_rows[:, :, None], shape).reshape(-1),
+                     np.broadcast_to(partner_rows[:, None], shape).reshape(-1),
+                     np.repeat(atom_intervals[split], shape[1] * shape[2])))
     square = None
     if f is not None:
         square = float(np.real(_piece_terms(V, V, w0, widths).sum()
                                + (_adjoint(V[4]) @ (matrices @ V[4])).sum()))
-    return _PairingTable(
-        _freeze(np.concatenate([_piece_terms(U, V, w0, widths), balanced,
-                                products.reshape((-1,) + balanced.shape[1:])])),
-        _freeze(np.concatenate([rows, lefts[one], split_left])),
-        _freeze(np.concatenate([*partner_rows, split_right])),
-        _freeze(np.concatenate([np.searchsorted(edges, mids) - 1, atom_intervals[one],
-                                np.repeat(atom_intervals[split], shape[1] * shape[2])])),
-        mids.size, mids.size + balanced.shape[0], edges.size - 1, square)
+    return _PairingTable(*(_freeze(np.concatenate(parts)) for parts in zip(*runs)), mids.size,
+                         mids.size + int(one.sum()), edges.size - 1, square)
 
 
 def _homogeneous(factor):

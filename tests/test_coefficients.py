@@ -12,7 +12,7 @@ from measureode import (
     Problem,
     validate,
 )
-from measureode.coefficients import _member, _union
+from measureode.coefficients import _as_square, _member, _union
 
 IV = (-1.0, 1.0)
 EYE2 = np.eye(2, dtype=complex)
@@ -93,6 +93,31 @@ def test_measure_rejects_bad_data():
         MeasureMatrix.from_atoms(IV, 2, [(0.0, np.full((2, 2), np.nan))])
     with pytest.raises(DimensionMismatch):
         MeasureMatrix(IV, n=2, densities=[np.eye(3)])
+
+
+def test_densities_and_atoms_are_checked_in_one_pass_with_the_same_messages():
+    # The stacked check keeps the per-matrix messages, naming the first
+    # matrix that fails, and stores what the per-matrix conversion gave.
+    bad = {"a 2x3 matrix": np.ones((2, 3)), "a 3x3 matrix": np.eye(3),
+           "a vector": np.ones(2), "a NaN": np.array([[1.0, np.nan], [0.0, 1.0]]),
+           "an inf": np.array([[1.0, 0.0], [np.inf, 1.0]])}
+    for what, matrix in bad.items():
+        for matrices in ([EYE2, matrix], [matrix, np.eye(3)]):
+            try:
+                _as_square(matrices[0], 2, "density")
+                _as_square(matrices[1], 2, "density")
+            except (DimensionMismatch, ValueError) as exc:
+                expected = (type(exc), str(exc))
+            with pytest.raises(expected[0]) as density:
+                MeasureMatrix(IV, n=2, breakpoints=[-1.0, 0.0, 1.0], densities=matrices)
+            assert (density.type, str(density.value)) == expected, what
+            with pytest.raises(expected[0]) as atom:
+                MeasureMatrix(IV, n=2, atoms=[(-0.5, matrices[0]), (0.5, matrices[1])])
+            assert str(atom.value) == expected[1].replace("density", "atom matrix"), what
+    ints = [[[1, 2], [3, 4]], np.eye(2, dtype=int)]
+    m = MeasureMatrix(IV, breakpoints=[-1.0, 0.0, 1.0], densities=ints, atoms=[(0.5, ints[0])])
+    assert m.densities.dtype == complex and m.atom_matrices.dtype == complex
+    assert np.array_equal(m.densities, np.stack([np.asarray(d, dtype=complex) for d in ints]))
 
 
 def test_measures_are_frozen():

@@ -660,6 +660,58 @@ def test_reads_at_the_window_ends_build_no_sampler(count_calls):
     assert expm.calls == 0 and sampler.calls == 0
 
 
+def test_an_invalid_side_raises_before_any_read_for_both_factor_kinds():
+    # The side is checked before the interior read, so a bad side raises
+    # ValueError inside the window (off and on the nodes, with or without a
+    # sampler) as at its ends.
+    problem, f = _dense_problem(np.random.default_rng(42))
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    for factor in (_solutions_of(bs, f)[0], bs.fundamentals[0]):
+        lo, hi = factor.window if isinstance(factor, PiecewiseSolution) else factor.interval
+        points = [0.5 * (lo + hi), -0.7, -0.3, lo, hi]
+        for built in (False, True):
+            for x in points:
+                with pytest.raises(ValueError, match="side must be one of"):
+                    factor.evaluate(x, "middle")
+            assert ("_sampler" in vars(factor)) == built
+            factor.evaluate(points[0])
+
+
+def test_node_states_step_each_atom_by_the_jump_rule():
+    # A solution with a rhs, w-atoms inside its subintervals and regular
+    # q-atoms: at every atom node inside a subinterval the right limit is
+    # (J + dq/2)^{-1} ((J - dq/2) u- + dw f(x)), from the node's left limit,
+    # and elsewhere it is the left limit itself; across each gap the state
+    # flows by the exponential of its generator.
+    problem, f = _dense_problem(np.random.default_rng(42))
+    bs = build_system(problem, (-1.0, 1.0), (0.1,))
+    sol = _solutions_of(bs, f)[0]
+    states, n, J = sol._node_states(), sol.n, problem.J
+    q, w = problem.q, problem.w
+    nodes, firsts = states.nodes, set(states.starts.tolist())
+    atoms = {"q": 0, "w": 0}
+    for k in range(1, nodes.size - 1):
+        if k in firsts:
+            continue
+        x, before = float(nodes[k]), states.lefts[k - 1]
+        dq, dw = q.jump(x), w.jump(x)
+        atoms["q"] += bool(dq.any())
+        atoms["w"] += bool(dw.any())
+        want = before
+        if dq.any() or dw.any():
+            u = np.linalg.solve(J + 0.5 * dq, (J - 0.5 * dq) @ before[:n, 0]
+                                + dw @ f.value(x, "balanced"))
+            want = np.concatenate([u[:, None], before[n:]])
+        np.testing.assert_array_equal(states.rights[k], want)
+    assert atoms["q"] >= 2 and atoms["w"] >= 3
+    for k, width in enumerate(np.diff(nodes)):
+        step = series_expm(states.generators[k] * width)
+        np.testing.assert_allclose(states.lefts[k], step @ states.rights[k], rtol=0,
+                                   atol=TOL_SERIES * max(1.0, np.abs(states.lefts[k]).max()))
+    for k, c in zip(states.starts[:-1].tolist(), sol.coefficients):
+        np.testing.assert_array_equal(states.rights[k], np.append(c, 1.0)[:, None])
+
+
 # -- pointwise values from the sampler's Taylor table ---------------------------
 
 
@@ -724,7 +776,7 @@ def test_pointwise_values_match_the_stack_and_the_series_oracle():
         # On a sub-gap start inside a gap (r = 0) the read is the first term.
         sampler = factor._sampler
         for x in inner:
-            term = sampler.terms[sampler.starts.index(x), 0].view(complex)
+            term = sampler.terms[sampler.starts.index(x)][0].view(complex)
             assert np.array_equal(factor.evaluate(x).reshape(-1), term)
         gaps = np.searchsorted(states.nodes, xs) - 1
         series = np.array([series_expm(states.generators[k] * (x - states.nodes[k]))
