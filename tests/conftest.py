@@ -6,14 +6,19 @@ kernel and a compactly supported solution) and the "repeated" pair (equal
 atoms, whose adjoint kernel is trivial).  Both use the canonical 2x2
 rotation J and a single identity weight atom at the origin.
 ``count_calls`` counts the calls of a module attribute during one test,
-and ``minimum_norm_solve`` is the dense-SVD oracle for min-norm solves.
+``minimum_norm_solve`` is the dense-SVD oracle for min-norm solves, and
+``fresh_python`` runs a fresh interpreter on the tested package.
 """
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import measureode
 from measureode import DimensionMismatch, MeasureMatrix, Problem, build_system, propagation
 from measureode.coefficients import DEFAULT_TOL_RANK
 from measureode.functions import L2Function
@@ -27,6 +32,18 @@ def two_atom_problem(left, right, w_atoms=((0.0, np.eye(2)),)):
     q = MeasureMatrix.from_atoms(INTERVAL, 2, [(-0.5, left), (0.5, right)])
     w = MeasureMatrix.from_atoms(INTERVAL, 2, list(w_atoms))
     return Problem(J2, q, w)
+
+
+def fresh_python(*args, timeout=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, warnings as errors, that imports the tested package.
+
+    With ``timeout`` (seconds), a run that outlasts it is killed and raises
+    ``subprocess.TimeoutExpired``.
+    """
+    src = os.path.dirname(os.path.dirname(measureode.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 def block_system(problem, window=INTERVAL, extra=()):

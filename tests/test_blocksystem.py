@@ -22,12 +22,12 @@ from measureode import (
     t0_solve,
 )
 from measureode.coefficients import DEFAULT_TOL_SING
-from measureode.blocksystem import Partition
+from measureode.blocksystem import Partition, _dense_rank
 from measureode.functions import L2Function
 from measureode.propagation import w_pairing
 from measureode.fuzz import random_chain, random_instance
 
-from conftest import J2, SWAP2, INTERVAL, block_system, two_atom_problem
+from conftest import J2, SWAP2, INTERVAL, block_system, fresh_python, two_atom_problem
 
 TOL_IDENTITY = 1e-10
 
@@ -210,14 +210,18 @@ def test_nullspace_of_a_full_column_rank_matrix_takes_no_singular_vectors(count_
 
 def test_nullspace_of_a_rank_deficient_tall_matrix_matches_the_full_svd(count_calls,
                                                                         mirror_system):
-    mirrored = _chain_adjoint(3, 20, True)
-    for adjoint in (mirrored, mirror_system.B.conj().T):
-        expected = _oracle_dimension(adjoint)
+    # The basis is the unshuffled full SVD's, bit for bit; only the rank
+    # count before it sees the rows shuffled.
+    chains = [_chain_adjoint(3, N, True) for N in (20, 80)]
+    for adjoint in (*chains, mirror_system.B.conj().T):
+        _, s, vh = np.linalg.svd(adjoint)
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        expected = adjoint.shape[1] - rank
         assert expected >= 1
         svd = count_calls(np.linalg, "svd")
         basis = nullspace(adjoint, 1e-10)
         assert svd.kwargs == [{"compute_uv": False}, {}]
-        assert basis.shape == (adjoint.shape[1], expected)
+        np.testing.assert_array_equal(basis, vh[rank:].conj().T)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(expected), atol=1e-12)
         assert np.linalg.norm(adjoint @ basis) <= 1e-12 * np.linalg.norm(adjoint)
 
@@ -232,6 +236,76 @@ def test_nullspace_of_a_wide_matrix_takes_one_svd(count_calls):
     assert svd.calls == 1
     assert basis.shape == (8, _oracle_dimension(wide)) == (8, 5)
     np.testing.assert_allclose(wide @ basis, 0.0, atol=1e-12 * np.linalg.norm(wide))
+
+
+@pytest.mark.parametrize("N, mirrored, dim_adj", [(160, False, 0), (80, True, 40)])
+def test_the_shuffled_rank_is_the_plain_svds(N, mirrored, dim_adj):
+    # The banded B* the row shuffle is for: same rank as the SVD of the rows
+    # in their own order, at the default cut and a coarse one.
+    adjoint = _chain_adjoint(3, N, mirrored)
+    s = np.linalg.svd(adjoint, compute_uv=False)
+    for tol_rank in (1e-10, 1e-3):
+        assert _dense_rank(adjoint, tol_rank) == int(np.sum(s > tol_rank * s[0]))
+    assert adjoint.shape[1] - _dense_rank(adjoint, 1e-10) == dim_adj
+
+
+def test_the_rank_svd_sees_every_row_once(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def recorded(matrix, **kwargs):
+        seen.append(matrix)
+        return svd(matrix, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for m in range(1, 40):
+        rows = np.arange(m, dtype=float)[:, None] + [1.0, 0.5]
+        _dense_rank(rows, 1e-10)
+        np.testing.assert_array_equal(np.sort(seen.pop()[:, 0]), rows[:, 0])
+
+
+@pytest.mark.parametrize("matrix, rank", [
+    ([[3.0, 4.0]], 1), ([[0.0, 2.0]], 1), ([[2.0]], 1),
+    ([[1.0], [2.0]], 1), ([[1.0, 2.0], [2.0, 4.0]], 1), ([[1.0, 0.0], [0.0, 2.0]], 2)])
+def test_dense_rank_and_nullspace_of_one_and_two_rows(matrix, rank):
+    matrix = np.array(matrix, dtype=complex)
+    assert _dense_rank(matrix, 1e-10) == rank
+    basis = nullspace(matrix, 1e-10)
+    assert basis.shape == (matrix.shape[1], matrix.shape[1] - rank)
+    np.testing.assert_allclose(matrix @ basis, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+def test_non_finite_matrices_raise_before_any_svd(count_calls, value, shape):
+    matrix = np.ones(shape, dtype=complex)
+    matrix[1, 2] = value
+    svd = count_calls(np.linalg, "svd")
+    with pytest.raises(np.linalg.LinAlgError):
+        _dense_rank(matrix, 1e-10)
+    if np.isnan(value):  # nullspace's inf case runs apart, in a fresh interpreter
+        with pytest.raises(np.linalg.LinAlgError):
+            nullspace(matrix)
+    assert svd.calls == 0
+
+
+def test_nullspace_of_a_matrix_with_an_inf_raises_instead_of_hanging():
+    # The SVD with vectors of such a matrix can spin without returning, so
+    # a regression has to end in the timeout, not hang the suite.
+    proc = fresh_python("-c", """if True:
+        import numpy as np
+        from measureode import nullspace
+        for dtype in (float, complex):
+            for shape in ((4, 3), (3, 4)):
+                matrix = np.ones(shape, dtype=dtype)
+                matrix[1, 2] = np.inf
+                try:
+                    nullspace(matrix)
+                except np.linalg.LinAlgError:
+                    continue
+                raise SystemExit(f"no LinAlgError for {dtype.__name__} {shape}")
+        """, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- the coupling matrices ----------------------------------------------------

@@ -16,6 +16,8 @@ from measureode.coefficients import Tolerances
 from measureode.fileio import load_problem, parse_problem, render_report
 from measureode.errors import ParseError
 
+from conftest import fresh_python
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -419,8 +421,8 @@ def test_reports_are_byte_identical_for_a_fixed_seed(tmp_path, capsys):
 
 def test_an_unwritable_output_is_one_error_line_and_exit_two(tmp_path):
     target = tmp_path / "missing" / "r.json"
-    proc = _fresh_python("-m", "measureode.cli", "solve", "--input", data("instance_b.json"),
-                         "--output", str(target))
+    proc = fresh_python("-m", "measureode.cli", "solve", "--input", data("instance_b.json"),
+                        "--output", str(target))
     assert proc.returncode == 2
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}: ")
@@ -471,17 +473,9 @@ def test_console_script_names_the_cli_main():
     assert callable(getattr(importlib.import_module(module), name))
 
 
-def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter, warnings as errors, that imports the tested package."""
-    src = os.path.dirname(os.path.dirname(measureode.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-W", "error", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-
-
 def test_module_invocation_matches_the_entry_point():
-    proc = _fresh_python("-m", "measureode.cli", "validate",
-                         "--input", data("instance_a.json"))
+    proc = fresh_python("-m", "measureode.cli", "validate",
+                        "--input", data("instance_a.json"))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"
 
@@ -576,13 +570,13 @@ def test_no_warning_or_traceback_escapes_a_cli_process(mode, instance, tmp_path)
     argv = [mode, "--input", path, "--output", str(tmp_path / "r.json")]
     if mode == "verify":
         argv += ["--random", "2"]
-    proc = _fresh_python("-m", "measureode.cli", *argv)
+    proc = fresh_python("-m", "measureode.cli", *argv)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
 
 
 def _assert_scipy_stays_unloaded(code: str) -> None:
     """Run ``code`` in a fresh interpreter; scipy must not be imported after it."""
-    proc = _fresh_python("-c", f"import sys\n{code}\nassert 'scipy' not in sys.modules")
+    proc = fresh_python("-c", f"import sys\n{code}\nassert 'scipy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
 
 

@@ -9,9 +9,9 @@ import pytest
 from measureode import load_problem, parse_problem, run_random_suites, run_suites
 from measureode.propagation import w_pairing
 from measureode.solutions import solve_system
-from measureode.verify import SUITE_NAMES, TOL_PAIRING, orthogonal_rhs
+from measureode.verify import SUITE_NAMES, TOL_PAIRING, orthogonal_rhs, suite_cbbc
 from measureode import inner_product, kernel_K0, weighted_norm
-from measureode.fuzz import random_instance
+from measureode.fuzz import random_chain, random_instance
 
 from conftest import INTERVAL, block_system
 from test_acceptance import _fuzz_systems
@@ -102,6 +102,17 @@ def test_suite_cbbc_asks_for_no_singular_vectors_of_the_adjoint(count_calls,
     rows = verify.suite_cbbc(bs, "mirror", 1e-10)
     assert all(row.passed for row in rows)
     assert svd.kwargs == [{"compute_uv": False}]
+
+
+def test_the_cbbc_ledger_passes_on_a_mirrored_chain():
+    # B* is 162 x 160, block-bidiagonal, with a 40-dimensional kernel: the
+    # ledger's dense rank on a rank-deficient banded matrix.
+    inst = random_chain(np.random.default_rng(3), 80, 2, True)
+    bs = block_system(inst.problem, inst.window, inst.extra_points)
+    assert bs.factors.adjoint_kernel(1e-10).shape[1] == 40
+    rows = suite_cbbc(bs, "chain", 1e-10)
+    assert [row.passed for row in rows] == [True, True, True]
+    assert rows[2].name == "cbbc rank bookkeeping [chain]" and rows[2].measured == 0.0
 
 
 def test_non_finite_tolerances_become_failing_rows(tmp_path):
