@@ -196,7 +196,10 @@ class _Sweep:
     coordinates back to Z_j's.  When F_j has more columns than rows, F_j's
     SVD rotates the surplus columns to a zero block j: they are kernel
     vectors already (zero from block j on) and retire, so at most one block
-    width of columns stays active and each row costs O(n^3).
+    width of columns stays active and each row costs O(n^3).  The swept
+    matrix is the wide side of a coupling matrix (B itself, or W = B_m^*
+    for the tall B_m), and ``cut`` is tol_rank times the largest sigma_max
+    of its block rows.
     """
 
     def __init__(self, lower, upper, cut: float):
@@ -262,23 +265,22 @@ class _Sweep:
     @cached_property
     def _adjoint_steps(self) -> list[tuple]:
         """Per row: the active rotation^*, V^*, the pivot count, U_r S_r^-1 and
-        U_r S_r^-1 times the adjoint of the next row's coupling to this one."""
+        U_r S_r^-1 times the adjoint of the next row's coupling to this one
+        (the last row has none: a zero-row block as wide as the last column
+        block)."""
         steps = []
+        last = np.zeros((0, self.ends[-1] - self.ends[-2]), dtype=complex)
         for (rotation, free, _), (u, s, vh, r), a in zip(
-                self.steps, self.svds, list(self.lower[1:]) + [np.zeros((0, 0))]):
+                self.steps, self.svds, list(self.lower[1:]) + [last]):
             if rotation is not None:
                 rotation = rotation[:, :free.shape[1]].conj().T
             scaled = u[:, :r] / s[:r]
             steps.append((rotation, vh, r, scaled, scaled @ vh[:r, free.shape[1]:] @ a.conj().T))
         return steps
 
-    def _adjoint_solve(self, rhs: np.ndarray) -> list[np.ndarray]:
-        """(M^+)^* rhs by rows, where every row is a pivot: the adjoint of ``solve``.
-
-        A projection pass forward takes rhs to each row's pivot coordinates
-        V_r^* [Z_j^* rhs; rhs on block j + 1]; back substitution with the
-        adjoint pivot inverses follows.
-        """
+    def _projections(self, rhs: np.ndarray) -> list[np.ndarray]:
+        """E^* rhs by rows: a pass forward takes rhs to each row's pivot
+        coordinates V_r^* [Z_j^* rhs; rhs on block j + 1]."""
         coords, projections = rhs[:self.ends[0]], []
         for (rotation, vh, r, _, _), start, stop in zip(
                 self._adjoint_steps, self.ends, self.ends[1:]):
@@ -287,9 +289,15 @@ class _Sweep:
             coords = vh @ np.concatenate([coords, rhs[start:stop]])
             projections.append(coords[:r])
             coords = coords[r:]
+        return projections
+
+    def _adjoint_solve(self, rhs: np.ndarray) -> list[np.ndarray]:
+        """(M^+)^* rhs = L^-* E^* rhs by rows, where every row is a pivot:
+        the projection pass, then back substitution with the adjoint pivot
+        inverses."""
         out = [np.zeros(0, dtype=complex)]
         for (_, _, _, scaled, coupling), projection in zip(
-                reversed(self._adjoint_steps), reversed(projections)):
+                reversed(self._adjoint_steps), reversed(self._projections(rhs))):
             out.append(scaled @ projection - coupling @ out[-1])
         return out[:0:-1]  # rows in order, without the empty seed
 
@@ -323,43 +331,37 @@ class _Sweep:
 
 
 class Factorisation:
-    """One orthogonal sweep over a block-bidiagonal coupling matrix M.
+    """Orthogonal sweeps over a wide block-bidiagonal coupling matrix M.
 
     Row j of M holds ``lower[j]`` (A_j) on column block j and ``upper[j]``
-    (D_j) on column block j + 1; ``reduced`` drops the first and last column
-    blocks (A_0 and D_{N-1}), as B_m drops them from B.  The one rank
-    decision is the sweep over M: a singular value s of a row's pivot matrix
-    counts when
+    (D_j) on column block j + 1, so M has one more column block than block
+    rows.  The one rank decision is the sweep over M: a singular value s of
+    a row's pivot matrix counts when
 
         s > tol_rank * max_j sigma_max([A_j D_j]).
 
     Each tol_rank gets its own sweep, computed on first use and cached; the
     kernel is its free basis.  Its pivot columns E give M E = L with full
-    column rank, so ker M^* = ker L^* and the min-norm least-squares
-    solution is E L^+ rhs.  When the rank falls short of the rows, one more
-    sweep, over L^* with every row a pivot, gives ker L^* and L^+ rhs;
-    otherwise L is square and forward substitution inverts it.  Every step
-    is O(n^3), so a factorisation costs O(N n^3) against O((nN)^3) for a
-    dense SVD.
+    column rank, so ker M^* = ker L^*, the min-norm least-squares solution
+    is E L^+ rhs and that of M^* x = rhs is (M^+)^* rhs = (L^*)^+ E^* rhs.
+    When the rank falls short of the rows, one more sweep, over L^* with
+    every row a pivot, gives ker L^*, L^+ and (L^*)^+; otherwise L is square
+    and substitution inverts it.  Every step is O(n^3), so a factorisation
+    costs O(N n^3) against O((nN)^3) for a dense SVD.  A tall matrix is
+    answered from the sweep over its wide adjoint (``AdjointFactorisation``).
     """
 
-    def __init__(self, lower: np.ndarray, upper: np.ndarray, reduced: bool = False):
-        self.lower, self.upper, self.reduced = lower, upper, reduced
-        rows = np.concatenate([lower, upper], axis=2)
-        N, n, width = lower.shape
-        if reduced:
-            rows[0, :, :width] = 0.0
-            rows[-1, :, width:] = 0.0
-            lower, upper = list(lower), list(upper)
-            lower[0], upper[-1] = lower[0][:, :0], upper[-1][:, :0]
-        self._blocks = (lower, upper)
-        self.scale = float(np.linalg.svd(rows, compute_uv=False)[:, 0].max())
-        self.shape = (N * n, width * (N - 1 if reduced else N + 1))
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
+        self.lower, self.upper = lower, upper
+        K, rows, width = lower.shape
+        block_rows = np.concatenate([lower, upper], axis=2)
+        self.scale = float(np.linalg.svd(block_rows, compute_uv=False)[:, 0].max())
+        self.shape = (K * rows, width * (K + 1))
         self._sweeps = {}
 
     def _sweep(self, tol_rank: float) -> _Sweep:
         if tol_rank not in self._sweeps:
-            self._sweeps[tol_rank] = _Sweep(*self._blocks, tol_rank * self.scale)
+            self._sweeps[tol_rank] = _Sweep(self.lower, self.upper, tol_rank * self.scale)
         return self._sweeps[tol_rank]
 
     def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -379,19 +381,57 @@ class Factorisation:
 
     def solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
         """Minimum-norm least-squares solution E L^+ rhs."""
-        rhs = np.asarray(rhs, dtype=complex).reshape(-1)
-        if rhs.size != self.shape[0]:
-            raise DimensionMismatch("right-hand side length must match the row count")
-        return self._sweep(tol_rank).solve(rhs)
+        return self._sweep(tol_rank).solve(_vector(rhs, self.shape[0], "row"))
+
+    def adjoint_solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        """Minimum-norm least-squares solution (L^*)^+ E^* rhs of M^* x = rhs.
+
+        Where every row is a pivot, L^* is square and back substitution
+        inverts it; otherwise the min-norm solve of the sweep over L^*.
+        """
+        sweep = self._sweep(tol_rank)
+        rhs = _vector(rhs, self.shape[1], "column")
+        if sweep.rank == self.shape[0]:
+            return np.concatenate(sweep._adjoint_solve(rhs))
+        return sweep.pivot_sweep.solve(np.concatenate(sweep._projections(rhs)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """M x, block by block."""
-        n = self.lower.shape[2]
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        if self.reduced:
-            x = np.concatenate([np.zeros(n, dtype=complex), x, np.zeros(n, dtype=complex)])
-        blocks = x.reshape(-1, n, 1)
+        blocks = np.asarray(x, dtype=complex).reshape(-1, self.lower.shape[2], 1)
         return (self.lower @ blocks[:-1] + self.upper @ blocks[1:]).reshape(-1)
+
+
+def _vector(rhs: np.ndarray, size: int, count: str) -> np.ndarray:
+    rhs = np.asarray(rhs, dtype=complex).reshape(-1)
+    if rhs.size != size:
+        raise DimensionMismatch(f"right-hand side length must match the {count} count")
+    return rhs
+
+
+class AdjointFactorisation:
+    """The answers for the tall M^*, from the sweeps over the wide M.
+
+    ker M^* is M's adjoint kernel and ker M^** = ker M is M's kernel; the
+    min-norm solve of M^* x = rhs is ``Factorisation.adjoint_solve``.  The
+    rank cut is M's: s > tol_rank * max_j sigma_max of M's block rows.
+    """
+
+    def __init__(self, factors: Factorisation):
+        self.factors = factors
+        self.scale = factors.scale
+        self.shape = factors.shape[::-1]
+
+    def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
+        return self.factors.rank(tol_rank)
+
+    def kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        return self.factors.adjoint_kernel(tol_rank)
+
+    def adjoint_kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        return self.factors.kernel(tol_rank)
+
+    def solve(self, rhs: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+        return self.factors.adjoint_solve(rhs, tol_rank)
 
 
 def _bidiagonal(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -418,9 +458,12 @@ class BlockSystem:
     j of the coupling matrix B is the jump rule at x_{j+1}: b_plus^* U_j(end)
     on column block j and b_plus on block j + 1, so B and the reduced B_m
     (without the first and last column block) are block-bidiagonal.  Every
-    min-norm solve and kernel of them comes from the orthogonal sweeps of
-    ``factors`` and ``reduced_factors``, built from those blocks in
-    O(N n^3); the dense B, C, B_m and C_m are built only on demand.
+    min-norm solve and kernel of them comes from an orthogonal sweep over
+    the wide side, built from those blocks in O(N n^3): ``factors`` sweeps
+    the wide B itself, ``reduced_factors`` the wide W = B_m^*, whose block
+    row k holds b_plus[k]^* and the adjoint of B's block A_{k+1}; its rank
+    cut reads W's block rows.  The dense B, C, B_m and C_m are built only
+    on demand.
     """
 
     def __init__(self, problem: Problem, partition: Partition, states: _NodeStates,
@@ -457,9 +500,11 @@ class BlockSystem:
         return Factorisation(self._lower, self.b_plus)
 
     @cached_property
-    def reduced_factors(self) -> Factorisation:
-        """Sweeps over B_m: B's blocks without the first and last column block."""
-        return Factorisation(self._lower, self.b_plus, reduced=True)
+    def reduced_factors(self) -> AdjointFactorisation:
+        """B_m's answers, from the sweeps over W = B_m^*: column block k of B_m
+        holds b_plus[k] on block row k and A_{k+1} on block row k + 1."""
+        return AdjointFactorisation(Factorisation(_adjoint(self.b_plus[:-1]),
+                                                  _adjoint(self._lower[1:])))
 
     # Dense coupling matrices, built on demand for the identity suites and as
     # oracles; no solve or kernel reads them.

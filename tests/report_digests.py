@@ -9,12 +9,17 @@ codes; see "Running the tests" in the README for the comparison.
 
     python3 tests/report_digests.py
     python3 tests/report_digests.py --rows
+    python3 tests/report_digests.py --compare BEFORE AFTER
 
 ``--rows`` prints the ``verify`` runs row by row instead, one line
 ``file "row" measured tolerance pass`` per check, the numbers at full
 precision, so that a changed ``verify`` digest can be traced to the rows
-and magnitudes that moved.  A file whose run writes no report gets one
-line ``file - exit N``.
+and magnitudes that moved.  Each run then ends with one line
+``file - exit N``, also when it writes no report.
+
+``--compare`` reads two ``--rows`` outputs and prints how many rows moved
+out of the total, every pass/fail flip, every exit-code change, and the
+largest move of a measured value relative to its tolerance in BEFORE.
 
 The name does not match pytest's ``test_*.py``, so the suite does not
 collect it.
@@ -23,18 +28,73 @@ collect it.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
 EXTRA = {"verify": ("--random", "3", "--seed", "7")}
+USAGE = "usage: report_digests.py [--rows | --compare BEFORE AFTER]"
+ROW = re.compile(r'(\S+) (".*") (\S+) (\S+) (True|False)')
+EXIT = re.compile(r"(\S+) - exit (-?\d+)")
+
+
+def _read_rows(path: str) -> tuple[dict, dict]:
+    """Rows keyed by (file, row, occurrence) -> (measured, tolerance, pass)
+    as printed, and exit codes by file."""
+    rows, exits, seen = {}, {}, Counter()
+    for line in Path(path).read_text().splitlines():
+        if match := EXIT.fullmatch(line):
+            exits[match[1]] = match[2]
+        elif match := ROW.fullmatch(line):
+            name = (match[1], json.loads(match[2]))
+            seen[name] += 1
+            rows[(*name, seen[name])] = match.group(3, 4, 5)
+    return rows, exits
+
+
+def _relative_move(old: tuple, new: tuple) -> float:
+    """|new - old| over old's tolerance; inf for a NaN or a move at tolerance 0."""
+    move, tolerance = abs(float(new[0]) - float(old[0])), float(old[1])
+    if move != move or (move and not tolerance):
+        return float("inf")
+    return move / tolerance if move else 0.0
+
+
+def compare(before_path: str, after_path: str) -> None:
+    (before, before_exits), (after, after_exits) = map(_read_rows, (before_path, after_path))
+    common = [key for key in before if key in after]
+    moved = [key for key in common if before[key][:2] != after[key][:2]]
+    print(f"rows moved: {len(moved)} of {len(common)}")
+    for label, keys in (("before", before.keys() - after.keys()),
+                        ("after", after.keys() - before.keys())):
+        if keys:
+            print(f"rows only in {label}: {len(keys)}")
+    flips = [key for key in common if before[key][2] != after[key][2]]
+    print(f"pass/fail flips: {len(flips)}")
+    for key in flips:
+        print(f"  {key[0]} {json.dumps(key[1])} {before[key][2]} -> {after[key][2]}")
+    changed = sorted(file for file in before_exits.keys() & after_exits.keys()
+                     if before_exits[file] != after_exits[file])
+    print(f"exit-code changes: {len(changed)}")
+    for file in changed:
+        print(f"  {file} exit {before_exits[file]} -> {after_exits[file]}")
+    if moved:
+        key = max(moved, key=lambda k: _relative_move(before[k], after[k]))
+        (old, tol, _), (new, _, _) = before[key], after[key]
+        print(f"largest move: {_relative_move(before[key], after[key]):.3e} of its "
+              f"tolerance, {key[0]} {json.dumps(key[1])} {old} -> {new} (tolerance {tol})")
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        compare(argv[1], argv[2])
+        return 0
     rows = argv == ["--rows"]
     if argv and not rows:
-        print("usage: report_digests.py [--rows]", file=sys.stderr)
+        print(USAGE, file=sys.stderr)
         return 2
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -51,11 +111,11 @@ def main(argv: list[str]) -> int:
             try:
                 checks = json.loads(proc.stdout)["checks"]
             except (ValueError, KeyError):
-                print(f"{data.name} - exit {proc.returncode}", flush=True)
-                continue
+                checks = []
             for check in checks:
                 print(f"{data.name} {json.dumps(check['name'])} {check['defect']!r} "
                       f"{check['tolerance']!r} {check['pass']}", flush=True)
+            print(f"{data.name} - exit {proc.returncode}", flush=True)
     return 0
 
 

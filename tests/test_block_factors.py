@@ -1,8 +1,8 @@
 """BlockSystem's cached factorisations against the dense oracles.
 
 The kernels and min-norm solves a BlockSystem answers from the orthogonal
-sweeps over B and B_m must agree with ``nullspace`` and the tests'
-``minimum_norm_solve`` applied to the dense matrices.  Compactly supported
+sweeps over B and over W = B_m^* must agree with ``nullspace`` and the
+tests' ``minimum_norm_solve`` applied to the dense B and B_m.  Compactly supported
 solutions lift every ker B^* vector in one batch and never factorise B_m;
 the batch must agree with the dense B and with one-column lifts.
 """
@@ -15,7 +15,7 @@ import pytest
 from measureode import MeasureMatrix, Problem, blocksystem, fuzz
 from measureode.blocksystem import moment_vectors, nullspace
 from measureode.cli import main
-from measureode.relations import t0_solve_system
+from measureode.relations import OrthogonalityCertificate, t0_solve_system
 from measureode.solutions import compact_support_solutions, lift_kernel_vector, solve_system
 from measureode.verify import run_suites
 
@@ -149,6 +149,61 @@ def test_batched_compact_lifts_match_the_dense_oracle():
             assert np.linalg.norm(c[n:-n] - one_column) \
                 <= LIFT_MATCH_TOL * max(1.0, float(np.linalg.norm(one_column)))
     assert counts[-2:] == [10, 20]
+
+
+def _random_blocks(rng, count, n):
+    return rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+
+
+@pytest.mark.parametrize("K, n", [(1, 2), (6, 2), (12, 3)])
+def test_adjoint_solve_of_a_full_row_rank_sweep_matches_the_dense_oracle(K, n):
+    # Every row a pivot and a last column block of full width: (M^+)^* rhs.
+    rng = np.random.default_rng(K + 10 * n)
+    lower, upper = _random_blocks(rng, K, n), _random_blocks(rng, K, n)
+    factors = blocksystem.Factorisation(lower, upper)
+    sweep = factors._sweep(blocksystem.DEFAULT_TOL_RANK)
+    assert sweep.rank == K * n
+    rhs = rng.standard_normal(n * (K + 1)) + 1j * rng.standard_normal(n * (K + 1))
+    oracle = np.linalg.pinv(blocksystem._bidiagonal(lower, upper)).conj().T @ rhs
+    scale = max(1.0, float(np.linalg.norm(oracle)))
+    for got in (np.concatenate(sweep._adjoint_solve(rhs)), factors.adjoint_solve(rhs)):
+        assert np.linalg.norm(got - oracle) <= SOLVE_TOL * scale
+
+
+def test_b_m_questions_take_one_sweep_over_its_adjoint(monkeypatch):
+    # ker B_m^* is the kernel of the sweep over W = B_m^*: a lift and a t0
+    # certificate need that one sweep and no pivot sweep over L^*.
+    inst = fuzz.random_chain(np.random.default_rng(3), 80, 2, True)
+    bs = block_system(inst.problem, inst.window, inst.extra_points)
+    moments = moment_vectors(bs, inst.f)
+    sweeps = []
+    original = blocksystem._Sweep.__init__
+
+    def recording_init(self, *args, **kwargs):
+        sweeps.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(blocksystem._Sweep, "__init__", recording_init)
+    adjoint = bs.reduced_factors.adjoint_kernel()
+    assert adjoint.shape[1] > bs.n
+    lift_kernel_vector(bs, adjoint[:, 0])
+    assert isinstance(t0_solve_system(bs, moments), OrthogonalityCertificate)
+    assert len(sweeps) == 1 and len(sweeps[0].lower) == bs.N - 1
+    assert "pivot_sweep" not in vars(sweeps[0])
+
+
+def test_b_m_solves_with_a_kernel_go_through_the_pivot_sweep_of_its_adjoint():
+    # Mirrored chains have ker B_m != 0 (one vector per compactly supported
+    # solution), so W = B_m^* falls short of full row rank.
+    rng = np.random.default_rng(23)
+    for _, bs in _mirrored_family():
+        factors = bs.reduced_factors
+        assert factors.kernel().shape[1] == bs.N // 2 > 0
+        rhs = rng.standard_normal(bs.n * bs.N) + 1j * rng.standard_normal(bs.n * bs.N)
+        oracle = minimum_norm_solve(bs.B_m, rhs)
+        scale = max(1.0, float(np.linalg.norm(oracle)))
+        assert np.linalg.norm(factors.solve(rhs) - oracle) <= SOLVE_TOL * scale
+        assert "pivot_sweep" in vars(factors.factors._sweep(blocksystem.DEFAULT_TOL_RANK))
 
 
 @pytest.mark.parametrize("tol_rank", [1e-10, 1e-3])

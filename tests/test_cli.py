@@ -638,3 +638,19 @@ def test_single_exponentials_and_pointwise_values_do_not_import_scipy():
         "q = MeasureMatrix.lebesgue((0.0, 1.0), [[1.0, 0.0], [0.0, -1.0]])\n"
         "problem = Problem(J, q, MeasureMatrix.zero((0.0, 1.0), 2))\n"
         "solve_ivp_regular(problem, (0.0, 1.0), 0.0, [1.0, 0.0]).evaluate(0.3)")
+
+
+def test_report_digests_compare_counts_moves_flips_and_exit_changes(tmp_path, capsys):
+    from report_digests import compare
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text('a.json "r1 [x]" 1e-12 1e-09 True\na.json "r2" 0.5 1.0 True\n'
+                      'a.json "raised" 1.0 0.0 False\na.json - exit 0\nb.json - exit 2\n')
+    after.write_text('a.json "r1 [x]" 3e-12 1e-09 True\na.json "r2" 1.5 1.0 False\n'
+                     'a.json "raised" 1.0 0.0 False\na.json - exit 1\nb.json - exit 2\n')
+    compare(str(before), str(after))
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "rows moved: 2 of 3"
+    assert out[1:3] == ["pass/fail flips: 1", '  a.json "r2" True -> False']
+    assert out[3:5] == ["exit-code changes: 1", "  a.json exit 0 -> 1"]
+    assert out[5].startswith('largest move: 1.000e+00 of its tolerance, a.json "r2" 0.5 -> 1.5')
