@@ -364,10 +364,6 @@ class Factorisation:
             self._sweeps[tol_rank] = _Sweep(self.lower, self.upper, tol_rank * self.scale)
         return self._sweeps[tol_rank]
 
-    def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
-        """Sum of the pivot counts of the sweep over M."""
-        return self._sweep(tol_rank).rank
-
     def kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
         """Orthonormal basis of the kernel, columns (read-only)."""
         return self._sweep(tol_rank).kernel
@@ -421,9 +417,6 @@ class AdjointFactorisation:
         self.scale = factors.scale
         self.shape = factors.shape[::-1]
 
-    def rank(self, tol_rank: float = DEFAULT_TOL_RANK) -> int:
-        return self.factors.rank(tol_rank)
-
     def kernel(self, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
         return self.factors.adjoint_kernel(tol_rank)
 
@@ -462,8 +455,9 @@ class BlockSystem:
     the wide side, built from those blocks in O(N n^3): ``factors`` sweeps
     the wide B itself, ``reduced_factors`` the wide W = B_m^*, whose block
     row k holds b_plus[k]^* and the adjoint of B's block A_{k+1}; its rank
-    cut reads W's block rows.  The dense B, C, B_m and C_m are built only
-    on demand.
+    cut reads W's block rows.  Each swept matrix has n more columns than
+    rows, so ker B and ker B_m^* have at least n columns at any cut.  The
+    dense B, C, B_m and C_m are built only on demand.
     """
 
     def __init__(self, problem: Problem, partition: Partition, states: _NodeStates,

@@ -148,7 +148,7 @@ class MeasureMatrix:
         positions = np.asarray([x for x, _ in atoms], dtype=float)
         if positions.size and not np.all(np.diff(positions) > 0):
             raise ValueError("atom positions must be strictly increasing and distinct")
-        if positions.size and (positions[0] <= a or positions[-1] >= b):
+        if positions.size and not (a < positions[0] and positions[-1] < b):
             raise OutOfInterval("atom positions must lie strictly inside the interval")
         mats = _as_squares([m for _, m in atoms], self._n, "atom matrix") \
             if atoms else np.zeros((0, self._n, self._n), dtype=complex)
@@ -228,36 +228,6 @@ class MeasureMatrix:
         """All breakpoints and atom positions, sorted."""
         return _union(self._breakpoints, self._atom_positions)
 
-    def antiderivative(self, x: float, side: str = "left") -> np.ndarray:
-        """Accumulated measure of (a, x), normalized to vanish at a.
-
-        ``side='left'`` excludes an atom sitting exactly at x (this is the
-        left-continuous convention and the default), ``'right'`` includes it,
-        ``'balanced'`` adds half of it.
-        """
-        if side not in _SIDES:
-            raise ValueError(f"side must be one of {_SIDES}")
-        a, b = self._interval
-        if not (a <= x <= b):
-            raise OutOfInterval(f"antiderivative evaluated at {x}, outside [{a}, {b}]")
-        total = np.zeros((self._n, self._n), dtype=complex)
-        bp = self._breakpoints
-        for i in range(bp.size - 1):
-            lo, hi = bp[i], bp[i + 1]
-            length = max(0.0, min(x, hi) - lo)
-            if length == 0.0:
-                continue
-            total = total + length * self._densities[i]
-        for pos, mat in zip(self._atom_positions, self._atom_matrices):
-            if pos < x:
-                total = total + mat
-            elif pos == x:
-                if side == "right":
-                    total = total + mat
-                elif side == "balanced":
-                    total = total + 0.5 * mat
-        return total
-
 
 @dataclass(frozen=True)
 class Check:
@@ -294,6 +264,8 @@ class Problem:
     def __init__(self, J, q: MeasureMatrix, w: MeasureMatrix):
         J = _as_square(J, None, "J")
         n = J.shape[0]
+        if n < 1:
+            raise DimensionMismatch("J must be at least 1x1, got 0x0")
         if q.n != n or w.n != n:
             raise DimensionMismatch(
                 f"coefficient sizes disagree: J is {n}x{n}, q has n={q.n}, w has n={w.n}"

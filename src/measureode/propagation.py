@@ -481,27 +481,16 @@ def _fundamentals(J: np.ndarray, states: _NodeStates, transfers: np.ndarray,
                                               pairwise(cuts))]
 
 
-@dataclass(frozen=True, eq=False)
-class _HomogeneousStates(_NodeStates):
-    """Node states of homogeneous solutions U_j c_j of one build, which keep
-    the build's states as ``build`` and the rows c_j (N+1, n, d) as
-    ``coefficients``."""
-
-    build: _NodeStates
-    coefficients: np.ndarray
-
-
-def _homogeneous_states(states: _NodeStates, coefficients) -> _HomogeneousStates:
+def _homogeneous_states(states: _NodeStates, coefficients) -> _NodeStates:
     """Node states of homogeneous solutions U_j c_j, one column per solution.
 
     ``states`` are the node states of one build's fundamental matrices;
     ``coefficients`` (N+1, n, d) holds the c_j of d solutions as columns.
-    No exponential: a basis of d solutions is one matrix-valued factor with
-    (n, d) states.
+    No exponential: the states are the build's times the coefficient rows.
     """
     c = np.repeat(coefficients, np.diff(states.starts), axis=0)
-    return _HomogeneousStates(states.nodes, states.generators, _freeze(states.rights @ c),
-                              _freeze(states.lefts @ c), states.starts, states, coefficients)
+    return _NodeStates(states.nodes, states.generators, _freeze(states.rights @ c),
+                       _freeze(states.lefts @ c), states.starts)
 
 
 def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
@@ -661,9 +650,10 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
 
     At the left endpoint the prescribed value is the right limit, at the
     right endpoint the left limit, anywhere else the balanced value.
-    SingularInitialPoint if the fundamental matrix at x0 is numerically
-    singular, or so ill-conditioned that the solution's own value at x0
-    misses u0 by more than IVP_MATCH_TOL * (1 + |u0|).
+    ValueError if u0 is not finite; SingularInitialPoint if the fundamental
+    matrix at x0 is numerically singular, or so ill-conditioned that the
+    solution's own value at x0 misses u0 by more than
+    IVP_MATCH_TOL * (1 + |u0|).
     """
     lo, hi = float(sub[0]), float(sub[1])
     x0 = float(x0)
@@ -672,6 +662,8 @@ def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
     if u0.size != problem.n:
         raise DimensionMismatch(f"initial value must have length {problem.n}")
+    if not np.isfinite(u0).all():
+        raise ValueError("initial value contains non-finite entries")
     U = fundamental_matrix(problem, (lo, hi), tol_sing)
     side = "right" if x0 == lo else "left" if x0 == hi else "balanced"
     particular = PiecewiseSolution(problem, U.states, [np.zeros(problem.n, dtype=complex)], f)
@@ -858,13 +850,10 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
 
 
 def _homogeneous(factor):
-    """(build states, coefficient rows (N+1, n, d)) of a homogeneous factor of
-    a build, a solution without rhs or a basis from ``_homogeneous_states``;
+    """(build states, coefficient rows (N+1, n, 1)) of a solution without rhs;
     None for any other factor."""
     if isinstance(factor, PiecewiseSolution) and factor.rhs is None:
         return factor._homogeneous, factor.coefficients[..., None]
-    if isinstance(factor, _HomogeneousStates):
-        return factor.build, factor.coefficients
     return None
 
 

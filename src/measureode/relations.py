@@ -110,8 +110,6 @@ def kernel_K0(problem: Problem, window, extra_points=(),
     """
     bs = build_system(problem, window, extra_points, tols.sing)
     result = solve_system(bs, tols=tols)
-    if not result.kernel_basis:
-        return K0Basis([], result.propagator_defect)
     squares = _basis_squares(bs, result.kernel_coefficients).tolist()
     return K0Basis([K0Element(sol, float(np.sqrt(square)), square <= DEGENERATE_NORM_TOL)
                     for sol, square in zip(result.kernel_basis, squares)],

@@ -120,10 +120,13 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
     ``uhat`` holds the desired balanced values at the interior partition
     points and must lie in the kernel of the adjoint reduced coupling matrix;
     it is replaced by its projection onto the computed kernel when the
-    distance is small, rejected otherwise.  The two closed-form reconstruction
+    distance is small, rejected otherwise (ValueError if it is not finite,
+    NotInKernel if it is far).  The two closed-form reconstruction
     formulas (one stripping the first block, one the last) are both evaluated
     and must agree on the overlap, to within a multiple of ``tols.solve``.
     """
+    if not np.isfinite(np.asarray(uhat, dtype=complex)).all():
+        raise ValueError("kernel vector contains non-finite entries")
     projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
     return _lift_projected(bs, projected[:, None], tols.solve)[:, 0]
 

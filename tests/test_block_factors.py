@@ -342,12 +342,14 @@ def test_a_singular_value_near_the_cut_fixes_dimensions_not_spans():
 def test_one_rank_decision_answers_near_a_coarse_cut(seed, N):
     # Singular values within about 10x of the 1e-3 cut: the adjoint kernel
     # still comes out, with the dimension the sweep over M fixes.
+    # The rank is that of the sweep over B, and over W = B_m^* for B_m.
     bs = _random_chain_system(seed, N)
-    for factors, matrix in ((bs.factors, bs.B), (bs.reduced_factors, bs.B_m)):
+    for factors, swept, matrix in ((bs.factors, bs.factors, bs.B),
+                                   (bs.reduced_factors, bs.reduced_factors.factors, bs.B_m)):
         rows, cols = factors.shape
         adjoint = factors.adjoint_kernel(1e-3)
         assert factors.kernel(1e-3).shape[1] - adjoint.shape[1] == cols - rows
-        assert adjoint.shape[1] == rows - factors.rank(1e-3)
+        assert adjoint.shape[1] == rows - swept._sweep(1e-3).rank
         np.testing.assert_allclose(adjoint.conj().T @ adjoint, np.eye(adjoint.shape[1]),
                                    atol=1e-12)
         bound = np.sqrt(rows) * 1e-3 * factors.scale

@@ -654,3 +654,14 @@ def test_report_digests_compare_counts_moves_flips_and_exit_changes(tmp_path, ca
     assert out[1:3] == ["pass/fail flips: 1", '  a.json "r2" True -> False']
     assert out[3:5] == ["exit-code changes: 1", "  a.json exit 0 -> 1"]
     assert out[5].startswith('largest move: 1.000e+00 of its tolerance, a.json "r2" 0.5 -> 1.5')
+
+
+def test_package_reach_lists_what_no_cli_run_enters():
+    # One data file in a fresh interpreter: segment_integral is kept for the
+    # acceptance battery alone, and every CLI mode builds a block system.
+    script = os.path.join(os.path.dirname(__file__), "package_reach.py")
+    proc = fresh_python(script, data("instance_a.json"))
+    assert proc.returncode == 0, proc.stderr
+    names = {line.split()[-1] for line in proc.stdout.splitlines()}
+    assert "segment_integral" in names
+    assert "build_system" not in names

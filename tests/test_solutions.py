@@ -94,6 +94,14 @@ def test_lift_rejects_vectors_off_the_kernel(mirror_system):
         lift_kernel_vector(mirror_system, np.array([0.0, 1.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lift_rejects_a_non_finite_vector(mirror_system, bad):
+    # The distance and overlap checks compare with ">", which is False for
+    # NaN: without the input check the lift comes back as NaN coefficients.
+    with pytest.raises(ValueError, match="non-finite"):
+        lift_kernel_vector(mirror_system, np.array([0.0, 1.0, 0.0, bad]))
+
+
 def test_lift_is_linear_on_random_instances():
     rng = np.random.default_rng(41)
     found = 0
