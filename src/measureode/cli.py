@@ -25,14 +25,12 @@ from .errors import MeasureOdeError, MissingRHS, ParseError
 from .fileio import (ParsedProblem, check_tolerance, load_problem, render_report,
                      vector_json)
 
-_MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measureode",
         description="first-order systems with measure coefficients")
-    parser.add_argument("mode", choices=_MODES)
+    parser.add_argument("mode", choices=_HANDLERS)
     parser.add_argument("--input", help="problem file (JSON)")
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument("--seed", type=int, default=0,

@@ -317,30 +317,15 @@ def _psd_defect(measure: MeasureMatrix) -> float:
     worst = _hermitian_defect(measure)
     for m in list(measure.densities) + list(measure.atom_matrices):
         herm = 0.5 * (m + m.conj().T)
-        if herm.shape[0]:
-            lo = float(np.linalg.eigvalsh(herm)[0])
-            worst = max(worst, max(0.0, -lo))
+        lo = float(np.linalg.eigvalsh(herm)[0])
+        worst = max(worst, max(0.0, -lo))
     return worst
 
 
 def validate(problem: Problem, tol: float = DEFAULT_VALIDATE_TOL) -> ValidationReport:
     """Check the standing hypotheses and report per-check defects."""
     J = problem.J
-    sigma = np.linalg.svd(J, compute_uv=False)
-    sigma_min = float(sigma[-1]) if sigma.size else 0.0
-
-    sorted_defect = 0.0
-    for m in (problem.q, problem.w):
-        d = np.diff(m.breakpoints)
-        if d.size:
-            sorted_defect = max(sorted_defect, float(max(0.0, -d.min())))
-
-    interior_defect = 0.0
-    a, b = problem.interval
-    for m in (problem.q, problem.w):
-        for pos in m.atom_positions:
-            interior_defect = max(interior_defect, max(0.0, a - pos), max(0.0, pos - b))
-
+    sigma_min = float(np.linalg.svd(J, compute_uv=False)[-1])
     skew_defect = float(np.linalg.norm(J + J.conj().T, 2))
     q_defect = _hermitian_defect(problem.q)
     w_defect = _psd_defect(problem.w)
@@ -349,7 +334,5 @@ def validate(problem: Problem, tol: float = DEFAULT_VALIDATE_TOL) -> ValidationR
         Check("J skew-Hermitian", skew_defect, tol, skew_defect <= tol),
         Check("q Hermitian", q_defect, tol, q_defect <= tol),
         Check("w PSD", w_defect, tol, w_defect <= tol),
-        Check("breakpoints sorted", sorted_defect, 0.0, sorted_defect <= 0.0),
-        Check("atoms interior", interior_defect, 0.0, interior_defect <= 0.0),
     )
     return ValidationReport(checks)

@@ -25,20 +25,6 @@ from .solutions import (_adjoint_kernel_projection, _consistency_bound, _lift_an
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
 
-__all__ = [
-    "L2Function",
-    "K0Basis",
-    "K0Element",
-    "OrthogonalityCertificate",
-    "PairingReport",
-    "inner_product",
-    "kernel_K0",
-    "lagrange_check",
-    "t0_solve",
-    "t0_solve_system",
-    "weighted_norm",
-]
-
 
 def inner_product(w: MeasureMatrix, u, v, window=None) -> complex:
     """Pairing of u against v in the weighted space, conjugate-linear in u.

@@ -100,8 +100,11 @@ def _adjoint_kernel_projection(bs: BlockSystem, v: np.ndarray, tol_rank: float) 
 
 def _project_onto_adjoint_kernel(bs: BlockSystem, uhat: np.ndarray,
                                  tol_rank: float) -> np.ndarray:
-    """Orthogonal projection of uhat onto ker(B_m^*); NotInKernel if it is far."""
+    """Orthogonal projection of uhat onto ker(B_m^*): ValueError if uhat is not
+    finite (the distance test would pass a NaN), NotInKernel if it is far."""
     uhat = np.asarray(uhat, dtype=complex).reshape(-1)
+    if not np.isfinite(uhat).all():
+        raise ValueError("kernel vector contains non-finite entries")
     if uhat.size != bs.n * bs.N:
         raise DimensionMismatch(
             f"expected a vector of length {bs.n * bs.N}, got {uhat.size}")
@@ -125,8 +128,6 @@ def lift_kernel_vector(bs: BlockSystem, uhat: np.ndarray,
     formulas (one stripping the first block, one the last) are both evaluated
     and must agree on the overlap, to within a multiple of ``tols.solve``.
     """
-    if not np.isfinite(np.asarray(uhat, dtype=complex)).all():
-        raise ValueError("kernel vector contains non-finite entries")
     projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
     return _lift_projected(bs, projected[:, None], tols.solve)[:, 0]
 
@@ -218,7 +219,7 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     The pairing of the functional moment vector with a kernel vector of the
     adjoint reduced matrix equals the weighted pairing of the lifted
     homogeneous solution with the right-hand side; this returns the absolute
-    mismatch between the two computations.
+    mismatch between the two computations (ValueError for a non-finite uhat).
     """
     projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
     _, pairing, moment_pairing = _lift_and_pair(bs, projected, moments, tols.solve)

@@ -16,7 +16,6 @@ from functools import cache
 
 import numpy as np
 
-# TOL_IDENTITY is imported to be re-exported.
 from .blocksystem import (TOL_IDENTITY, MomentVectors, _dense_rank, build_system,
                           moment_vectors, nullspace)
 from .coefficients import SUITE_NAMES, Check, Problem, Tolerances
@@ -63,7 +62,7 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
     dim_ker = bs.factors.kernel(tol_rank).shape[1]
     adjoint = bs.B.conj().T
     dim_adj = adjoint.shape[1] - _dense_rank(adjoint, tol_rank)
-    bookkeeping = abs(dim_ker - n - dim_adj) + max(0, n - dim_ker)
+    bookkeeping = abs(dim_ker - n - dim_adj)
     return [_row(f"cbbc full [{tag}]", float(np.linalg.norm(full)), TOL_IDENTITY),
             _row(f"cbbc reduced [{tag}]", float(np.linalg.norm(reduced)), TOL_IDENTITY),
             _row(f"cbbc rank bookkeeping [{tag}]", float(bookkeeping), 0.0)]
@@ -167,8 +166,7 @@ def orthogonal_rhs(rng: np.random.Generator, bs,
     kernel = bs.factors.kernel(tol_rank).reshape(pieces, n, -1)
     gram = np.einsum("iak,iac->kic", kernel.conj(), moments).reshape(-1, pieces * n)
     span = nullspace(gram, tol_rank)
-    coeffs = span @ _rand_complex(rng, span.shape[1]) if span.shape[1] else \
-        np.zeros(pieces * n, dtype=complex)
+    coeffs = span @ _rand_complex(rng, span.shape[1])
     return L2Function(window, edges, coeffs.reshape(pieces, n), zero_atoms)
 
 

@@ -8,18 +8,24 @@ checkouts that give the same output give byte-identical reports and exit
 codes; see "Running the tests" in the README for the comparison.
 
     python3 tests/report_digests.py
+    python3 tests/report_digests.py --results
     python3 tests/report_digests.py --rows
     python3 tests/report_digests.py --compare BEFORE AFTER
 
-``--rows`` prints the ``verify`` runs row by row instead, one line
-``file "row" measured tolerance pass`` per check, the numbers at full
-precision, so that a changed ``verify`` digest can be traced to the rows
-and magnitudes that moved.  Each run then ends with one line
-``file - exit N``, also when it writes no report.
+``--results`` digests each report with its ``checks`` list removed (then
+stderr; a run without a report is digested as printed), so that a change
+to the rows alone leaves the results' digests as they were.
+
+``--rows`` prints the runs row by row instead, one line
+``file:mode "row" measured tolerance pass`` per check, the numbers at full
+precision, so that a changed digest can be traced to the rows and
+magnitudes that moved.  Each run then ends with one line
+``file:mode - exit N``, also when it writes no report.
 
 ``--compare`` reads two ``--rows`` outputs and prints how many rows moved
-out of the total, every pass/fail flip, every exit-code change, and the
-largest move of a measured value relative to its tolerance in BEFORE.
+out of the total, the rows found on one side only (counted by name),
+every pass/fail flip, every exit-code change, and the largest move of a
+measured value relative to its tolerance in BEFORE.
 
 The name does not match pytest's ``test_*.py``, so the suite does not
 collect it.
@@ -36,7 +42,7 @@ from pathlib import Path
 
 MODES = ("validate", "analyze", "solve", "kernel", "compact", "verify")
 EXTRA = {"verify": ("--random", "3", "--seed", "7")}
-USAGE = "usage: report_digests.py [--rows | --compare BEFORE AFTER]"
+USAGE = "usage: report_digests.py [--results | --rows | --compare BEFORE AFTER]"
 ROW = re.compile(r'(\S+) (".*") (\S+) (\S+) (True|False)')
 EXIT = re.compile(r"(\S+) - exit (-?\d+)")
 
@@ -72,6 +78,8 @@ def compare(before_path: str, after_path: str) -> None:
                         ("after", after.keys() - before.keys())):
         if keys:
             print(f"rows only in {label}: {len(keys)}")
+            for name, count in sorted(Counter(key[1] for key in keys).items()):
+                print(f"  {count} x {json.dumps(name)}")
     flips = [key for key in common if before[key][2] != after[key][2]]
     print(f"pass/fail flips: {len(flips)}")
     for key in flips:
@@ -88,34 +96,47 @@ def compare(before_path: str, after_path: str) -> None:
               f"tolerance, {key[0]} {json.dumps(key[1])} {old} -> {new} (tolerance {tol})")
 
 
+def _without_checks(stdout: bytes) -> bytes:
+    """The report with its ``checks`` list removed; stdout as printed when it
+    holds no report."""
+    try:
+        report = json.loads(stdout)
+        del report["checks"]
+    except (ValueError, KeyError):
+        return stdout
+    return json.dumps(report).encode()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         compare(argv[1], argv[2])
         return 0
-    rows = argv == ["--rows"]
-    if argv and not rows:
+    if argv not in ([], ["--results"], ["--rows"]):
         print(USAGE, file=sys.stderr)
         return 2
+    rows, results = argv == ["--rows"], argv == ["--results"]
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     for data in sorted((root / "tests" / "data").glob("*.json")):
-        for mode in ("verify",) if rows else MODES:
+        for mode in MODES:
             proc = subprocess.run(
                 [sys.executable, "-m", "measureode.cli", mode, "--input", str(data),
                  *EXTRA.get(mode, ())], capture_output=True, env=env)
             if not rows:
-                digest = hashlib.sha256(proc.stdout + proc.stderr).hexdigest()
+                stdout = _without_checks(proc.stdout) if results else proc.stdout
+                digest = hashlib.sha256(stdout + proc.stderr).hexdigest()
                 print(f"{data.name} {mode} {proc.returncode} {digest}", flush=True)
                 continue
             try:
                 checks = json.loads(proc.stdout)["checks"]
             except (ValueError, KeyError):
                 checks = []
+            label = f"{data.name}:{mode}"
             for check in checks:
-                print(f"{data.name} {json.dumps(check['name'])} {check['defect']!r} "
+                print(f"{label} {json.dumps(check['name'])} {check['defect']!r} "
                       f"{check['tolerance']!r} {check['pass']}", flush=True)
-            print(f"{data.name} - exit {proc.returncode}", flush=True)
+            print(f"{label} - exit {proc.returncode}", flush=True)
     return 0
 
 

@@ -656,6 +656,23 @@ def test_report_digests_compare_counts_moves_flips_and_exit_changes(tmp_path, ca
     assert out[5].startswith('largest move: 1.000e+00 of its tolerance, a.json "r2" 0.5 -> 1.5')
 
 
+def test_report_digests_names_rows_on_one_side_and_digests_results_without_rows(
+        tmp_path, capsys):
+    from report_digests import _without_checks, compare
+    before = tmp_path / "before.txt"
+    after = tmp_path / "after.txt"
+    before.write_text('a.json:validate "kept" 0.0 1.0 True\n'
+                      'a.json:validate "gone" 0.0 0.0 True\n'
+                      'a.json:solve "gone" 0.0 0.0 True\n')
+    after.write_text('a.json:validate "kept" 0.0 1.0 True\n')
+    compare(str(before), str(after))
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["rows moved: 0 of 1", "rows only in before: 2", '  2 x "gone"']
+    report = b'{"command": "validate", "checks": [{"name": "gone"}], "passed": true}'
+    assert _without_checks(report) == b'{"command": "validate", "passed": true}'
+    assert _without_checks(b"") == b""
+
+
 def test_package_reach_lists_what_no_cli_run_enters():
     # One data file in a fresh interpreter: segment_integral is kept for the
     # acceptance battery alone, and every CLI mode builds a block system.

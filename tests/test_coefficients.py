@@ -171,6 +171,15 @@ def test_validate_names_the_failing_check(J, q_atom, w_density, failing):
     assert failing in [c.name for c in report.failures()]
 
 
+def test_validate_reports_the_four_hypotheses_in_order():
+    # Unsorted breakpoints and atoms outside the interval never reach
+    # validate: test_measure_rejects_bad_data shows both raise at construction.
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    report = validate(Problem(J, MeasureMatrix.zero(IV, 2), MeasureMatrix.zero(IV, 2)))
+    assert [c.name for c in report.checks] == [
+        "J invertible", "J skew-Hermitian", "q Hermitian", "w PSD"]
+
+
 def test_validate_flags_indefinite_weight_atom():
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
     w = MeasureMatrix.from_atoms(IV, 2, [(0.3, np.diag([1.0, -0.5]))])

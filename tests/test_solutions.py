@@ -166,6 +166,14 @@ def test_functional_identity_exact_value_for_the_mirror_instance(
     assert complex(np.vdot(uhat, mv.functional)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_functional_identity_rejects_a_non_finite_vector(mirror_system, ones_rhs, bad):
+    # As for the lift: without the input check the defect comes back as NaN.
+    mv = moment_vectors(mirror_system, ones_rhs)
+    with pytest.raises(ValueError, match="non-finite"):
+        functional_identity_defect(mirror_system, mv, np.array([0.0, 1.0, 0.0, bad]))
+
+
 def test_the_readme_library_example_prints_what_its_comment_says(capsys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
