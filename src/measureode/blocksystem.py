@@ -586,7 +586,7 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
     """
     problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
-    _check_rhs(f, pts[0], pts[-1])
+    _check_rhs(f, n, pts[0], pts[-1])
     # Only the partition points that carry a w-atom have a nonzero jump moment.
     jump_moments = np.zeros((N, n), dtype=complex)
     for j in np.flatnonzero(_member(pts[1:-1], w.atom_positions)).tolist():

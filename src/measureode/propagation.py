@@ -226,9 +226,10 @@ class _Sampler:
     are the Taylor table's sub-gaps, gap k of width h_k split into max(1,
     ceil(||G_k||_1 h_k / theta)); ``nodes[s]`` is the interior node at
     starts[s], else 0.  ``terms[s]``, the real view of the values of
-    (delta_s G)^j Y(starts[s]) / j!, is sub-gap s's contiguous row, which the
-    factor's ``evaluate`` dots with r^j (r in [0, 1)); ``lefts`` and
-    ``rights`` hold the values of the node limits.
+    (delta_s G)^j Y(starts[s]) / j!, is sub-gap s's contiguous row, which
+    ``read`` dots with r^j (r in [0, 1)); ``lefts`` and ``rights`` hold the
+    values of the node limits.  Both factor kinds read every interior point
+    through ``read``.
     """
 
     def __init__(self, states: _NodeStates, n: int):
@@ -253,14 +254,19 @@ class _Sampler:
         self.terms = tuple(_freeze(rows))
         self.lefts, self.rights = _head(states.lefts, n), _head(states.rights, n)
 
-    def limit(self, s: int, side: str) -> np.ndarray:
-        """The stored limit on one side of the interior node at starts[s]."""
-        i = self.nodes[s]
-        if side == "left":
-            return self.lefts[i - 1]
-        if side == "right":
-            return self.rights[i]
-        return 0.5 * (self.lefts[i - 1] + self.rights[i])
+    def read(self, x: float, side: str) -> np.ndarray:
+        """The value at a float x strictly inside the window: at an interior
+        node the stored limit on ``side``, elsewhere one real dot of r^j with
+        the sub-gap's row, viewed as complex."""
+        s = bisect_right(self.starts, x) - 1
+        start, i = self.starts[s], self.nodes[s]
+        if x == start and i:
+            if side == "left":
+                return self.lefts[i - 1]
+            if side == "right":
+                return self.rights[i]
+            return 0.5 * (self.lefts[i - 1] + self.rights[i])
+        return (((x - start) / self.widths[s]) ** _TAYLOR_POWERS).dot(self.terms[s]).view(_COMPLEX)
 
 
 def _head(states: np.ndarray, n: int) -> np.ndarray:
@@ -297,10 +303,6 @@ class _NodeStates:
         return _NodeStates(self.nodes[first:stop + 1], self.generators[first:stop],
                            self.rights[first:stop], self.lefts[first:stop],
                            _freeze(np.array([0, stop - first])))
-
-    def generators_at(self, xs: np.ndarray) -> np.ndarray:
-        """Generators of the gaps containing the points xs, all off the nodes."""
-        return _pieces_at(self.nodes, self.generators, xs)
 
     def flow(self, k: np.ndarray, x: np.ndarray) -> np.ndarray:
         """States at the points x, each in the closure of its gap k.
@@ -374,18 +376,13 @@ class FundamentalMatrix:
     strictly inside must be regular.  ``states`` and ``transfers`` (one per
     atom inside, in order) are views of the read-only states and transfers
     that one build stepped for a whole partition (``_fundamentals``).  ``evaluate``
-    reads a point off the ends through the matrix's own ``_Sampler``, built
-    on the first such read.
+    reads a point off the ends through the matrix's own ``_Sampler.read``,
+    the sampler built on the first such read.
     """
 
     def __init__(self, J, states: _NodeStates, transfers: np.ndarray):
         self.J, self.states, self.transfers = J, states, transfers
         self.lo, self.hi = float(states.nodes[0]), float(states.nodes[-1])
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """p_0 = lo < ... < p_K = hi: the ends and the q-structure inside."""
-        return self.states.nodes
 
     @property
     def n(self) -> int:
@@ -404,19 +401,10 @@ class FundamentalMatrix:
         if side not in _SIDES:
             raise ValueError(f"side must be one of {_SIDES}")
         if self.lo < x < self.hi:
-            t = self._sampler
-            s = bisect_right(t.starts, x) - 1
-            start = t.starts[s]
-            if x == start and t.nodes[s]:
-                return t.limit(s, side).reshape(self.J.shape)
-            return (((x - start) / t.widths[s]) ** _TAYLOR_POWERS).dot(t.terms[s]).view(
-                _COMPLEX).reshape(self.J.shape)
+            return self._sampler.read(x, side).reshape(self.J.shape)
         if not (self.lo <= x <= self.hi):
             raise OutOfInterval(f"{x} is outside [{self.lo}, {self.hi}]")
         return self.states.rights[0] if x == self.lo else self.states.lefts[-1]
-
-    def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
-        return self.evaluate(x, side)
 
 
 def _carry(generators, widths, starts: dict, jump) -> tuple[np.ndarray, np.ndarray]:
@@ -499,7 +487,9 @@ def fundamental_matrix(problem: Problem, sub, tol_sing: float = DEFAULT_TOL_SING
     return _fundamentals(problem.J, *_fundamental_matrices(problem, sub, tol_sing))[0]
 
 
-def _check_rhs(f, lo: float, hi: float) -> None:
+def _check_rhs(f, n: int, lo: float, hi: float) -> None:
+    if f.n != n:
+        raise DimensionMismatch(f"right-hand side has length {f.n}, the system size is {n}")
     if not f.covers(lo, hi):
         raise NotRepresentable(
             f"right-hand side lives on {f.window}, which does not cover [{lo}, {hi}]")
@@ -565,12 +555,12 @@ class PiecewiseSolution:
             self._states = _homogeneous_states(homogeneous, self.coefficients[..., None])
             return self._states
         J, q, w = problem.J, problem.q, problem.w
-        _check_rhs(f, *self.window)
+        _check_rhs(f, n, *self.window)
         nodes = self.structure_points()
         nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
         mids = 0.5 * (nodes[:-1] + nodes[1:])
         generators = np.zeros((mids.size, n + 1, n + 1), dtype=complex)
-        generators[:, :n, :n] = homogeneous.generators_at(mids)
+        generators[:, :n, :n] = _pieces_at(homogeneous.nodes, homogeneous.generators, mids)
         loads = (_pieces_at(w.breakpoints, w.densities, mids)
                  @ _pieces_at(f.breakpoints, f.piece_values, mids)[..., None])
         generators[:, :n, n:] = _solve_j(J, loads)
@@ -607,12 +597,7 @@ class PiecewiseSolution:
             raise ValueError(f"side must be one of {_SIDES}")
         lo, hi = self.window
         if lo < x < hi:
-            t = self._sampler
-            s = bisect_right(t.starts, x) - 1
-            start = t.starts[s]
-            if x == start and t.nodes[s]:
-                return t.limit(s, side)
-            return (((x - start) / t.widths[s]) ** _TAYLOR_POWERS).dot(t.terms[s]).view(_COMPLEX)
+            return self._sampler.read(x, side)
         if not (lo <= x <= hi):
             raise OutOfInterval(f"{x} is outside the solution window [{lo}, {hi}]")
         if x == lo:
@@ -638,9 +623,6 @@ class PiecewiseSolution:
                                 f"[{lo}, {hi}]")
         left, right = self._node_states().limits(xs)
         return 0.5 * (left[:, :self.n, 0] + right[:, :self.n, 0])
-
-    def __call__(self, x: float, side: str = "balanced") -> np.ndarray:
-        return self.evaluate(x, side)
 
 
 def solve_ivp_regular(problem: Problem, sub, x0: float, u0,
@@ -707,7 +689,8 @@ def _pairing_form(factor, n: int, mids: np.ndarray, atoms: np.ndarray,
     K, L = starts.size, starts.size + ends.size
     left, right = factor.limits(np.concatenate([starts, ends, atoms]))
     return (np.eye(n, factor.generators.shape[-1], dtype=complex),
-            factor.generators_at(mids), right[:K], left[K:L], left[L:, :n], right[L:, :n])
+            _pieces_at(factor.nodes, factor.generators, mids), right[:K], left[K:L],
+            left[L:, :n], right[L:, :n])
 
 
 def _piece_terms(u_form: tuple, v_form: tuple, w0: np.ndarray, widths: np.ndarray
@@ -967,7 +950,7 @@ def inhomogeneous_integral(U: FundamentalMatrix, w: MeasureMatrix,
         raise OutOfInterval(f"upper limit {upto} outside [{U.lo}, {U.hi}]")
     if f is None or upto == U.lo:
         return np.zeros(U.n, dtype=complex)
-    _check_rhs(f, U.lo, upto)
+    _check_rhs(f, U.n, U.lo, upto)
     return _pairings(w, U.states, f, [U.lo, upto])[0, :, 0]
 
 
@@ -983,6 +966,8 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):
+        if factor.n != w.n:
+            raise DimensionMismatch(f"factor has length {factor.n}, the weight size is {w.n}")
         if not factor.covers(lo, hi):
             raise WindowMismatch(
                 f"factor on {factor.window} does not cover the window ({lo}, {hi})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocksystem import BlockSystem, MomentVectors, build_system, moment_vectors
-from .coefficients import MeasureMatrix, Problem, Tolerances
+from .coefficients import MeasureMatrix, Problem, Tolerances, _window_ends
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, _squares, w_pairing
@@ -179,7 +179,7 @@ def lagrange_check(problem: Problem, window, pair_uf, pair_vg) -> PairingReport:
     """
     u, f = pair_uf
     v, g = pair_vg
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _window_ends(window)
     for sol in (u, v):
         if not sol.covers(lo, hi):
             raise WindowMismatch("both solutions must cover the window")

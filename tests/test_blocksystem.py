@@ -15,10 +15,12 @@ from measureode import (
     classify_jumps,
     find_singular_points,
     kernel_K0,
+    lagrange_check,
     make_partition,
     moment_vectors,
     nullspace,
     run_suites,
+    solve_system,
     t0_solve,
 )
 from measureode.coefficients import DEFAULT_TOL_SING
@@ -115,6 +117,10 @@ def test_empty_and_reversed_windows_raise_empty_window(mirror_problem, window):
         L2Function(window, window, [[1.0, 0.0]])
     with pytest.raises(EmptyWindow):
         w_pairing(mirror_problem.w, f, f, window)
+    # With both rhs None no pairing reads the window: the check refuses it itself.
+    u = solve_system(build_system(mirror_problem, INTERVAL)).kernel_basis[0]
+    with pytest.raises(EmptyWindow):
+        lagrange_check(mirror_problem, window, (u, None), (u, None))
 
 
 def test_partition_pads_empty_to_thirds():

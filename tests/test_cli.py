@@ -682,3 +682,14 @@ def test_package_reach_lists_what_no_cli_run_enters():
     names = {line.split()[-1] for line in proc.stdout.splitlines()}
     assert "segment_integral" in names
     assert "build_system" not in names
+
+
+def test_package_reach_arms_lists_the_arms_whose_condition_ran_and_they_did_not():
+    # No data file sets --tol-sing: the override's test runs and its else arm
+    # does not, while the arm taken is not listed.
+    script = os.path.join(os.path.dirname(__file__), "package_reach.py")
+    proc = fresh_python(script, "--arms", data("instance_a.json"))
+    assert proc.returncode == 0, proc.stderr
+    arms = [line.split(" in ", 1)[1] for line in proc.stdout.splitlines() if " in " in line]
+    assert '_tolerances: else arm: check_tolerance(args.tol_sing, "--tol-sing")' in arms
+    assert not any(arm.startswith("_tolerances: if arm") for arm in arms)

@@ -25,6 +25,8 @@ from measureode import (
     Problem,
     SingularAtom,
     SingularInitialPoint,
+    SingularJ,
+    WindowMismatch,
     atom_transfer,
     fundamental_matrix,
     segment_exponential,
@@ -176,6 +178,55 @@ def test_atom_transfer_singular_jump_raises():
 def test_atom_transfer_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         atom_transfer(J2, np.eye(3, dtype=complex))
+
+
+def test_a_singular_j_raises_singular_j():
+    # diag(i, 0) is skew-Hermitian but singular: Problem takes it, and the
+    # J^{-1} of a build or of a fundamental matrix raises, with a regular atom too.
+    q = MeasureMatrix((-1.0, 1.0), n=2, breakpoints=[-1.0, 1.0], densities=[np.eye(2)],
+                      atoms=[(0.3, np.eye(2))])
+    problem = Problem(np.diag([1j, 0.0]), q, MeasureMatrix.lebesgue((-1.0, 1.0), np.eye(2)))
+    with pytest.raises(SingularJ):
+        build_system(problem, (-1.0, 1.0))
+    with pytest.raises(SingularJ):
+        fundamental_matrix(problem, (-1.0, 1.0))
+
+
+def _lebesgue_problem():
+    window = (-1.0, 1.0)
+    return Problem(J2, MeasureMatrix.lebesgue(window, np.eye(2)),
+                   MeasureMatrix.lebesgue(window, np.eye(2))), window
+
+
+def test_a_rhs_or_factor_of_the_wrong_length_raises_dimension_mismatch():
+    # An n = 3 rhs on an n = 2 system: each entry that takes a rhs, and
+    # w_pairing with it as either factor, raises before numpy sees a product.
+    problem, window = _lebesgue_problem()
+    bs = build_system(problem, window)
+    f3 = L2Function.constant(window, np.ones(3))
+    u = solve_ivp_regular(problem, window, 0.0, [1.0, 0.0])
+    calls = [lambda: moment_vectors(bs, f3),
+             lambda: PiecewiseSolution(problem, bs.states, [[0.0, 0.0]] * (bs.N + 1),
+                                       f3).evaluate(0.3),
+             lambda: inhomogeneous_integral(fundamental_matrix(problem, window), problem.w,
+                                            f3, 0.5),
+             lambda: w_pairing(problem.w, u, f3, window),
+             lambda: w_pairing(problem.w, f3, u, window),
+             lambda: w_pairing(problem.w, f3, f3, window)]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="length 3"):
+            call()
+
+
+def test_w_pairing_raises_window_mismatch_for_a_factor_short_of_the_window():
+    problem, window = _lebesgue_problem()
+    u = solve_ivp_regular(problem, (-1.0, 0.5), 0.0, [1.0, 0.0])
+    f = L2Function.constant((-0.5, 1.0), [1.0, 0.0])
+    whole = solve_ivp_regular(problem, window, 0.0, [0.0, 1.0])
+    for a, b in ((u, whole), (whole, u), (f, whole), (whole, f)):
+        with pytest.raises(WindowMismatch):
+            w_pairing(problem.w, a, b, window)
+    assert isinstance(w_pairing(problem.w, u, f, (-0.5, 0.5)), complex)
 
 
 def _density_problem():
@@ -608,9 +659,12 @@ def test_a_numpy_or_0d_point_reads_as_its_float():
 
 
 def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
+    # Every interior read of both factor kinds, off the nodes and on them, is
+    # one call of ``_Sampler.read``; the window ends and ``evaluate_many`` make none.
     problem, f = _dense_problem(np.random.default_rng(42))
     bs = build_system(problem, (-1.0, 1.0), (0.1,))
     sol = _solutions_of(bs, f)[0]
+    read = count_calls(propagation._Sampler, "read")
     expm = count_calls(propagation, "expm")
     integral = count_calls(propagation, "inhomogeneous_integral")
     sampler = count_calls(propagation, "_Sampler")
@@ -623,6 +677,7 @@ def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
     assert integral.calls == 0
     assert expm.calls == first
     assert sampler.calls == 1
+    assert read.calls == grid.size
     first = expm.calls
     sol.evaluate_many(grid)
     assert expm.calls - first == 1
@@ -630,12 +685,22 @@ def test_sampling_takes_no_exponential_after_the_first_sample(count_calls):
     # and no later read exponentiates or builds again.
     U = bs.fundamentals[1]
     inside = grid[(grid > U.lo) & (grid < U.hi)]
-    assert inside.size > 10 and not np.isin(inside, U.nodes).any()
+    assert inside.size > 10 and not np.isin(inside, U.states.nodes).any()
     U.evaluate(float(inside[0]))
     first = expm.calls
     for x in inside[1:]:
         U.evaluate(float(x))
     assert expm.calls == first
+    assert sampler.calls == 2
+    assert read.calls == grid.size + inside.size
+    # An interior node, on each side, reads through it too; an end does not.
+    first = read.calls
+    for factor, nodes in ((sol, sol._node_states().nodes), (U, U.states.nodes)):
+        assert nodes.size > 2
+        for side in ("left", "right", "balanced"):
+            factor.evaluate(float(nodes[1]), side)
+            factor.evaluate(float(nodes[-1]), "left")
+    assert read.calls - first == 6
     assert sampler.calls == 2
 
 
@@ -813,7 +878,7 @@ def test_the_taylor_table_lives_and_dies_with_its_states():
     # It belongs to its factor alone: no states hold it, so a span or a
     # replaced copy of them starts without one, as does a second matrix on
     # the same states.
-    for states in (U.states, U.states.span(0, U.nodes.size - 1),
+    for states in (U.states, U.states.span(0, U.states.nodes.size - 1),
                    dataclasses.replace(U.states), solution._node_states()):
         assert not any(isinstance(v, propagation._Sampler) for v in vars(states).values())
     twin = FundamentalMatrix(U.J, U.states, U.transfers)
@@ -1047,7 +1112,7 @@ def _reference_pairing(problem, u, v, window):
 
 def _reference_integral(U, problem, f, upto):
     w = problem.w
-    grid = np.unique(np.concatenate([U.nodes, w.structure_points(), f.structure_points(),
+    grid = np.unique(np.concatenate([U.states.nodes, w.structure_points(), f.structure_points(),
                                      [U.lo, upto]]))
     grid = grid[(grid >= U.lo) & (grid <= upto)]
     total = np.zeros(U.n, dtype=complex)
