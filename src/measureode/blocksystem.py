@@ -150,7 +150,8 @@ def _dense_rank(matrix: np.ndarray, tol_rank: float) -> int:
     the singular values are those of the matrix itself.  On a banded
     matrix, such as a block-bidiagonal B*, it keeps the bidiagonalisation
     from carrying fill-in along the band, where it underflows to subnormal
-    numbers and slows the SVD two- to threefold.
+    numbers and slows the SVD two- to threefold.  ``suite_cbbc``'s ledger
+    counts ranks with it; ``nullspace`` does not.
     """
     _check_finite(matrix)
     m = matrix.shape[0]
@@ -160,24 +161,63 @@ def _dense_rank(matrix: np.ndarray, tol_rank: float) -> int:
     return int(np.sum(s > tol_rank * s[0]))
 
 
+def _full_column_rank(matrix: np.ndarray, tol_rank: float) -> bool:
+    """True only if sigma_min > tol_rank * sigma_max, proved by one Cholesky.
+
+    For a tall or square m x k matrix M, with u = eps / 2 the unit roundoff
+    and F = |M|_F^2 = trace(M^* M), the Cholesky factorisation of the
+    computed Gram matrix G^ = fl(M^* M) shifted by
+
+        mu = (2 (m + k + 2) eps + tol_rank^2) F
+
+    either fails (False) or proves the bound.  The computed G^ is within
+    gamma_{m+2} F of M^* M in the 2-norm (complex inner products; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    sec. 3.5-3.6), and a Cholesky of a Hermitian A that runs to completion
+    gives R^* R = A + E with |E|_2 <= gamma_{k+1} trace(A) / (1 - gamma_{k+1})
+    (Thm 10.3).  Success on A = G^ - mu I, with the rounding of F and of
+    the shift counted, so gives sigma_min^2 = lambda_min(M^* M) >
+    tol_rank^2 F + 2 (m + k) u F >= tol_rank^2 sigma_max^2, and
+    sigma_min - tol_rank sigma_max > (m + k) u sigma_max: a margin of the
+    order of the SVD's own rounding of its singular values, so every True
+    is a decision the SVD also makes.  False proves nothing: the matrix is
+    rank-deficient, or its sigma_min^2 lies within the margin or below
+    tol_rank^2 F.  The bounds assume no overflow and no underflow, so a Gram
+    with an inf, or an F small enough for subnormal products to matter,
+    gives False; so does a wide matrix, at the shape test.
+    """
+    rows, cols = matrix.shape
+    if rows < cols:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix.conj().T @ matrix
+    square = gram.trace().real
+    eps = np.finfo(float).eps
+    if not (rows + cols) * cols * np.finfo(float).tiny / eps <= square < np.inf:
+        return False
+    gram.flat[::cols + 1] -= (2 * (rows + cols + 2) * eps + tol_rank ** 2) * square
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def nullspace(matrix: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
     """Orthonormal basis of the kernel, columns; rank cut at tol_rank * sigma_max.
 
-    The singular vectors are computed only when a kernel can remain: a
-    matrix with at least as many rows as columns first takes its singular
-    values alone (`_dense_rank`, rows shuffled) and, at full column rank,
-    returns the empty basis.  The SVD that returns the basis takes the rows
-    in their own order, so the basis of a degenerate kernel is the plain
-    SVD's.  A matrix with an inf or NaN entry raises LinAlgError.
+    A tall or square matrix that `_full_column_rank` certifies returns the
+    empty basis with no SVD.  Otherwise one full SVD, of the rows in their
+    own order, gives the basis and the rank that cuts it.  A matrix with an
+    inf or NaN entry raises LinAlgError.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
     _check_finite(matrix)
     rows, cols = matrix.shape
     if rows == 0 or not matrix.any():
         return np.eye(cols, dtype=complex)
-    if rows >= cols and _dense_rank(matrix, tol_rank) == cols:
+    if _full_column_rank(matrix, tol_rank):
         return np.zeros((cols, 0), dtype=complex)
-    # The basis takes its rank from the same decomposition as its vectors.
     _, s, vh = np.linalg.svd(matrix)
     rank = int(np.sum(s > tol_rank * s[0]))
     return vh[rank:].conj().T

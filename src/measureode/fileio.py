@@ -144,7 +144,10 @@ def _rhs(value, n: int, w: MeasureMatrix, ctx: str) -> L2Function:
     for i, item in enumerate(raw_atom_values):
         actx = f"{ctx}.atom_values[{i}]"
         _fields(item, _F_ATOM_KEYS, actx)
-        atom_values[_number(item["x"], actx)] = _vector(item["vector"], n, actx)
+        x = _number(item["x"], actx)
+        if x in atom_values:
+            raise ParseError(f"a second atom value at x = {x}", actx)
+        atom_values[x] = _vector(item["vector"], n, actx)
     pieces.sort(key=lambda t: t[0])
     window = (pieces[0][0], pieces[-1][1])
     try:

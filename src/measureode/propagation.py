@@ -515,7 +515,8 @@ class PiecewiseSolution:
     no sampler, and anywhere else it reads the solution's ``_Sampler``, built
     on the first such value, with no exponential per call.  The window ends
     and ``n`` are Python scalars fixed at construction.  Outside the window
-    evaluation raises.
+    evaluation raises.  A rhs of another length than n, or one that does not
+    cover the window, raises at construction.
     """
 
     def __init__(self, problem: Problem, states: _NodeStates, coefficients,
@@ -532,6 +533,8 @@ class PiecewiseSolution:
                 np.array(coefficients, dtype=complex).reshape(len(coefficients), n))
         except ValueError:
             raise DimensionMismatch(f"coefficient vectors must have length {n}") from None
+        if rhs is not None:
+            _check_rhs(rhs, n, *self.window)
         self.rhs = rhs
         self._states: _NodeStates | None = None
 
@@ -555,7 +558,6 @@ class PiecewiseSolution:
             self._states = _homogeneous_states(homogeneous, self.coefficients[..., None])
             return self._states
         J, q, w = problem.J, problem.q, problem.w
-        _check_rhs(f, n, *self.window)
         nodes = self.structure_points()
         nodes = nodes[(nodes >= self.points[0]) & (nodes <= self.points[-1])]
         mids = 0.5 * (nodes[:-1] + nodes[1:])

@@ -25,7 +25,9 @@ magnitudes that moved.  Each run then ends with one line
 ``--compare`` reads two ``--rows`` outputs and prints how many rows moved
 out of the total, the rows found on one side only (counted by name),
 every pass/fail flip, every exit-code change, and the largest move of a
-measured value relative to its tolerance in BEFORE.
+measured value relative to its tolerance in BEFORE.  It exits 1 when a row
+moved, a row is on one side only, a row flipped or an exit code changed,
+and 0 when the two runs agree row for row.
 
 The name does not match pytest's ``test_*.py``, so the suite does not
 collect it.
@@ -69,13 +71,14 @@ def _relative_move(old: tuple, new: tuple) -> float:
     return move / tolerance if move else 0.0
 
 
-def compare(before_path: str, after_path: str) -> None:
+def compare(before_path: str, after_path: str) -> bool:
+    """Print the differences of two ``--rows`` outputs; True if there are any."""
     (before, before_exits), (after, after_exits) = map(_read_rows, (before_path, after_path))
     common = [key for key in before if key in after]
     moved = [key for key in common if before[key][:2] != after[key][:2]]
     print(f"rows moved: {len(moved)} of {len(common)}")
-    for label, keys in (("before", before.keys() - after.keys()),
-                        ("after", after.keys() - before.keys())):
+    one_sided = {"before": before.keys() - after.keys(), "after": after.keys() - before.keys()}
+    for label, keys in one_sided.items():
         if keys:
             print(f"rows only in {label}: {len(keys)}")
             for name, count in sorted(Counter(key[1] for key in keys).items()):
@@ -94,6 +97,7 @@ def compare(before_path: str, after_path: str) -> None:
         (old, tol, _), (new, _, _) = before[key], after[key]
         print(f"largest move: {_relative_move(before[key], after[key]):.3e} of its "
               f"tolerance, {key[0]} {json.dumps(key[1])} {old} -> {new} (tolerance {tol})")
+    return bool(moved or any(one_sided.values()) or flips or changed)
 
 
 def _without_checks(stdout: bytes) -> bytes:
@@ -109,8 +113,7 @@ def _without_checks(stdout: bytes) -> bytes:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
-        compare(argv[1], argv[2])
-        return 0
+        return 1 if compare(argv[1], argv[2]) else 0
     if argv not in ([], ["--results"], ["--rows"]):
         print(USAGE, file=sys.stderr)
         return 2

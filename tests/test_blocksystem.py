@@ -1,5 +1,7 @@
 """Jump classification, partitions, and the coupling matrices."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from measureode import (
     t0_solve,
 )
 from measureode.coefficients import DEFAULT_TOL_SING
-from measureode.blocksystem import Partition, _dense_rank
+from measureode.blocksystem import Partition, _dense_rank, _full_column_rank
 from measureode.functions import L2Function
 from measureode.propagation import w_pairing
 from measureode.fuzz import random_chain, random_instance
@@ -209,15 +211,16 @@ def test_nullspace_of_a_full_column_rank_matrix_takes_no_singular_vectors(count_
         adjoint = _chain_adjoint(seed, N, False)
         assert _oracle_dimension(adjoint) == 0
         svd = count_calls(np.linalg, "svd")
+        cholesky = count_calls(np.linalg, "cholesky")
         basis = nullspace(adjoint, 1e-10)
         assert basis.shape == (adjoint.shape[1], 0)
-        assert svd.kwargs == [{"compute_uv": False}]
+        assert (svd.calls, cholesky.calls) == (0, 1)
 
 
 def test_nullspace_of_a_rank_deficient_tall_matrix_matches_the_full_svd(count_calls,
                                                                         mirror_system):
-    # The basis is the unshuffled full SVD's, bit for bit; only the rank
-    # count before it sees the rows shuffled.
+    # The basis is the unshuffled full SVD's, bit for bit, and that SVD is
+    # the only one: the failed certificate costs no values-only SVD.
     chains = [_chain_adjoint(3, N, True) for N in (20, 80)]
     for adjoint in (*chains, mirror_system.B.conj().T):
         _, s, vh = np.linalg.svd(adjoint)
@@ -226,10 +229,96 @@ def test_nullspace_of_a_rank_deficient_tall_matrix_matches_the_full_svd(count_ca
         assert expected >= 1
         svd = count_calls(np.linalg, "svd")
         basis = nullspace(adjoint, 1e-10)
-        assert svd.kwargs == [{"compute_uv": False}, {}]
+        assert svd.kwargs == [{}]
         np.testing.assert_array_equal(basis, vh[rank:].conj().T)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(expected), atol=1e-12)
         assert np.linalg.norm(adjoint @ basis) <= 1e-12 * np.linalg.norm(adjoint)
+
+
+def _synthetic_tall(rng, rows, cols, ratio, scale):
+    """scale U diag(s) V^*, s from 1 down to ratio, random unitary U and V."""
+    def unitary(size):
+        return np.linalg.qr(rng.standard_normal((size, size))
+                            + 1j * rng.standard_normal((size, size)))[0]
+    inner = np.exp(rng.uniform(np.log(ratio), 0.0, max(cols - 2, 0)))
+    s = np.concatenate([[1.0], np.sort(inner)[::-1], [ratio]])[:cols]
+    return scale * (unitary(rows)[:, :cols] * s) @ unitary(cols).conj().T
+
+
+def test_the_rank_certificate_is_true_only_where_the_svd_counts_full_rank():
+    # 1600 tall matrices, sigma_min / sigma_max from 1e-14 to 1, scales from
+    # 1e-100 to 1e100, a quarter of them near the cut: a True must agree
+    # with the values-only SVD, shuffled (_dense_rank) and plain, and every
+    # matrix well clear of the cut must certify.
+    rng = np.random.default_rng(33)
+    certified = 0
+    for tol_rank in (1e-10, 1e-6, 1e-3, 0.5):
+        for case in range(400):
+            cols = int(rng.integers(1, 9))
+            rows = cols + int(rng.integers(0, 5))
+            ratio = (tol_rank * 10.0 ** rng.uniform(-0.3, 0.7) if case % 4 == 0
+                     else 10.0 ** rng.uniform(-14.0, 0.0))
+            matrix = _synthetic_tall(rng, rows, cols, min(ratio, 1.0),
+                                     10.0 ** rng.uniform(-100.0, 100.0))
+            s = np.linalg.svd(matrix, compute_uv=False)
+            full_rank = (_dense_rank(matrix, tol_rank) == cols
+                         and int(np.sum(s > tol_rank * s[0])) == cols)
+            certificate = _full_column_rank(matrix, tol_rank)
+            assert full_rank or not certificate, (tol_rank, case)
+            if s[-1] >= max(2.0 * np.sqrt(cols) * tol_rank, 1e-5) * s[0]:
+                assert certificate, (tol_rank, case)
+            certified += certificate
+    assert certified >= 400
+
+
+def test_nullspace_dimensions_match_the_oracle_on_every_coupling_family():
+    # B^* of the acceptance fuzz set, random and mirrored chains, the
+    # borderline family and both hyperbolic files.
+    from measureode.fileio import load_problem
+    from test_acceptance import _fuzz_systems
+    from test_cli import DATA
+    from test_verify import _borderline_family
+    adjoints = [bs.B.conj().T for _, bs in _fuzz_systems()]
+    adjoints += [_chain_adjoint(3, N, mirrored)
+                 for N in (20, 80, 160) for mirrored in (False, True)]
+    with np.errstate(all="ignore"):
+        adjoints += [build_system(problem, inst.window, inst.extra_points).B.conj().T
+                     for inst, problem in _borderline_family(1e-6)]
+    for name in ("instance_hyperbolic.json", "instance_hyperbolic_padded.json"):
+        parsed = load_problem(os.path.join(DATA, name))
+        adjoints.append(build_system(parsed.problem, parsed.window,
+                                     parsed.forced_points).B.conj().T)
+    dimensions = [nullspace(adjoint).shape[1] for adjoint in adjoints]
+    assert dimensions == [_oracle_dimension(adjoint) for adjoint in adjoints]
+    assert 0 < sum(dimensions)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_nullspace_of_an_overflowing_or_underflowing_gram_takes_the_svd(count_calls,
+                                                                        scale):
+    # Squares of 1e160 overflow and of 1e-170 underflow to zero: no
+    # certificate, and the full SVD, which scales its input, decides.
+    rng = np.random.default_rng(5)
+    matrix = scale * (rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8)))
+    assert not _full_column_rank(matrix, 1e-10)
+    svd = count_calls(np.linalg, "svd")
+    assert nullspace(matrix, 1e-10).shape == (8, 0)
+    assert svd.kwargs == [{}]
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_matrix_raises_before_any_svd_or_cholesky(monkeypatch, value):
+    # The stand-ins raise at once, so a regression fails instead of hanging.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factorised a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    for shape in [(4, 3), (3, 3), (3, 4)]:
+        matrix = np.ones(shape, dtype=complex)
+        matrix[1, 2] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            nullspace(matrix)
 
 
 def test_nullspace_of_a_wide_matrix_takes_one_svd(count_calls):

@@ -1,6 +1,6 @@
 """Command line behaviour: exit codes, report shape, determinism."""
 
-import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -185,6 +185,16 @@ def test_a_malformed_list_field_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "atom_values must be a list" in err
+
+
+def test_two_atom_values_at_one_x_exit_two(tmp_path, capsys):
+    # As for two q or w atoms at one x: the second value is not silently kept.
+    raw = _raw()
+    raw["f"]["atom_values"] = [{"x": 0.0, "vector": [[5, 0], [0, 0]]},
+                               {"x": 0.0, "vector": [[7, 0], [0, 0]]}]
+    code, out, err = run_main(["solve", "--input", _write(tmp_path, raw)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: $.f.atom_values[1]: a second atom value at x = 0.0\n"
 
 
 def test_missing_input_exits_two_except_for_random_verify(capsys):
@@ -671,6 +681,26 @@ def test_report_digests_names_rows_on_one_side_and_digests_results_without_rows(
     report = b'{"command": "validate", "checks": [{"name": "gone"}], "passed": true}'
     assert _without_checks(report) == b'{"command": "validate", "passed": true}'
     assert _without_checks(b"") == b""
+
+
+@pytest.mark.parametrize("after, code", [
+    ('a.json:solve "r" 0.5 1.0 True\na.json:solve - exit 0\n', 0),
+    ('a.json:solve "r" 0.6 1.0 True\na.json:solve - exit 0\n', 1),
+    ('a.json:solve "r" 0.5 1.0 True\na.json:solve "s" 0.5 1.0 True\n'
+     'a.json:solve - exit 0\n', 1),
+    ('a.json:solve "r" 0.5 1.0 False\na.json:solve - exit 0\n', 1),
+    ('a.json:solve "r" 0.5 1.0 True\na.json:solve - exit 1\n', 1),
+], ids=["same", "moved", "one side", "flip", "exit code"])
+def test_report_digests_compare_exits_one_on_any_difference(tmp_path, capsys, after, code):
+    spec = importlib.util.spec_from_file_location(
+        "report_digests_script", os.path.join(os.path.dirname(__file__), "report_digests.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    (tmp_path / "before.txt").write_text('a.json:solve "r" 0.5 1.0 True\na.json:solve - exit 0\n')
+    (tmp_path / "after.txt").write_text(after)
+    assert script.main(["--compare", str(tmp_path / "before.txt"),
+                        str(tmp_path / "after.txt")]) == code
+    assert capsys.readouterr().out.startswith("rows moved: ")
 
 
 def test_package_reach_lists_what_no_cli_run_enters():

@@ -20,6 +20,7 @@ from measureode import (
     DimensionMismatch,
     FundamentalMatrix,
     MeasureMatrix,
+    NotRepresentable,
     OutOfInterval,
     PiecewiseSolution,
     Problem,
@@ -216,6 +217,20 @@ def test_a_rhs_or_factor_of_the_wrong_length_raises_dimension_mismatch():
     for call in calls:
         with pytest.raises(DimensionMismatch, match="length 3"):
             call()
+
+
+def test_a_piecewise_solution_checks_its_rhs_at_construction():
+    # An n = 3 rhs, or one on half the window, raises when the solution is
+    # built, not at its first evaluate.
+    problem, window = _lebesgue_problem()
+    bs = build_system(problem, window)
+    coefficients = [[0.0, 0.0]] * (bs.N + 1)
+    with pytest.raises(DimensionMismatch, match="length 3"):
+        PiecewiseSolution(problem, bs.states, coefficients,
+                          L2Function.constant(window, np.ones(3)))
+    with pytest.raises(NotRepresentable, match="does not cover"):
+        PiecewiseSolution(problem, bs.states, coefficients,
+                          L2Function.constant((0.0, 1.0), [1.0, 0.0]))
 
 
 def test_w_pairing_raises_window_mismatch_for_a_factor_short_of_the_window():

@@ -26,7 +26,7 @@ from measureode.blocksystem import TOL_IDENTITY
 from measureode.errors import InconsistentLift, ParseError
 from measureode.fileio import load_problem
 from measureode.functions import L2Function
-from measureode.relations import t0_solve_system
+from measureode.relations import _norm_from_square, t0_solve_system
 from measureode.solutions import _consistency_bound
 from measureode.verify import TOL_ENDPOINT, orthogonal_rhs
 
@@ -53,6 +53,16 @@ def test_weighted_norm_is_real_and_monotone_in_the_weight():
     f = L2Function.constant((0.0, 1.0), [1.0, 1.0])
     assert weighted_norm(w1, f) == pytest.approx(np.sqrt(2.0), abs=1e-10)
     assert weighted_norm(w2, f) == pytest.approx(2.0, abs=1e-10)
+
+
+def test_a_squared_norm_far_below_zero_raises_and_a_rounding_one_clamps():
+    # bad_negative_w.json's w is not PSD: (1, 0) has squared norm -1.
+    parsed = load_problem(os.path.join(DATA, "bad_negative_w.json"))
+    w = parsed.problem.w
+    f = L2Function.constant(parsed.window, [1, 0], w)
+    with pytest.raises(ValueError, match="squared norm came out -1.0, far below zero"):
+        weighted_norm(w, f, parsed.window)
+    assert _norm_from_square(-1e-13) == 0.0
 
 
 def test_kernel_K0_of_the_mirror_problem(mirror_problem):
