@@ -21,7 +21,7 @@ from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member,
 from .errors import DimensionMismatch, OutOfInterval
 from .functions import L2Function
 from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
-                          _fundamentals, _NodeStates, _singular)
+                          _fundamentals, _NodeStates, _pairing_table, _PairingTable, _singular)
 
 BORDERLINE_SING = 1e-6
 TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
@@ -605,7 +605,8 @@ class MomentVectors:
     subinterval integrals of U^* w f for the first N subintervals and
     ``last_integral`` holds the final one.  ``rhs`` is the right-hand side of
     the coupling equation and ``functional`` the combination that decides
-    solvability with vanishing endpoint data.
+    solvability with vanishing endpoint data.  ``table`` is f's pairing table
+    on ``states``, the node states of the build the moments were computed on.
     """
 
     f: L2Function
@@ -614,15 +615,17 @@ class MomentVectors:
     last_integral: np.ndarray
     rhs: np.ndarray
     functional: np.ndarray
+    table: _PairingTable
+    states: _NodeStates
 
 
 def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
     """Compute all moments of f that the coupling equation needs.
 
-    The integrals sum f's pairing table on ``bs.states`` per subinterval;
-    the table is built here on first use and kept on the states, so later
-    pairings of the build's homogeneous solutions with f read it too
-    (``propagation._table_pairings``).
+    The integrals sum f's pairing table on ``bs.states`` per subinterval.
+    The table is built here and returned in the moments, whose readers
+    pair the build's homogeneous solutions with f by contracting it with
+    their coefficient rows.
     """
     problem, pts, n, N = bs.problem, bs.points, bs.n, bs.N
     w = problem.w
@@ -634,11 +637,12 @@ def moment_vectors(bs: BlockSystem, f: L2Function) -> MomentVectors:
         jump_moments[j] = w.jump(x) @ f.value(x, "balanced")
     jump_moments = jump_moments.reshape(-1)
     # Open subintervals: the w-atoms at the partition points are the jump moments.
-    integrals = bs.states.table(w, pts[[0, -1]], f).integrals(N + 1)[..., 0]
+    table = _pairing_table(bs.states, w, pts[[0, -1]], f)
+    integrals = table.integrals(N + 1)[..., 0]
     solved = np.linalg.solve(problem.J, integrals.T).T  # J^{-1} of each integral
     coupled = bs._lower @ solved[:N, :, None]
     rhs = jump_moments - coupled.reshape(-1)
     functional = rhs.copy()
     functional[-n:] += bs.b_plus[-1] @ solved[N]
     return MomentVectors(f, jump_moments, integrals[:N].reshape(-1), integrals[N],
-                         rhs, functional)
+                         rhs, functional, table, bs.states)

@@ -286,10 +286,9 @@ class _NodeStates:
     starts[j] .. starts[j+1] - 1, and the state restarts at its first node
     (from the identity for fundamental matrices, from c_j for a solution).
     A state is a matrix (a fundamental matrix) or a column (a solution's
-    augmented (u, 1)).  The pairing tables of a build's fundamental
-    matrices, one per weight, edges and partner (``table``), are built on
-    first use and belong to these states alone: ``replace`` and ``span``
-    start without them.
+    augmented (u, 1)).  The pairing table of a build's fundamental
+    matrices with themselves (``table``) is built on first use and belongs
+    to these states alone: ``replace`` and ``span`` start without it.
     """
 
     nodes: np.ndarray
@@ -313,30 +312,19 @@ class _NodeStates:
         dx = x - self.nodes[k]
         return expm(self.generators[k] * dx[:, None, None]) @ self.rights[k]
 
-    @cached_property
-    def _tables(self) -> dict:
-        """The pairing tables built on these states, oldest first, keyed by (w, edges, f)."""
-        return {}
+    def table(self, w: MeasureMatrix, edges) -> _PairingTable:
+        """The pairing table over edges against w of these fundamental-matrix
+        states with themselves, built by ``_pairing_table`` on first use.
 
-    def table(self, w: MeasureMatrix, edges, f: L2Function | None = None) -> _PairingTable:
-        """The pairing table over edges against w of these fundamental-matrix states
-        and a partner: the states themselves (f None) or a rhs f.
-
-        Built on first use by ``_pairing_table``.  w and f are keys by
-        identity, so two equal but distinct f never share a table.  One
-        table with the states themselves is kept, replaced when a pairing
-        asks for another weight or other edges, beside the last four f
-        tables; all are freed with the states.
+        One slot keeps it, keyed by w's identity and the edges, until a
+        pairing asks for another weight or other edges; it is freed with the
+        states.  A rhs f's table belongs to its ``MomentVectors`` instead.
         """
-        cache = self._tables
-        key = _table_key(w, edges, f)
-        if key not in cache:
-            # Each partner kind evicts only its own kind, oldest first.
-            kind = [k for k in cache if (k[2] is None) == (f is None)]
-            if len(kind) == (1 if f is None else 4):
-                del cache[kind[0]]
-            cache[key] = _pairing_table(self, w, edges, f)
-        return cache[key]
+        key = (w, tuple(np.asarray(edges, dtype=float).tolist()))
+        if key not in vars(self).get("_tables", {}):
+            # The slot goes in the instance dict, as the dataclass is frozen.
+            vars(self)["_tables"] = {key: _pairing_table(self, w, edges)}
+        return self._tables[key]
 
     def limits(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left and right limits at each point of xs; at the window ends the one limit there.
@@ -774,10 +762,6 @@ class _PairingTable:
         return _interval_sums(count, *self.runs(self.left_rows, self.terms)[:2])
 
 
-def _table_key(w: MeasureMatrix, edges, f: L2Function | None) -> tuple:
-    return (w, tuple(np.asarray(edges, dtype=float).tolist()), f)
-
-
 def _subinterval_rows(states: _NodeStates, mids: np.ndarray, positions: np.ndarray):
     """The subinterval (coefficient row) of each piece midpoint, and the ones left
     and right of each atom position, among the partition points of ``states``."""
@@ -795,6 +779,8 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
     pairing of the two partners.  With f over the window, the pieces and
     balanced atom terms are those of the general ``_pairings(w, states, f,
     edges)`` for edges from the build's partition points, bit for bit.
+    ``_NodeStates.table`` keeps the table of the states themselves;
+    ``moment_vectors`` builds f's and returns it in its ``MomentVectors``.
     """
     edges = np.asarray(edges, dtype=float)
     structure = [states.nodes] + ([] if f is None else [f.structure_points()])
@@ -832,41 +818,6 @@ def _pairing_table(states: _NodeStates, w: MeasureMatrix, edges,
                                + (_adjoint(V[4]) @ (matrices @ V[4])).sum()))
     return _PairingTable(*(_freeze(np.concatenate(parts)) for parts in zip(*runs)), mids.size,
                          mids.size + int(one.sum()), edges.size - 1, square)
-
-
-def _homogeneous(factor):
-    """(build states, coefficient rows (N+1, n, 1)) of a solution without rhs;
-    None for any other factor."""
-    if isinstance(factor, PiecewiseSolution) and factor.rhs is None:
-        return factor._homogeneous, factor.coefficients[..., None]
-    return None
-
-
-def _table_pairings(w: MeasureMatrix, u, v, edges: np.ndarray) -> np.ndarray | None:
-    """``_pairings`` from a pairing table of one build; None for a pair no table serves.
-
-    Two homogeneous factors of one build covering the edges read (and on
-    first use build) its table; a homogeneous factor and an f in either
-    order read f's table over the build's window, if one was built (a
-    lookup builds none).  One gather of coefficient rows and one stacked
-    product, with no grid and no exponential; in the order f, u the result
-    is the conjugate transpose.
-    """
-    hu, hv = _homogeneous(u), _homogeneous(v)
-    if hu is not None and hv is not None:
-        build = hu[0]
-        if hv[0] is not build or not build.nodes[0] <= edges[0] <= edges[-1] <= build.nodes[-1]:
-            return None
-        return _contract(build.table(w, edges), hu[1], hv[1])
-    for h, f in ((hu, v), (hv, u)):
-        if h is None or not isinstance(f, L2Function):
-            continue
-        table = vars(h[0]).get("_tables", {}).get(_table_key(w, edges, f))
-        if table is None:
-            return None
-        sums = _contract(table, h[1], np.ones((1, 1, 1)))
-        return sums if h is hu else _adjoint(sums)
-    return None
 
 
 def _contract(table: _PairingTable, c: np.ndarray, c_partner: np.ndarray) -> np.ndarray:
@@ -916,14 +867,17 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     atoms at the edges do not.  One grid, one ``limits``
     call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
     u's end state) and one stacked _convolution cover every interval; two
-    representable factors need no convolution, as neither flows.  Pairings
-    that a build's pairing table serves read it instead, with no
-    exponential and no grid of their own (``_table_pairings``).
+    representable factors need no convolution, as neither flows.  Two
+    homogeneous solutions of one build, over edges inside its window, read
+    the build's table with itself (``_NodeStates.table``) instead, with no
+    grid and no exponential of their own; every other pair takes the grid.
     """
     edges = np.asarray(edges, dtype=float)
-    tabled = _table_pairings(w, u, v, edges)
-    if tabled is not None:
-        return tabled
+    if all(isinstance(f, PiecewiseSolution) and f.rhs is None for f in (u, v)):
+        build = u._homogeneous
+        if v._homogeneous is build and build.nodes[0] <= edges[0] <= edges[-1] <= build.nodes[-1]:
+            return _contract(build.table(w, edges), u.coefficients[..., None],
+                             v.coefficients[..., None])
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
             else [f] if isinstance(f, L2Function) else f for f in (u, v))
     starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [
@@ -962,9 +916,8 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     Both factors may be balanced solutions or representable functions; atoms
     of w strictly inside the window contribute with balanced values.  Two
     homogeneous solutions of one build pair from the build's table with
-    itself, cached on its node states, and a homogeneous solution of a
-    build pairs with a rhs whose moments were computed on it from that
-    rhs's table there, in either order (``_table_pairings``).
+    itself, cached on its node states; every other pair takes the general
+    path of ``_pairings``, so the result does not depend on what ran before.
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):

@@ -19,8 +19,8 @@ from .coefficients import MeasureMatrix, Problem, Tolerances, _window_ends
 from .errors import MissingRHS, WindowMismatch
 from .functions import L2Function
 from .propagation import PiecewiseSolution, _squares, w_pairing
-from .solutions import (_adjoint_kernel_projection, _consistency_bound, _lift_and_pair,
-                        reconstruct, solve_system)
+from .solutions import (_adjoint_kernel_projection, _check_moments, _consistency_bound,
+                        _lift_and_pair, reconstruct, solve_system)
 
 # A kernel element whose squared w-norm falls below this is the zero class.
 DEGENERATE_NORM_TOL = 1e-10
@@ -41,8 +41,9 @@ def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     """Norm induced by the weight; tiny negative squares clamp to zero.
 
     A homogeneous solution of a block system reads the pairing table of the
-    build with itself, cached on the build's node states, so the norms of a
-    whole kernel basis take exponentials only for the first.
+    build with itself, kept in one slot on the build's node states, so the
+    norms of a whole kernel basis take exponentials only for the first.  Any
+    other factor takes the general path of ``w_pairing``.
     """
     return _norm_from_square(float(np.real(inner_product(w, u, u, window))))
 
@@ -142,7 +143,9 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
 
     The rhs is solvable when the projection of its functional moment vector
     onto ker B_m^* is within the consistency bound; only then is B_m solved.
+    Moments computed on another build raise ValueError.
     """
+    _check_moments(bs, moments)
     target = moments.functional
     kernel_vector = _adjoint_kernel_projection(bs, target, tols.rank)
     projection_norm = float(np.linalg.norm(kernel_vector))

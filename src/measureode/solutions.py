@@ -23,7 +23,7 @@ from .errors import (
     NotInKernel,
 )
 from .functions import L2Function
-from .propagation import PiecewiseSolution, _adjoint, w_pairing
+from .propagation import PiecewiseSolution, _adjoint, _contract
 
 # How far a claimed kernel vector may sit from the computed kernel.
 KERNEL_MEMBERSHIP_TOL = 1e-6
@@ -62,6 +62,12 @@ class SolutionSet:
         return self.kernel_coefficients.shape[1]
 
 
+def _check_moments(bs: BlockSystem, moments: MomentVectors) -> None:
+    """ValueError unless ``moments`` were computed on the node states of ``bs``."""
+    if moments.states is not bs.states:
+        raise ValueError("moment vectors were computed on another block system")
+
+
 def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
                  tols: Tolerances = Tolerances()) -> SolutionSet:
     """Particular solution (minimum norm) plus a basis of homogeneous ones.
@@ -69,12 +75,14 @@ def solve_system(bs: BlockSystem, moments: MomentVectors | None = None,
     With no moment data the right-hand side is zero: the particular solution
     is the zero solution and the kernel basis spans all homogeneous balanced
     solutions on the window.  ``propagator_defect`` says whether the
-    propagators the answer rests on are well conditioned.
+    propagators the answer rests on are well conditioned.  Moments of
+    another build raise ValueError.
     """
     if moments is None:
         rhs = np.zeros(bs.n * bs.N, dtype=complex)
         coeffs = np.zeros(bs.n * (bs.N + 1), dtype=complex)
     else:
+        _check_moments(bs, moments)
         rhs = moments.rhs
         coeffs = bs.factors.solve(rhs, tols.rank)
     residual = float(np.linalg.norm(bs.factors.apply(coeffs) - rhs))
@@ -167,10 +175,11 @@ def _lift_projected(bs: BlockSystem, uhat: np.ndarray, tol: float) -> np.ndarray
 def _lift_and_pair(bs: BlockSystem, uhat: np.ndarray, moments: MomentVectors,
                    tol_solve: float) -> tuple[PiecewiseSolution, complex, complex]:
     """The solution u lifted from uhat, already in ker B_m^*, with its two pairings:
-    the integral of u^* w f over the window and uhat^* functional, equal in exact arithmetic."""
+    the integral of u^* w f over the window, from f's table in ``moments``,
+    and uhat^* functional, equal in exact arithmetic."""
     u = reconstruct(bs, _lift_projected(bs, uhat[:, None], tol_solve)[:, 0])
-    return (u, w_pairing(bs.problem.w, u, moments.f, bs.partition.window),
-            complex(np.vdot(uhat, moments.functional)))
+    pairing = _contract(moments.table, u.coefficients[..., None], np.ones((1, 1, 1)))
+    return u, complex(pairing[0, 0, 0]), complex(np.vdot(uhat, moments.functional))
 
 
 def _compact_lifts(bs: BlockSystem, tols: Tolerances = Tolerances()
@@ -219,8 +228,10 @@ def functional_identity_defect(bs: BlockSystem, moments: MomentVectors,
     The pairing of the functional moment vector with a kernel vector of the
     adjoint reduced matrix equals the weighted pairing of the lifted
     homogeneous solution with the right-hand side; this returns the absolute
-    mismatch between the two computations (ValueError for a non-finite uhat).
+    mismatch between the two computations (ValueError for a non-finite uhat
+    or another build's moments).
     """
+    _check_moments(bs, moments)
     projected = _project_onto_adjoint_kernel(bs, uhat, tols.rank)
     _, pairing, moment_pairing = _lift_and_pair(bs, projected, moments, tols.solve)
     return abs(moment_pairing - pairing)

@@ -69,6 +69,8 @@ def suite_cbbc(bs, tag: str, tol_rank: float) -> list[Check]:
 
 
 def suite_wronskian(bs, samples: int, tag: str) -> list[Check]:
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
     J = bs.problem.J
     pts = bs.points
     # Left limits: at each partition point the end value of the subinterval before.
@@ -177,14 +179,12 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     ``kernel`` holds the coefficient rows (N+1, n, d) of every homogeneous
     solution on the window as columns, and ``kernel_norms()`` their w-norms.
     A solution's "range orthogonal to kernel" row pairs all columns with f
-    in one contraction of f's pairing table on ``bs.states`` (built by
+    in one contraction of f's pairing table (``moments.table``, built by
     ``moment_vectors``), and reads f's w-norm there; the kernel norms are
     asked for only then, so a certificate costs no w-norm.
     """
-    problem = bs.problem
     f = moments.f
-    window = bs.partition.window
-    lo, hi = window
+    lo, hi = bs.partition.window
     rows = []
     if isinstance(result, OrthogonalityCertificate):
         bound = TOL_PAIRING * (1.0 + _sup_norm(f)) \
@@ -206,9 +206,8 @@ def _t0_result_rows(bs, moments: MomentVectors, result, kernel, kernel_norms,
     proj = float(np.linalg.norm(basis.conj().T @ moments.functional))
     rows.append(_row(f"{prefix} solvable means orthogonal [{tag}]", proj, CERTIFICATE_TRIGGER))
 
-    table = bs.states.table(problem.w, window, f)
-    norm_f = _norm_from_square(table.square)
-    pairings = np.abs(_contract(table, kernel, np.ones((1, 1, 1)))[0, :, 0])
+    norm_f = _norm_from_square(moments.table.square)
+    pairings = np.abs(_contract(moments.table, kernel, np.ones((1, 1, 1)))[0, :, 0])
     worst = float(np.max(pairings / (1.0 + norm_f * kernel_norms())))
     rows.append(_row(f"{prefix} range orthogonal to kernel [{tag}]", worst, TOL_PAIRING))
     return rows
@@ -313,6 +312,8 @@ def run_random_suites(seed, count: int, checks=SUITE_NAMES, samples: int = 64,
 
     ``seed`` is an int or a numpy Generator, which is drawn from in place.
     """
+    if count < 0:
+        raise ValueError("count must not be negative")
     rng = np.random.default_rng(seed)
     rows: list[Check] = []
     for index in range(count):

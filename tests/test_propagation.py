@@ -1333,9 +1333,9 @@ def test_homogeneous_pairings_from_the_table_match_the_general_path():
                     worst = max(worst, np.abs(got - want[i, j]).max()
                                 / max(1.0, norms[i] * norms[j]))
             # One table of the build with itself, for the last weight and edges.
-            cache = bs.states._tables
-            assert [key for key in cache if key[2] is None] == [(w, tuple(edges), None)]
-            assert cache[(w, tuple(edges), None)].intervals == len(edges) - 1
+            (key,) = bs.states._tables
+            assert key == (w, tuple(edges))
+            assert bs.states._tables[key].intervals == len(edges) - 1
     assert len(systems) == 240
     assert worst <= 1e-12
 
@@ -1377,12 +1377,6 @@ def _padded_hyperbolic_system():
     return inst, build_system(parsed.problem, parsed.window, parsed.forced_points)
 
 
-def _untabled_copy(f):
-    """An L2Function equal to f but a distinct object, so no build has its table."""
-    return L2Function(f.window, f.breakpoints, f.piece_values,
-                      dict(zip(f.atom_positions.tolist(), f.atom_values)))
-
-
 def _homogeneous_factors(bs):
     """A reconstructed, a lifted and a compact solution of bs where it has them."""
     from measureode.solutions import _lift_projected
@@ -1395,9 +1389,10 @@ def _homogeneous_factors(bs):
 
 
 def test_rhs_table_pairings_match_the_general_path():
-    # Each homogeneous factor against a tabled f, in both orders, against the
-    # general path on an equal but untabled copy of f.  The scale is the
-    # Cauchy-Schwarz bound |<u, f>| <= |u|_w |f|_w of each column.
+    # Each homogeneous factor's pairing with f read from f's table in its
+    # moment vectors (the contraction _lift_and_pair and the t0 rows make)
+    # against the general path, which w_pairing takes in either order.  The
+    # scale is the Cauchy-Schwarz bound |<u, f>| <= |u|_w |f|_w of each column.
     from test_acceptance import _fuzz_systems
     from test_block_factors import _mirrored_family
     rng = np.random.default_rng(54)
@@ -1406,27 +1401,44 @@ def test_rhs_table_pairings_match_the_general_path():
     for inst, bs in systems:
         w, window = inst.problem.w, bs.partition.window
         f = random_f(rng, inst.problem, window)
-        moment_vectors(bs, f)
-        copy = _untabled_copy(f)
+        table = moment_vectors(bs, f).table
         f_norm = weighted_norm(w, f, window)
         factors = _homogeneous_factors(bs)
         widest = max(widest, len(factors))
         for u in factors:
-            assert propagation._table_pairings(w, u, f, np.array(window)) is not None
-            assert propagation._table_pairings(w, u, copy, np.array(window)) is None
             u_norms = np.sqrt(np.abs(np.diagonal(
                 propagation._pairings(w, u, u, window)[0])))
             scale = np.maximum(u_norms * f_norm, np.finfo(float).tiny)
-            got = propagation._pairings(w, u, f, window)[0, :, 0]
-            want = propagation._pairings(w, u, copy, window)[0, :, 0]
-            got_f_first = propagation._pairings(w, f, u, window)[0, 0]
-            want_f_first = propagation._pairings(w, copy, u, window)[0, 0]
+            got = propagation._contract(table, u.coefficients[..., None],
+                                        np.ones((1, 1, 1)))[0, :, 0]
+            want = propagation._pairings(w, u, f, window)[0, :, 0]
+            want_f_first = propagation._pairings(w, f, u, window)[0, 0]
             worst = max(worst, float(np.max(np.abs(got - want) / scale)),
-                        float(np.max(np.abs(got_f_first - want_f_first) / scale)),
-                        float(np.max(np.abs(got_f_first - got.conj()) / scale)))
+                        float(np.max(np.abs(want_f_first - got.conj()) / scale)))
     # Some system has all three factors: a lifted and a compact solution too.
     assert widest == 3
     assert worst <= 1e-13
+
+
+def test_a_pairing_with_a_rhs_does_not_depend_on_its_moment_vectors():
+    # w_pairing(w, u, f) for a homogeneous u gives the same bits before and
+    # after moment_vectors(bs, f) has built f's table, in either order.
+    pairs = 0
+    for seed in range(4):
+        inst = random_chain(np.random.default_rng(seed), 8, mirrored=True)
+        bs = build_system(inst.problem, inst.window)
+        w, window = inst.problem.w, inst.window
+        f = random_f(np.random.default_rng(100 + seed), inst.problem, window)
+        factors = _homogeneous_factors(bs)
+
+        def pairings():
+            return [(w_pairing(w, u, f, window), w_pairing(w, f, u, window)) for u in factors]
+
+        before = pairings()
+        moment_vectors(bs, f)
+        assert pairings() == before
+        pairs += len(before)
+    assert pairs >= 8
 
 
 def test_moment_vectors_equal_a_direct_pairing_of_the_fundamental_matrices():
@@ -1451,45 +1463,45 @@ def test_moment_vectors_equal_a_direct_pairing_of_the_fundamental_matrices():
     assert on_points > 0
 
 
-def test_the_rhs_table_lives_and_dies_with_its_build():
+def test_the_rhs_table_lives_and_dies_with_its_moment_vectors():
     inst = random_chain(np.random.default_rng(56), 6, mirrored=True)
     bs = build_system(inst.problem, inst.window)
-    w, window = inst.problem.w, np.array(inst.window)
+    w = inst.problem.w
     f = random_f(np.random.default_rng(57), inst.problem, inst.window)
-    copy = _untabled_copy(f)
     u = compact_support_solutions(bs)[0]
-    moment_vectors(bs, f)
-    moment_vectors(bs, f)
-    states = bs.states
-    (table,) = states._tables.values()
-    assert states.table(w, window, f) is table
-    # An equal but distinct f pairs the general way until its own table is built.
-    assert propagation._table_pairings(w, u, f, window) is not None
-    assert propagation._table_pairings(w, u, copy, window) is None
-    moment_vectors(bs, copy)
-    assert [key[2] for key in states._tables] == [f, copy]
-    assert states.table(w, window, copy) is not table
-    # A homogeneous solution on a span of the build's states finds no table,
-    # and the lookup leaves no cache on the span.
+    moments, again = moment_vectors(bs, f), moment_vectors(bs, f)
+    # Each call builds its own table, equal term for term; the build keeps none.
+    assert moments.table is not again.table
+    assert np.array_equal(moments.table.terms, again.table.terms)
+    assert moments.states is bs.states and "_tables" not in vars(bs.states)
+    # Pairings with f, on the build and on a span of its states, build no table.
     U = bs.fundamentals[1]
     span_solution = PiecewiseSolution(inst.problem, U.states, [np.ones(2)])
+    w_pairing(w, u, f, inst.window)
     w_pairing(w, span_solution, f, U.interval)
+    assert "_tables" not in vars(bs.states)
     assert all("_tables" not in vars(V.states) for V in bs.fundamentals)
-    refs = [weakref.ref(states), weakref.ref(table)]
-    del bs, u, states, table, U, span_solution
+    refs = [weakref.ref(moments.table), weakref.ref(again.table)]
+    del moments, again
     gc.collect()
     assert all(ref() is None for ref in refs)
 
 
-def test_a_build_keeps_the_rhs_tables_of_its_last_right_hand_sides():
+def test_a_build_keeps_one_table():
+    # Five right-hand sides and norms against two weights and two windows:
+    # the states keep one table, the build's with itself for the last pairing.
     inst = random_chain(np.random.default_rng(58), 4)
     bs = build_system(inst.problem, inst.window)
     rng = np.random.default_rng(59)
-    fs = [random_f(rng, inst.problem, inst.window) for _ in range(5)]
-    for f in fs:
+    for f in [random_f(rng, inst.problem, inst.window) for _ in range(5)]:
         moment_vectors(bs, f)
-    # Four tables are kept, the oldest dropped first.
-    assert [key[2] for key in bs.states._tables] == fs[1:]
+    assert "_tables" not in vars(bs.states)
+    u = solve_system(bs).kernel_basis[0]
+    other = _other_weight(rng, inst.problem, bs)
+    for w in (inst.problem.w, other):
+        for window in (inst.window, (1.5, 3.5)):
+            weighted_norm(w, u, window)
+            assert list(bs.states._tables) == [(w, window)]
 
 
 def test_limits_flow_each_distinct_point_once(monkeypatch):

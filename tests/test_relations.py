@@ -124,11 +124,12 @@ def test_kernel_K0_forms_no_gram_matrix():
 
 def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeypatch):
     # Each pairing grid is recorded with its caller and the caller's caller.
-    # After moment_vectors has built f's table, kernel_K0 takes one grid, for
-    # the table of its build with itself, and suite_t0 one for that table,
-    # one for orthogonal_rhs's pairing of the fundamental matrices with the
+    # moment_vectors takes one grid, for f's table; kernel_K0 one, for the
+    # table of its build with itself; and suite_t0 one for that table, one
+    # for orthogonal_rhs's pairing of the fundamental matrices with the
     # indicators, and one for f_perp's table, built by its moment vectors:
-    # f_perp's w-norm and its pairings with the basis take none.
+    # f's and f_perp's w-norms and pairings with the basis, read from the
+    # tables in their moments, take none.
     import sys
     from measureode import propagation
     from measureode.verify import suite_t0
@@ -144,7 +145,7 @@ def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeyp
     inst = fuzz.random_chain(rng, 8, 2, True)
     bs = build_system(inst.problem, inst.window)
     moments = moment_vectors(bs, fuzz.random_f(rng, inst.problem, inst.window))
-    assert callers == [("_pairing_table", "table")]
+    assert callers == [("_pairing_table", "moment_vectors")]
     callers.clear()
     kernel_K0(inst.problem, inst.window)
     assert callers == [("_pairing_table", "table")]
@@ -152,7 +153,7 @@ def test_kernel_norms_and_the_t0_suite_take_a_grid_only_to_build_a_table(monkeyp
     rows = suite_t0(bs, moments.f, (), rng, "x", TOLS.sing, TOLS.rank, TOLS.solve,
                     moments=moments)
     assert any(row.name.startswith("t0 orthogonal rhs range orthogonal") for row in rows)
-    assert sorted(callers) == [("_pairing_table", "table"), ("_pairing_table", "table"),
+    assert sorted(callers) == [("_pairing_table", "moment_vectors"), ("_pairing_table", "table"),
                                ("_pairings", "orthogonal_rhs")]
 
 

@@ -174,6 +174,24 @@ def test_functional_identity_rejects_a_non_finite_vector(mirror_system, ones_rhs
         functional_identity_defect(mirror_system, mv, np.array([0.0, 1.0, 0.0, bad]))
 
 
+def test_moments_of_another_build_raise():
+    # Two N = 8 builds of one chain, on (0, 9) and (0, 8.5): solving c with
+    # a's moments reported "inconsistent" (residual 0.056) instead of raising.
+    from measureode.fuzz import random_chain
+    from measureode.relations import t0_solve_system
+    inst = random_chain(np.random.default_rng(3), 8)
+    a, c = block_system(inst.problem, (0.0, 9.0)), block_system(inst.problem, (0.0, 8.5))
+    assert a.N == c.N == 8
+    mv = moment_vectors(a, inst.f)
+    uhat = c.reduced_factors.adjoint_kernel()[:, 0]
+    for call in (lambda: solve_system(c, mv), lambda: t0_solve_system(c, mv),
+                 lambda: functional_identity_defect(c, mv, uhat)):
+        with pytest.raises(ValueError, match="another block system"):
+            call()
+    solve_system(a, mv)
+    t0_solve_system(a, mv)
+
+
 def test_the_readme_library_example_prints_what_its_comment_says(capsys):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:

@@ -28,6 +28,22 @@ def test_every_suite_row_passes_on_a_seeded_batch():
     assert {"cbbc", "wronskian", "lift", "lagrange", "t0"} <= names
 
 
+def test_samples_and_instance_counts_follow_the_command_line_rules():
+    # --samples must be at least 2 and --random not negative: with samples=0
+    # the wronskian row passed at 0.0 having checked no point, and a negative
+    # count returned no rows.
+    from measureode.verify import suite_wronskian
+    inst = random_chain(np.random.default_rng(3), 4)
+    bs = block_system(inst.problem, inst.window)
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            suite_wronskian(bs, samples, "x")
+    assert all(row.passed for row in suite_wronskian(bs, 2, "x"))
+    with pytest.raises(ValueError, match="count"):
+        run_random_suites(7, -3)
+    assert run_random_suites(7, 0) == []
+
+
 def test_rows_compare_measured_defects_with_their_tolerances():
     rows = run_random_suites(7, 3)
     for row in rows:
