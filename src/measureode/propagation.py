@@ -9,7 +9,8 @@ piecewise constant and the formulas are closed.
 Every exponential goes through ``expm``, and each routine that needs many of
 them (fundamental matrices, node states, moment integrals, pairings) asks for
 all of them in one stacked call.  A pointwise value off the nodes takes none:
-it is read from a Taylor table kept by the factor it belongs to.
+it is read from a Taylor table kept by the factor it belongs to, and so is a
+solution's w-integral with itself.
 """
 
 from __future__ import annotations
@@ -216,6 +217,13 @@ _TAYLOR_DEGREE = 18
 # back as _COMPLEX, a dtype built once instead of converted on every read.
 _TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=float)
 _COMPLEX = np.dtype(complex)
+# A solution's own w-integral from its table (``_self_pairings``) weighs the
+# product of terms i and j by the integral of r^(i+j): the index i + j, the
+# powers k = 0 .. 2 _TAYLOR_DEGREE of r, and 1/(i + j + 1), the integral over
+# 0 <= r <= 1.
+_HANKEL = np.add.outer(np.arange(_TAYLOR_DEGREE + 1), np.arange(_TAYLOR_DEGREE + 1))
+_MOMENT_POWERS = np.arange(2 * _TAYLOR_DEGREE + 1, dtype=float)
+_HILBERT = 1.0 / (1.0 + _HANKEL)
 
 
 class _Sampler:
@@ -229,7 +237,10 @@ class _Sampler:
     (delta_s G)^j Y(starts[s]) / j!, is sub-gap s's contiguous row, which
     ``read`` dots with r^j (r in [0, 1)); ``lefts`` and ``rights`` hold the
     values of the node limits.  Both factor kinds read every interior point
-    through ``read``.
+    through ``read``.  The same sub-gaps are kept stacked for a solution's
+    own w-integral (``_self_pairings``): ``origins`` and ``deltas`` (arrays
+    of the starts and widths) and ``rows``, the complex (S, _TAYLOR_DEGREE + 1,
+    n k) array of which ``terms`` holds the real views.
     """
 
     def __init__(self, states: _NodeStates, n: int):
@@ -250,8 +261,9 @@ class _Sampler:
             terms.append(steps @ terms[-1] / j)
         self.starts, self.widths = tuple(starts.tolist()), tuple(delta.tolist())
         self.nodes = tuple(np.where(offset == 0, gap, 0).tolist())
-        rows = np.ascontiguousarray(_head(np.stack(terms, axis=1), n)).view(float)
-        self.terms = tuple(_freeze(rows))
+        self.origins, self.deltas = _freeze(starts), _freeze(delta)
+        self.rows = _freeze(np.ascontiguousarray(_head(np.stack(terms, axis=1), n)))
+        self.terms = tuple(self.rows.view(float))
         self.lefts, self.rights = _head(states.lefts, n), _head(states.rights, n)
 
     def read(self, x: float, side: str) -> np.ndarray:
@@ -501,7 +513,8 @@ class PiecewiseSolution:
     + dw f links the two limits at each interior atom.  ``evaluate`` takes x
     as a float; at a window end it returns the stored limit there, building
     no sampler, and anywhere else it reads the solution's ``_Sampler``, built
-    on the first such value, with no exponential per call.  The window ends
+    on the first such value, with no exponential per call; the solution's
+    w-integral with itself reads the same sampler.  The window ends
     and ``n`` are Python scalars fixed at construction.  Outside the window
     evaluation raises.  A rhs of another length than n, or one that does not
     cover the window, raises at construction.
@@ -855,6 +868,55 @@ def _interval_sums(count: int, *runs) -> np.ndarray:
     return out
 
 
+def _w0_form(x: np.ndarray, w0: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum over i of x_i^* w0[t] y_i for each t, x and y (T, n, D) holding
+    the columns x_i and y_i."""
+    return ((x.conj() @ y.swapaxes(1, 2)) * w0).sum(axis=(1, 2))
+
+
+def _self_pairings(u: PiecewiseSolution, w: MeasureMatrix, edges: np.ndarray) -> np.ndarray:
+    """Integral of u^* w u over each open interval between edges, from u's own
+    Taylor table: no exponential, and no flow where w's atoms are nodes of u.
+
+    The grid cuts u's sub-gaps at the edges and at w's structure.  On a piece
+    r1 <= r <= r2 of sub-gap s (width delta) where w has density w0, u is the
+    sum of r^j a_j, so the piece adds the sum of a_i^* w0 a_j h_{i+j}, h_k the
+    integral of delta r^k.  From the sub-gap's start h_{i+j} is delta r2
+    r2^i r2^j / (i + j + 1): with b_i = r2^i a_i, every such piece takes one
+    product with ``_HILBERT``.  With u's own w, whose structure a solution
+    with a rhs has among its nodes, every piece is a whole sub-gap, so that
+    is all.  A piece that starts inside its sub-gap (a foreign weight's
+    structure, a sub-window) gets its own Hankel matrix of h_k = delta (r2 -
+    r1) r2^k (1 + rho + ... + rho^k) / (k + 1), rho = r1/r2: a sum of
+    positive terms, where r2^(k+1) - r1^(k+1) would cancel.  The w-atoms
+    strictly inside an interval add their balanced terms from ``limits``,
+    as in the general path.
+    """
+    sampler, states = u._sampler, u._node_states()
+    origins = sampler.origins
+    starts, ends, mids, w0, positions, matrices = _pairing_grid(
+        w, edges, [origins, states.nodes[-1:]])
+    sub = np.searchsorted(origins, mids) - 1
+    delta = sampler.deltas[sub]
+    r1, r2 = (starts - origins[sub]) / delta, (ends - origins[sub]) / delta
+    a = sampler.rows[sub].swapaxes(1, 2)
+    rows, inner = np.searchsorted(edges, mids) - 1, r1 > 0
+    head = ~inner
+    b = a[head] * r2[head, None, None] ** _TAYLOR_POWERS
+    weighted = (b.reshape(-1, _HILBERT.shape[0]) @ _HILBERT).reshape(b.shape)
+    heads = (delta * r2)[head] * _w0_form(b, w0[head], weighted)
+    r1, r2 = r1[inner, None], r2[inner, None]
+    h = ((ends - starts)[inner, None] * r2 ** _MOMENT_POWERS / (1.0 + _MOMENT_POWERS)
+         * np.cumsum((r1 / r2) ** _MOMENT_POWERS, axis=1))
+    tails = _w0_form(a[inner], w0[inner], a[inner] @ h[:, _HANKEL])
+    left, right = states.limits(positions)
+    atoms = 0.5 * (left[:, :u.n] + right[:, :u.n])
+    return _interval_sums(edges.size - 1, (rows[head], heads[:, None, None]),
+                          (rows[inner], tails[:, None, None]),
+                          (np.searchsorted(edges, positions) - 1,
+                           _adjoint(atoms) @ (matrices @ atoms)))
+
+
 def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     """Integral of u^* w v over each open interval (edges[i], edges[i+1]).
 
@@ -864,13 +926,17 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
     ``_homogeneous_states``); row i holds the pairings of u's columns with
     v's, and the block convolution is the same size whatever their number.
     Atoms of w strictly inside an interval contribute with balanced values,
-    atoms at the edges do not.  One grid, one ``limits``
-    call per state factor (u's at both piece ends, as y_u^* exp(A_u^* dx) is
-    u's end state) and one stacked _convolution cover every interval; two
-    representable factors need no convolution, as neither flows.  Two
-    homogeneous solutions of one build, over edges inside its window, read
-    the build's table with itself (``_NodeStates.table``) instead, with no
-    grid and no exponential of their own; every other pair takes the grid.
+    atoms at the edges do not.  Three routes, tried in this order:
+
+    1. two homogeneous solutions of one build, over edges inside its
+       window, read the build's table with itself (``_NodeStates.table``),
+       with no grid and no exponential of their own;
+    2. a ``PiecewiseSolution`` paired with itself (``u is v``) reads its own
+       Taylor table (``_self_pairings``), with no block convolution;
+    3. every other pair takes the grid: one ``limits`` call per state factor
+       (u's at both piece ends, as y_u^* exp(A_u^* dx) is u's end state) and
+       one stacked _convolution cover every interval; two representable
+       factors need no convolution, as neither flows.
     """
     edges = np.asarray(edges, dtype=float)
     if all(isinstance(f, PiecewiseSolution) and f.rhs is None for f in (u, v)):
@@ -878,6 +944,8 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
         if v._homogeneous is build and build.nodes[0] <= edges[0] <= edges[-1] <= build.nodes[-1]:
             return _contract(build.table(w, edges), u.coefficients[..., None],
                              v.coefficients[..., None])
+    if u is v and isinstance(u, PiecewiseSolution):
+        return _self_pairings(u, w, edges)
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
             else [f] if isinstance(f, L2Function) else f for f in (u, v))
     starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [
@@ -885,7 +953,7 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
         for f in (u, v) for g in (f if isinstance(f, list) else [f])])
 
     u_form = _pairing_form(u, w.n, mids, positions, starts, ends)
-    v_form = u_form if v is u else _pairing_form(v, w.n, mids, positions, starts, ends[:0])
+    v_form = _pairing_form(v, w.n, mids, positions, starts, ends[:0])
     au, av = (0.5 * (form[4] + form[5]) for form in (u_form, v_form))
     return _interval_sums(edges.size - 1,
                           (np.searchsorted(edges, mids) - 1,
@@ -916,8 +984,10 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     Both factors may be balanced solutions or representable functions; atoms
     of w strictly inside the window contribute with balanced values.  Two
     homogeneous solutions of one build pair from the build's table with
-    itself, cached on its node states; every other pair takes the general
-    path of ``_pairings``, so the result does not depend on what ran before.
+    itself, cached on its node states; a solution paired with itself reads
+    its own Taylor table; every other pair takes the general path of
+    ``_pairings``.  Each table gives the same bits whether it was built before
+    the call or inside it, so the result does not depend on what ran before.
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):

@@ -42,8 +42,10 @@ def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
 
     A homogeneous solution of a block system reads the pairing table of the
     build with itself, kept in one slot on the build's node states, so the
-    norms of a whole kernel basis take exponentials only for the first.  Any
-    other factor takes the general path of ``w_pairing``.
+    norms of a whole kernel basis take exponentials only for the first.  A
+    solution with a rhs reads its own Taylor table, the one its ``evaluate``
+    reads, with no exponential once it has been sampled.  A representable
+    function takes the general path of ``w_pairing``.
     """
     return _norm_from_square(float(np.real(inner_product(w, u, u, window))))
 

@@ -30,6 +30,7 @@ from measureode import (
     WindowMismatch,
     atom_transfer,
     fundamental_matrix,
+    inner_product,
     segment_exponential,
     segment_integral,
     product_integral,
@@ -40,8 +41,8 @@ from measureode import build_system, propagation
 from measureode.blocksystem import moment_vectors
 from measureode.functions import L2Function
 from measureode.fileio import load_problem
-from measureode.fuzz import (hermitize, psd_project, random_chain, random_f, random_matrix,
-                             random_skew_invertible)
+from measureode.fuzz import (hermitize, psd_project, random_chain, random_f, random_instance,
+                             random_matrix, random_skew_invertible)
 from measureode.propagation import inhomogeneous_integral, w_pairing
 from measureode.solutions import compact_support_solutions, reconstruct, solve_system
 from measureode.verify import orthogonal_rhs
@@ -1441,6 +1442,89 @@ def test_a_pairing_with_a_rhs_does_not_depend_on_its_moment_vectors():
     assert pairs >= 8
 
 
+def _two_piece_weight(rng, problem, window):
+    """A weight of two densities, cut inside the window, with one atom strictly inside it."""
+    (a, b), (lo, hi), n = problem.interval, window, problem.n
+    cut, atom = sorted(rng.uniform(lo, hi, 2).tolist())
+    return MeasureMatrix((a, b), breakpoints=[a, cut, b],
+                         densities=[psd_project(random_matrix(rng, n)) for _ in range(2)],
+                         atoms=[(atom, psd_project(random_matrix(rng, n)))])
+
+
+def _self_pairing_defect(w, u, edges):
+    """The largest difference of u's pairings with itself over edges read from
+    its own Taylor table and from the block convolution, relative to their
+    sum over the edges (each weight here is positive semidefinite)."""
+    copy = PiecewiseSolution(u.problem, u._homogeneous, u.coefficients, u.rhs)
+    got = propagation._pairings(w, u, u, edges)[:, 0, 0]
+    want = propagation._pairings(w, u, copy, edges)[:, 0, 0]
+    return float(np.abs(got - want).max() / max(np.abs(want).sum(), np.finfo(float).tiny))
+
+
+def test_self_pairings_from_the_taylor_table_match_the_block_convolution():
+    # A solution with a rhs paired with itself reads its own Taylor table; a
+    # distinct copy of it forces the block convolution.  Each solution is
+    # weighed against the problem's weight over its window, over a sub-window
+    # and over edges of more than two points (so the interval sums are
+    # checked), and against a foreign two-piece weight with an interior atom.
+    from test_acceptance import _fuzz_systems
+    rng = np.random.default_rng(56)
+    cases = []
+    for inst, bs in _fuzz_systems():
+        result = solve_system(bs, moment_vectors(bs, random_f(rng, inst.problem,
+                                                               bs.partition.window)))
+        if result.consistent:
+            cases.append((inst.problem, bs, result.particular))
+    consistent = len(cases)
+    chains = [random_chain(rng, N, 2, mirrored) for N in (4, 8) for mirrored in (True, False)]
+    three = random_instance(rng, n=3)
+    padded, padded_bs = _padded_hyperbolic_system()
+    for inst, bs in [(c, build_system(c.problem, c.window)) for c in chains] + [
+            (three, build_system(three.problem, three.window, three.extra_points)),
+            (padded, padded_bs)]:
+        f = random_f(rng, inst.problem, bs.partition.window)
+        result = solve_system(bs, moment_vectors(bs, f))
+        cases.append((inst.problem, bs, reconstruct(bs, result.coefficients, f)))
+    assert three.problem.n == 3 and consistent == 200
+    worst = 0.0
+    for problem, bs, u in cases:
+        (lo, hi), w = u.window, problem.w
+        a, b = np.sort(rng.uniform(lo, hi, 2))
+        edges = np.unique([lo, *bs.points[1:-1], a, b, hi])
+        weights = [w, _two_piece_weight(rng, problem, u.window)]
+        if bs.N > 1:
+            # w-atoms on every interior partition point and between them.
+            weights.append(_other_weight(rng, problem, bs))
+        for weight in weights:
+            for window in ([lo, hi], [a, b], edges):
+                worst = max(worst, _self_pairing_defect(weight, u, np.asarray(window)))
+    assert worst <= 1e-12
+
+
+def test_weighing_a_solution_reads_its_own_taylor_table(count_calls):
+    # Weighing a solution that has been sampled takes no exponential and
+    # builds no second sampler; weighing one that has not builds the one
+    # sampler that a later interior read reuses.
+    inst = random_chain(np.random.default_rng(57), 6, mirrored=False)
+    w, window = inst.problem.w, inst.window
+    bs = build_system(inst.problem, window)
+    result = solve_system(bs, moment_vectors(bs, inst.f))
+    sampled = result.particular
+    unsampled = reconstruct(bs, result.coefficients, inst.f)
+    sampled.evaluate(0.5 * sum(window))
+    expm = count_calls(propagation, "expm")
+    sampler = count_calls(propagation, "_Sampler")
+    norm = weighted_norm(w, sampled, window)
+    squares = [inner_product(w, sampled, sampled, window),
+               w_pairing(w, sampled, sampled, window)]
+    assert expm.calls == 0 and sampler.calls == 0
+    assert squares[0] == squares[1] and np.sqrt(squares[0].real) == norm
+    assert weighted_norm(w, unsampled, window) == norm
+    assert sampler.calls == 1
+    unsampled.evaluate(0.25 * window[1])
+    assert sampler.calls == 1 and "_sampler" in vars(unsampled)
+
+
 def test_moment_vectors_equal_a_direct_pairing_of_the_fundamental_matrices():
     # moment_vectors sums f's rhs table per subinterval; the general path on
     # the build's own states over the partition points gives the same arrays
@@ -1586,7 +1670,9 @@ def test_each_routine_makes_a_fixed_number_of_exponential_calls(count_calls):
     # Each piece end's left limit comes from the same limits call as its start,
     # so a pairing exponentiates only the block convolution besides the flows
     # to grid points off the factor's nodes (the w-breakpoints here).  Two
-    # representable functions pair in closed form.
+    # representable functions pair in closed form.  A solution paired with
+    # itself reads its own Taylor table: its one call is the flow to the
+    # table's sub-gap starts, made when the table is built.
     assert per_size[0] == per_size[1] == dict(
         assemble=1, moments=2, states=1, pairing=1, mixed=1, integral=2,
         orthogonal=2, homogeneous=0, kernel_pairing=2, functions=0)
