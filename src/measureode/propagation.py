@@ -217,13 +217,9 @@ _TAYLOR_DEGREE = 18
 # back as _COMPLEX, a dtype built once instead of converted on every read.
 _TAYLOR_POWERS = np.arange(_TAYLOR_DEGREE + 1, dtype=float)
 _COMPLEX = np.dtype(complex)
-# A solution's own w-integral from its table (``_self_pairings``) weighs the
-# product of terms i and j by the integral of r^(i+j): the index i + j, the
-# powers k = 0 .. 2 _TAYLOR_DEGREE of r, and 1/(i + j + 1), the integral over
-# 0 <= r <= 1.
-_HANKEL = np.add.outer(np.arange(_TAYLOR_DEGREE + 1), np.arange(_TAYLOR_DEGREE + 1))
-_MOMENT_POWERS = np.arange(2 * _TAYLOR_DEGREE + 1, dtype=float)
-_HILBERT = 1.0 / (1.0 + _HANKEL)
+# A solution's own w-integral over a whole sub-gap (``_self_pairings``) weighs
+# the product of terms i and j by 1/(i + j + 1), the integral of r^(i+j).
+_HILBERT = 1.0 / np.add.outer(_TAYLOR_POWERS, _TAYLOR_POWERS + 1)
 
 
 class _Sampler:
@@ -238,9 +234,10 @@ class _Sampler:
     ``read`` dots with r^j (r in [0, 1)); ``lefts`` and ``rights`` hold the
     values of the node limits.  Both factor kinds read every interior point
     through ``read``.  The same sub-gaps are kept stacked for a solution's
-    own w-integral (``_self_pairings``): ``origins`` and ``deltas`` (arrays
-    of the starts and widths) and ``rows``, the complex (S, _TAYLOR_DEGREE + 1,
-    n k) array of which ``terms`` holds the real views.
+    own w-integral, which sums whole sub-gaps (``_self_pairings``):
+    ``origins`` and ``deltas`` (arrays of the starts and widths) and
+    ``rows``, the complex (S, _TAYLOR_DEGREE + 1, n k) array of which
+    ``terms`` holds the real views.
     """
 
     def __init__(self, states: _NodeStates, n: int):
@@ -868,51 +865,28 @@ def _interval_sums(count: int, *runs) -> np.ndarray:
     return out
 
 
-def _w0_form(x: np.ndarray, w0: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The sum over i of x_i^* w0[t] y_i for each t, x and y (T, n, D) holding
-    the columns x_i and y_i."""
-    return ((x.conj() @ y.swapaxes(1, 2)) * w0).sum(axis=(1, 2))
-
-
 def _self_pairings(u: PiecewiseSolution, w: MeasureMatrix, edges: np.ndarray) -> np.ndarray:
     """Integral of u^* w u over each open interval between edges, from u's own
-    Taylor table: no exponential, and no flow where w's atoms are nodes of u.
+    Taylor table, where the edges and w's structure between them are nodes of u.
 
-    The grid cuts u's sub-gaps at the edges and at w's structure.  On a piece
-    r1 <= r <= r2 of sub-gap s (width delta) where w has density w0, u is the
-    sum of r^j a_j, so the piece adds the sum of a_i^* w0 a_j h_{i+j}, h_k the
-    integral of delta r^k.  From the sub-gap's start h_{i+j} is delta r2
-    r2^i r2^j / (i + j + 1): with b_i = r2^i a_i, every such piece takes one
-    product with ``_HILBERT``.  With u's own w, whose structure a solution
-    with a rhs has among its nodes, every piece is a whole sub-gap, so that
-    is all.  A piece that starts inside its sub-gap (a foreign weight's
-    structure, a sub-window) gets its own Hankel matrix of h_k = delta (r2 -
-    r1) r2^k (1 + rho + ... + rho^k) / (k + 1), rho = r1/r2: a sum of
-    positive terms, where r2^(k+1) - r1^(k+1) would cancel.  The w-atoms
-    strictly inside an interval add their balanced terms from ``limits``,
-    as in the general path.
+    Every piece of the grid is then a whole sub-gap s of width delta, on
+    which u is the sum of r^j a_j for 0 <= r <= 1, so the piece adds delta
+    times the sum of a_i^* w0 a_j / (i + j + 1): one product with
+    ``_HILBERT``.  The w-atoms strictly inside an interval add their
+    balanced terms from the stored node limits, with no exponential.
     """
     sampler, states = u._sampler, u._node_states()
     origins = sampler.origins
-    starts, ends, mids, w0, positions, matrices = _pairing_grid(
-        w, edges, [origins, states.nodes[-1:]])
+    _, _, mids, w0, positions, matrices = _pairing_grid(w, edges, [origins, states.nodes[-1:]])
     sub = np.searchsorted(origins, mids) - 1
-    delta = sampler.deltas[sub]
-    r1, r2 = (starts - origins[sub]) / delta, (ends - origins[sub]) / delta
     a = sampler.rows[sub].swapaxes(1, 2)
-    rows, inner = np.searchsorted(edges, mids) - 1, r1 > 0
-    head = ~inner
-    b = a[head] * r2[head, None, None] ** _TAYLOR_POWERS
-    weighted = (b.reshape(-1, _HILBERT.shape[0]) @ _HILBERT).reshape(b.shape)
-    heads = (delta * r2)[head] * _w0_form(b, w0[head], weighted)
-    r1, r2 = r1[inner, None], r2[inner, None]
-    h = ((ends - starts)[inner, None] * r2 ** _MOMENT_POWERS / (1.0 + _MOMENT_POWERS)
-         * np.cumsum((r1 / r2) ** _MOMENT_POWERS, axis=1))
-    tails = _w0_form(a[inner], w0[inner], a[inner] @ h[:, _HANKEL])
+    weighted = (a.reshape(-1, _HILBERT.shape[0]) @ _HILBERT).reshape(a.shape)
+    forms = (a.conj() @ weighted.swapaxes(1, 2)) * w0
     left, right = states.limits(positions)
     atoms = 0.5 * (left[:, :u.n] + right[:, :u.n])
-    return _interval_sums(edges.size - 1, (rows[head], heads[:, None, None]),
-                          (rows[inner], tails[:, None, None]),
+    return _interval_sums(edges.size - 1,
+                          (np.searchsorted(edges, mids) - 1,
+                           (sampler.deltas[sub] * forms.sum(axis=(1, 2)))[:, None, None]),
                           (np.searchsorted(edges, positions) - 1,
                            _adjoint(atoms) @ (matrices @ atoms)))
 
@@ -932,7 +906,11 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
        window, read the build's table with itself (``_NodeStates.table``),
        with no grid and no exponential of their own;
     2. a ``PiecewiseSolution`` paired with itself (``u is v``) reads its own
-       Taylor table (``_self_pairings``), with no block convolution;
+       Taylor table (``_self_pairings``), with no block convolution, when
+       every cut of the grid between the edges (the edges, w's breakpoints
+       and w's atom positions) is a node of u.  A solution with a rhs has the
+       problem's w's structure among its nodes, so this holds for that w
+       over edges that are nodes;
     3. every other pair takes the grid: one ``limits`` call per state factor
        (u's at both piece ends, as y_u^* exp(A_u^* dx) is u's end state) and
        one stacked _convolution cover every interval; two representable
@@ -945,7 +923,9 @@ def _pairings(w: MeasureMatrix, u, v, edges) -> np.ndarray:
             return _contract(build.table(w, edges), u.coefficients[..., None],
                              v.coefficients[..., None])
     if u is v and isinstance(u, PiecewiseSolution):
-        return _self_pairings(u, w, edges)
+        cuts = np.concatenate([edges, w.breakpoints, w.atom_positions])
+        if _member(cuts[(cuts >= edges[0]) & (cuts <= edges[-1])], u._node_states().nodes).all():
+            return _self_pairings(u, w, edges)
     u, v = (f._node_states() if isinstance(f, PiecewiseSolution)
             else [f] if isinstance(f, L2Function) else f for f in (u, v))
     starts, ends, mids, w0, positions, matrices = _pairing_grid(w, edges, [
@@ -984,10 +964,13 @@ def w_pairing(w: MeasureMatrix, u, v, window) -> complex:
     Both factors may be balanced solutions or representable functions; atoms
     of w strictly inside the window contribute with balanced values.  Two
     homogeneous solutions of one build pair from the build's table with
-    itself, cached on its node states; a solution paired with itself reads
-    its own Taylor table; every other pair takes the general path of
-    ``_pairings``.  Each table gives the same bits whether it was built before
-    the call or inside it, so the result does not depend on what ran before.
+    itself, cached on its node states.  A solution paired with itself reads
+    its own Taylor table when the window's ends and w's structure inside it
+    are nodes of the solution: the problem's w is, for a solution with a rhs
+    over a window whose ends are nodes.  Every other pair takes the general
+    path of ``_pairings``.  Each table gives the same bits whether it was
+    built before the call or inside it, so the result does not depend on
+    what ran before.
     """
     lo, hi = _window_ends(window)
     for factor in (u, v):

@@ -44,8 +44,10 @@ def weighted_norm(w: MeasureMatrix, u, window=None) -> float:
     build with itself, kept in one slot on the build's node states, so the
     norms of a whole kernel basis take exponentials only for the first.  A
     solution with a rhs reads its own Taylor table, the one its ``evaluate``
-    reads, with no exponential once it has been sampled.  A representable
-    function takes the general path of ``w_pairing``.
+    reads, with no exponential once it has been sampled, for a weight whose
+    structure in the window lies on its nodes (the problem's w) over a window
+    whose ends are nodes.  Any other weight or window, and a representable
+    function, takes the general path of ``w_pairing``.
     """
     return _norm_from_square(float(np.real(inner_product(w, u, u, window))))
 

@@ -1461,12 +1461,15 @@ def _self_pairing_defect(w, u, edges):
     return float(np.abs(got - want).max() / max(np.abs(want).sum(), np.finfo(float).tiny))
 
 
-def test_self_pairings_from_the_taylor_table_match_the_block_convolution():
-    # A solution with a rhs paired with itself reads its own Taylor table; a
-    # distinct copy of it forces the block convolution.  Each solution is
-    # weighed against the problem's weight over its window, over a sub-window
-    # and over edges of more than two points (so the interval sums are
-    # checked), and against a foreign two-piece weight with an interior atom.
+def test_self_pairings_from_the_taylor_table_match_the_block_convolution(count_calls):
+    # A solution with a rhs paired with itself reads its own Taylor table when
+    # the edges and the weight's structure between them are nodes of it: the
+    # problem's weight over the window and over edges at every partition
+    # point (so the interval sums are checked).  There a distinct copy of it
+    # forces the block convolution.  A foreign two-piece weight with an
+    # interior atom, a weight with atoms between the partition points, and a
+    # sub-window whose ends are not nodes take the general path instead: no
+    # ``_self_pairings`` call, and no sampler built.
     from test_acceptance import _fuzz_systems
     rng = np.random.default_rng(56)
     cases = []
@@ -1486,19 +1489,52 @@ def test_self_pairings_from_the_taylor_table_match_the_block_convolution():
         result = solve_system(bs, moment_vectors(bs, f))
         cases.append((inst.problem, bs, reconstruct(bs, result.coefficients, f)))
     assert three.problem.n == 3 and consistent == 200
-    worst = 0.0
+    self_pairings = count_calls(propagation, "_self_pairings")
+    sampler = count_calls(propagation, "_Sampler")
+    worst, taylor = 0.0, 0
     for problem, bs, u in cases:
+        assert "_sampler" not in vars(u)
         (lo, hi), w = u.window, problem.w
         a, b = np.sort(rng.uniform(lo, hi, 2))
-        edges = np.unique([lo, *bs.points[1:-1], a, b, hi])
-        weights = [w, _two_piece_weight(rng, problem, u.window)]
+        weights = [_two_piece_weight(rng, problem, u.window)]
         if bs.N > 1:
             # w-atoms on every interior partition point and between them.
             weights.append(_other_weight(rng, problem, bs))
-        for weight in weights:
-            for window in ([lo, hi], [a, b], edges):
-                worst = max(worst, _self_pairing_defect(weight, u, np.asarray(window)))
+        for weight, window in [(w, [a, b])] + [(v, e) for v in weights for e in ([lo, hi], [a, b])]:
+            propagation._pairings(weight, u, u, np.asarray(window))
+        assert self_pairings.calls == taylor and sampler.calls == 0
+        for window in ([lo, hi], np.unique([lo, *bs.points[1:-1], hi])):
+            worst = max(worst, _self_pairing_defect(w, u, np.asarray(window)))
+            taylor += 1
+        assert self_pairings.calls == taylor and sampler.calls == 1
+        sampler.calls = 0
     assert worst <= 1e-12
+
+
+def test_the_taylor_route_follows_the_weights_structure_not_its_identity(count_calls):
+    # A weight built anew on the problem's breakpoints and atom positions,
+    # with its densities and atom matrices doubled, is read from the
+    # solution's own table and gives twice the problem's pairing; the same
+    # weight with one breakpoint moved off the solution's nodes is not.
+    problem, f = _dense_problem(np.random.default_rng(58))
+    w, window = problem.w, (-1.0, 1.0)
+    bs = build_system(problem, window, (-0.3, 0.1))
+    u = reconstruct(bs, solve_system(bs, moment_vectors(bs, f)).coefficients, f)
+
+    def doubled(breakpoints):
+        return MeasureMatrix(w.interval, breakpoints=breakpoints, densities=2 * w.densities,
+                             atoms=list(zip(w.atom_positions.tolist(), 2 * w.atom_matrices)))
+
+    own = w_pairing(w, u, u, window)
+    self_pairings = count_calls(propagation, "_self_pairings")
+    twice = w_pairing(doubled(w.breakpoints), u, u, window)
+    assert self_pairings.calls == 1
+    assert abs(twice - 2 * own) <= 1e-15 * abs(own)
+    moved = w.breakpoints.copy()
+    moved[5] += (moved[6] - moved[5]) / 3
+    assert moved[5] not in u._node_states().nodes
+    w_pairing(doubled(moved), u, u, window)
+    assert self_pairings.calls == 1
 
 
 def test_weighing_a_solution_reads_its_own_taylor_table(count_calls):
