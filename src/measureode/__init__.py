@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 # first use (PEP 562), so ``import measureode`` and each command-line mode
 # load only the submodules they need.
 _HOMES = {
-    "blocksystem": ("BlockSystem", "JumpReport", "MomentVectors", "Partition", "assemble",
-                    "build_system", "classify_jumps", "find_singular_points",
-                    "make_partition", "moment_vectors", "nullspace"),
+    "blocksystem": ("BlockSystem", "MomentVectors", "assemble", "build_system",
+                    "moment_vectors", "nullspace"),
     "coefficients": ("Check", "MeasureMatrix", "Problem", "Tolerances", "ValidationReport",
                      "validate"),
     "errors": ("DimensionMismatch", "EmptyWindow", "InconsistentLift",
@@ -28,6 +27,8 @@ _HOMES = {
                "SingularInitialPoint", "SingularJ", "WindowMismatch"),
     "fileio": ("ParsedProblem", "load_problem", "parse_problem"),
     "functions": ("L2Function",),
+    "partition": ("JumpReport", "Partition", "classify_jumps", "find_singular_points",
+                  "make_partition"),
     "propagation": ("FundamentalMatrix", "PiecewiseSolution", "atom_transfer",
                     "fundamental_matrix", "product_integral", "segment_exponential",
                     "segment_integral", "solve_ivp_regular"),

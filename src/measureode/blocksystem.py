@@ -1,139 +1,31 @@
-"""Partitions at singular jumps and the coupled block system.
+"""The block system that couples the subinterval coefficients of a partition.
 
-Points where J + dq/2 is singular break unique continuation; they become
-partition points x_1 < ... < x_N inside the window, with x_0 and x_{N+1} the
-window ends.  Between them fundamental matrices exist, and matching the jump
-rule at each x_j couples the subinterval coefficients through one sparse
-block matrix.
+The partition points x_1 < ... < x_N are where unique continuation fails
+(``measureode.partition``), with x_0 and x_{N+1} the window ends.  Between
+them fundamental matrices exist, and matching the jump rule at each x_j
+couples the subinterval coefficients through one sparse block matrix.
+``classify_jumps``, ``find_singular_points`` and ``make_partition`` are
+importable from here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import (DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member,
-                           _window_ends)
-from .errors import DimensionMismatch, OutOfInterval
+from .coefficients import DEFAULT_TOL_RANK, DEFAULT_TOL_SING, Problem, _member
+from .errors import DimensionMismatch
 from .functions import L2Function
+from .partition import (Partition, _partition_step, classify_jumps,
+                        find_singular_points, make_partition)
 from .propagation import (FundamentalMatrix, _adjoint, _check_rhs, _fundamental_matrices,
-                          _fundamentals, _NodeStates, _pairing_table, _PairingTable, _singular)
+                          _fundamentals, _NodeStates, _pairing_table, _PairingTable)
 
-BORDERLINE_SING = 1e-6
 TOL_IDENTITY = 1e-10     # exact matrix identities, such as U^* J U = J
-
-
-@dataclass(frozen=True)
-class JumpReport:
-    """Singular-value data of J + dq/2 at one jump position."""
-
-    position: float
-    sigma_min: float
-    sigma_max: float
-    status: str  # "singular" | "borderline" | "regular"
-
-
-def classify_jumps(problem: Problem, window,
-                   tol_sing: float = DEFAULT_TOL_SING) -> list[JumpReport]:
-    """Classify every q-atom inside the open window by the singular-jump test at
-    tol_sing ("singular") and at BORDERLINE_SING ("borderline")."""
-    lo, hi = _window_ends(window)
-    a, b = problem.interval
-    if not (a <= lo and hi <= b):
-        raise OutOfInterval(f"window ({lo}, {hi}) is not inside [{a}, {b}]")
-    positions, atoms = problem.q.atoms_between(lo, hi)
-    sigmas = np.linalg.svd(problem.J + 0.5 * atoms, compute_uv=False)
-    statuses = np.where(_singular(sigmas, tol_sing), "singular",
-                        np.where(_singular(sigmas, BORDERLINE_SING), "borderline", "regular"))
-    return [JumpReport(float(x), float(sigma[-1]), float(sigma[0]), str(status))
-            for x, sigma, status in zip(positions, sigmas, statuses)]
-
-
-def find_singular_points(problem: Problem, window,
-                         tol_sing: float = DEFAULT_TOL_SING) -> list[float]:
-    """Positions in the open window where J + dq/2 fails to be invertible."""
-    return [r.position for r in classify_jumps(problem, window, tol_sing)
-            if r.status == "singular"]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Window ends plus at least two interior points, singular ones flagged."""
-
-    window: tuple[float, float]
-    interior: np.ndarray
-    singular: np.ndarray  # bool mask aligned with interior
-
-    def __post_init__(self):
-        lo, hi = self.window
-        interior = np.asarray(self.interior, dtype=float)
-        singular = np.asarray(self.singular, dtype=bool)
-        if interior.size < 2:
-            raise ValueError("a partition needs at least two interior points")
-        if interior.size != singular.size:
-            raise ValueError("one flag per interior point required")
-        if not np.all(np.diff(interior) > 0):
-            raise ValueError("interior points must be strictly increasing")
-        if not (lo < interior[0] and interior[-1] < hi):
-            raise OutOfInterval("interior points must lie strictly inside the window")
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "singular", singular)
-        self.interior.flags.writeable = False
-        self.singular.flags.writeable = False
-
-    @property
-    def points(self) -> np.ndarray:
-        """x_0 = window start, interior points, x_{N+1} = window end."""
-        lo, hi = self.window
-        return np.concatenate([[lo], self.interior, [hi]])
-
-    @property
-    def count(self) -> int:
-        return int(self.interior.size)
-
-
-def make_partition(window, singular_points, extra=()) -> Partition:
-    """Partition from the singular points, padded up to two interior points.
-
-    ``extra`` positions (for example user-forced ones) are merged in and
-    flagged as padded.  With one point in total, a padded point is added at
-    the midpoint of the longer adjacent gap (ties resolve to the right gap);
-    with none, padded points sit at the thirds of the window.
-    """
-    lo, hi = _window_ends(window)
-    singular = sorted(float(x) for x in singular_points)
-    chosen = dict.fromkeys(singular, True)
-    for x in extra:
-        chosen.setdefault(float(x), False)
-    for x in chosen:
-        if not (lo < x < hi):
-            raise OutOfInterval(f"partition point {x} outside the open window")
-
-    if len(chosen) == 0:
-        width = hi - lo
-        chosen = {lo + width / 3.0: False, lo + 2.0 * width / 3.0: False}
-    elif len(chosen) == 1:
-        (x,) = chosen
-        if x - lo > hi - x:
-            chosen[0.5 * (lo + x)] = False
-        else:
-            chosen[0.5 * (x + hi)] = False
-
-    interior = np.array(sorted(chosen), dtype=float)
-    flags = np.array([chosen[x] for x in sorted(chosen)], dtype=bool)
-    return Partition((lo, hi), interior, flags)
-
-
-def _partition_step(problem: Problem, window, extra, tol_sing: float
-                    ) -> tuple[list[JumpReport], Partition]:
-    """The window's jump reports and the partition at its singular jumps plus ``extra``."""
-    reports = classify_jumps(problem, window, tol_sing)
-    singular = [r.position for r in reports if r.status == "singular"]
-    return reports, make_partition(window, singular, extra)
 
 
 def _check_finite(matrix: np.ndarray) -> None:
@@ -597,8 +489,7 @@ def build_system(problem: Problem, window, extra=(),
     return assemble(problem, _partition_step(problem, window, extra, tol_sing)[1], tol_sing)
 
 
-@dataclass(frozen=True)
-class MomentVectors:
+class MomentVectors(NamedTuple):
     """Every moment of a right-hand side the block system consumes.
 
     ``jump_moments`` stacks dw(x_j) f(x_j); ``integrals`` stacks the

@@ -90,7 +90,7 @@ def cmd_validate(parsed: ParsedProblem, args, tols):
 
 
 def cmd_analyze(parsed: ParsedProblem, args, tols):
-    from .blocksystem import _partition_step
+    from .partition import _partition_step
     jumps, partition = _partition_step(parsed.problem, parsed.window, parsed.forced_points,
                                        tols.sing)
     results = {

@@ -8,7 +8,6 @@ float keys; two positions are the same point only if the floats are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -229,8 +228,7 @@ class MeasureMatrix:
         return _union(self._breakpoints, self._atom_positions)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One row of a validation report."""
 
     name: str
@@ -239,8 +237,7 @@ class Check:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

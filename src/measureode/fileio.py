@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def _rhs(value, n: int, w: MeasureMatrix, ctx: str) -> L2Function:
         raise ParseError(str(exc), ctx) from exc
 
 
-@dataclass
-class ParsedProblem:
+class ParsedProblem(NamedTuple):
     """Everything a problem file carries, plus the raw echo for reports."""
 
     problem: Problem

@@ -11,7 +11,7 @@ makes J + dq/2 annihilate e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def random_psd_atom(rng: np.random.Generator, n: int) -> np.ndarray:
     return _clip_norm(psd_project(random_matrix(rng, n)), 2.0)
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     """One random problem with a window, forced points and optional rhs."""
 
     problem: Problem

@@ -16,7 +16,6 @@ solution's w-integral with itself.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
 
@@ -34,6 +33,7 @@ from .errors import (
     WindowMismatch,
 )
 from .functions import L2Function
+from .partition import _singular
 
 IVP_MATCH_TOL = 1e-8  # a solution's own value at x0 against u0, relative to 1 + |u0|
 
@@ -175,12 +175,6 @@ def product_integral(A: np.ndarray, X: np.ndarray, B: np.ndarray, dx) -> np.ndar
     return expm(A * t) @ _convolution(A, X, B, dx)
 
 
-def _singular(sigmas: np.ndarray, tol_sing: float) -> np.ndarray:
-    """The singular-jump test sigma_min <= tol_sing * max(1, sigma_max), on each
-    descending row of singular values of J + dq/2."""
-    return sigmas[..., -1] <= tol_sing * np.maximum(1.0, sigmas[..., 0])
-
-
 def _transfers(J: np.ndarray, dq: np.ndarray, tol_sing: float, positions) -> np.ndarray:
     """(J + dq/2)^{-1} (J - dq/2) through each jump of a stack (K, n, n), from one
     stacked svd and solve; SingularAtom at the first singular one, at positions[k]."""
@@ -283,7 +277,6 @@ def _head(states: np.ndarray, n: int) -> np.ndarray:
     return states[..., :n, :].reshape(states.shape[:-2] + (-1,))
 
 
-@dataclass(frozen=True, eq=False)
 class _NodeStates:
     """Stacked read-only states of a piecewise exponential flow over a window.
 
@@ -297,14 +290,17 @@ class _NodeStates:
     A state is a matrix (a fundamental matrix) or a column (a solution's
     augmented (u, 1)).  The pairing table of a build's fundamental
     matrices with themselves (``table``) is built on first use and belongs
-    to these states alone: ``replace`` and ``span`` start without it.
+    to these states alone: a copy or a ``span`` starts without it.  Read-only,
+    and equal only to themselves.
     """
 
-    nodes: np.ndarray
-    generators: np.ndarray
-    rights: np.ndarray
-    lefts: np.ndarray
-    starts: np.ndarray
+    def __init__(self, nodes: np.ndarray, generators: np.ndarray, rights: np.ndarray,
+                 lefts: np.ndarray, starts: np.ndarray):
+        vars(self).update(nodes=nodes, generators=generators, rights=rights, lefts=lefts,
+                          starts=starts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of node states")
 
     def span(self, first: int, stop: int) -> "_NodeStates":
         """The states of gaps first .. stop - 1 as one subinterval: views, not copies."""
@@ -331,7 +327,7 @@ class _NodeStates:
         """
         key = (w, tuple(np.asarray(edges, dtype=float).tolist()))
         if key not in vars(self).get("_tables", {}):
-            # The slot goes in the instance dict, as the dataclass is frozen.
+            # The slot goes in the instance dict, as the states refuse assignment.
             vars(self)["_tables"] = {key: _pairing_table(self, w, edges)}
         return self._tables[key]
 
@@ -731,7 +727,6 @@ def _pairing_grid(w: MeasureMatrix, edges: np.ndarray, nodes: list):
             positions[inside], matrices[inside])
 
 
-@dataclass(frozen=True, eq=False)
 class _PairingTable:
     """What a pairing of a build's homogeneous factors with one partner over
     given edges against w takes from the build and the partner alone.
@@ -747,16 +742,17 @@ class _PairingTable:
     partition point, the product of each half limit of U with each of V
     (V one term for f: its value there).  ``square`` is the integral of
     f^* w f over the edges, with its atoms (None for the build itself).
+    Read-only, and equal only to itself.
     """
 
-    terms: np.ndarray
-    left_rows: np.ndarray
-    right_rows: np.ndarray
-    rows: np.ndarray
-    atoms: int
-    splits: int
-    intervals: int
-    square: float | None
+    def __init__(self, terms: np.ndarray, left_rows: np.ndarray, right_rows: np.ndarray,
+                 rows: np.ndarray, atoms: int, splits: int, intervals: int,
+                 square: float | None):
+        vars(self).update(terms=terms, left_rows=left_rows, right_rows=right_rows, rows=rows,
+                          atoms=atoms, splits=splits, intervals=intervals, square=square)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a pairing table")
 
     def runs(self, rows: np.ndarray, terms: np.ndarray) -> list:
         """(rows, terms) of each of the three runs, for ``_interval_sums``."""

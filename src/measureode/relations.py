@@ -10,7 +10,7 @@ certified by such a solution with a nonzero pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _basis_squares(bs: BlockSystem, coefficients: np.ndarray) -> np.ndarray:
     return np.maximum(np.real(squares), 0.0)
 
 
-@dataclass
-class K0Element:
+class K0Element(NamedTuple):
     """One homogeneous solution with its weighted norm and degeneracy flag."""
 
     solution: PiecewiseSolution
@@ -107,8 +106,7 @@ def kernel_K0(problem: Problem, window, extra_points=(),
                    result.propagator_defect)
 
 
-@dataclass
-class OrthogonalityCertificate:
+class OrthogonalityCertificate(NamedTuple):
     """Witness that a right-hand side is not orthogonal to the inner kernel.
 
     ``kernel_vector`` lies in the kernel of the adjoint reduced coupling
@@ -165,8 +163,7 @@ def t0_solve_system(bs: BlockSystem, moments: MomentVectors,
                                     moment_pairing, projection_norm)
 
 
-@dataclass
-class PairingReport:
+class PairingReport(NamedTuple):
     """Both sides of the boundary-pairing identity for two solution pairs."""
 
     lhs: complex

@@ -9,7 +9,7 @@ adjoint lift to solutions supported inside the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ def _consistency_bound(rhs: np.ndarray, tol_solve: float) -> float:
     return tol_solve * (1.0 + float(np.linalg.norm(rhs)))
 
 
-@dataclass
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Outcome of solving the coupling equation for one right-hand side."""
 
     consistent: bool

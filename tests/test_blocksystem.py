@@ -166,8 +166,12 @@ def test_partition_construction_invariants():
         Partition((0.0, 1.0), np.array([0.5]), np.array([True]))
     with pytest.raises(ValueError):
         Partition((0.0, 1.0), np.array([0.6, 0.4]), np.array([True, True]))
+    for interior in ([0.0, 0.5], [0.5, 1.0], [-0.5, 0.5]):
+        with pytest.raises(OutOfInterval):
+            Partition((0.0, 1.0), np.array(interior), np.array([False, False]))
     part = Partition((0.0, 1.0), np.array([0.3, 0.7]), np.array([True, False]))
     assert part.count == 2
+    assert not part.interior.flags.writeable and not part.singular.flags.writeable
 
 
 # -- nullspace ----------------------------------------------------------------

@@ -597,10 +597,13 @@ def test_the_cli_never_imports_scipy(mode, tmp_path):
     argv = [mode, "--input", data("instance_b.json"), "--output", str(tmp_path / "r.json")]
     if mode == "verify":
         argv += ["--random", "1"]
-    # Each mode loads the modules it runs and no others, and never numpy.ma
-    # (np.unique would import it).
+    # Each mode loads the modules it runs and no others, never numpy.ma
+    # (np.unique would import it) and never dataclasses: no class in the
+    # package is one.
     loaded = {"cli", "coefficients", "errors", "fileio", "functions"}
     if mode != "validate":
+        loaded.add("partition")
+    if mode not in ("validate", "analyze"):
         loaded |= {"blocksystem", "propagation"}
     if mode in ("solve", "compact", "kernel", "verify"):
         loaded.add("solutions")
@@ -613,7 +616,8 @@ def test_the_cli_never_imports_scipy(mode, tmp_path):
         f"from measureode.cli import main\nassert main({argv!r}) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('measureode.'))\n"
         f"assert loaded == {expected!r}, loaded\n"
-        "assert 'numpy.ma' not in sys.modules")
+        "assert 'numpy.ma' not in sys.modules\n"
+        "assert 'dataclasses' not in sys.modules")
 
 
 def test_importing_the_package_does_not_import_scipy():

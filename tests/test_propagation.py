@@ -6,7 +6,6 @@ norm, followed by repeated squaring.  The integral oracles are adaptive
 quadrature of the integrand sampled entry by entry.
 """
 
-import dataclasses
 import gc
 import os
 import weakref
@@ -50,6 +49,8 @@ from measureode.verify import orthogonal_rhs
 TOL_SERIES = 1e-12    # relative, exponential vs series oracle
 TOL_QUAD = 1e-8       # absolute, integrals vs adaptive quadrature
 TOL_IDENTITY = 1e-10  # Wronskian / transfer identities
+# The fields of ``propagation._NodeStates``, in constructor order.
+STATE_FIELDS = ("nodes", "generators", "rights", "lefts", "starts")
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
@@ -892,10 +893,10 @@ def test_the_taylor_table_lives_and_dies_with_its_states():
     solution.evaluate(50.5)
     assert "_sampler" in vars(U) and "_sampler" in vars(solution)
     # It belongs to its factor alone: no states hold it, so a span or a
-    # replaced copy of them starts without one, as does a second matrix on
+    # plain copy of them starts without one, as does a second matrix on
     # the same states.
     for states in (U.states, U.states.span(0, U.states.nodes.size - 1),
-                   dataclasses.replace(U.states), solution._node_states()):
+                   _plain(U.states), solution._node_states()):
         assert not any(isinstance(v, propagation._Sampler) for v in vars(states).values())
     twin = FundamentalMatrix(U.J, U.states, U.transfers)
     assert "_sampler" not in vars(twin)
@@ -929,8 +930,7 @@ def test_solution_fundamentals_must_span_their_subintervals():
 def test_fundamentals_and_solutions_view_the_partition_states():
     problem, window, f = _chain(4)
     bs = build_system(problem, window)
-    names = [field.name for field in dataclasses.fields(bs.states)]
-    assert all(not getattr(bs.states, name).flags.writeable for name in names)
+    assert all(not getattr(bs.states, name).flags.writeable for name in STATE_FIELDS)
     assert not bs.transfers.flags.writeable
     starts = bs.states.starts.tolist()
     for U, first, stop in zip(bs.fundamentals, starts, starts[1:]):
